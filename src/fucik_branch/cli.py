@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     he.set_defaults(func=cmd_halfeig)
 
     fu = sub.add_parser("fucik", parents=[common],
-                        help="sweep the first Fucik curves by shooting")
+                        help="sample the first Fucik curves from their closed form")
     fu.add_argument("--lambda-max", type=float, default=30.0,
                     help="largest lambda_plus swept (default: 30)")
     fu.add_argument("--samples", type=int, default=200,

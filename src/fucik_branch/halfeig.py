@@ -3,14 +3,16 @@
 The jumping-nonlinearity identity lambda*u^+ - (lambda-gamma)*u^- =
 lambda*u + gamma*u^- makes the half-eigenvalue problem a point on the Fucik
 spectrum with lambda_plus = lambda and lambda_minus = lambda - gamma. On an
-interval, Fucik solutions are chains of half-period sine arcs, so shooting is
-exact piecewise closed form: positive humps of width pi/sqrt(lambda_plus),
-negative humps of width pi/sqrt(lambda_minus), slope magnitude 1 at every
-interior zero.
+interval, Fucik solutions are chains of alternating half-period sine arcs,
+so a chain of n_plus positive and n_minus negative humps fills (0, L) exactly
+when n_plus*pi/sqrt(lambda_plus) + n_minus*pi/sqrt(lambda_minus) = L with
+|n_plus - n_minus| <= 1. The Fucik curves are this relation solved for
+lambda_minus, and a continuum half-eigenvalue is the root of one strictly
+decreasing scalar function.
 
-Shooting locates the continuum value; a sign-pattern fixed-point iteration
-then refines eigenpairs of the full discretization so the reported residual
-is at round-off level rather than O(h^2).
+The discrete eigenpairs come from the same idea one level down: each row of
+(A + gamma*diag(1[u < 0]) - lambda) u = 0 is a three-term recurrence, shot
+from u_0 = 0 and bisected in lambda until its end value u_{n+1} vanishes.
 """
 
 from __future__ import annotations
@@ -20,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tridiag import symmetric_tridiag_apply, thomas_solve
+from ._tridiag import thomas_solve  # noqa: F401 -- perfbench/tracer.py patches it by name here
 from .grid import Field, Grid, apply_laplacian, dual_norm
-from .spectrum import closed_form_eigenvalue, continuum_eigenvalue, eigenpair
+from .spectrum import closed_form_eigenvalue, eigenpair
 
-_BISECT_ITER = 60
-_SCAN_POINTS = 128
 _RESIDUAL_TOL = 1e-8
+_DRIFT_CONST = 0.25  # |lambda_h - lambda| <= _DRIFT_CONST * h^2 * lambda^2 (P1: 1/12)
 
 
 @dataclass(frozen=True)
@@ -64,10 +65,25 @@ class FucikPoint:
     n_minus: int
 
     def __post_init__(self) -> None:
-        if self.lambda_plus <= 0.0 or self.lambda_minus <= 0.0:
+        if not (self.lambda_plus > 0.0 and self.lambda_minus > 0.0):
             raise ValueError("Fucik point requires positive lambda_plus and lambda_minus")
         if abs(self.n_plus - self.n_minus) > 1:
             raise ValueError("alternating humps can differ in count by at most 1")
+
+
+def _check_length(length: float) -> None:
+    if not (math.isfinite(length) and length > 0.0):
+        raise ValueError(f"interval length must be positive and finite, got {length}")
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of f in [lo, hi] to adjacent doubles; f > 0 left of it, f <= 0 right."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid
 
 
 def gamma_window(grid: Grid, k: int) -> GammaWindow:
@@ -84,19 +100,22 @@ def gamma_window(grid: Grid, k: int) -> GammaWindow:
 
 def fucik_shoot(lambda_plus: float, lambda_minus: float,
                 length: float) -> tuple[float, int, int]:
-    """Endpoint value and hump counts of the arc chain started with u'(0) = 1."""
-    return _shoot(lambda_plus, lambda_minus, length, +1.0)
+    """Endpoint value and hump counts of the arc chain started with u'(0) = 1.
+
+    Marches hump by hump instead of using the closed form, so it serves as an
+    independent check of the Fucik relation.
+    """
+    return _shoot(lambda_plus, lambda_minus, length)
 
 
-def _shoot(lambda_plus: float, lambda_minus: float, length: float,
-           slope_sign: float) -> tuple[float, int, int]:
-    if lambda_plus <= 0.0 or lambda_minus <= 0.0:
-        raise ValueError("shooting requires positive lambda_plus and lambda_minus")
-    if length <= 0.0:
-        raise ValueError("interval length must be positive")
+def _shoot(lambda_plus: float, lambda_minus: float,
+           length: float) -> tuple[float, int, int]:
+    if not (0.0 < lambda_plus < math.inf and 0.0 < lambda_minus < math.inf):
+        raise ValueError("shooting requires positive, finite lambda_plus and lambda_minus")
+    _check_length(length)
     eps_len = 1e-12 * length  # humps shorter than this are unresolvable
     x = 0.0
-    sign = slope_sign
+    sign = 1.0
     n_plus = 0
     n_minus = 0
     while True:
@@ -120,134 +139,78 @@ def _shoot(lambda_plus: float, lambda_minus: float, length: float,
         return u_end, n_plus, n_minus
 
 
-def _shoot_profile(lambda_plus: float, lambda_minus: float, length: float,
-                   slope_sign: float, x: np.ndarray) -> np.ndarray:
-    """Shooting solution sampled at sorted positions x inside (0, length)."""
-    out = np.empty_like(x)
-    x0 = 0.0
-    sign = slope_sign
-    i = 0
-    while i < x.size:
-        lam = lambda_plus if sign > 0 else lambda_minus
-        root = math.sqrt(lam)
-        x1 = x0 + math.pi / root
-        j = i
-        while j < x.size and x[j] < x1:
-            j += 1
-        out[i:j] = sign * np.sin(root * (x[i:j] - x0)) / root
-        i = j
-        x0 = x1
-        sign = -sign
-    return out
-
-
 def shoot_split_lambda(k: int, gamma: float, length: float, which: int) -> float:
-    """Continuum half-eigenvalue by bisection of the shooting endpoint value.
+    """Continuum half-eigenvalue of the k-th split, from the Fucik relation.
 
-    Branch 1 shoots with u'(0) = +1, branch 2 with u'(0) = -1; the root is
-    bracketed inside the continuum window (lambda_k, lambda_{k+1}).
+    The k-hump chain starts with a positive hump on branch 1 and a negative
+    one on branch 2, and lambda solves
+    n_plus*pi/sqrt(lambda) + n_minus*pi/sqrt(lambda - gamma) = L, whose left
+    side decreases strictly in lambda, on [lambda_k, lambda_{k+1}].
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    if gamma < 0.0:
+    if not (isinstance(k, int) and k >= 1):
+        raise ValueError(f"k must be an integer >= 1, got {k}")
+    if not gamma >= 0.0:
         raise ValueError("gamma must be nonnegative")
+    _check_length(length)
     lo = (k * math.pi / length) ** 2
     hi = ((k + 1) * math.pi / length) ** 2
     if gamma == 0.0:
         return lo
     if gamma >= lo - ((k - 1) * math.pi / length) ** 2 or gamma >= hi - lo:
         raise ValueError("gamma outside the admissible window")
-    sign = +1.0 if which == 1 else -1.0
+    n_plus, n_minus = (k + 1) // 2, k // 2
+    if which == 2:
+        n_plus, n_minus = n_minus, n_plus
 
-    def f(lam: float) -> float:
-        return _shoot(lam, lam - gamma, length, sign)[0]
+    def excess(lam: float) -> float:
+        return (n_plus * math.pi / math.sqrt(lam)
+                + n_minus * math.pi / math.sqrt(lam - gamma) - length)
 
-    lam_grid = np.linspace(lo, hi, _SCAN_POINTS + 1)
-    vals = [f(lam) for lam in lam_grid]
-    a = b = None
-    for i in range(_SCAN_POINTS):
-        if vals[i] == 0.0:
-            return float(lam_grid[i])
-        if vals[i] * vals[i + 1] < 0.0:
-            a, b = float(lam_grid[i]), float(lam_grid[i + 1])
-            fa = vals[i]
-            break
-    if a is None:
-        raise ValueError(
-            f"no shooting sign change in ({lo:.6g}, {hi:.6g}) for k={k}, gamma={gamma}")
-    for _ in range(_BISECT_ITER):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+    return _bisect(excess, lo, hi)
 
 
-def _discrete_half_eigen(grid: Grid, gamma: float, lam0: float,
-                         u0: np.ndarray) -> tuple[float, np.ndarray]:
-    """Eigenpair of the full discretization near (lam0, u0).
+def _discrete_half_eigen(grid: Grid, gamma: float, which: int, lam_lo: float,
+                         lam_hi: float) -> tuple[float, np.ndarray]:
+    """Eigenpair of the full discretization in the window [lam_lo, lam_hi].
 
-    Fixed-point iteration on the negativity pattern: for a frozen pattern the
-    operator is the tridiagonal matrix A + gamma*diag(1[u<0]), solved by
-    Rayleigh-quotient iteration; the pattern is then recomputed from the new
-    eigenvector until it stabilizes. Zero nodes belong to the positive part.
+    Shoots u_0 = 0, u_1 = +h (which=1) or -h (which=2),
+    u_{i+1} = (2 - h^2*lambda + h^2*gamma*1[u_i < 0])*u_i - u_{i-1}, so that
+    rows 1..n-1 of (A + gamma*diag(1[u < 0]) - lambda) u = 0 hold for every
+    lambda and row n holds when u_{n+1}(lambda) = 0. That end value is
+    continuous in lambda (the gamma term vanishes as u_i -> 0) and changes
+    sign across the window, where it is bisected. Zero nodes belong to the
+    positive part. Returns lambda and the L2-normalized shot.
     """
     n = grid.n_interior
-    h = grid.h
-    h2 = h * h
-    base = np.full(n, 2.0 / h2)
-    off = np.full(n - 1, -1.0 / h2)
-    u = u0 / math.sqrt(h * float(np.dot(u0, u0)))
-    lam = lam0
-    seen: set[bytes] = set()
-    for _ in range(60):
-        sigma = u < 0.0
-        seen.add(sigma.tobytes())
-        diag = base + gamma * sigma
-        shift = lam
-        v = u
-        lam_new = lam
-        for _ in range(80):
-            try:
-                w = thomas_solve(off, diag - shift, off, v)
-            except ValueError:
-                shift *= 1.0 + 1e-12
-                continue
-            if not np.all(np.isfinite(w)):
-                shift *= 1.0 + 1e-9
-                continue
-            w /= math.sqrt(h * float(np.dot(w, w)))
-            if float(np.dot(w, u)) < 0.0:
-                w = -w
-            av = symmetric_tridiag_apply(diag, off, w)
-            lam_new = h * float(np.dot(av, w))
-            res = av - lam_new * w
-            v = w
-            if math.sqrt(h * float(np.dot(res, res))) <= 1e-13 * max(1.0, abs(lam_new)):
-                break
-            shift = lam_new
-        new_sigma = v < 0.0
-        if np.array_equal(new_sigma, sigma):
-            return lam_new, v
-        if new_sigma.tobytes() in seen:
-            raise RuntimeError("negativity pattern cycles; no consistent eigenpair found")
-        u = v
-        lam = lam_new
-    raise RuntimeError("negativity pattern did not stabilize")
+    h2 = grid.h ** 2
+    u1 = grid.h if which == 1 else -grid.h
+
+    def shot(lam: float) -> list[float]:
+        c_pos = 2.0 - h2 * lam
+        c_neg = c_pos + h2 * gamma
+        u = [0.0, u1]
+        for _ in range(n):
+            cur = u[-1]
+            u.append((c_neg if cur < 0.0 else c_pos) * cur - u[-2])
+        return u
+
+    side = math.copysign(1.0, shot(lam_lo)[-1])
+    lam = _bisect(lambda x: side * shot(x)[-1], lam_lo, lam_hi)
+    vec = np.array(shot(lam)[1:-1])
+    return lam, vec / math.sqrt(grid.h * float(np.dot(vec, vec)))
 
 
 def split_eigenvalues(grid: Grid, k: int, gamma: float) -> SplitEigenPair:
     """Both half-eigenvalues of the discretized problem split off lambda_k.
 
     gamma = 0 degenerates to the linear eigenpair on both branches. For
-    gamma > 0 the continuum shooting root seeds a discrete refinement whose
-    residual is verified at 1e-8 on the full grid.
+    gamma > 0 each branch is shot on the discrete window and checked against
+    the window, the continuum value (within 0.25*h^2*lambda^2, four times the
+    leading P1 error constant 1/12), a 1e-8 residual and its orientation.
     """
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise ValueError("gamma must be nonnegative")
     ek = eigenpair(grid, k)
     if k == 1:
@@ -270,22 +233,20 @@ def split_eigenvalues(grid: Grid, k: int, gamma: float) -> SplitEigenPair:
     results = []
     for which, sign in ((1, +1.0), (2, -1.0)):
         lam_shoot = shoot_split_lambda(k, gamma, grid.length, which)
-        profile = _shoot_profile(lam_shoot, lam_shoot - gamma, grid.length,
-                                 sign, grid.nodes)
-        lam, vec = _discrete_half_eigen(grid, gamma, lam_shoot, profile)
+        lam, vec = _discrete_half_eigen(grid, gamma, which, lam_lo, lam_hi)
         if not (lam_lo - 1e-9 <= lam <= lam_hi + 1e-9):
             raise RuntimeError(
-                f"refined half-eigenvalue {lam:.12g} left the window "
+                f"discrete half-eigenvalue {lam:.12g} left the window "
                 f"[{lam_lo:.12g}, {lam_hi:.12g}]")
-        if abs(lam - lam_shoot) > 5.0 * grid.h ** 2 * max(1.0, lam_shoot):
-            raise RuntimeError("discrete refinement drifted from the shooting root")
+        if abs(lam - lam_shoot) > _DRIFT_CONST * grid.h ** 2 * lam_shoot ** 2:
+            raise RuntimeError("discrete half-eigenvalue drifted from the continuum root")
         field = Field(grid, vec)
         res = half_eigen_residual(field, lam, gamma)
         if res > _RESIDUAL_TOL:
             raise RuntimeError(f"half-eigen residual {res:.3e} exceeds {_RESIDUAL_TOL}")
         proj = grid.h * float(np.dot(ek.vector.values, vec))
         if sign * proj <= 0.0:
-            raise RuntimeError("refined eigenfunction lost its branch orientation")
+            raise RuntimeError("discrete eigenfunction lost its branch orientation")
         results.append((lam, field, proj))
 
     (lam1, v1, p1), (lam2, v2, p2) = results
@@ -307,43 +268,31 @@ def half_eigen_residual(u: Field, lam: float, gamma: float) -> float:
 
 def fucik_curve_points(length: float, lambda_max: float,
                        n_samples: int) -> list[FucikPoint]:
-    """Sample the Fucik curves on [lambda_1, lambda_max]^2 by shooting.
+    """Sample the Fucik curves on [lambda_1, lambda_max]^2 from their closed form.
 
-    For each lambda_plus on the sample grid, roots of the endpoint value as a
-    function of lambda_minus are located by scan plus bisection, for both
-    starting slopes.
+    For each lambda_plus on the sample grid, each hump count pair with
+    n_minus >= 1 and rem = L - n_plus*pi/sqrt(lambda_plus) > 0 gives
+    lambda_minus = (n_minus*pi/rem)^2; rows inside the range are emitted in
+    increasing lambda_minus. The range starts at lambda_1*(1 + 1e-9), just
+    above the curves lambda_plus = lambda_1 and lambda_minus = lambda_1.
     """
+    _check_length(length)
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     lam1 = (math.pi / length) ** 2
-    if lambda_max <= lam1:
-        raise ValueError("lambda_max must exceed the principal eigenvalue")
-    lp_grid = np.linspace(lam1 * (1.0 + 1e-9), lambda_max, n_samples)
-    scan = np.linspace(lam1 * (1.0 + 1e-9), lambda_max, 4 * n_samples)
+    if not (math.isfinite(lambda_max) and lambda_max > lam1):
+        raise ValueError("lambda_max must be finite and exceed the principal eigenvalue")
+    lam_lo = lam1 * (1.0 + 1e-9)
     points: list[FucikPoint] = []
-    for lp in lp_grid:
-        roots: list[float] = []
-        for sign in (+1.0, -1.0):
-            vals = [_shoot(lp, lm, length, sign)[0] for lm in scan]
-            for i in range(len(scan) - 1):
-                if vals[i] == 0.0 or vals[i] * vals[i + 1] >= 0.0:
-                    continue
-                a, b, fa = float(scan[i]), float(scan[i + 1]), vals[i]
-                for _ in range(_BISECT_ITER):
-                    mid = 0.5 * (a + b)
-                    fm = _shoot(lp, mid, length, sign)[0]
-                    if fm == 0.0:
-                        a = b = mid
-                        break
-                    if fa * fm < 0.0:
-                        b = mid
-                    else:
-                        a, fa = mid, fm
-                root = 0.5 * (a + b)
-                if all(abs(root - r) > 1e-8 * (1.0 + root) for r in roots):
-                    roots.append(root)
-        for root in sorted(roots):
-            _, n_pos, n_neg = _shoot(lp, root, length, +1.0)
-            points.append(FucikPoint(lambda_plus=float(lp), lambda_minus=root,
-                                     n_plus=n_pos, n_minus=n_neg))
+    for lp in np.linspace(lam_lo, lambda_max, n_samples):
+        lp = float(lp)
+        rows: dict[float, tuple[int, int]] = {}
+        n_plus = 0
+        while (rem := length - n_plus * math.pi / math.sqrt(lp)) > 0.0:
+            for n_minus in (n_plus - 1, n_plus, n_plus + 1):
+                lm = (n_minus * math.pi / rem) ** 2
+                if n_minus >= 1 and lam_lo <= lm <= lambda_max:
+                    rows.setdefault(lm, (n_plus, n_minus))
+            n_plus += 1
+        points.extend(FucikPoint(lp, lm, *rows[lm]) for lm in sorted(rows))
     return points

@@ -7,7 +7,8 @@ import pytest
 from pytest import approx
 
 from fucik_branch.config import SolverConfig
-from fucik_branch.continuation import (BranchSeed, ConeParams, cone_test,
+from fucik_branch.continuation import (BranchSeed, ConeParams,
+                                       _trivial_candidates, cone_test,
                                        decompose, ls_residual,
                                        localization_check, newton_at_lambda,
                                        recompose, scaling_slope, trace_branch)
@@ -322,3 +323,10 @@ def test_newton_at_lambda_reports_failure(grid, rng):
     config = SolverConfig(max_iter=2, tol_abs=1e-300)
     with pytest.raises(SolverError):
         newton_at_lambda(u0, params, config=config)
+
+
+def test_trivial_candidates_cover_every_admissible_mode(grid):
+    # lambda_1, lambda_1 + gamma and both split values of k = 2..11
+    cands = _trivial_candidates(grid, 0.5)
+    assert len(cands) == 22
+    assert all(math.isfinite(c) for c in cands)

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fucik_branch.grid import Grid, inner_l2, l2_norm
 from fucik_branch.halfeig import (
+    FucikPoint,
     fucik_curve_points,
     fucik_shoot,
     gamma_window,
@@ -197,6 +200,24 @@ def test_split_lambda_continuous_in_gamma(grid):
     assert fine < 0.2
 
 
+def fucik_relation_gap(lam_plus: float, lam_minus: float, n_plus: int,
+                       n_minus: int, length: float) -> float:
+    return (n_plus * math.pi / math.sqrt(lam_plus)
+            + n_minus * math.pi / math.sqrt(lam_minus) - length)
+
+
+def scanned_fucik_root_count(lam_plus: float, lo: float, hi: float,
+                             length: float, cells: int = 20000) -> int:
+    """Roots in lambda_minus of either shooting orientation, by a fine sign scan."""
+    scan = np.linspace(lo, hi, cells + 1)
+    hits = set()
+    for fwd in (True, False):
+        ends = [fucik_shoot(lam_plus, lm, length)[0] if fwd
+                else fucik_shoot(lm, lam_plus, length)[0] for lm in scan]
+        hits.update(i for i in range(cells) if ends[i] * ends[i + 1] < 0.0)
+    return len(hits)
+
+
 def test_fucik_curve_points_properties():
     points = fucik_curve_points(math.pi, 30.0, 40)
     assert len(points) > 50
@@ -206,8 +227,109 @@ def test_fucik_curve_points_properties():
         end_fwd = fucik_shoot(pt.lambda_plus, pt.lambda_minus, math.pi)[0]
         end_rev = fucik_shoot(pt.lambda_minus, pt.lambda_plus, math.pi)[0]
         assert min(abs(end_fwd), abs(end_rev)) <= 1e-9
+        # each row satisfies the relation of its own hump counts
+        gap = fucik_relation_gap(pt.lambda_plus, pt.lambda_minus, pt.n_plus,
+                                 pt.n_minus, math.pi)
+        assert abs(gap) <= 1e-9 * math.pi
         if (pt.n_plus, pt.n_minus) == (1, 1):
             saw_two_hump = True
             curve = 1.0 / math.sqrt(pt.lambda_plus) + 1.0 / math.sqrt(pt.lambda_minus)
             assert curve == pytest.approx(1.0, abs=1e-9)
     assert saw_two_hump
+
+    # two samples up to 60: several curves meet lambda_plus = 60 within one
+    # coarse scan cell; the count comes from a fine scan of both orientations
+    lo = 1.0 + 1e-9
+    coarse = fucik_curve_points(math.pi, 60.0, 2)
+    expected = sum(scanned_fucik_root_count(lp, lo, 60.0, math.pi)
+                   for lp in np.linspace(lo, 60.0, 2))
+    assert expected == 9
+    assert len(coarse) == expected
+    for pt in coarse:
+        gap = fucik_relation_gap(pt.lambda_plus, pt.lambda_minus, pt.n_plus,
+                                 pt.n_minus, math.pi)
+        assert abs(gap) <= 1e-9 * math.pi
+
+
+def test_split_drift_within_p1_bound_over_grids_and_modes():
+    # the P1 error of the k-th value is h^2 lambda^2 / 12 to leading order
+    for n in (99, 199, 799):
+        grid = Grid(n_interior=n)
+        for k in range(2, 12):
+            gmax = gamma_window(grid, k).gamma_max
+            for gamma in (1e-5, 0.5 * gmax):
+                pair = split_eigenvalues(grid, k, gamma)
+                for which, lam, vec in ((1, pair.lambda1, pair.v1),
+                                        (2, pair.lambda2, pair.v2)):
+                    shoot = shoot_split_lambda(k, gamma, grid.length, which)
+                    assert abs(lam - shoot) <= 0.25 * grid.h**2 * shoot**2
+                    assert half_eigen_residual(vec, lam, gamma) <= 1e-8
+
+
+def test_non_finite_inputs_are_rejected():
+    with pytest.raises(ValueError):
+        fucik_curve_points(math.pi, math.inf, 3)
+    with pytest.raises(ValueError):
+        fucik_curve_points(math.pi, math.nan, 3)
+    with pytest.raises(ValueError):
+        fucik_curve_points(math.nan, 30.0, 3)
+    for bad in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            FucikPoint(*bad, 1, 1)
+    with pytest.raises(ValueError):
+        fucik_shoot(math.inf, 1.0, math.pi)
+    with pytest.raises(ValueError):
+        fucik_shoot(1.0, math.nan, math.pi)
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            shoot_split_lambda(2, gamma, math.pi, 1)
+    for k in (0, -1, 2.0):
+        with pytest.raises(ValueError):
+            shoot_split_lambda(k, 0.5, math.pi, 1)
+    with pytest.raises(ValueError):
+        shoot_split_lambda(2, 0.5, math.inf, 1)
+    with pytest.raises(ValueError):
+        split_eigenvalues(Grid(), 2, math.nan)
+
+
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+
+
+@_PROPERTY
+@given(k=st.integers(2, 12), frac=st.floats(1e-6, 0.999),
+       length=st.floats(0.5, 10.0), which=st.sampled_from((1, 2)))
+def test_shoot_split_lambda_solves_the_fucik_relation(k, frac, length, which):
+    unit = (math.pi / length) ** 2
+    gamma = frac * (2 * k - 1) * unit
+    lam = shoot_split_lambda(k, gamma, length, which)
+    assert k * k * unit <= lam <= (k + 1) ** 2 * unit
+    up, down = (k + 1) // 2, k // 2
+    n_plus, n_minus = (up, down) if which == 1 else (down, up)
+    assert abs(fucik_relation_gap(lam, lam - gamma, n_plus, n_minus, length)) \
+        <= 1e-12 * length
+    # the arc chain starting down is the mirror of one starting up
+    end = (fucik_shoot(lam, lam - gamma, length) if which == 1
+           else fucik_shoot(lam - gamma, lam, length))[0]
+    assert abs(end) <= 1e-9 * length
+
+
+@_PROPERTY
+@given(frac=st.floats(1e-6, 0.999), length=st.floats(0.5, 10.0))
+def test_shoot_split_lambda_principal_mode(frac, length):
+    lam1 = (math.pi / length) ** 2
+    gamma = frac * lam1
+    assert shoot_split_lambda(1, gamma, length, 1) == pytest.approx(lam1, rel=1e-12)
+    assert shoot_split_lambda(1, gamma, length, 2) == pytest.approx(lam1 + gamma,
+                                                                     rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(9, 800), k=st.integers(2, 11), frac=st.floats(1e-6, 0.999))
+def test_discrete_half_eigenpair_residual(n, k, frac):
+    grid = Grid(n_interior=n)
+    k = min(k, n - 1)
+    gamma = frac * gamma_window(grid, k).gamma_max
+    pair = split_eigenvalues(grid, k, gamma)
+    assert half_eigen_residual(pair.v1, pair.lambda1, gamma) <= 1e-8
+    assert half_eigen_residual(pair.v2, pair.lambda2, gamma) <= 1e-8
