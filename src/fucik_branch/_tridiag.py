@@ -1,39 +1,46 @@
-"""Tridiagonal linear solves (Thomas algorithm)."""
+"""Tridiagonal linear solves (Thomas algorithm) and the symmetric tridiagonal matvec."""
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
 
+def tridiag_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray
+                   ) -> Callable[[np.ndarray], np.ndarray]:
+    """Forward elimination of tridiagonal T; returns the solver rhs -> T^{-1} rhs.
+
+    lower has length n-1, diag n, upper n-1. No pivoting: a zero pivot raises
+    ValueError, which for our symmetric positive or shifted systems signals a
+    singular shift. Python floats run several times faster than numpy scalars."""
+    low, piv, cp = lower.tolist(), diag.tolist(), upper.tolist()
+    for i in range(len(piv)):
+        if i > 0:
+            cp[i - 1] /= piv[i - 1]
+            piv[i] -= low[i - 1] * cp[i - 1]
+        if piv[i] == 0.0:
+            raise ValueError("zero pivot in tridiagonal solve")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        b = rhs.tolist()
+        d = b[0] / piv[0]
+        x = [d]
+        for bi, li, pi in zip(b[1:], low, piv[1:]):
+            d = (bi - li * d) / pi
+            x.append(d)
+        for i in range(len(x) - 2, -1, -1):
+            d = x[i] - cp[i] * d
+            x[i] = d
+        return np.array(x)
+
+    return solve
+
+
 def thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
                  rhs: np.ndarray) -> np.ndarray:
-    """Solve T x = rhs for tridiagonal T by forward elimination and back substitution.
-
-    lower has length n-1 (subdiagonal), diag length n, upper length n-1.
-    No pivoting; raises ZeroDivisionError-like ValueError on a vanishing pivot,
-    which for our symmetric positive or shifted systems signals a (near-)singular
-    shift rather than a programming error.
-    """
-    n = diag.size
-    cp = np.empty(n)
-    dp = np.empty(n)
-    piv = diag[0]
-    if piv == 0.0:
-        raise ValueError("zero pivot in tridiagonal solve")
-    cp[0] = upper[0] / piv if n > 1 else 0.0
-    dp[0] = rhs[0] / piv
-    for i in range(1, n):
-        piv = diag[i] - lower[i - 1] * cp[i - 1]
-        if piv == 0.0:
-            raise ValueError("zero pivot in tridiagonal solve")
-        if i < n - 1:
-            cp[i] = upper[i] / piv
-        dp[i] = (rhs[i] - lower[i - 1] * dp[i - 1]) / piv
-    x = np.empty(n)
-    x[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
+    """Solve T x = rhs for tridiagonal T by forward elimination and back substitution."""
+    return tridiag_factor(lower, diag, upper)(rhs)
 
 
 def symmetric_tridiag_apply(diag: np.ndarray, off: np.ndarray,

@@ -16,7 +16,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -202,16 +201,7 @@ def cmd_branch(args: argparse.Namespace, cfg: RunConfig, outdir: Path) -> int:
     seeds = [BranchSeed(k=k, which=w, gamma=args.gamma, p=args.p)
              for k in args.k for w in whichs]
     solver = replace(cfg.solver, alpha0=args.alpha0, max_steps=args.steps)
-    grid = cfg.grid
-
-    def trace(seed: BranchSeed) -> Branch:
-        return trace_branch(seed, grid, solver)
-
-    if args.jobs > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            branches = list(pool.map(trace, seeds))
-    else:
-        branches = [trace(seed) for seed in seeds]
+    branches = [trace_branch(seed, cfg.grid, solver) for seed in seeds]
 
     summaries = []
     entries = []
@@ -322,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="seed amplitude (default: 1e-3)")
     br.add_argument("--steps", type=int, default=200,
                     help="maximum accepted points per branch (default: 200)")
-    br.add_argument("--jobs", type=int, default=1,
-                    help="concurrent branch traces (default: 1)")
     br.set_defaults(func=cmd_branch)
 
     ve = sub.add_parser("verify", parents=[common],

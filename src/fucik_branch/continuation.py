@@ -7,7 +7,8 @@ bifurcation from infinity of the original problem. A branch is traced by a
 Keller predictor-corrector: the first step leaves the seed along the
 half-eigenfunction with lambda frozen, later steps use the secant tangent,
 and the corrector is a damped semismooth Newton method on the bordered
-system (residual + arclength plane).
+system (residual + arclength plane), solved in O(n) by block elimination on
+one factorization of the tridiagonal (plus rank-one) Jacobian.
 
 The Lyapunov-Schmidt split u = alpha*e_k + v with v orthogonal to e_k, the
 spectral cones around +-e_k, and the fixed-point defect built from
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SolverConfig
-from .grid import (Field, Grid, h10_norm, inner_l2, l2_norm, laplacian_solve,
-                   laplacian_solve_values)
+from .grid import (Field, Grid, element_gradients, h10_norm, inner_l2, l2_norm,
+                   laplacian_solve, laplacian_solve_values)
 from .halfeig import gamma_window, split_eigenvalues
 from .monotone import SolveReport, SolverError, solve_monotone, solve_monotone_ball
 from .quasilinear import (Jacobian, ProblemParams, jacobian_original,
@@ -226,22 +227,45 @@ class _TraceProblem:
 
     def jacobian(self, u_vals: np.ndarray, lam: float) -> Jacobian:
         field = Field(self.grid, u_vals)
-        eps = 0.0
         if self.transformed:
-            ext = np.concatenate(([0.0], u_vals, [0.0]))
-            g = np.diff(ext) / self.grid.h
+            g = element_gradients(field)
             eps = self.config.eps_reg_scale * (float(np.mean(np.abs(g))) + 1.0)
             return jacobian_transformed(field, self._params(lam, eps))
         return jacobian_original(field, self._params(lam))
+
+
+def _bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,
+                    row_lam: float, r: np.ndarray, c: float
+                    ) -> tuple[np.ndarray, float]:
+    """Solve [[J, -u], [<row_u, .>_2, row_lam]] (du, dlam) = -(r, c) by block elimination.
+
+    One factorization of J serves all solves; dlam comes from the Schur
+    complement <row_u, J^{-1} u>_2 + row_lam. The second pass refines on the
+    bordered residual: plain bordering loses digits when J is (nearly)
+    singular, as at a seed on a discrete eigenvalue."""
+    h = jac.grid.h
+    try:
+        solve = jac.factor()
+    except ValueError as exc:
+        raise _CorrectorFailed(f"singular bordered system: {exc}")
+    y = solve(u)
+    schur = h * float(np.dot(row_u, y)) + row_lam
+    if schur == 0.0:
+        raise _CorrectorFailed("singular bordered system: zero Schur complement")
+    du, dlam = np.zeros_like(u), 0.0
+    for _ in range(2):
+        x = solve(dlam * u - r - jac.apply_values(du))
+        d = (-c - h * float(np.dot(row_u, du)) - row_lam * dlam
+             - h * float(np.dot(row_u, x))) / schur
+        du, dlam = du + (x + d * y), dlam + d
+    return du, dlam
 
 
 def _corrector(prob: _TraceProblem, u0: np.ndarray, lam0: float,
                row_u: np.ndarray, row_lam: float, c0: float,
                config: SolverConfig) -> tuple[np.ndarray, float, int, float, float]:
     """Bordered Newton for F(u, lam) = 0 with <row_u, u>_2 + row_lam*lam = c0."""
-    grid = prob.grid
-    h = grid.h
-    n = grid.n_interior
+    h = prob.grid.h
     u = u0.copy()
     lam = lam0
     for it in range(config.corrector_max_iter):
@@ -252,25 +276,15 @@ def _corrector(prob: _TraceProblem, u0: np.ndarray, lam0: float,
         tol_eff = config.corrector_tol * scale
         if rnorm <= tol_eff and abs(c) <= tol_eff:
             return u, lam, it, rnorm, tol_eff
-        jac = prob.jacobian(u, lam)
-        a = np.empty((n + 1, n + 1))
-        a[:n, :n] = jac.as_matrix()
-        a[:n, n] = -u
-        a[n, :n] = row_u  # constraint row prescaled by 1/h to keep O(1) entries
-        a[n, n] = row_lam / h
-        rhs = np.concatenate([-r, [-c / h]])
-        try:
-            delta = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise _CorrectorFailed(f"singular bordered system: {exc}")
-        if not np.all(np.isfinite(delta)):
+        du, dlam = _bordered_solve(prob.jacobian(u, lam), u, row_u, row_lam, r, c)
+        if not (np.all(np.isfinite(du)) and math.isfinite(dlam)):
             raise _CorrectorFailed("non-finite Newton step")
         merit0 = h * float(np.dot(r, r)) + c * c
         t = 1.0
         accepted = False
         for _ in range(config.max_halvings + 1):
-            u_try = u + t * delta[:n]
-            lam_try = lam + t * delta[n]
+            u_try = u + t * du
+            lam_try = lam + t * dlam
             r_try = prob.residual(u_try, lam_try)
             c_try = h * float(np.dot(row_u, u_try)) + row_lam * lam_try - c0
             merit = h * float(np.dot(r_try, r_try)) + c_try * c_try

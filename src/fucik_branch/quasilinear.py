@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._tridiag import thomas_solve
+from ._tridiag import symmetric_tridiag_apply, tridiag_factor
+from ._tridiag import thomas_solve  # noqa: F401 -- perfbench/tracer.py patches it by name here
 from .grid import (Field, Grid, apply_laplacian, dual_norm, element_gradients,
                    h10_norm, inner_l2)
 
@@ -78,35 +80,36 @@ class Jacobian:
         self.rank_one = rank_one
 
     def apply(self, w: Field) -> Field:
-        x = w.values
-        y = self.diag * x
-        y[:-1] += self.off * x[1:]
-        y[1:] += self.off * x[:-1]
-        if self.rank_one is not None:
-            a, b = self.rank_one
-            y = y + a * (self.grid.h * float(np.dot(b, x)))
-        return Field(self.grid, y)
+        return Field(self.grid, self.apply_values(w.values))
 
     def apply_values(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        y[:-1] += self.off * x[1:]
-        y[1:] += self.off * x[:-1]
+        y = symmetric_tridiag_apply(self.diag, self.off, x)
         if self.rank_one is not None:
             a, b = self.rank_one
             y = y + a * (self.grid.h * float(np.dot(b, x)))
         return y
 
-    def solve_values(self, rhs: np.ndarray) -> np.ndarray:
+    def factor(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Solver for J x = rhs: one tridiagonal factorization, Sherman-Morrison
+        for the rank-one term; ValueError if either is singular."""
+        tri = tridiag_factor(self.off, self.diag, self.off)
         if self.rank_one is None:
-            return thomas_solve(self.off, self.diag, self.off, rhs)
-        # Sherman-Morrison on top of two tridiagonal solves
+            return tri
         a, b = self.rank_one
-        t1 = thomas_solve(self.off, self.diag, self.off, rhs)
-        t2 = thomas_solve(self.off, self.diag, self.off, a)
-        denom = 1.0 + self.grid.h * float(np.dot(b, t2))
+        h = self.grid.h
+        t2 = tri(a)
+        denom = 1.0 + h * float(np.dot(b, t2))
         if denom == 0.0:
             raise ValueError("singular rank-one update")
-        return t1 - t2 * (self.grid.h * float(np.dot(b, t1)) / denom)
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            t1 = tri(rhs)
+            return t1 - t2 * (h * float(np.dot(b, t1)) / denom)
+
+        return solve
+
+    def solve_values(self, rhs: np.ndarray) -> np.ndarray:
+        return self.factor()(rhs)
 
     def as_matrix(self) -> np.ndarray:
         n = self.diag.size

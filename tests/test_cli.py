@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from pytest import approx
 
+import fucik_branch
 from fucik_branch import __version__
 from fucik_branch.cli import run
 from fucik_branch.grid import Grid, inner_l2, l2_norm, read_field_csv
@@ -127,9 +132,9 @@ def test_branch_first_row_matches_halfeig(tmp_path):
     assert "plot" in script
 
 
-def test_branch_both_sides_with_jobs(tmp_path):
+def test_branch_both_sides(tmp_path):
     rc = run(["branch", "--p", "3", "--k", "2", "--gamma", "0.5",
-              "--steps", "12", "--jobs", "2", "--output-dir", str(tmp_path)])
+              "--steps", "12", "--output-dir", str(tmp_path)])
     assert rc == 0
     summaries = json.loads((tmp_path / "branches.json").read_text())
     assert [s["seed"]["which"] for s in summaries] == [1, 2]
@@ -139,6 +144,25 @@ def test_branch_both_sides_with_jobs(tmp_path):
                                                  rel=1e-9)
     script = (tmp_path / "branch_plot.gp").read_text()
     assert "branch_k2_w1.csv" in script and "branch_k2_w2.csv" in script
+
+
+def test_branch_output_does_not_depend_on_blas_threads(tmp_path):
+    # the corrector makes no BLAS call whose summation order depends on the
+    # thread count, so a p = 1.5 trace is byte-identical on 1 and 2 threads
+    src = str(Path(fucik_branch.__file__).resolve().parents[1])
+    tables = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outdir = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "fucik_branch.cli", "branch", "--p", "1.5",
+             "--k", "2", "--which", "1", "--gamma", "0.5", "--steps", "60",
+             "--output-dir", str(outdir)],
+            env=env, check=True, capture_output=True, timeout=300)
+        tables.append((outdir / "branch_k2_w1.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_branch_tables_stay_csv_under_json_format(tmp_path):

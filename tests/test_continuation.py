@@ -4,19 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from fucik_branch.config import SolverConfig
 from fucik_branch.continuation import (BranchSeed, ConeParams,
-                                       _trivial_candidates, cone_test,
+                                       _bordered_solve, _CorrectorFailed,
+                                       _TraceProblem, _trivial_candidates,
+                                       cone_test,
                                        decompose, ls_residual,
                                        localization_check, newton_at_lambda,
                                        recompose, scaling_slope, trace_branch)
-from fucik_branch.grid import (Field, dual_norm, h10_norm, inner_l2, l2_norm,
-                               norms)
+from fucik_branch.grid import (Field, Grid, dual_norm, h10_norm, inner_l2,
+                               l2_norm, norms)
 from fucik_branch.halfeig import split_eigenvalues
 from fucik_branch.monotone import SolverError
-from fucik_branch.quasilinear import (ProblemParams, from_infinity_variable,
+from fucik_branch.quasilinear import (Jacobian, ProblemParams,
+                                      from_infinity_variable,
                                       residual_original, residual_transformed)
 from fucik_branch.spectrum import closed_form_eigenvalue, eigenpair
 
@@ -330,3 +335,84 @@ def test_trivial_candidates_cover_every_admissible_mode(grid):
     cands = _trivial_candidates(grid, 0.5)
     assert len(cands) == 22
     assert all(math.isfinite(c) for c in cands)
+
+
+def dense_bordered_step(jac, u, row_u, row_lam, r, c):
+    # the bordered matrix assembled densely, constraint row prescaled by 1/h
+    n = u.size
+    h = jac.grid.h
+    a = np.empty((n + 1, n + 1))
+    a[:n, :n] = jac.as_matrix()
+    a[:n, n] = -u
+    a[n, :n] = row_u
+    a[n, n] = row_lam / h
+    sol = np.linalg.solve(a, np.concatenate([-r, [-c / h]]))
+    return sol[:n], sol[n]
+
+
+def bordered_error(jac, u, row_u, row_lam, r, c):
+    """Relative distance of the block-elimination step from the dense one."""
+    du, dlam = _bordered_solve(jac, u, row_u, row_lam, r, c)
+    eu, elam = dense_bordered_step(jac, u, row_u, row_lam, r, c)
+    err = math.sqrt(float(np.dot(du - eu, du - eu)) + (dlam - elam) ** 2)
+    return err / math.sqrt(float(np.dot(eu, eu)) + elam * elam)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(9, 400),
+       p=st.one_of(st.floats(1.2, 1.9), st.floats(2.1, 5.0)),
+       gamma=st.floats(0.0, 1.0), lam=st.floats(0.0, 60.0),
+       amp=st.floats(1e-3, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_bordered_solve_matches_dense(n, p, gamma, lam, amp, seed):
+    # the corrector's own Jacobians: tridiagonal for p > 2, plus rank one below
+    grid = Grid(n_interior=n)
+    rng = np.random.default_rng(seed)
+    coef = rng.standard_normal(5) / np.arange(1, 6)
+    u = sum(c * eigenpair(grid, j + 1).vector.values for j, c in enumerate(coef))
+    u *= amp / weighted_l2(Field(grid, u))
+    jac = _TraceProblem(grid, p, gamma, SolverConfig()).jacobian(u, lam)
+    assert (jac.rank_one is not None) == (p < 2.0)
+    row_u = u + rng.uniform(0.0, 1.0) * rng.standard_normal(n)
+    r = 1e-3 * rng.standard_normal(n)
+    c = 1e-3 * rng.standard_normal()
+    assert bordered_error(jac, u, row_u, rng.uniform(-1.0, 1.0), r, c) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [199, 799])
+@pytest.mark.parametrize("k", [1, 3])
+def test_bordered_solve_at_a_discrete_eigenvalue(n, k):
+    # J = A - lambda_k I is singular; the border row e_k makes the system regular
+    grid = Grid(n_interior=n)
+    h2 = grid.h * grid.h
+    ek = eigenpair(grid, k)
+    jac = Jacobian(grid, np.full(n, 2.0 / h2 - ek.value), np.full(n - 1, -1.0 / h2))
+    r = 1e-6 * np.random.default_rng(k).standard_normal(n)
+    assert bordered_error(jac, 1e-3 * ek.vector.values, ek.vector.values, 0.0,
+                          r, 0.0) <= 1e-10
+
+
+def test_singular_bordered_system_raises(grid):
+    n = grid.n_interior
+    e1, e2 = np.eye(n)[:2]
+    ones = np.ones(n)
+    cases = [
+        (Jacobian(grid, np.zeros(n), np.zeros(n - 1)), e1, "zero pivot"),
+        (Jacobian(grid, ones, np.zeros(n - 1)), e2, "zero Schur complement"),
+        (Jacobian(grid, ones, np.zeros(n - 1), rank_one=(e1, -e1 / grid.h)), e1,
+         "singular rank-one update"),
+    ]
+    for jac, row_u, why in cases:
+        with pytest.raises(_CorrectorFailed, match=f"singular bordered system: {why}"):
+            _bordered_solve(jac, e1, row_u, 0.0, ones, 0.0)
+
+
+def test_trace_makes_no_dense_solve(monkeypatch):
+    def dense_solve(*args, **kwargs):
+        raise AssertionError("numpy.linalg.solve called during a trace")
+
+    monkeypatch.setattr(np.linalg, "solve", dense_solve)
+    for p in (3.0, 1.5):
+        branch = trace_branch(BranchSeed(k=2, which=1, gamma=0.5, p=p),
+                              Grid(n_interior=99), SolverConfig(max_steps=12))
+        assert branch.termination.kind == "MaxSteps"
+        assert len(branch.points) == 12

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fucik_branch import quasilinear
 from fucik_branch.config import SolverConfig
 from fucik_branch.continuation import newton_at_lambda
 from fucik_branch.grid import (
@@ -292,3 +293,27 @@ def test_jacobian_transformed_matches_finite_differences(grid, rng):
         fd = (fplus.values - fminus.values) / (2.0 * step)
         jd = jac.apply(d).values
         assert np.linalg.norm(fd - jd) / np.linalg.norm(jd) <= 1e-5
+
+
+def test_rank_one_solve_factors_once(grid, rng, monkeypatch):
+    factored = []
+
+    def counting_factor(*args):
+        factored.append(args)
+        return real_factor(*args)
+
+    real_factor = quasilinear.tridiag_factor
+    monkeypatch.setattr(quasilinear, "tridiag_factor", counting_factor)
+    v = smooth_field(grid, rng)
+    v = (0.5 / h10_norm(v)) * v
+    jac = jacobian_transformed(v, ProblemParams(p=1.5, gamma=0.5, lam=4.0,
+                                                eps_reg=1e-10))
+    assert jac.rank_one is not None
+    rhs = rng.standard_normal(grid.n_interior)
+    x = jac.solve_values(rhs)
+    assert len(factored) == 1
+    dense = jac.as_matrix()
+    np.testing.assert_allclose(dense @ x, rhs, rtol=0.0,
+                               atol=1e-9 * np.max(np.abs(rhs)))
+    np.testing.assert_allclose(jac.apply_values(x), dense @ x, rtol=0.0,
+                               atol=1e-9 * np.max(np.abs(rhs)))
