@@ -8,41 +8,33 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances, damping, regularization, and step-length policy.
+    """Tolerances, iteration limits and the continuation's seed and budget.
 
-    The nonlinear solves stop when the dual-norm residual falls below tol_abs
-    or below tol_rel times the dual norm of the data. Line searches use Armijo
-    slope fraction `armijo` with at most `max_halvings` halvings. For
-    1 < p < 2 the Jacobian gradient weights are regularized with
-    eps = eps_reg_scale * (mean |grad u| + 1); the residual itself is never
-    regularized, so converged iterates solve the exact discrete equation.
+    The monotone solves (solve_monotone, solve_monotone_ball) stop when the
+    dual-norm residual falls below tol_abs or below tol_rel times the dual
+    norm of the data; newton_at_lambda stops when the L2 residual norm falls
+    below tol_abs. All three take at most max_iter Newton steps. The
+    continuation corrector stops when the L2 residual and the arclength
+    defect both fall below corrector_tol * max(1, |lambda| ||u||_2). A trace
+    starts at seed amplitude alpha0, takes at most max_steps points, and
+    ends when the L2 norm exceeds norm_cap.
     """
 
     tol_abs: float = 1e-9
     tol_rel: float = 1e-12
     max_iter: int = 80
-    armijo: float = 1e-4
-    max_halvings: int = 8
-    eps_reg_scale: float = 1e-8
 
     # pseudo-arclength continuation
     alpha0: float = 1e-3
-    ds0: float = 5e-3
-    ds_max: float = 0.25
     max_steps: int = 200
     corrector_tol: float = 1e-10
-    corrector_max_iter: int = 14
     norm_cap: float = 1e2
-    zero_cap: float = 1e-5
-    trivial_match_tol: float = 1e-2
 
     def __post_init__(self) -> None:
-        if min(self.tol_abs, self.tol_rel, self.armijo, self.alpha0, self.ds0,
-               self.ds_max, self.corrector_tol, self.norm_cap, self.zero_cap,
-               self.trivial_match_tol, self.eps_reg_scale) <= 0.0:
+        if min(self.tol_abs, self.tol_rel, self.alpha0, self.corrector_tol,
+               self.norm_cap) <= 0.0:
             raise ValueError("all tolerances and step bounds must be positive")
-        if min(self.max_iter, self.max_halvings, self.max_steps,
-               self.corrector_max_iter) < 1:
+        if min(self.max_iter, self.max_steps) < 1:
             raise ValueError("iteration limits must be at least 1")
         if not math.isfinite(self.norm_cap):
             raise ValueError("norm_cap must be finite")

@@ -8,7 +8,8 @@ Keller predictor-corrector: the first step leaves the seed along the
 half-eigenfunction with lambda frozen, later steps use the secant tangent,
 and the corrector is a damped semismooth Newton method on the bordered
 system (residual + arclength plane), solved in O(n) by block elimination on
-one factorization of the tridiagonal (plus rank-one) Jacobian.
+one factorization of the tridiagonal (plus rank-one) Jacobian and damped by
+monotone.damped_step on the norm of (residual, arclength defect).
 
 The Lyapunov-Schmidt split u = alpha*e_k + v with v orthogonal to e_k, the
 spectral cones around +-e_k, and the fixed-point defect built from
@@ -20,21 +21,30 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import SolverConfig
-from .grid import (Field, Grid, element_gradients, h10_norm, inner_l2, l2_norm,
-                   laplacian_solve, laplacian_solve_values)
+from .grid import Field, Grid, h10_norm, inner_l2, l2_norm, laplacian_solve_values
 from .halfeig import gamma_window, split_eigenvalues
-from .monotone import SolveReport, SolverError, solve_monotone, solve_monotone_ball
+from .monotone import (MAX_HALVINGS, SolverError, damped_step, jacobian_eps,
+                       newton_then_picard, solve_monotone, solve_monotone_ball)
 from .quasilinear import (Jacobian, ProblemParams, jacobian_original,
                           jacobian_transformed, original_h10_norm,
                           residual_original, residual_transformed)
 from .spectrum import closed_form_eigenvalue, eigenpair
 
 logger = logging.getLogger("fucik_branch.continuation")
+
+# step-length policy: first and largest arclength step, corrector iterations
+# per step; a trace meets the trivial branch below _ZERO_CAP in L2 norm within
+# _TRIVIAL_MATCH_TOL of a half-eigenvalue other than its seed
+_DS0 = 5e-3
+_DS_MAX = 0.25
+_CORRECTOR_MAX_ITER = 14
+_ZERO_CAP = 1e-5
+_TRIVIAL_MATCH_TOL = 1e-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,15 +219,14 @@ class _CorrectorFailed(Exception):
 class _TraceProblem:
     """Residual and generalized Jacobian of the traced equation at given lambda."""
 
-    def __init__(self, grid: Grid, p: float, gamma: float, config: SolverConfig):
+    def __init__(self, grid: Grid, p: float, gamma: float):
         self.grid = grid
         self.p = p
         self.gamma = gamma
-        self.config = config
         self.transformed = p < 2.0
 
-    def _params(self, lam: float, eps: float = 0.0) -> ProblemParams:
-        return ProblemParams(p=self.p, gamma=self.gamma, lam=lam, eps_reg=eps)
+    def _params(self, lam: float) -> ProblemParams:
+        return ProblemParams(p=self.p, gamma=self.gamma, lam=lam)
 
     def residual(self, u_vals: np.ndarray, lam: float) -> np.ndarray:
         field = Field(self.grid, u_vals)
@@ -227,11 +236,11 @@ class _TraceProblem:
 
     def jacobian(self, u_vals: np.ndarray, lam: float) -> Jacobian:
         field = Field(self.grid, u_vals)
+        params = self._params(lam)
+        params = replace(params, eps_reg=jacobian_eps(field, params))
         if self.transformed:
-            g = element_gradients(field)
-            eps = self.config.eps_reg_scale * (float(np.mean(np.abs(g))) + 1.0)
-            return jacobian_transformed(field, self._params(lam, eps))
-        return jacobian_original(field, self._params(lam))
+            return jacobian_transformed(field, params)
+        return jacobian_original(field, params)
 
 
 def _bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,
@@ -264,14 +273,23 @@ def _bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,
 def _corrector(prob: _TraceProblem, u0: np.ndarray, lam0: float,
                row_u: np.ndarray, row_lam: float, c0: float,
                config: SolverConfig) -> tuple[np.ndarray, float, int, float, float]:
-    """Bordered Newton for F(u, lam) = 0 with <row_u, u>_2 + row_lam*lam = c0."""
+    """Bordered Newton for F(u, lam) = 0 with <row_u, u>_2 + row_lam*lam = c0.
+
+    Damped on the norm of (F, constraint defect) over the stacked (u, lam)."""
     h = prob.grid.h
-    u = u0.copy()
-    lam = lam0
-    for it in range(config.corrector_max_iter):
-        r = prob.residual(u, lam)
-        c = h * float(np.dot(row_u, u)) + row_lam * lam - c0
-        rnorm = math.sqrt(h * float(np.dot(r, r)))
+    n = u0.size
+
+    def trial(x: np.ndarray) -> tuple[float, tuple[np.ndarray, float]]:
+        r = prob.residual(x[:n], float(x[n]))
+        c = h * float(np.dot(row_u, x[:n])) + row_lam * float(x[n]) - c0
+        return math.sqrt(h * float(np.dot(r, r)) + c * c), (r, c)
+
+    x = np.append(u0, lam0)
+    _, (r, c) = trial(x)
+    for it in range(_CORRECTOR_MAX_ITER):
+        u, lam = x[:n], float(x[n])
+        rr = h * float(np.dot(r, r))
+        rnorm = math.sqrt(rr)
         scale = max(1.0, abs(lam) * math.sqrt(h * float(np.dot(u, u))))
         tol_eff = config.corrector_tol * scale
         if rnorm <= tol_eff and abs(c) <= tol_eff:
@@ -279,24 +297,13 @@ def _corrector(prob: _TraceProblem, u0: np.ndarray, lam0: float,
         du, dlam = _bordered_solve(prob.jacobian(u, lam), u, row_u, row_lam, r, c)
         if not (np.all(np.isfinite(du)) and math.isfinite(dlam)):
             raise _CorrectorFailed("non-finite Newton step")
-        merit0 = h * float(np.dot(r, r)) + c * c
-        t = 1.0
-        accepted = False
-        for _ in range(config.max_halvings + 1):
-            u_try = u + t * du
-            lam_try = lam + t * dlam
-            r_try = prob.residual(u_try, lam_try)
-            c_try = h * float(np.dot(row_u, u_try)) + row_lam * lam_try - c0
-            merit = h * float(np.dot(r_try, r_try)) + c_try * c_try
-            if merit <= merit0 * (1.0 - config.armijo * t) ** 2 + 1e-300:
-                u, lam = u_try, lam_try
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
+        m0 = math.sqrt(rr + c * c)
+        step = damped_step(x, m0, [(np.append(du, dlam), -m0)], trial)
+        if step is None:
             raise _CorrectorFailed("corrector line search stalled")
+        x, (r, c) = step
     raise _CorrectorFailed(f"no corrector convergence in "
-                           f"{config.corrector_max_iter} iterations")
+                           f"{_CORRECTOR_MAX_ITER} iterations")
 
 
 def _trivial_candidates(grid: Grid, gamma: float) -> list[float]:
@@ -325,9 +332,9 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
     For p > 2 the traced variable is u itself; for 1 < p < 2 it is the
     rescaled variable, and each point additionally reports the
     back-transformed original norm. The trace stops when the L2 norm exceeds
-    norm_cap (MeetsInfinity), collapses below zero_cap next to a different
+    norm_cap (MeetsInfinity), collapses below _ZERO_CAP next to a different
     half-eigenvalue (MeetsTrivial), the step budget runs out (MaxSteps), or
-    the corrector fails after the allowed step halvings (CorrectorFailure).
+    the corrector fails after MAX_HALVINGS step halvings (CorrectorFailure).
     """
     if grid is None:
         grid = Grid()
@@ -339,7 +346,7 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
     side = 1 if seed.which == 1 else -1
     ek = eigenpair(grid, seed.k)
     cone = ConeParams(rho=1.0, eta=pair.eta)
-    prob = _TraceProblem(grid, seed.p, seed.gamma, config)
+    prob = _TraceProblem(grid, seed.p, seed.gamma)
 
     a0 = config.alpha0 * inner_l2(ek.vector, vdir)
     try:
@@ -365,7 +372,7 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
     points = [make_point(0.0, u, lam, tol_eff)]
     t_u = vdir.values.copy()
     t_lam = 0.0
-    ds = config.ds0
+    ds = _DS0
     s = 0.0
     termination: Termination | None = None
     candidates: list[float] | None = None
@@ -383,7 +390,7 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
                 break
             except _CorrectorFailed as exc:
                 halved += 1
-                if halved > config.max_halvings:
+                if halved > MAX_HALVINGS:
                     termination = CorrectorFailure(detail=str(exc))
                     break
                 ds *= 0.5
@@ -402,19 +409,19 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
         u, lam = u_new, lam_new
         points.append(make_point(s, u, lam, tol_eff))
         if iters <= 3:
-            ds = min(ds * 1.4, config.ds_max)
-        elif iters >= config.corrector_max_iter - 3:
+            ds = min(ds * 1.4, _DS_MAX)
+        elif iters >= _CORRECTOR_MAX_ITER - 3:
             ds = max(ds * 0.6, 1e-12)
         l2u = points[-1].l2
         if l2u > config.norm_cap:
             termination = MeetsInfinity()
-        elif l2u < config.zero_cap:
+        elif l2u < _ZERO_CAP:
             if candidates is None:
                 candidates = _trivial_candidates(grid, seed.gamma)
             for mu in candidates:
-                if abs(mu - lam_star) <= config.trivial_match_tol:
+                if abs(mu - lam_star) <= _TRIVIAL_MATCH_TOL:
                     continue
-                if abs(lam - mu) <= config.trivial_match_tol:
+                if abs(lam - mu) <= _TRIVIAL_MATCH_TOL:
                     termination = MeetsTrivial(mu=mu)
                     break
     if termination is None:
@@ -469,52 +476,25 @@ def newton_at_lambda(u0: Field, params: ProblemParams,
     """
     if config is None:
         config = SolverConfig()
-    grid = u0.grid
-    h = grid.h
-    u = u0.values.copy()
 
-    def resid(vals: np.ndarray) -> np.ndarray:
-        return residual_original(Field(grid, vals), params).values
+    def trial(w: Field) -> tuple[float, Field]:
+        rw = residual_original(w, params)
+        return l2_norm(rw), rw
 
-    r = resid(u)
-    for _ in range(config.max_iter):
-        rnorm = math.sqrt(h * float(np.dot(r, r)))
+    u = u0
+    r = residual_original(u, params)
+    for it in range(config.max_iter + 1):
+        rnorm = l2_norm(r)
         if rnorm <= config.tol_abs:
-            return Field(grid, u)
-        eps = 0.0
-        if params.p < 2.0:
-            ext = np.concatenate(([0.0], u, [0.0]))
-            g = np.diff(ext) / h
-            eps = max(params.eps_reg,
-                      config.eps_reg_scale * (float(np.mean(np.abs(g))) + 1.0))
-        jac = jacobian_original(Field(grid, u), ProblemParams(
-            p=params.p, gamma=params.gamma, lam=params.lam, eps_reg=eps))
-        stepped = False
-        for d in (_try_solve(jac, r), -laplacian_solve_values(grid, r)):
-            if d is None:
-                continue
-            t = 1.0
-            for _ in range(config.max_halvings + 1):
-                u_try = u + t * d
-                r_try = resid(u_try)
-                if math.sqrt(h * float(np.dot(r_try, r_try))) \
-                        <= (1.0 - config.armijo * t) * rnorm:
-                    u, r = u_try, r_try
-                    stepped = True
-                    break
-                t *= 0.5
-            if stepped:
-                break
-        if not stepped:
+            return u
+        if it == config.max_iter:
+            break
+        jac = jacobian_original(u, replace(params, eps_reg=jacobian_eps(u, params)))
+        dirs = newton_then_picard(jac, r)
+        step = damped_step(u, rnorm, ((d, -rnorm) for d in dirs), trial)
+        if step is None:
             raise SolverError("fixed-lambda Newton stalled "
                               f"(residual {rnorm:.3e})")
+        u, r = step
     raise SolverError("fixed-lambda Newton did not converge in "
                       f"{config.max_iter} iterations")
-
-
-def _try_solve(jac: Jacobian, r: np.ndarray) -> np.ndarray | None:
-    try:
-        d = -jac.solve_values(r)
-    except ValueError:
-        return None
-    return d if np.all(np.isfinite(d)) else None

@@ -1,11 +1,18 @@
-"""Monotone-operator solves for M = -Delta_p - Delta - gamma*(.)^-.
+"""Monotone-operator solves for M = -Delta_p - Delta - gamma*(.)^-, and the
+damped-Newton step that every nonlinear solve of the package takes.
 
 For p > 2 the operator is strongly monotone on the whole space and is also
 the gradient of a convex energy, so a semismooth Newton method with an
 energy-descent line search (damped Picard fallback) converges globally. For
 1 < p < 2 the transformed operator A = -||.||^{4-p} Delta_p - Delta -
 gamma*(.)^- is only coercive on balls, with sampled constant 1 - C'r^2 on the
-ball of radius r; the ball-restricted solve refuses to leave that ball.
+ball of radius r; the ball-restricted solve refuses to leave that ball and
+line-searches on the dual norm of the residual.
+
+damped_step is the package's one Armijo backtracking loop, over Newton and
+then Picard directions; its callers here and in continuation differ only in
+their merit and stopping tests. jacobian_eps is the one gradient
+regularization of the Jacobians for 1 < p < 2.
 
 The vector inequalities backing the p > 2 case are checked empirically by
 check_vector_inequalities.
@@ -15,18 +22,25 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import SolverConfig
 from .grid import (Field, Grid, dual_norm, element_gradients, h10_norm,
-                   inner_l2, l2_norm, laplacian_solve_values, norms)
+                   inner_l2, laplacian_solve_values, norms)
 from .quasilinear import (Jacobian, ProblemParams, energy, jacobian_original,
                           jacobian_transformed, residual_original,
                           residual_transformed)
 
 logger = logging.getLogger("fucik_branch.monotone")
+
+# Armijo slope fraction and halvings per direction of damped_step
+ARMIJO = 1e-4
+MAX_HALVINGS = 8
+# Jacobian gradient regularization for 1 < p < 2, relative to mean |grad u| + 1
+EPS_REG_SCALE = 1e-8
 
 
 class SolverError(RuntimeError):
@@ -68,18 +82,59 @@ class VectorInequalityReport:
 
 def _operator_params(params: ProblemParams) -> ProblemParams:
     # the solves here treat M u = f; any spectral lam in params is not part of M
-    if params.lam != 0.0:
-        return ProblemParams(p=params.p, gamma=params.gamma, lam=0.0,
-                             eps_reg=params.eps_reg)
-    return params
+    return replace(params, lam=0.0) if params.lam != 0.0 else params
 
 
-def _jacobian_eps(g: np.ndarray, params: ProblemParams,
-                  config: SolverConfig) -> float:
+def jacobian_eps(u: Field, params: ProblemParams) -> float:
+    """Gradient regularization for the Jacobian at u.
+
+    params.eps_reg for p > 2. For 1 < p < 2 at least
+    EPS_REG_SCALE * (mean |grad u| + 1), which keeps the flux derivative
+    |g|^{p-2} finite where a gradient vanishes. Only Jacobians take this
+    floor; residuals keep params.eps_reg, so converged iterates solve the
+    discrete equation as given.
+    """
     if params.p > 2.0:
         return params.eps_reg
-    floor = config.eps_reg_scale * (float(np.mean(np.abs(g))) + 1.0)
+    floor = EPS_REG_SCALE * (float(np.mean(np.abs(element_gradients(u)))) + 1.0)
     return max(params.eps_reg, floor)
+
+
+def newton_then_picard(jac: Jacobian, r: Field) -> Iterator[Field]:
+    """Candidate directions for the residual r, lazily: the Newton direction
+    -J^{-1} r unless its solve raises ValueError or is not finite (which Field
+    rejects), then the Picard direction -(-Delta)^{-1} r."""
+    try:
+        newton = Field(r.grid, -jac.solve_values(r.values))
+    except ValueError:
+        pass
+    else:
+        yield newton
+    yield Field(r.grid, -laplacian_solve_values(r.grid, r.values))
+
+
+def damped_step(x, m0: float, directions: Iterable[tuple[object, float]],
+                trial: Callable[[object], tuple[float, object]],
+                slack: float = 0.0):
+    """One damped-Newton step from x, whose merit is m0.
+
+    Tries each (d, slope) in order, skipping those with slope >= 0, at
+    t = 1, 1/2, ..., 2^-MAX_HALVINGS. trial(y) returns (merit, residual) at y.
+    Returns (x + t*d, residual) for the first trial with
+    merit <= m0 + ARMIJO * t * slope + slack, or None if no direction gives
+    that decrease. x and d need only support x + t*d (Fields or arrays).
+    """
+    for d, slope in directions:
+        if slope >= 0.0:
+            continue
+        t = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            x_try = x + t * d
+            merit, res = trial(x_try)
+            if merit <= m0 + ARMIJO * t * slope + slack:
+                return x_try, res
+            t *= 0.5
+    return None
 
 
 def solve_monotone(f: Field, params: ProblemParams,
@@ -109,54 +164,31 @@ def solve_monotone(f: Field, params: ProblemParams,
     r = residual(u)
     tol = max(config.tol_abs, config.tol_rel * dual_norm(f))
     coercivity = math.inf
-    iterations = 0
-    for it in range(config.max_iter):
+    for it in range(config.max_iter + 1):
         rnorm = dual_norm(r)
-        iterations = it
+        report = SolveReport(solution=u, iterations=it, final_residual=rnorm,
+                             coercivity_estimate=coercivity,
+                             ball_radius_used=math.inf)
         if rnorm <= tol:
-            return SolveReport(solution=u, iterations=it, final_residual=rnorm,
-                               coercivity_estimate=coercivity,
-                               ball_radius_used=math.inf)
-        jac = jacobian_original(u, params)
-        u_new = None
-        try:
-            d = -jac.solve_values(r.values)
-            u_new = _armijo_energy(u, Field(grid, d), r, merit, config)
-        except ValueError:
-            u_new = None
-        if u_new is None:
-            d = -laplacian_solve_values(grid, r.values)
-            u_new = _armijo_energy(u, Field(grid, d), r, merit, config)
-        if u_new is None:
+            return report
+        if it == config.max_iter:
             break
+        m0 = merit(u)
+        dirs = newton_then_picard(jacobian_original(u, params), r)
+        # near convergence the true decrease drops below the float resolution of
+        # the energy; the slack keeps full Newton steps acceptable on that plateau
+        step = damped_step(u, m0, ((d, inner_l2(r, d)) for d in dirs),
+                           lambda w: (merit(w), None),
+                           slack=32.0 * np.finfo(float).eps * abs(m0))
+        if step is None:
+            break
+        u_new = step[0]
         r_new = residual(u_new)
         coercivity = min(coercivity, _monotonicity_sample(
             r_new, r, u_new, u, params.p))
         u, r = u_new, r_new
-    rnorm = dual_norm(r)
-    report = SolveReport(solution=u, iterations=iterations, final_residual=rnorm,
-                         coercivity_estimate=coercivity, ball_radius_used=math.inf)
-    if rnorm <= tol:
-        return report
     raise SolverError(f"no convergence in {config.max_iter} iterations "
                       f"(residual {rnorm:.3e}, tol {tol:.3e})", report)
-
-
-def _armijo_energy(u: Field, d: Field, r: Field, merit, config: SolverConfig):
-    slope = inner_l2(r, d)
-    if slope >= 0.0:
-        return None
-    m0 = merit(u)
-    # near convergence the true decrease drops below the float resolution of
-    # the energy; the slack keeps full Newton steps acceptable on that plateau
-    slack = 32.0 * np.finfo(float).eps * abs(m0)
-    t = 1.0
-    for _ in range(config.max_halvings + 1):
-        u_try = u + t * d
-        if merit(u_try) <= m0 + config.armijo * t * slope + slack:
-            return u_try
-        t *= 0.5
-    return None
 
 
 def _monotonicity_sample(r_new: Field, r_old: Field, u_new: Field,
@@ -201,10 +233,6 @@ def monotonicity_sweep(params: ProblemParams, n_pairs: int = 10000,
             if ratio <= 0.0:
                 violations += 1
     return worst, violations
-
-
-def _ball_operator(v: Field, params: ProblemParams) -> Field:
-    return residual_transformed(v, params)
 
 
 def ball_coercivity_samples(params: ProblemParams, r: float, n_pairs: int,
@@ -297,10 +325,11 @@ def solve_monotone_ball(f: Field, params: ProblemParams,
                         u0: Field | None = None) -> SolveReport:
     """Solve the transformed-operator equation A v = f inside a coercivity ball.
 
-    Newton on the exact residual with a regularized-weight Jacobian and a
-    residual-norm Armijo search. The iteration fails informatively if an
-    iterate leaves the ball or a sampled monotonicity ratio turns nonpositive,
-    both of which signal that the radius is too large for this p.
+    Newton on the exact residual with a regularized-weight Jacobian
+    (jacobian_eps), an Armijo search on the dual norm of the residual and a
+    damped Picard fallback. The iteration fails informatively if an iterate
+    leaves the ball or a sampled monotonicity ratio turns nonpositive, both of
+    which signal that the radius is too large for this p.
     """
     if not (1.0 < params.p < 2.0):
         raise ValueError("solve_monotone_ball requires 1 < p < 2")
@@ -312,47 +341,40 @@ def solve_monotone_ball(f: Field, params: ProblemParams,
         radius = default_ball_radius(params, grid=grid)
 
     def residual(v: Field) -> Field:
-        return _ball_operator(v, params) - f
+        return residual_transformed(v, params) - f
 
     v = u0 if u0 is not None else Field.zeros(grid)
     if h10_norm(v) > radius:
         raise ValueError("initial guess lies outside the coercivity ball")
+
+    def trial(w: Field) -> tuple[float, Field]:
+        rw = residual(w)
+        return dual_norm(rw), rw
+
     r = residual(v)
     tol = max(config.tol_abs, config.tol_rel * dual_norm(f))
     coercivity = math.inf
-    iterations = 0
-    report = None
-    for it in range(config.max_iter):
+    for it in range(config.max_iter + 1):
         rnorm = dual_norm(r)
-        iterations = it
         report = SolveReport(solution=v, iterations=it, final_residual=rnorm,
                              coercivity_estimate=coercivity,
                              ball_radius_used=radius)
         if rnorm <= tol:
             return report
-        g = element_gradients(v)
-        eps = _jacobian_eps(g, params, config)
-        jac = jacobian_transformed(
-            v, ProblemParams(p=params.p, gamma=params.gamma, lam=0.0, eps_reg=eps))
-        try:
-            d = -jac.solve_values(r.values)
-        except ValueError as exc:
-            raise SolverError(f"Jacobian solve failed: {exc}", report)
-        v_new = _armijo_residual(v, Field(grid, d), rnorm, residual, dual_norm,
-                                 config)
-        if v_new is None:
-            d = -laplacian_solve_values(grid, r.values)
-            v_new = _armijo_residual(v, Field(grid, d), rnorm, residual,
-                                     dual_norm, config)
-        if v_new is None:
+        if it == config.max_iter:
+            break
+        jac = jacobian_transformed(v, replace(params, eps_reg=jacobian_eps(v, params)))
+        dirs = newton_then_picard(jac, r)
+        step = damped_step(v, rnorm, ((d, -rnorm) for d in dirs), trial)
+        if step is None:
             raise SolverError("line search stalled in ball-restricted solve",
                               report)
+        v_new, r_new = step
         if h10_norm(v_new) > radius:
             raise SolverError(
                 f"iterate left the coercivity ball (||v||_1,2 = "
                 f"{h10_norm(v_new):.6g} > r = {radius:.6g}); reduce the radius "
                 f"or the data", report)
-        r_new = residual(v_new)
         dv = v_new - v
         denom = h10_norm(dv) ** 2
         if denom > 0.0:
@@ -363,24 +385,8 @@ def solve_monotone_ball(f: Field, params: ProblemParams,
                     f"nonpositive monotonicity sample {sample:.3e} on the ball "
                     f"of radius {radius:.6g}: radius too large", report)
         v, r = v_new, r_new
-    rnorm = dual_norm(r)
-    report = SolveReport(solution=v, iterations=iterations, final_residual=rnorm,
-                         coercivity_estimate=coercivity, ball_radius_used=radius)
-    if rnorm <= tol:
-        return report
     raise SolverError(f"no convergence in {config.max_iter} iterations "
                       f"(residual {rnorm:.3e}, tol {tol:.3e})", report)
-
-
-def _armijo_residual(v: Field, d: Field, rnorm: float, residual, norm_fn,
-                     config: SolverConfig):
-    t = 1.0
-    for _ in range(config.max_halvings + 1):
-        v_try = v + t * d
-        if norm_fn(residual(v_try)) <= (1.0 - config.armijo * t) * rnorm:
-            return v_try
-        t *= 0.5
-    return None
 
 
 def check_vector_inequalities(p: float, n_samples: int,

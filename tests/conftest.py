@@ -26,6 +26,24 @@ def random_field(grid: Grid, rng: np.random.Generator, scale: float = 1.0) -> Fi
     return Field(grid, scale * rng.standard_normal(grid.n_interior))
 
 
+def counting(counts: dict, key: str, fn):
+    """fn, counting its calls in counts[key]."""
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+def count_trials(monkeypatch, module, counts: dict) -> None:
+    """Count the line-search trials of module.damped_step in counts["trials"]."""
+    step = module.damped_step
+
+    def counted_step(x, m0, directions, trial, slack=0.0):
+        return step(x, m0, directions, counting(counts, "trials", trial), slack)
+
+    monkeypatch.setattr(module, "damped_step", counted_step)
+
+
 @pytest.fixture(scope="session")
 def branch_p3_w1():
     return trace_branch(BranchSeed(k=2, which=1, gamma=0.5, p=3.0))

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+from fucik_branch import continuation
 from fucik_branch.config import SolverConfig
 from fucik_branch.continuation import (BranchSeed, ConeParams,
-                                       _bordered_solve, _CorrectorFailed,
+                                       _bordered_solve, _corrector,
+                                       _CorrectorFailed,
                                        _TraceProblem, _trivial_candidates,
                                        cone_test,
                                        decompose, ls_residual,
@@ -25,7 +27,7 @@ from fucik_branch.quasilinear import (Jacobian, ProblemParams,
                                       residual_original, residual_transformed)
 from fucik_branch.spectrum import closed_form_eigenvalue, eigenpair
 
-from conftest import random_field
+from conftest import count_trials, counting, random_field
 
 
 def weighted_l2(field: Field) -> float:
@@ -330,6 +332,20 @@ def test_newton_at_lambda_reports_failure(grid, rng):
         newton_at_lambda(u0, params, config=config)
 
 
+def test_newton_at_lambda_accepts_its_last_step(grid, rng, monkeypatch):
+    # a run that needs exactly max_iter steps converges
+    lam = 0.5 * closed_form_eigenvalue(grid, 1)
+    params = ProblemParams(p=3.0, gamma=0.0, lam=lam)
+    u0 = random_field(grid, rng, scale=0.05)
+    counts = {"steps": 0}
+    monkeypatch.setattr(continuation, "jacobian_original", counting(
+        counts, "steps", continuation.jacobian_original))
+    newton_at_lambda(u0, params)
+    assert counts["steps"] >= 2
+    sol = newton_at_lambda(u0, params, SolverConfig(max_iter=counts["steps"]))
+    assert l2_norm(sol) <= 1e-8
+
+
 def test_trivial_candidates_cover_every_admissible_mode(grid):
     # lambda_1, lambda_1 + gamma and both split values of k = 2..11
     cands = _trivial_candidates(grid, 0.5)
@@ -370,7 +386,7 @@ def test_bordered_solve_matches_dense(n, p, gamma, lam, amp, seed):
     coef = rng.standard_normal(5) / np.arange(1, 6)
     u = sum(c * eigenpair(grid, j + 1).vector.values for j, c in enumerate(coef))
     u *= amp / weighted_l2(Field(grid, u))
-    jac = _TraceProblem(grid, p, gamma, SolverConfig()).jacobian(u, lam)
+    jac = _TraceProblem(grid, p, gamma).jacobian(u, lam)
     assert (jac.rank_one is not None) == (p < 2.0)
     row_u = u + rng.uniform(0.0, 1.0) * rng.standard_normal(n)
     r = 1e-3 * rng.standard_normal(n)
@@ -416,3 +432,23 @@ def test_trace_makes_no_dense_solve(monkeypatch):
                               Grid(n_interior=99), SolverConfig(max_steps=12))
         assert branch.termination.kind == "MaxSteps"
         assert len(branch.points) == 12
+
+
+@pytest.mark.parametrize("p", [3.0, 1.5])
+def test_corrector_evaluates_each_trial_once(grid, monkeypatch, p):
+    # the seed correction of a trace: one residual at the start, one per
+    # line-search trial, none repeated
+    counts = {"residuals": 0, "trials": 0}
+    name = "residual_transformed" if p < 2.0 else "residual_original"
+    monkeypatch.setattr(continuation, name, counting(
+        counts, "residuals", getattr(continuation, name)))
+    count_trials(monkeypatch, continuation, counts)
+    pair = split_eigenvalues(grid, 2, 0.5)
+    ek = eigenpair(grid, 2).vector
+    alpha0 = 0.1
+    _, _, iters, _, _ = _corrector(
+        _TraceProblem(grid, p, 0.5), alpha0 * pair.v1.values, pair.lambda1,
+        ek.values, 0.0, alpha0 * inner_l2(ek, pair.v1), SolverConfig())
+    assert iters >= 2
+    assert counts["trials"] >= iters
+    assert counts["residuals"] == 1 + counts["trials"]

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from fucik_branch import monotone
 from fucik_branch.config import SolverConfig
-from fucik_branch.grid import Field, Grid, dual_norm, h10_norm, inner_l2
+from fucik_branch.grid import (Field, dual_norm, h10_norm, inner_l2,
+                               laplacian_solve_values)
 from fucik_branch.monotone import (
     SolverError,
     ball_coercivity_bound,
@@ -16,9 +18,10 @@ from fucik_branch.monotone import (
     solve_monotone,
     solve_monotone_ball,
 )
-from fucik_branch.quasilinear import ProblemParams, energy, residual_original, residual_transformed
+from fucik_branch.quasilinear import (Jacobian, ProblemParams, energy,
+                                      residual_original, residual_transformed)
 
-from conftest import random_field
+from conftest import count_trials, counting, random_field
 
 P3 = ProblemParams(p=3.0, gamma=0.5, lam=0.0)
 P15 = ProblemParams(p=1.5, gamma=0.5, lam=0.0)
@@ -30,38 +33,43 @@ def operator_p3(u: Field) -> Field:
 
 def gradient_descent_minimizer(f: Field, params: ProblemParams,
                                max_iter: int = 20000) -> Field:
-    """Independent oracle: Barzilai-Borwein damped gradient descent on the energy."""
+    """Independent oracle: Barzilai-Borwein descent on the energy.
+
+    It steps along the H^1_0 (Sobolev) gradient (-Delta)^{-1}(Mu - f), with
+    the BB step in the stiffness metric and an Armijo test on the energy; no
+    Jacobian.
+    """
     grid = f.grid
-    h = grid.h
 
-    def grad(vals: np.ndarray) -> np.ndarray:
-        return h * (residual_original(Field(grid, vals), params).values - f.values)
+    def residual(u: Field) -> Field:
+        return residual_original(u, params) - f
 
-    def obj(vals: np.ndarray) -> float:
-        u = Field(grid, vals)
+    def obj(u: Field) -> float:
         return energy(u, params) - inner_l2(f, u)
 
-    u = np.zeros(grid.n_interior)
-    g = grad(u)
-    t = h / 4.0  # inverse of the stiffness row-sum scale
+    u = Field.zeros(grid)
+    r = residual(u)
+    t = 1.0
     for _ in range(max_iter):
-        if dual_norm(Field(grid, g / h)) <= 1e-8:
+        if dual_norm(r) <= 1e-8:
             break
-        val = obj(u)
+        g = Field(grid, laplacian_solve_values(grid, r.values))
+        val, slope = obj(u), inner_l2(r, g)
         step = t
         for _ in range(60):
             u_try = u - step * g
-            if obj(u_try) <= val - 1e-4 * step * float(np.dot(g, g)):
+            if obj(u_try) <= val - 1e-4 * step * slope:
                 break
             step *= 0.5
         else:
             break
-        g_new = grad(u_try)
-        du, dg = u_try - u, g_new - g
-        denom = float(np.dot(du, dg))
-        t = float(np.dot(du, du)) / denom if denom > 0.0 else h / 4.0
-        u, g = u_try, g_new
-    return Field(grid, u)
+        r_new = residual(u_try)
+        du = u_try - u
+        # <du, dg>_{1,2} = <du, r_new - r>_2, since (-Delta) g = r
+        denom = inner_l2(du, r_new - r)
+        t = h10_norm(du) ** 2 / denom if denom > 0.0 else 1.0
+        u, r = u_try, r_new
+    return u
 
 
 def test_solve_monotone_zero(grid):
@@ -207,3 +215,47 @@ def test_ball_coercivity_rejects_bad_input(grid):
         ball_coercivity_bound(P3, 0.5, grid=grid)
     with pytest.raises(ValueError):
         ball_coercivity_bound(P15, -1.0, grid=grid)
+
+
+def test_out_of_iterations_reports_the_steps_taken(grid, rng):
+    # an unreachable tolerance: both solves take every one of max_iter steps
+    config = SolverConfig(tol_abs=1e-300, tol_rel=1e-300, max_iter=3)
+    f = Field.from_function(grid, lambda x: math.sin(2.0 * x))
+    with pytest.raises(SolverError, match="no convergence in 3 iterations") as exc:
+        solve_monotone(f, P3, config)
+    assert exc.value.report.iterations == 3
+    r = default_ball_radius(P15, grid=grid)
+    v_star = random_field(grid, rng)
+    f = residual_transformed((0.5 * r / h10_norm(v_star)) * v_star, P15)
+    with pytest.raises(SolverError, match="no convergence in 3 iterations") as exc:
+        solve_monotone_ball(f, P15, config, radius=r)
+    assert exc.value.report.iterations == 3
+
+
+def test_ball_solve_falls_back_to_picard(grid, rng, monkeypatch):
+    def failing_solve(self, rhs):
+        raise ValueError("singular")
+
+    monkeypatch.setattr(Jacobian, "solve_values", failing_solve)
+    r = default_ball_radius(P15, grid=grid)
+    v_star = random_field(grid, rng)
+    v_star = (0.5 * r / h10_norm(v_star)) * v_star
+    report = solve_monotone_ball(residual_transformed(v_star, P15), P15, radius=r)
+    assert h10_norm(report.solution - v_star) <= 1e-7
+    assert report.final_residual <= 1e-9
+
+
+def test_ball_solve_evaluates_each_trial_once(grid, rng, monkeypatch):
+    # one residual at the start, one per line-search trial, none repeated
+    counts = {"residuals": 0, "trials": 0}
+    monkeypatch.setattr(monotone, "residual_transformed", counting(
+        counts, "residuals", residual_transformed))
+    count_trials(monkeypatch, monotone, counts)
+    r = default_ball_radius(P15, grid=grid)
+    v_star = random_field(grid, rng)
+    v_star = (0.5 * r / h10_norm(v_star)) * v_star
+    f = residual_transformed(v_star, P15)
+    report = solve_monotone_ball(f, P15, radius=r)
+    assert report.iterations >= 2
+    assert counts["trials"] >= report.iterations
+    assert counts["residuals"] == 1 + counts["trials"]
