@@ -9,12 +9,15 @@ trapezoid rule, under which an L2 function is its own dual vector.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._tridiag import thomas_solve
+from ._tridiag import thomas_solve  # noqa: F401 -- perfbench/tracer.py patches it by name here
+from ._tridiag import tridiag_factor
 
 # Serialization format shared by every CSV writer in the package:
 # 17 significant digits round-trips IEEE doubles exactly.
@@ -70,8 +73,7 @@ class Field:
             raise ValueError(
                 f"value array of shape {vals.shape} does not match grid with "
                 f"{self.grid.n_interior} interior nodes")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
+        require_finite(vals)
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -113,10 +115,48 @@ def _check_same_grid(u: Field, w: Field) -> None:
         raise ValueError("fields live on different grids")
 
 
+# The *_values helpers below act along the last axis, so one call covers a
+# single field or a (pairs, n) block of fields; the Field functions below
+# call them on a single row.
+
+def require_finite(values: np.ndarray) -> None:
+    """Reject nodal values that a Field would reject."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field values must be finite")
+
+
+def gradient_values(values: np.ndarray, h: float) -> np.ndarray:
+    """Element gradients along the last axis: n+1 per row, boundary values zero."""
+    # the differences of [0, values, 0], with 0 - v (not -v) so zeros keep their sign
+    g = np.empty(values.shape[:-1] + (values.shape[-1] + 1,))
+    g[..., 0] = values[..., 0]
+    np.subtract(values[..., 1:], values[..., :-1], out=g[..., 1:-1])
+    np.subtract(0.0, values[..., -1], out=g[..., -1])
+    g /= h
+    return g
+
+
+def dot_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis; each row gives the bits np.dot gives."""
+    if a.ndim == 1:
+        return np.dot(a, b)
+    # stacked (1, n) @ (n, 1) products take the same BLAS dot per row
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def h10_values(g: np.ndarray, h: float) -> np.ndarray:
+    """H^1_0 seminorms from element gradients g, along the last axis."""
+    return np.sqrt(h * dot_values(g, g))
+
+
+def w1p_values(g: np.ndarray, h: float, p: float) -> np.ndarray:
+    """W^{1,p} seminorms from element gradients g, along the last axis."""
+    return (h * np.sum(np.abs(g) ** p, axis=-1)) ** (1.0 / p)
+
+
 def element_gradients(u: Field) -> np.ndarray:
     """Constant gradient on each of the n_interior+1 elements, boundary values zero."""
-    ext = np.concatenate(([0.0], u.values, [0.0]))
-    return np.diff(ext) / u.grid.h
+    return gradient_values(u.values, u.grid.h)
 
 
 def pos_neg_parts(u: Field) -> tuple[Field, Field]:
@@ -142,11 +182,17 @@ def laplacian_solve(f: Field) -> Field:
 
 
 def laplacian_solve_values(grid: Grid, rhs: np.ndarray) -> np.ndarray:
+    return _laplacian_factor(grid)(rhs)
+
+
+@functools.lru_cache(maxsize=16)
+def _laplacian_factor(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
+    # the matrix depends on the grid alone; its solver only reads the factor
     n = grid.n_interior
     h2 = grid.h * grid.h
     diag = np.full(n, 2.0 / h2)
     off = np.full(n - 1, -1.0 / h2)
-    return thomas_solve(off, diag, off, rhs)
+    return tridiag_factor(off, diag, off)
 
 
 def apply_p_laplacian(u: Field, p: float) -> Field:
@@ -165,7 +211,7 @@ def apply_p_laplacian(u: Field, p: float) -> Field:
 def inner_l2(u: Field, w: Field) -> float:
     """Trapezoid-rule L2 inner product; exact duality pairing for dual vectors."""
     _check_same_grid(u, w)
-    return u.grid.h * float(np.dot(u.values, w.values))
+    return u.grid.h * float(dot_values(u.values, w.values))
 
 
 def norms(u: Field, p: float) -> NormReport:
@@ -175,9 +221,8 @@ def norms(u: Field, p: float) -> NormReport:
     h = u.grid.h
     g = element_gradients(u)
     l2 = math.sqrt(h * float(np.dot(u.values, u.values)))
-    h10 = math.sqrt(h * float(np.dot(g, g)))
-    w1p = (h * float(np.sum(np.abs(g) ** p))) ** (1.0 / p)
-    return NormReport(l2=l2, h10=h10, w1p=w1p)
+    return NormReport(l2=l2, h10=float(h10_values(g, h)),
+                      w1p=float(w1p_values(g, h, p)))
 
 
 def l2_norm(u: Field) -> float:
@@ -185,8 +230,7 @@ def l2_norm(u: Field) -> float:
 
 
 def h10_norm(u: Field) -> float:
-    g = element_gradients(u)
-    return math.sqrt(u.grid.h * float(np.dot(g, g)))
+    return float(h10_values(element_gradients(u), u.grid.h))
 
 
 def dual_norm(r: Field) -> float:

@@ -15,7 +15,13 @@ their merit and stopping tests. jacobian_eps is the one gradient
 regularization of the Jacobians for 1 < p < 2.
 
 The vector inequalities backing the p > 2 case are checked empirically by
-check_vector_inequalities.
+check_vector_inequalities, and strong monotonicity by monotonicity_sweep;
+ball_coercivity_samples certifies coercivity on a ball, and
+default_ball_radius picks the ball. These sampled checks draw their pairs
+one at a time, in the order a pair-by-pair loop would, and evaluate them as
+(pairs, n) arrays, in blocks of about _BLOCK_VALUES doubles per array so
+that memory stays flat in the pair count. default_ball_radius draws its
+pairs once, at r = 1, and rescales them for every dyadic radius it probes.
 """
 
 from __future__ import annotations
@@ -28,11 +34,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SolverConfig
-from .grid import (Field, Grid, dual_norm, element_gradients, h10_norm,
-                   inner_l2, laplacian_solve_values, norms)
+from .grid import (Field, Grid, dot_values, dual_norm, element_gradients,
+                   gradient_values, h10_norm, h10_values, inner_l2,
+                   laplacian_solve_values, require_finite, w1p_values)
 from .quasilinear import (Jacobian, ProblemParams, energy, jacobian_original,
                           jacobian_transformed, residual_original,
-                          residual_transformed)
+                          residual_original_values, residual_transformed)
 
 logger = logging.getLogger("fucik_branch.monotone")
 
@@ -41,6 +48,8 @@ ARMIJO = 1e-4
 MAX_HALVINGS = 8
 # Jacobian gradient regularization for 1 < p < 2, relative to mean |grad u| + 1
 EPS_REG_SCALE = 1e-8
+# doubles per (pairs, n) array in the blocks of the sampled checks (64 KiB)
+_BLOCK_VALUES = 1 << 13
 
 
 class SolverError(RuntimeError):
@@ -195,10 +204,28 @@ def _monotonicity_sample(r_new: Field, r_old: Field, u_new: Field,
                          u_old: Field, p: float) -> float:
     # r carries M(u) - f, so r_new - r_old = M(u_new) - M(u_old)
     du = u_new - u_old
-    denom = norms(du, p).w1p ** p
-    if denom == 0.0:
-        return math.inf
-    return inner_l2(r_new - r_old, du) / denom
+    return float(_monotonicity_ratios((r_new - r_old).values, du.values,
+                                      du.grid.h, p))
+
+
+def _monotonicity_ratios(dr: np.ndarray, du: np.ndarray, h: float,
+                         p: float) -> np.ndarray:
+    """(dr, du)_2 / ||du||_{1,p}^p along the last axis; inf where du = 0."""
+    denom = w1p_values(gradient_values(du, h), h, p) ** p
+    zero = denom == 0.0
+    return np.where(zero, math.inf, h * dot_values(dr, du) / np.where(zero, 1.0, denom))
+
+
+def _block_rows(grid: Grid) -> int:
+    """Pairs per block of the sampled checks: each (pairs, n) array of a
+    block holds about _BLOCK_VALUES doubles, whatever the mesh."""
+    return max(1, _BLOCK_VALUES // grid.n_interior)
+
+
+def _blocks(n_pairs: int, rows: int) -> Iterator[int]:
+    """Row counts of consecutive blocks covering n_pairs pairs."""
+    for start in range(0, n_pairs, rows):
+        yield min(rows, n_pairs - start)
 
 
 def monotonicity_sweep(params: ProblemParams, n_pairs: int = 10000,
@@ -208,7 +235,8 @@ def monotonicity_sweep(params: ProblemParams, n_pairs: int = 10000,
 
     Pair scales span four decades. Returns the smallest sampled ratio and
     the count of nonpositive samples; strong monotonicity of M predicts a
-    strictly positive minimum.
+    strictly positive minimum. Pairs are drawn one at a time, in a fixed
+    generator order, and evaluated in blocks of rows.
     """
     if params.p <= 2.0:
         raise ValueError("the whole-space monotonicity bound needs p > 2")
@@ -219,19 +247,29 @@ def monotonicity_sweep(params: ProblemParams, n_pairs: int = 10000,
     if grid is None:
         grid = Grid()
     op = _operator_params(params)
+    h, n = grid.h, grid.n_interior
     worst = math.inf
     violations = 0
-    for _ in range(n_pairs):
-        u = Field(grid, 10.0 ** rng.uniform(-2.0, 2.0)
-                  * rng.standard_normal(grid.n_interior))
-        w = Field(grid, 10.0 ** rng.uniform(-2.0, 2.0)
-                  * rng.standard_normal(grid.n_interior))
-        ratio = _monotonicity_sample(residual_original(u, op),
-                                     residual_original(w, op), u, w, params.p)
-        if math.isfinite(ratio):
-            worst = min(worst, ratio)
-            if ratio <= 0.0:
-                violations += 1
+    for rows in _blocks(n_pairs, _block_rows(grid)):
+        pair = np.empty((rows, 2, n))
+        scale = np.empty((rows, 2))
+        for j in range(rows):
+            for k in range(2):
+                scale[j, k] = 10.0 ** rng.uniform(-2.0, 2.0)
+                rng.standard_normal(n, out=pair[j, k])
+        pair *= scale[..., None]
+        require_finite(pair)
+        u, w = pair[:, 0], pair[:, 1]
+        ru = residual_original_values(u, h, op)
+        rw = residual_original_values(w, h, op)
+        du, dr = u - w, ru - rw
+        for x in (ru, rw, du, dr):
+            require_finite(x)
+        ratio = _monotonicity_ratios(dr, du, h, params.p)
+        ratio = ratio[np.isfinite(ratio)]
+        if ratio.size:
+            worst = min(worst, float(np.min(ratio)))
+            violations += int(np.count_nonzero(ratio <= 0.0))
     return worst, violations
 
 
@@ -249,49 +287,82 @@ def ball_coercivity_samples(params: ProblemParams, r: float, n_pairs: int,
     as a guaranteed lower bound for the monotonicity ratio. Its deficit
     against 1 scales exactly with r^2 when a pair is scaled into B_r, so the
     same generator state probed at two radii yields exactly r^2-related
-    bounds. The sampled pairs mix far-apart fields with nearby ones.
+    bounds. The sampled pairs mix far-apart fields with nearby ones. Pairs
+    are drawn one at a time and evaluated in blocks of rows.
     """
+    _check_ball(params, r)
+    if grid is None:
+        grid = Grid()
+    bounds = [_certified_bounds(a, b, grid.h, params.p)
+              for a, b in _ball_pairs(grid, r, n_pairs, rng)]
+    return np.concatenate(bounds) if bounds else np.empty(0)
+
+
+def _check_ball(params: ProblemParams, r: float) -> None:
     if not (1.0 < params.p < 2.0):
         raise ValueError("ball coercivity applies to 1 < p < 2")
     if r <= 0.0:
         raise ValueError("ball radius must be positive")
-    if grid is None:
-        grid = Grid()
-    p = params.p
-    bounds = []
 
-    def certified(a: Field, b: Field) -> float:
-        d = a - b
-        denom = h10_norm(d) ** 2
-        if denom == 0.0:
-            return math.inf
-        cross = abs(h10_norm(a) ** (4.0 - p) - h10_norm(b) ** (4.0 - p)) \
-            * norms(b, p).w1p ** (p - 1.0) * norms(d, p).w1p
-        return 1.0 - cross / denom
 
+def _ball_pairs(grid: Grid, r: float, n_pairs: int,
+                rng: np.random.Generator) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks (a, b) of the sampled pairs in B_r.
+
+    First n_pairs // 2 far-apart pairs of fields with H^1_0 norms in
+    [0.2 r, r]; then nearby pairs, a of norm at most 0.9 r and b = a + a
+    random step of H^1_0 length 0.05 r (dropped if the step draw is zero).
+    Every draw is made in the order of a pair-by-pair loop. Scaling by a
+    power of two is exact, so these blocks at r = 1, times r, are bitwise
+    the blocks drawn at r.
+    """
+    h, n = grid.h, grid.n_interior
+    rows = _block_rows(grid)
     n_far = n_pairs // 2
-    for _ in range(n_far):
-        a = _random_ball_field(grid, r, rng)
-        b = _random_ball_field(grid, r, rng)
-        bounds.append(certified(a, b))
-    for _ in range(n_pairs - n_far):
-        a = _random_ball_field(grid, 0.9 * r, rng)
-        step = rng.standard_normal(grid.n_interior)
-        sf = Field(grid, step)
-        hn = h10_norm(sf)
-        if hn == 0.0:
-            continue
-        b = Field(grid, a.values + (0.05 * r / hn) * step)
-        bounds.append(certified(a, b))
-    return np.asarray(bounds)
+    for count in _blocks(n_far, rows):
+        raw = np.empty((count, 2, n))
+        norm = np.empty((count, 2))
+        for j in range(count):
+            for k in range(2):
+                rng.standard_normal(n, out=raw[j, k])
+                norm[j, k] = r * rng.uniform(0.2, 1.0)
+        pair = _with_h10_norm(raw, norm, h)
+        yield pair[:, 0], pair[:, 1]
+    for count in _blocks(n_pairs - n_far, rows):
+        raw = np.empty((count, 2, n))
+        norm = np.empty(count)
+        for j in range(count):
+            rng.standard_normal(n, out=raw[j, 0])
+            norm[j] = 0.9 * r * rng.uniform(0.2, 1.0)
+            rng.standard_normal(n, out=raw[j, 1])
+        a, step = _with_h10_norm(raw[:, 0], norm, h), raw[:, 1]
+        hn = h10_values(gradient_values(step, h), h)
+        keep = hn != 0.0
+        a = a[keep]
+        b = a + ((0.05 * r) / hn[keep])[:, None] * step[keep]
+        require_finite(b)
+        yield a, b
 
 
-def _random_ball_field(grid: Grid, radius: float,
-                       rng: np.random.Generator) -> Field:
-    vals = rng.standard_normal(grid.n_interior)
-    f = Field(grid, vals)
-    scale = radius * rng.uniform(0.2, 1.0) / h10_norm(f)
-    return Field(grid, vals * scale)
+def _with_h10_norm(values: np.ndarray, norm: np.ndarray, h: float) -> np.ndarray:
+    """Each row of values rescaled to the H^1_0 norm given in norm."""
+    scale = norm / h10_values(gradient_values(values, h), h)
+    out = values * scale[..., None]
+    require_finite(out)
+    return out
+
+
+def _certified_bounds(a: np.ndarray, b: np.ndarray, h: float,
+                      p: float) -> np.ndarray:
+    """The certified lower bound of ball_coercivity_samples for each row
+    pair (a, b); inf where a = b."""
+    d = a - b
+    ga, gb, gd = (gradient_values(x, h) for x in (a, b, d))
+    denom = h10_values(gd, h) ** 2
+    cross = np.abs(h10_values(ga, h) ** (4.0 - p) - h10_values(gb, h) ** (4.0 - p)) \
+        * w1p_values(gb, h, p) ** (p - 1.0) * w1p_values(gd, h, p)
+    zero = denom == 0.0
+    return np.where(zero, math.inf, 1.0 - cross / np.where(zero, 1.0, denom))
 
 
 def ball_coercivity_bound(params: ProblemParams, r: float, n_pairs: int = 64,
@@ -307,13 +378,19 @@ def default_ball_radius(params: ProblemParams, grid: Grid | None = None,
                         seed: int = 7) -> float:
     """Largest dyadic r <= 1 whose sampled coercivity bound stays >= 0.5.
 
-    Each candidate radius is probed with an identically seeded generator, so
-    all levels see the same pair set rescaled and the search is monotone.
+    The 64 pairs of ball_coercivity_bound are drawn once, at r = 1, from
+    default_rng(seed); each candidate r = 2^-j probes them scaled by r, which
+    is bitwise the pair set an identically seeded generator draws at r. All
+    levels see the same pairs, so the search is monotone.
     """
+    _check_ball(params, 1.0)
+    if grid is None:
+        grid = Grid()
+    pairs = list(_ball_pairs(grid, 1.0, 64, np.random.default_rng(seed)))
     r = 1.0
     for _ in range(30):
-        if ball_coercivity_bound(params, r, rng=np.random.default_rng(seed),
-                                 grid=grid) >= 0.5:
+        bounds = [_certified_bounds(r * a, r * b, grid.h, params.p) for a, b in pairs]
+        if float(np.min(np.concatenate(bounds))) >= 0.5:
             return r
         r *= 0.5
     raise SolverError("no dyadic radius with positive sampled coercivity")

@@ -22,7 +22,7 @@ import numpy as np
 from ._tridiag import symmetric_tridiag_apply, tridiag_factor
 from ._tridiag import thomas_solve  # noqa: F401 -- perfbench/tracer.py patches it by name here
 from .grid import (Field, Grid, apply_laplacian, dual_norm, element_gradients,
-                   h10_norm, inner_l2)
+                   gradient_values, h10_norm, inner_l2)
 
 logger = logging.getLogger("fucik_branch.quasilinear")
 
@@ -144,12 +144,17 @@ def _p_flux_derivative(g: np.ndarray, p: float, eps: float) -> np.ndarray:
 
 def residual_original(u: Field, params: ProblemParams) -> Field:
     """Dual vector of -Delta_p u - Delta u - gamma*u^- - lam*u."""
-    g = element_gradients(u)
+    return Field(u.grid, residual_original_values(u.values, u.grid.h, params))
+
+
+def residual_original_values(values: np.ndarray, h: float,
+                             params: ProblemParams) -> np.ndarray:
+    """residual_original of nodal values along the last axis (one field or a block)."""
+    g = gradient_values(values, h)
     flux = _p_flux(g, params.p, params.eps_reg) + g
-    vals = -np.diff(flux) / u.grid.h \
-        - params.gamma * np.maximum(-u.values, 0.0) \
-        - params.lam * u.values
-    return Field(u.grid, vals)
+    return -np.diff(flux, axis=-1) / h \
+        - params.gamma * np.maximum(-values, 0.0) \
+        - params.lam * values
 
 
 def residual_weak(u: Field, lambda_plus: float, lambda_minus: float,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 from pytest import approx
 
 import fucik_branch
@@ -14,7 +15,11 @@ from fucik_branch import __version__
 from fucik_branch.cli import run
 from fucik_branch.grid import Grid, inner_l2, l2_norm, read_field_csv
 from fucik_branch.halfeig import fucik_shoot, split_eigenvalues
+from fucik_branch.monotone import check_vector_inequalities
+from fucik_branch.quasilinear import ProblemParams
 from fucik_branch.spectrum import closed_form_eigenvalue, eigenpair
+
+from conftest import reference_sweep
 
 
 def read_csv(path):
@@ -242,6 +247,25 @@ def test_verify_subcommand(tmp_path):
     assert payload["monotonicity_min"] > 0.0
     assert payload["n_samples"] == 10000
     assert payload["monotonicity_pairs"] == 50
+
+
+def test_verify_matches_pair_loop(tmp_path):
+    # the defaults: p = 3, gamma = 0.5, 1e5 samples, 2000 pairs; the sweep
+    # draws from seed + 1
+    assert run(["verify", "--seed", "5", "--output-dir", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "verify.json").read_text())
+    report = check_vector_inequalities(3.0, 100000, np.random.default_rng(5))
+    worst, bad = reference_sweep(ProblemParams(p=3.0, gamma=0.5, lam=0.0), 2000,
+                                 np.random.default_rng(6), Grid())
+    expected = {"p": report.p, "n_samples": report.n_samples,
+                "c1_emp": report.c1_emp, "c2_emp": report.c2_emp,
+                "c1_floor": report.c1_floor, "violations": report.violations,
+                "monotonicity_min": worst, "monotonicity_violations": bad,
+                "monotonicity_pairs": 2000}
+    assert payload.keys() == expected.keys()
+    assert payload.pop("monotonicity_min") == approx(
+        expected.pop("monotonicity_min"), rel=1e-12, abs=0.0)
+    assert payload == expected
 
 
 def test_usage_errors_exit_2(tmp_path):

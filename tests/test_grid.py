@@ -5,22 +5,31 @@ import math
 import numpy as np
 import pytest
 
+from fucik_branch import grid as grid_module
+from fucik_branch._tridiag import thomas_solve
 from fucik_branch.grid import (
     Field,
     Grid,
     apply_laplacian,
     apply_p_laplacian,
+    dot_values,
     dual_norm,
     element_gradients,
+    gradient_values,
     h10_norm,
+    h10_values,
     inner_l2,
     l2_norm,
     laplacian_solve,
+    laplacian_solve_values,
     norms,
     pos_neg_parts,
     read_field_csv,
+    w1p_values,
     write_field_csv,
 )
+from fucik_branch.quasilinear import (ProblemParams, residual_original,
+                                      residual_original_values)
 from fucik_branch.spectrum import closed_form_eigenvalue, eigenpair
 
 from conftest import random_field
@@ -216,6 +225,49 @@ def test_element_gradients_hat_function():
     u = Field(g, np.array([1.0, 0.0, 0.0]))
     grads = element_gradients(u)
     np.testing.assert_allclose(grads, [4.0, -4.0, 0.0, 0.0])
+
+
+def test_element_gradients_keep_the_sign_of_zero():
+    # the end elements take 0 - u, as differences of [0, u, 0] do
+    u = Field(Grid(n_interior=3), np.array([-0.0, 1.0, 0.0]))
+    g = element_gradients(u)
+    assert math.copysign(1.0, g[0]) == -1.0 and math.copysign(1.0, g[-1]) == 1.0
+
+
+def test_block_helpers_match_single_fields(grid, rng):
+    # a (rows, n) block gives, row by row, the bits of the single-Field
+    # functions, except that the 1/p power of a whole row array may differ
+    # from the scalar power in the last place
+    block = rng.standard_normal((5, grid.n_interior)) * 10.0 ** rng.uniform(-2, 2, (5, 1))
+    block[2] = 0.0
+    h = grid.h
+    g = gradient_values(block, h)
+    params = ProblemParams(p=3.0, gamma=0.5, lam=0.7)
+    res = residual_original_values(block, h, params)
+    dots = h * dot_values(block, res)
+    for i, row in enumerate(block):
+        u = Field(grid, row)
+        assert np.array_equal(g[i], element_gradients(u))
+        assert np.array_equal(res[i], residual_original(u, params).values)
+        assert dots[i] == inner_l2(u, residual_original(u, params))
+        assert h10_values(g, h)[i] == h10_norm(u) == norms(u, 3.0).h10
+        for p in (1.5, 3.0):
+            assert w1p_values(g, h, p)[i] == pytest.approx(norms(u, p).w1p,
+                                                           rel=1e-15, abs=0.0)
+
+
+def test_cached_laplacian_solve_matches_thomas(rng):
+    # one factorization per grid, reused, with the bits of a fresh solve
+    grids = [Grid(n_interior=n) for n in (3, 199, 799)]
+    for grid in 2 * grids:
+        assert grid_module._laplacian_factor(grid) is grid_module._laplacian_factor(
+            Grid(n_interior=grid.n_interior))
+        n = grid.n_interior
+        rhs = rng.standard_normal(n)
+        diag = np.full(n, 2.0 / grid.h**2)
+        off = np.full(n - 1, -1.0 / grid.h**2)
+        assert np.array_equal(laplacian_solve_values(grid, rhs),
+                              thomas_solve(off, diag, off, rhs))
 
 
 def test_dual_norm_of_laplacian_is_h10(grid, rng):

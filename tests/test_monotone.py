@@ -1,17 +1,19 @@
 """Inverting the strongly monotone operators, globally (p > 2) and on a ball."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fucik_branch import monotone
 from fucik_branch.config import SolverConfig
-from fucik_branch.grid import (Field, dual_norm, h10_norm, inner_l2,
-                               laplacian_solve_values)
+from fucik_branch.grid import (Field, Grid, dual_norm, h10_norm, inner_l2,
+                               laplacian_solve_values, norms)
 from fucik_branch.monotone import (
     SolverError,
     ball_coercivity_bound,
+    ball_coercivity_samples,
     check_vector_inequalities,
     default_ball_radius,
     monotonicity_sweep,
@@ -21,10 +23,12 @@ from fucik_branch.monotone import (
 from fucik_branch.quasilinear import (Jacobian, ProblemParams, energy,
                                       residual_original, residual_transformed)
 
-from conftest import count_trials, counting, random_field
+from conftest import count_trials, counting, random_field, reference_sweep
 
 P3 = ProblemParams(p=3.0, gamma=0.5, lam=0.0)
 P15 = ProblemParams(p=1.5, gamma=0.5, lam=0.0)
+# pairs per block of the sampled checks on the default grid
+BLOCK = monotone._block_rows(Grid())
 
 
 def operator_p3(u: Field) -> Field:
@@ -130,6 +134,34 @@ def test_monotonicity_sweep_positive(grid):
     assert worst >= 2.0 ** (2.0 - 3.0) * (1.0 - 1e-9)
 
 
+@pytest.mark.parametrize("n_pairs", sorted({1, 63, 64, 65, BLOCK - 1, BLOCK,
+                                             BLOCK + 1, 2000}))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_monotonicity_sweep_matches_pair_loop(grid, n_pairs, seed):
+    worst, violations = monotonicity_sweep(
+        P3, n_pairs=n_pairs, rng=np.random.default_rng(seed))
+    ref_worst, ref_violations = reference_sweep(
+        P3, n_pairs, np.random.default_rng(seed), grid)
+    assert worst == pytest.approx(ref_worst, rel=1e-12, abs=0.0)
+    assert violations == ref_violations
+
+
+def test_sampled_checks_run_in_bounded_memory():
+    # all 10,000 pairs at once would take 16 MB for each (pairs, n) array
+    cap = 4 * 2**20
+
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: monotonicity_sweep(P3, n_pairs=10_000)) < cap
+    assert peak(lambda: default_ball_radius(P15, grid=Grid(n_interior=799))) < cap
+
+
 def test_monotonicity_sweep_needs_p_above_2():
     with pytest.raises(ValueError):
         monotonicity_sweep(P15, n_pairs=10)
@@ -208,6 +240,114 @@ def test_ball_coercivity_increases_toward_one(grid):
     deficits = [1.0 - b for b in bounds]
     for a, b in zip(deficits, deficits[1:]):
         assert a == pytest.approx(4.0 * b, rel=1e-6)
+
+
+def reference_ball_samples(params: ProblemParams, r: float, n_pairs: int,
+                           rng, grid: Grid) -> np.ndarray:
+    """ball_coercivity_samples written as a loop over pairs of Fields."""
+    p = params.p
+
+    def ball_field(radius: float) -> Field:
+        vals = rng.standard_normal(grid.n_interior)
+        scale = radius * rng.uniform(0.2, 1.0) / h10_norm(Field(grid, vals))
+        return Field(grid, vals * scale)
+
+    def certified(a: Field, b: Field) -> float:
+        d = a - b
+        denom = h10_norm(d) ** 2
+        if denom == 0.0:
+            return math.inf
+        cross = abs(h10_norm(a) ** (4.0 - p) - h10_norm(b) ** (4.0 - p)) \
+            * norms(b, p).w1p ** (p - 1.0) * norms(d, p).w1p
+        return 1.0 - cross / denom
+
+    bounds = []
+    n_far = n_pairs // 2
+    for _ in range(n_far):
+        a = ball_field(r)
+        bounds.append(certified(a, ball_field(r)))
+    for _ in range(n_pairs - n_far):
+        a = ball_field(0.9 * r)
+        step = rng.standard_normal(grid.n_interior)
+        hn = h10_norm(Field(grid, step))
+        if hn == 0.0:
+            continue
+        bounds.append(certified(a, Field(grid, a.values + (0.05 * r / hn) * step)))
+    return np.asarray(bounds)
+
+
+class ZeroedDraws:
+    """A seeded generator whose standard_normal calls with the given indices
+    return zeros; both draw styles of the sampled checks see the same stream."""
+
+    def __init__(self, seed: int, zeroed: set[int]):
+        self.rng = np.random.default_rng(seed)
+        self.zeroed = zeroed
+        self.calls = 0
+
+    def uniform(self, low: float, high: float) -> float:
+        return self.rng.uniform(low, high)
+
+    def standard_normal(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        x = self.rng.standard_normal(n)
+        if self.calls in self.zeroed:
+            x[:] = 0.0
+        self.calls += 1
+        if out is None:
+            return x
+        out[...] = x
+        return out
+
+
+@pytest.mark.parametrize("n", [9, 199, 799])
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.9])
+def test_ball_coercivity_samples_match_pair_loop(n, p):
+    grid = Grid(n_interior=n)
+    params = ProblemParams(p=p, gamma=0.5, lam=0.0)
+    n_pairs = 2 * monotone._block_rows(grid) + 3
+    bounds = ball_coercivity_samples(params, 0.3, n_pairs,
+                                     np.random.default_rng(n), grid)
+    ref = reference_ball_samples(params, 0.3, n_pairs,
+                                 np.random.default_rng(n), grid)
+    assert bounds.shape == ref.shape == (n_pairs,)
+    np.testing.assert_allclose(bounds, ref, rtol=1e-12, atol=0.0)
+
+
+def test_ball_coercivity_samples_drop_zero_steps(grid):
+    # normal draws 0 .. 2*n_far-1 belong to the far pairs; each near pair
+    # then draws its field and its step
+    n_pairs, n_far = 2 * BLOCK + 5, BLOCK + 2
+    zeroed = {2 * n_far + 2 * i + 1 for i in (0, 7, BLOCK + 1)}
+    bounds = ball_coercivity_samples(P15, 0.3, n_pairs, ZeroedDraws(3, zeroed), grid)
+    ref = reference_ball_samples(P15, 0.3, n_pairs, ZeroedDraws(3, zeroed), grid)
+    assert bounds.shape == ref.shape == (n_pairs - 3,)
+    np.testing.assert_allclose(bounds, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [199, 399, 799])
+def test_ball_pairs_scale_exactly_by_powers_of_two(n):
+    grid = Grid(n_interior=n)
+    unit = list(monotone._ball_pairs(grid, 1.0, 64, np.random.default_rng(7)))
+    for j in range(1, 12):
+        r = 0.5 ** j
+        drawn = monotone._ball_pairs(grid, r, 64, np.random.default_rng(7))
+        for (a1, b1), (a, b) in zip(unit, drawn, strict=True):
+            assert np.array_equal(r * a1, a) and np.array_equal(r * b1, b)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.9])
+def test_default_ball_radius_probes_fresh_draws(p):
+    params = ProblemParams(p=p, gamma=0.5, lam=0.0)
+    for grid in (Grid(), Grid(n_interior=799)):
+        r = 1.0
+        while ball_coercivity_bound(params, r, rng=np.random.default_rng(7),
+                                    grid=grid) < 0.5:
+            r *= 0.5
+        assert default_ball_radius(params, grid=grid) == r
+
+
+def test_ball_coercivity_samples_of_no_pairs(grid):
+    assert ball_coercivity_samples(P15, 0.5, 0, np.random.default_rng(0), grid).shape == (0,)
 
 
 def test_ball_coercivity_rejects_bad_input(grid):
