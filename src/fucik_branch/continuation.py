@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SolverConfig
 from .grid import Field, Grid, h10_norm, inner_l2, l2_norm, laplacian_solve_values
 from .halfeig import gamma_window, split_eigenvalues
-from .monotone import (MAX_HALVINGS, SolverError, damped_step, jacobian_eps,
-                       newton_then_picard, solve_monotone, solve_monotone_ball)
+from .monotone import (MAX_HALVINGS, SolverError, damped_step, newton_then_picard,
+                       solve_monotone, solve_monotone_ball)
 from .quasilinear import (Jacobian, ProblemParams, jacobian_original,
                           jacobian_transformed, original_h10_norm,
                           residual_original, residual_transformed)
@@ -57,14 +57,13 @@ class LSDecomposition:
 
 @dataclass(frozen=True)
 class ConeParams:
-    """Localization window: |lambda - lambda_k^which| < rho, |(e_k,u)_2| > eta*||u||_2."""
+    """Spectral cone around +-e_k: |(e_k,u)_2| > eta*||u||_2."""
 
-    rho: float
     eta: float
 
     def __post_init__(self) -> None:
-        if not (self.rho > 0.0 and self.eta > 0.0):
-            raise ValueError("cone parameters must be positive")
+        if not self.eta > 0.0:
+            raise ValueError("the cone parameter eta must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +236,6 @@ class _TraceProblem:
     def jacobian(self, u_vals: np.ndarray, lam: float) -> Jacobian:
         field = Field(self.grid, u_vals)
         params = self._params(lam)
-        params = replace(params, eps_reg=jacobian_eps(field, params))
         if self.transformed:
             return jacobian_transformed(field, params)
         return jacobian_original(field, params)
@@ -345,7 +343,7 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
     vdir = pair.v1 if seed.which == 1 else pair.v2
     side = 1 if seed.which == 1 else -1
     ek = eigenpair(grid, seed.k)
-    cone = ConeParams(rho=1.0, eta=pair.eta)
+    cone = ConeParams(eta=pair.eta)
     prob = _TraceProblem(grid, seed.p, seed.gamma)
 
     a0 = config.alpha0 * inner_l2(ek.vector, vdir)
@@ -489,8 +487,7 @@ def newton_at_lambda(u0: Field, params: ProblemParams,
             return u
         if it == config.max_iter:
             break
-        jac = jacobian_original(u, replace(params, eps_reg=jacobian_eps(u, params)))
-        dirs = newton_then_picard(jac, r)
+        dirs = newton_then_picard(jacobian_original(u, params), r)
         step = damped_step(u, rnorm, ((d, -rnorm) for d in dirs), trial)
         if step is None:
             raise SolverError("fixed-lambda Newton stalled "

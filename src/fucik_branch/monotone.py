@@ -11,8 +11,9 @@ line-searches on the dual norm of the residual.
 
 damped_step is the package's one Armijo backtracking loop, over Newton and
 then Picard directions; its callers here and in continuation differ only in
-their merit and stopping tests. jacobian_eps is the one gradient
-regularization of the Jacobians for 1 < p < 2.
+their merit and stopping tests. The Jacobians they take regularize
+themselves for 1 < p < 2 (see quasilinear), so no caller passes an
+epsilon.
 
 The vector inequalities backing the p > 2 case are checked empirically by
 check_vector_inequalities, and strong monotonicity by monotonicity_sweep;
@@ -20,8 +21,8 @@ ball_coercivity_samples certifies coercivity on a ball, and
 default_ball_radius picks the ball. These sampled checks draw their pairs
 one at a time, in the order a pair-by-pair loop would, and evaluate them as
 (pairs, n) arrays, in blocks of about _BLOCK_VALUES doubles per array so
-that memory stays flat in the pair count. default_ball_radius draws its
-pairs once, at r = 1, and rescales them for every dyadic radius it probes.
+that memory stays flat in the pair count. default_ball_radius evaluates the
+bound once, at r = 1, and reads the radius off its exact r^2 scaling.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SolverConfig
-from .grid import (Field, Grid, dot_values, dual_norm, element_gradients,
-                   gradient_values, h10_norm, h10_values, inner_l2,
-                   laplacian_solve_values, require_finite, w1p_values)
+from .grid import (Field, Grid, dot_values, dual_norm, gradient_values,
+                   h10_norm, h10_values, inner_l2, laplacian_solve_values,
+                   require_finite, w1p_values)
 from .quasilinear import (Jacobian, ProblemParams, energy, jacobian_original,
                           jacobian_transformed, residual_original,
                           residual_original_values, residual_transformed)
@@ -46,8 +47,6 @@ logger = logging.getLogger("fucik_branch.monotone")
 # Armijo slope fraction and halvings per direction of damped_step
 ARMIJO = 1e-4
 MAX_HALVINGS = 8
-# Jacobian gradient regularization for 1 < p < 2, relative to mean |grad u| + 1
-EPS_REG_SCALE = 1e-8
 # doubles per (pairs, n) array in the blocks of the sampled checks (64 KiB)
 _BLOCK_VALUES = 1 << 13
 
@@ -92,21 +91,6 @@ class VectorInequalityReport:
 def _operator_params(params: ProblemParams) -> ProblemParams:
     # the solves here treat M u = f; any spectral lam in params is not part of M
     return replace(params, lam=0.0) if params.lam != 0.0 else params
-
-
-def jacobian_eps(u: Field, params: ProblemParams) -> float:
-    """Gradient regularization for the Jacobian at u.
-
-    params.eps_reg for p > 2. For 1 < p < 2 at least
-    EPS_REG_SCALE * (mean |grad u| + 1), which keeps the flux derivative
-    |g|^{p-2} finite where a gradient vanishes. Only Jacobians take this
-    floor; residuals keep params.eps_reg, so converged iterates solve the
-    discrete equation as given.
-    """
-    if params.p > 2.0:
-        return params.eps_reg
-    floor = EPS_REG_SCALE * (float(np.mean(np.abs(element_gradients(u)))) + 1.0)
-    return max(params.eps_reg, floor)
 
 
 def newton_then_picard(jac: Jacobian, r: Field) -> Iterator[Field]:
@@ -378,22 +362,18 @@ def default_ball_radius(params: ProblemParams, grid: Grid | None = None,
                         seed: int = 7) -> float:
     """Largest dyadic r <= 1 whose sampled coercivity bound stays >= 0.5.
 
-    The 64 pairs of ball_coercivity_bound are drawn once, at r = 1, from
-    default_rng(seed); each candidate r = 2^-j probes them scaled by r, which
-    is bitwise the pair set an identically seeded generator draws at r. All
-    levels see the same pairs, so the search is monotone.
+    The bound's deficit against 1 scales exactly with r^2 on the same pairs
+    (ball_coercivity_samples), so ball_coercivity_bound is evaluated once, at
+    r = 1 from default_rng(seed), and r = 2^-j is the largest with
+    1 - 4^-j * (1 - B_1) >= 0.5, j <= 29.
     """
     _check_ball(params, 1.0)
-    if grid is None:
-        grid = Grid()
-    pairs = list(_ball_pairs(grid, 1.0, 64, np.random.default_rng(seed)))
-    r = 1.0
-    for _ in range(30):
-        bounds = [_certified_bounds(r * a, r * b, grid.h, params.p) for a, b in pairs]
-        if float(np.min(np.concatenate(bounds))) >= 0.5:
-            return r
-        r *= 0.5
-    raise SolverError("no dyadic radius with positive sampled coercivity")
+    deficit = 1.0 - ball_coercivity_bound(params, 1.0,
+                                          rng=np.random.default_rng(seed), grid=grid)
+    if not deficit <= 0.5 * 4.0 ** 29:
+        raise SolverError("no dyadic radius with positive sampled coercivity")
+    j = 0 if deficit <= 0.5 else math.ceil(0.5 * math.log2(2.0 * deficit))
+    return 0.5 ** j
 
 
 def solve_monotone_ball(f: Field, params: ProblemParams,
@@ -402,9 +382,9 @@ def solve_monotone_ball(f: Field, params: ProblemParams,
                         u0: Field | None = None) -> SolveReport:
     """Solve the transformed-operator equation A v = f inside a coercivity ball.
 
-    Newton on the exact residual with a regularized-weight Jacobian
-    (jacobian_eps), an Armijo search on the dual norm of the residual and a
-    damped Picard fallback. The iteration fails informatively if an iterate
+    Newton on the exact residual with the self-regularizing Jacobian
+    jacobian_transformed, an Armijo search on the dual norm of the residual
+    and a damped Picard fallback. The iteration fails informatively if an iterate
     leaves the ball or a sampled monotonicity ratio turns nonpositive, both of
     which signal that the radius is too large for this p.
     """
@@ -440,8 +420,7 @@ def solve_monotone_ball(f: Field, params: ProblemParams,
             return report
         if it == config.max_iter:
             break
-        jac = jacobian_transformed(v, replace(params, eps_reg=jacobian_eps(v, params)))
-        dirs = newton_then_picard(jac, r)
+        dirs = newton_then_picard(jacobian_transformed(v, params), r)
         step = damped_step(v, rnorm, ((d, -rnorm) for d in dirs), trial)
         if step is None:
             raise SolverError("line search stalled in ball-restricted solve",

@@ -5,9 +5,13 @@ original variable for p > 2 and, for 1 < p < 2, also in the rescaled variable
 v = u / ||u||_{1,2}^(2 - p/2), where the p-term picks up the coefficient
 ||v||_{1,2}^(4-p) and the problem bifurcates from zero instead of infinity.
 
-All residuals are lumped-mass dual vectors (see grid module); pairing a
-residual with a test field via inner_l2 gives the weak form exactly, so the
-strong nodal statement and the weak one coincide by construction.
+Both forms share one residual kernel and one Jacobian assembly. The
+Jacobians regularize themselves: for 1 < p < 2 they take the flux derivative
+at gradients smoothed by _EPS_REG_SCALE * (mean |g| + 1), which stays finite
+where a gradient vanishes. Residuals are never regularized, so converged
+iterates solve the discrete equation as given. All residuals are lumped-mass
+dual vectors (see grid module); pairing one with a test field via inner_l2
+gives the weak form exactly.
 """
 
 from __future__ import annotations
@@ -22,14 +26,17 @@ import numpy as np
 from ._tridiag import symmetric_tridiag_apply, tridiag_factor
 from ._tridiag import thomas_solve  # noqa: F401 -- perfbench/tracer.py patches it by name here
 from .grid import (Field, Grid, apply_laplacian, dual_norm, element_gradients,
-                   gradient_values, h10_norm, inner_l2)
+                   gradient_values, h10_norm)
 
 logger = logging.getLogger("fucik_branch.quasilinear")
+
+# Jacobian gradient regularization for 1 < p < 2, relative to mean |grad u| + 1
+_EPS_REG_SCALE = 1e-8
 
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Exponent, negative-part weight, spectral parameter, gradient regularization.
+    """Exponent, negative-part weight and spectral parameter.
 
     p = 2 is excluded: that case is the linear half-eigenvalue problem handled
     in closed form elsewhere. lam - gamma <= 0 is legal (the negative-part
@@ -39,15 +46,12 @@ class ProblemParams:
     p: float
     gamma: float
     lam: float
-    eps_reg: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.p > 1.0 and self.p != 2.0):
             raise ValueError(f"p must lie in (1,2) or (2,inf), got {self.p}")
         if self.gamma < 0.0:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.eps_reg < 0.0:
-            raise ValueError(f"eps_reg must be nonnegative, got {self.eps_reg}")
         if not (math.isfinite(self.p) and math.isfinite(self.gamma)
                 and math.isfinite(self.lam)):
             raise ValueError("parameters must be finite")
@@ -124,7 +128,7 @@ class Jacobian:
         return m
 
 
-def _p_flux(g: np.ndarray, p: float, eps: float) -> np.ndarray:
+def _p_flux(g: np.ndarray, p: float, eps: float = 0.0) -> np.ndarray:
     # sign(g)|g|^(p-1) at eps = 0 avoids 0^(negative) for 1 < p < 2
     if eps == 0.0:
         return np.sign(g) * np.abs(g) ** (p - 1.0)
@@ -132,29 +136,31 @@ def _p_flux(g: np.ndarray, p: float, eps: float) -> np.ndarray:
 
 
 def _p_flux_derivative(g: np.ndarray, p: float, eps: float) -> np.ndarray:
-    # exact derivative of _p_flux so finite differences of the residual match
+    # exact derivative of _p_flux; eps > 0 whenever p < 2 (see _jacobian)
     if eps == 0.0:
-        if p < 2.0 and np.any(g == 0.0):
-            raise ValueError(
-                "eps_reg = 0 with 1 < p < 2 and a vanishing element gradient: "
-                "the flux derivative is singular; pass eps_reg > 0")
         return (p - 1.0) * np.abs(g) ** (p - 2.0)
     return (g * g + eps * eps) ** (0.5 * (p - 4.0)) * ((p - 1.0) * g * g + eps * eps)
 
 
+def _residual_values(values: np.ndarray, h: float, params: ProblemParams,
+                     coeff: float = 1.0) -> np.ndarray:
+    """-div(coeff*|g|^{p-2}g + g) - gamma*u^- - lam*u along the last axis."""
+    g = gradient_values(values, h)
+    flux = coeff * _p_flux(g, params.p) + g
+    return -np.diff(flux, axis=-1) / h \
+        - params.gamma * np.maximum(-values, 0.0) \
+        - params.lam * values
+
+
 def residual_original(u: Field, params: ProblemParams) -> Field:
     """Dual vector of -Delta_p u - Delta u - gamma*u^- - lam*u."""
-    return Field(u.grid, residual_original_values(u.values, u.grid.h, params))
+    return Field(u.grid, _residual_values(u.values, u.grid.h, params))
 
 
 def residual_original_values(values: np.ndarray, h: float,
                              params: ProblemParams) -> np.ndarray:
     """residual_original of nodal values along the last axis (one field or a block)."""
-    g = gradient_values(values, h)
-    flux = _p_flux(g, params.p, params.eps_reg) + g
-    return -np.diff(flux, axis=-1) / h \
-        - params.gamma * np.maximum(-values, 0.0) \
-        - params.lam * values
+    return _residual_values(values, h, params)
 
 
 def residual_weak(u: Field, lambda_plus: float, lambda_minus: float,
@@ -163,7 +169,7 @@ def residual_weak(u: Field, lambda_plus: float, lambda_minus: float,
     if not u.values.any():
         raise ValueError("the weak residual is only defined for nonzero fields")
     g = element_gradients(u)
-    flux = _p_flux(g, p, 0.0) + g
+    flux = _p_flux(g, p) + g
     vals = -np.diff(flux) / u.grid.h \
         - lambda_plus * np.maximum(u.values, 0.0) \
         + lambda_minus * np.maximum(-u.values, 0.0)
@@ -179,11 +185,7 @@ def energy(u: Field, params: ProblemParams) -> float:
     """
     h = u.grid.h
     g = element_gradients(u)
-    p, eps = params.p, params.eps_reg
-    if eps == 0.0:
-        e_p = h * float(np.sum(np.abs(g) ** p)) / p
-    else:
-        e_p = h * float(np.sum((g * g + eps * eps) ** (0.5 * p))) / p
+    e_p = h * float(np.sum(np.abs(g) ** params.p)) / params.p
     e_2 = 0.5 * h * float(np.dot(g, g))
     neg = np.maximum(-u.values, 0.0)
     e_gamma = 0.5 * params.gamma * h * float(np.dot(neg, neg))
@@ -198,18 +200,32 @@ def _weighted_stiffness(grid: Grid, weights: np.ndarray) -> tuple[np.ndarray, np
     return diag, off
 
 
-def jacobian_original(u: Field, params: ProblemParams) -> Jacobian:
-    """Generalized Jacobian of residual_original at u.
+def _jacobian(u: Field, params: ProblemParams, transformed: bool) -> Jacobian:
+    """Generalized Jacobian of _residual_values at u: coeff 1, or if
+    transformed the norm coefficient and the rank-one term of its derivative.
 
-    Gradient stiffness with elementwise weights d/dg[flux](g) + 1, plus the
-    diagonal gamma*1[u_i<0] - lam: the slope of -gamma*max(-t,0) on t < 0 is
-    +gamma, with zero nodes assigned to the positive part.
+    Gradient stiffness with elementwise weights coeff * d/dg[flux](g) + 1,
+    plus the diagonal gamma*1[u_i<0] - lam: the slope of -gamma*max(-t,0) on
+    t < 0 is +gamma, with zero nodes assigned to the positive part.
     """
+    p = params.p
     g = element_gradients(u)
-    w = _p_flux_derivative(g, params.p, params.eps_reg) + 1.0
+    eps = 0.0 if p > 2.0 else _EPS_REG_SCALE * (float(np.mean(np.abs(g))) + 1.0)
+    coeff = transform_coefficient(u, p) if transformed else 1.0
+    w = coeff * _p_flux_derivative(g, p, eps) + 1.0
     diag, off = _weighted_stiffness(u.grid, w)
     diag = diag + params.gamma * (u.values < 0.0) - params.lam
-    return Jacobian(u.grid, diag, off)
+    nrm = h10_norm(u) if transformed else 0.0
+    if nrm == 0.0:
+        return Jacobian(u.grid, diag, off)
+    a = -np.diff(_p_flux(g, p, eps)) / u.grid.h
+    b = (4.0 - p) * nrm ** (2.0 - p) * apply_laplacian(u).values
+    return Jacobian(u.grid, diag, off, rank_one=(a, b))
+
+
+def jacobian_original(u: Field, params: ProblemParams) -> Jacobian:
+    """Generalized Jacobian of residual_original at u (see _jacobian)."""
+    return _jacobian(u, params, transformed=False)
 
 
 def transform_coefficient(v: Field, p: float) -> float:
@@ -219,13 +235,8 @@ def transform_coefficient(v: Field, p: float) -> float:
 def residual_transformed(v: Field, params: ProblemParams) -> Field:
     """Dual vector of -||v||^{4-p} Delta_p v - Delta v - gamma*v^- - lam*v (1 < p < 2)."""
     _require_singular_range(params.p)
-    g = element_gradients(v)
     coeff = transform_coefficient(v, params.p)
-    flux = coeff * _p_flux(g, params.p, params.eps_reg) + g
-    vals = -np.diff(flux) / v.grid.h \
-        - params.gamma * np.maximum(-v.values, 0.0) \
-        - params.lam * v.values
-    return Field(v.grid, vals)
+    return Field(v.grid, _residual_values(v.values, v.grid.h, params, coeff))
 
 
 def jacobian_transformed(v: Field, params: ProblemParams) -> Jacobian:
@@ -236,18 +247,7 @@ def jacobian_transformed(v: Field, params: ProblemParams) -> Jacobian:
     (4-p) ||v||_{1,2}^{2-p} * (Delta_p v dual) <Laplacian v dual, .>_2.
     """
     _require_singular_range(params.p)
-    p, eps = params.p, params.eps_reg
-    g = element_gradients(v)
-    coeff = transform_coefficient(v, p)
-    w = coeff * _p_flux_derivative(g, p, eps) + 1.0
-    diag, off = _weighted_stiffness(v.grid, w)
-    diag = diag + params.gamma * (v.values < 0.0) - params.lam
-    nrm = h10_norm(v)
-    if nrm == 0.0:
-        return Jacobian(v.grid, diag, off)
-    a = -np.diff(_p_flux(g, p, eps)) / v.grid.h
-    b = (4.0 - p) * nrm ** (2.0 - p) * apply_laplacian(v).values
-    return Jacobian(v.grid, diag, off, rank_one=(a, b))
+    return _jacobian(v, params, transformed=True)
 
 
 def _require_singular_range(p: float) -> None:

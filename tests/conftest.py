@@ -51,8 +51,7 @@ def reference_sweep(params: ProblemParams, n_pairs: int,
                     rng: np.random.Generator, grid: Grid) -> tuple[float, int]:
     """monotonicity_sweep written as a loop over pairs of Fields: the minimum
     ratio (Mu - Mw, u - w)_2 / ||u - w||_{1,p}^p and the nonpositive count."""
-    op = ProblemParams(p=params.p, gamma=params.gamma, lam=0.0,
-                       eps_reg=params.eps_reg)
+    op = ProblemParams(p=params.p, gamma=params.gamma, lam=0.0)
     worst, violations = math.inf, 0
     for _ in range(n_pairs):
         u = Field(grid, 10.0 ** rng.uniform(-2.0, 2.0)

@@ -143,7 +143,7 @@ def test_early_points_in_negative_cone(branch_p3_w2, grid):
 
 
 def test_cone_sides_are_disjoint(branch_p3_w1, branch_p3_w2):
-    cone = ConeParams(rho=1.0, eta=branch_p3_w1.eta)
+    cone = ConeParams(eta=branch_p3_w1.eta)
     for pt in branch_p3_w1.points:
         if pt.in_cone:
             assert not cone_test(pt.u, 2, cone, -1)
@@ -153,13 +153,13 @@ def test_cone_sides_are_disjoint(branch_p3_w1, branch_p3_w2):
 
 
 def test_cone_test_rejects_bad_input(grid):
-    cone = ConeParams(rho=1.0, eta=0.5)
+    cone = ConeParams(eta=0.5)
     with pytest.raises(ValueError):
         cone_test(Field.zeros(grid), 2, cone, 1)
     with pytest.raises(ValueError):
         cone_test(eigenpair(grid, 2).vector, 2, cone, 3)
     with pytest.raises(ValueError):
-        ConeParams(rho=0.0, eta=0.5)
+        ConeParams(eta=0.0)
 
 
 def test_seed_limit_extrapolation(branch_p3_w1):
