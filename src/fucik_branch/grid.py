@@ -5,6 +5,10 @@ both endpoints are implicit. Operators return lumped-mass dual vectors (the P1
 load vector divided by h), so that inner_l2(Au, w) realizes the duality
 pairing <Au, w> and equals the weak form a(u, w). Zeroth-order terms use the
 trapezoid rule, under which an L2 function is its own dual vector.
+
+The discrete Poisson solve (laplacian_solve, and with it dual_norm) is
+closed-form and O(n): the LU factors of tridiag(-1, 2, -1) are known, so
+both sweeps are cumulative sums. Its solver is cached per Grid.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tridiag import thomas_solve  # noqa: F401 -- perfbench/tracer.py patches it by name here
-from ._tridiag import tridiag_factor
 
 # Serialization format shared by every CSV writer in the package:
 # 17 significant digits round-trips IEEE doubles exactly.
@@ -182,17 +185,24 @@ def laplacian_solve(f: Field) -> Field:
 
 
 def laplacian_solve_values(grid: Grid, rhs: np.ndarray) -> np.ndarray:
+    """Solve the discrete Poisson problem in closed form, O(n), no Python loop."""
     return _laplacian_factor(grid)(rhs)
 
 
 @functools.lru_cache(maxsize=16)
 def _laplacian_factor(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
-    # the matrix depends on the grid alone; its solver only reads the factor
-    n = grid.n_interior
-    h2 = grid.h * grid.h
-    diag = np.full(n, 2.0 / h2)
-    off = np.full(n - 1, -1.0 / h2)
-    return tridiag_factor(off, diag, off)
+    # tridiag(-1, 2, -1) = LU with pivots (i+1)/i, i = 1..n, so both sweeps
+    # are cumulative sums: i*y_i = S_i = sum_{m<=i} m*b_m forward, and
+    # x_i/i = sum_{m>=i} S_m/(m(m+1)) back
+    i = np.arange(1.0, grid.n_interior + 1.0)
+    back = 1.0 / (i * (i + 1.0))
+    scale = grid.h * grid.h * i
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        s = np.cumsum(i * rhs) * back
+        return scale * np.cumsum(s[::-1])[::-1]
+
+    return solve
 
 
 def apply_p_laplacian(u: Field, p: float) -> Field:

@@ -22,11 +22,13 @@ default_ball_radius picks the ball. These sampled checks draw their pairs
 one at a time, in the order a pair-by-pair loop would, and evaluate them as
 (pairs, n) arrays, in blocks of about _BLOCK_VALUES doubles per array so
 that memory stays flat in the pair count. default_ball_radius evaluates the
-bound once, at r = 1, and reads the radius off its exact r^2 scaling.
+bound once, at r = 1, reads the radius off its exact r^2 scaling, and
+caches it per (p, grid, seed).
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections.abc import Callable, Iterable, Iterator
@@ -112,8 +114,9 @@ def damped_step(x, m0: float, directions: Iterable[tuple[object, float]],
     """One damped-Newton step from x, whose merit is m0.
 
     Tries each (d, slope) in order, skipping those with slope >= 0, at
-    t = 1, 1/2, ..., 2^-MAX_HALVINGS. trial(y) returns (merit, residual) at y.
-    Returns (x + t*d, residual) for the first trial with
+    t = 1, 1/2, ..., 2^-MAX_HALVINGS. trial(y) returns (merit, data) at y,
+    data being whatever the caller reuses (the residual, say).
+    Returns (x + t*d, data) for the first trial with
     merit <= m0 + ARMIJO * t * slope + slack, or None if no direction gives
     that decrease. x and d need only support x + t*d (Fields or arrays).
     """
@@ -174,7 +177,8 @@ def solve_monotone(f: Field, params: ProblemParams,
                            lambda w: (merit(w), None),
                            slack=32.0 * np.finfo(float).eps * abs(m0))
         if step is None:
-            break
+            raise SolverError(f"line search stalled in monotone solve "
+                              f"(residual {rnorm:.3e}, tol {tol:.3e})", report)
         u_new = step[0]
         r_new = residual(u_new)
         coercivity = min(coercivity, _monotonicity_sample(
@@ -365,9 +369,17 @@ def default_ball_radius(params: ProblemParams, grid: Grid | None = None,
     The bound's deficit against 1 scales exactly with r^2 on the same pairs
     (ball_coercivity_samples), so ball_coercivity_bound is evaluated once, at
     r = 1 from default_rng(seed), and r = 2^-j is the largest with
-    1 - 4^-j * (1 - B_1) >= 0.5, j <= 29.
+    1 - 4^-j * (1 - B_1) >= 0.5, j <= 29. The bound depends on p, the grid
+    and the seed alone (gamma and lam never enter), so the radius is cached
+    per (p, grid, seed).
     """
     _check_ball(params, 1.0)
+    return _ball_radius(params.p, grid if grid is not None else Grid(), seed)
+
+
+@functools.lru_cache(maxsize=64)
+def _ball_radius(p: float, grid: Grid, seed: int) -> float:
+    params = ProblemParams(p=p, gamma=0.0, lam=0.0)
     deficit = 1.0 - ball_coercivity_bound(params, 1.0,
                                           rng=np.random.default_rng(seed), grid=grid)
     if not deficit <= 0.5 * 4.0 ** 29:
@@ -404,15 +416,16 @@ def solve_monotone_ball(f: Field, params: ProblemParams,
     if h10_norm(v) > radius:
         raise ValueError("initial guess lies outside the coercivity ball")
 
-    def trial(w: Field) -> tuple[float, Field]:
+    def trial(w: Field) -> tuple[float, tuple[Field, float]]:
         rw = residual(w)
-        return dual_norm(rw), rw
+        merit = dual_norm(rw)
+        return merit, (rw, merit)
 
     r = residual(v)
     tol = max(config.tol_abs, config.tol_rel * dual_norm(f))
+    rnorm = dual_norm(r)
     coercivity = math.inf
     for it in range(config.max_iter + 1):
-        rnorm = dual_norm(r)
         report = SolveReport(solution=v, iterations=it, final_residual=rnorm,
                              coercivity_estimate=coercivity,
                              ball_radius_used=radius)
@@ -425,7 +438,7 @@ def solve_monotone_ball(f: Field, params: ProblemParams,
         if step is None:
             raise SolverError("line search stalled in ball-restricted solve",
                               report)
-        v_new, r_new = step
+        v_new, (r_new, rnorm_new) = step
         if h10_norm(v_new) > radius:
             raise SolverError(
                 f"iterate left the coercivity ball (||v||_1,2 = "
@@ -440,7 +453,7 @@ def solve_monotone_ball(f: Field, params: ProblemParams,
                 raise SolverError(
                     f"nonpositive monotonicity sample {sample:.3e} on the ball "
                     f"of radius {radius:.6g}: radius too large", report)
-        v, r = v_new, r_new
+        v, r, rnorm = v_new, r_new, rnorm_new
     raise SolverError(f"no convergence in {config.max_iter} iterations "
                       f"(residual {rnorm:.3e}, tol {tol:.3e})", report)
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fucik_branch import grid as grid_module
-from fucik_branch._tridiag import thomas_solve
 from fucik_branch.grid import (
     Field,
     Grid,
@@ -256,18 +255,21 @@ def test_block_helpers_match_single_fields(grid, rng):
                                                            rel=1e-15, abs=0.0)
 
 
-def test_cached_laplacian_solve_matches_thomas(rng):
-    # one factorization per grid, reused, with the bits of a fresh solve
-    grids = [Grid(n_interior=n) for n in (3, 199, 799)]
-    for grid in 2 * grids:
+def test_cached_laplacian_solve_matches_dense(rng):
+    # one closed-form solver per grid, reused, accurate to round-off against
+    # LAPACK on the dense matrix
+    for n in (3, 4, 199, 799, 3199):
+        grid = Grid(n_interior=n)
         assert grid_module._laplacian_factor(grid) is grid_module._laplacian_factor(
-            Grid(n_interior=grid.n_interior))
-        n = grid.n_interior
-        rhs = rng.standard_normal(n)
-        diag = np.full(n, 2.0 / grid.h**2)
-        off = np.full(n - 1, -1.0 / grid.h**2)
-        assert np.array_equal(laplacian_solve_values(grid, rhs),
-                              thomas_solve(off, diag, off, rhs))
+            Grid(n_interior=n))
+        dense = (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
+                 - np.diag(np.ones(n - 1), -1)) / grid.h**2
+        for rhs in (rng.standard_normal(n),
+                    np.sin(3.0 * math.pi * grid.nodes / grid.length),
+                    (-1.0) ** np.arange(n)):
+            exact = np.linalg.solve(dense, rhs)
+            err = np.max(np.abs(laplacian_solve_values(grid, rhs) - exact))
+            assert err <= 1e-11 * np.max(np.abs(exact))
 
 
 def test_dual_norm_of_laplacian_is_h10(grid, rng):

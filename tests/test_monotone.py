@@ -159,6 +159,8 @@ def test_sampled_checks_run_in_bounded_memory():
             tracemalloc.stop()
 
     assert peak(lambda: monotonicity_sweep(P3, n_pairs=10_000)) < cap
+    # a cold cache, so that the radius is computed and not looked up
+    monotone._ball_radius.cache_clear()
     assert peak(lambda: default_ball_radius(P15, grid=Grid(n_interior=799))) < cap
 
 
@@ -346,6 +348,41 @@ def test_default_ball_radius_probes_fresh_draws(p):
         assert default_ball_radius(params, grid=grid) == r
 
 
+def test_default_ball_radius_is_cached_per_p_grid_and_seed(monkeypatch):
+    monotone._ball_radius.cache_clear()
+    counts = {"bounds": 0}
+    monkeypatch.setattr(monotone, "ball_coercivity_bound", counting(
+        counts, "bounds", ball_coercivity_bound))
+    grid = Grid(n_interior=99)
+    r = default_ball_radius(P15, grid=grid)
+    for gamma, lam in ((0.0, 0.0), (0.5, 3.0), (2.0, -1.0)):
+        params = ProblemParams(p=1.5, gamma=gamma, lam=lam)
+        assert default_ball_radius(params, grid=Grid(n_interior=99)) == r
+    assert counts["bounds"] == 1
+    # a different p, grid or seed is its own entry, computed once
+    for p, n, seed in ((1.2, 99, 7), (1.5, 199, 7), (1.5, 99, 8)):
+        default_ball_radius(ProblemParams(p=p, gamma=0.5, lam=0.0),
+                            grid=Grid(n_interior=n), seed=seed)
+    assert counts["bounds"] == 4
+    default_ball_radius(P15, grid=Grid(n_interior=99), seed=8)
+    assert counts["bounds"] == 4
+    # the p check runs before the lookup, and p = 3 never reaches the cache
+    with pytest.raises(ValueError):
+        default_ball_radius(P3, grid=grid)
+    assert counts["bounds"] == 4
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.9])
+def test_cached_ball_radius_equals_fresh_computation(p):
+    params = ProblemParams(p=p, gamma=0.5, lam=0.0)
+    for n in (9, 199, 399, 799):
+        grid = Grid(n_interior=n)
+        fresh = monotone._ball_radius.__wrapped__(p, grid, 7)
+        monotone._ball_radius.cache_clear()
+        assert default_ball_radius(params, grid=grid) == fresh
+        assert default_ball_radius(params, grid=grid) == fresh
+
+
 def test_ball_coercivity_samples_of_no_pairs(grid):
     assert ball_coercivity_samples(P15, 0.5, 0, np.random.default_rng(0), grid).shape == (0,)
 
@@ -399,3 +436,35 @@ def test_ball_solve_evaluates_each_trial_once(grid, rng, monkeypatch):
     assert report.iterations >= 2
     assert counts["trials"] >= report.iterations
     assert counts["residuals"] == 1 + counts["trials"]
+
+
+def test_ball_solve_takes_one_dual_norm_per_trial(grid, rng, monkeypatch):
+    # one for the tolerance on f, one at the start, one per line-search
+    # trial; an accepted trial's norm is reused, not recomputed
+    counts = {"dual_norms": 0, "trials": 0}
+    monkeypatch.setattr(monotone, "dual_norm", counting(
+        counts, "dual_norms", dual_norm))
+    count_trials(monkeypatch, monotone, counts)
+    r = default_ball_radius(P15, grid=grid)
+    v_star = random_field(grid, rng)
+    v_star = (0.5 * r / h10_norm(v_star)) * v_star
+    report = solve_monotone_ball(residual_transformed(v_star, P15), P15, radius=r)
+    assert report.iterations >= 2
+    assert counts["dual_norms"] == 2 + counts["trials"]
+
+
+def test_stalled_line_search_is_reported_as_a_stall(grid, monkeypatch):
+    # the first step goes through, the second finds no descent
+    step = monotone.damped_step
+    calls = {"steps": 0}
+
+    def stalling_step(*args, **kwargs):
+        calls["steps"] += 1
+        return step(*args, **kwargs) if calls["steps"] == 1 else None
+
+    monkeypatch.setattr(monotone, "damped_step", stalling_step)
+    f = Field.from_function(grid, lambda x: math.sin(2.0 * x))
+    with pytest.raises(SolverError, match="line search stalled") as exc:
+        solve_monotone(f, P3)
+    assert exc.value.report.iterations == 1
+    assert calls["steps"] == 2
