@@ -59,30 +59,27 @@ class RunConfig:
         return Grid(n_interior=self.grid_n, length=self.length)
 
 
-def _cell(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return FLOAT_FORMAT % float(x)
-
-
-def _check_finite(name: str, rows: list[list]) -> None:
-    for row in rows:
-        for x in row:
-            if isinstance(x, (bool, np.bool_)):
-                continue
-            if not math.isfinite(float(x)):
-                raise SolverError(f"non-finite value in output table {name}")
+def _cell_format(kind: type) -> str:
+    """Format of a cell of this type: bools as 1/0, integers exact, the rest FLOAT_FORMAT."""
+    if issubclass(kind, (int, np.integer, np.bool_)):
+        return "%d"
+    return FLOAT_FORMAT
 
 
 def _write_table(base: Path, fmt: str, header: list[str],
                  rows: list[list]) -> Path:
-    _check_finite(base.name, rows)
+    if not np.isfinite(np.asarray(rows, dtype=float)).all():
+        raise SolverError(f"non-finite value in output table {base.name}")
     if fmt == "csv":
         path = base.with_suffix(".csv")
         lines = [",".join(header)]
-        lines.extend(",".join(_cell(x) for x in row) for row in rows)
+        row_formats: dict[tuple[type, ...], str] = {}
+        for row in rows:
+            kinds = tuple(map(type, row))
+            row_format = row_formats.get(kinds)
+            if row_format is None:
+                row_format = row_formats[kinds] = ",".join(map(_cell_format, kinds))
+            lines.append(row_format % tuple(row))
         path.write_text("\n".join(lines) + "\n", newline="\n")
     else:
         path = base.with_suffix(".json")

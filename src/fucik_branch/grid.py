@@ -57,8 +57,9 @@ class Grid:
 
     @property
     def full_nodes(self) -> np.ndarray:
-        """All node coordinates including both boundary points."""
+        """All node coordinates including both boundary points; the last is exactly length."""
         x = self.h * np.arange(0, self.n_interior + 2)
+        x[-1] = self.length  # h*(n+1) can miss length by an ulp
         x.setflags(write=False)
         return x
 
@@ -250,12 +251,12 @@ def dual_norm(r: Field) -> float:
 
 
 def write_field_csv(u: Field, path) -> None:
-    """Write x,value rows for all nodes; boundary rows carry value 0."""
+    """Write x,value rows for all nodes, from x = 0 to exactly x = length;
+    boundary rows carry value 0."""
+    row = f"{FLOAT_FORMAT},{FLOAT_FORMAT}"
+    values = [0.0, *u.values.tolist(), 0.0]
     lines = ["x,value"]
-    x = u.grid.full_nodes
-    full = np.concatenate(([0.0], u.values, [0.0]))
-    for xi, vi in zip(x, full):
-        lines.append(f"{FLOAT_FORMAT % xi},{FLOAT_FORMAT % vi}")
+    lines.extend(row % xv for xv in zip(u.grid.full_nodes.tolist(), values))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -13,6 +13,8 @@ decreasing scalar function.
 The discrete eigenpairs come from the same idea one level down: each row of
 (A + gamma*diag(1[u < 0]) - lambda) u = 0 is a three-term recurrence, shot
 from u_0 = 0 and bisected in lambda until its end value u_{n+1} vanishes.
+The bisection carries only the last two values of the recurrence; the
+eigenvector is shot once, at the root.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from ._tridiag import thomas_solve  # noqa: F401 -- perfbench/tracer.py patches it by name here
 from .grid import Field, Grid, apply_laplacian, dual_norm
+from .monotone import SolverError
 from .spectrum import closed_form_eigenvalue, eigenpair
 
 _RESIDUAL_TOL = 1e-8
@@ -171,6 +174,31 @@ def shoot_split_lambda(k: int, gamma: float, length: float, which: int) -> float
     return _bisect(excess, lo, hi)
 
 
+def _multipliers(grid: Grid, gamma: float, lam: float) -> tuple[float, float]:
+    """Multipliers of u_i in the shooting recurrence where u_i >= 0 and where u_i < 0."""
+    c_pos = 2.0 - grid.h ** 2 * lam
+    return c_pos, c_pos + grid.h ** 2 * gamma
+
+
+def _end_value(grid: Grid, gamma: float, u1: float, lam: float) -> float:
+    """End value u_{n+1}(lam) of the shot from u_0 = 0, u_1 = u1; keeps two floats."""
+    c_pos, c_neg = _multipliers(grid, gamma, lam)
+    prev, cur = 0.0, u1
+    for _ in range(grid.n_interior):
+        prev, cur = cur, (c_neg if cur < 0.0 else c_pos) * cur - prev
+    return cur
+
+
+def _shot_values(grid: Grid, gamma: float, u1: float, lam: float) -> np.ndarray:
+    """Interior values u_1 .. u_n of the same shot."""
+    c_pos, c_neg = _multipliers(grid, gamma, lam)
+    u = [0.0, u1]
+    for _ in range(grid.n_interior - 1):
+        cur = u[-1]
+        u.append((c_neg if cur < 0.0 else c_pos) * cur - u[-2])
+    return np.array(u[1:])
+
+
 def _discrete_half_eigen(grid: Grid, gamma: float, which: int, lam_lo: float,
                          lam_hi: float) -> tuple[float, np.ndarray]:
     """Eigenpair of the full discretization in the window [lam_lo, lam_hi].
@@ -180,25 +208,14 @@ def _discrete_half_eigen(grid: Grid, gamma: float, which: int, lam_lo: float,
     rows 1..n-1 of (A + gamma*diag(1[u < 0]) - lambda) u = 0 hold for every
     lambda and row n holds when u_{n+1}(lambda) = 0. That end value is
     continuous in lambda (the gamma term vanishes as u_i -> 0) and changes
-    sign across the window, where it is bisected. Zero nodes belong to the
-    positive part. Returns lambda and the L2-normalized shot.
+    sign across the window, where it is bisected. The bisection evaluates
+    only u_{n+1}; the vector is shot once, at the root. Zero nodes belong to
+    the positive part. Returns lambda and the L2-normalized shot.
     """
-    n = grid.n_interior
-    h2 = grid.h ** 2
     u1 = grid.h if which == 1 else -grid.h
-
-    def shot(lam: float) -> list[float]:
-        c_pos = 2.0 - h2 * lam
-        c_neg = c_pos + h2 * gamma
-        u = [0.0, u1]
-        for _ in range(n):
-            cur = u[-1]
-            u.append((c_neg if cur < 0.0 else c_pos) * cur - u[-2])
-        return u
-
-    side = math.copysign(1.0, shot(lam_lo)[-1])
-    lam = _bisect(lambda x: side * shot(x)[-1], lam_lo, lam_hi)
-    vec = np.array(shot(lam)[1:-1])
+    side = math.copysign(1.0, _end_value(grid, gamma, u1, lam_lo))
+    lam = _bisect(lambda x: side * _end_value(grid, gamma, u1, x), lam_lo, lam_hi)
+    vec = _shot_values(grid, gamma, u1, lam)
     return lam, vec / math.sqrt(grid.h * float(np.dot(vec, vec)))
 
 
@@ -208,7 +225,8 @@ def split_eigenvalues(grid: Grid, k: int, gamma: float) -> SplitEigenPair:
     gamma = 0 degenerates to the linear eigenpair on both branches. For
     gamma > 0 each branch is shot on the discrete window and checked against
     the window, the continuum value (within 0.25*h^2*lambda^2, four times the
-    leading P1 error constant 1/12), a 1e-8 residual and its orientation.
+    leading P1 error constant 1/12), a 1e-8 residual and its orientation; a
+    failed check raises SolverError.
     """
     if not gamma >= 0.0:
         raise ValueError("gamma must be nonnegative")
@@ -235,24 +253,24 @@ def split_eigenvalues(grid: Grid, k: int, gamma: float) -> SplitEigenPair:
         lam_shoot = shoot_split_lambda(k, gamma, grid.length, which)
         lam, vec = _discrete_half_eigen(grid, gamma, which, lam_lo, lam_hi)
         if not (lam_lo - 1e-9 <= lam <= lam_hi + 1e-9):
-            raise RuntimeError(
+            raise SolverError(
                 f"discrete half-eigenvalue {lam:.12g} left the window "
                 f"[{lam_lo:.12g}, {lam_hi:.12g}]")
         if abs(lam - lam_shoot) > _DRIFT_CONST * grid.h ** 2 * lam_shoot ** 2:
-            raise RuntimeError("discrete half-eigenvalue drifted from the continuum root")
+            raise SolverError("discrete half-eigenvalue drifted from the continuum root")
         field = Field(grid, vec)
         res = half_eigen_residual(field, lam, gamma)
         if res > _RESIDUAL_TOL:
-            raise RuntimeError(f"half-eigen residual {res:.3e} exceeds {_RESIDUAL_TOL}")
+            raise SolverError(f"half-eigen residual {res:.3e} exceeds {_RESIDUAL_TOL}")
         proj = grid.h * float(np.dot(ek.vector.values, vec))
         if sign * proj <= 0.0:
-            raise RuntimeError("discrete eigenfunction lost its branch orientation")
+            raise SolverError("discrete eigenfunction lost its branch orientation")
         results.append((lam, field, proj))
 
     (lam1, v1, p1), (lam2, v2, p2) = results
     eta = 0.5 * min(abs(p1), abs(p2))
     if eta <= 0.0:
-        raise RuntimeError("cone margin collapsed to zero")
+        raise SolverError("cone margin collapsed to zero")
     return SplitEigenPair(k=k, gamma=gamma, lambda1=lam1, lambda2=lam2,
                           v1=v1, v2=v2, eta=eta)
 

@@ -11,7 +11,7 @@ import pytest
 
 from fucik_branch.config import SolverConfig
 from fucik_branch.continuation import BranchSeed, trace_branch
-from fucik_branch.grid import Field, Grid, inner_l2, norms
+from fucik_branch.grid import FLOAT_FORMAT, Field, Grid, inner_l2, norms
 from fucik_branch.quasilinear import ProblemParams, residual_original
 
 
@@ -68,6 +68,50 @@ def reference_sweep(params: ProblemParams, n_pairs: int,
             worst = min(worst, ratio)
             violations += ratio <= 0.0
     return worst, violations
+
+
+def reference_shot(grid: Grid, gamma: float, which: int, lam: float) -> list[float]:
+    """The half-eigen shooting recurrence as a list of all n + 2 nodes u_0 .. u_{n+1}."""
+    n = grid.n_interior
+    h2 = grid.h ** 2
+    c_pos = 2.0 - h2 * lam
+    c_neg = c_pos + h2 * gamma
+    u = [0.0, grid.h if which == 1 else -grid.h]
+    for _ in range(n):
+        cur = u[-1]
+        u.append((c_neg if cur < 0.0 else c_pos) * cur - u[-2])
+    return u
+
+
+def reference_half_eigen(grid: Grid, gamma: float, which: int, lam_lo: float,
+                         lam_hi: float) -> tuple[float, np.ndarray]:
+    """Discrete half-eigenpair by bisecting the last entry of full list shots
+    to adjacent doubles; returns lambda and the L2-normalized interior shot."""
+    side = math.copysign(1.0, reference_shot(grid, gamma, which, lam_lo)[-1])
+    lo, hi = lam_lo, lam_hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if side * reference_shot(grid, gamma, which, mid)[-1] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    vec = np.array(reference_shot(grid, gamma, which, mid)[1:-1])
+    return mid, vec / math.sqrt(grid.h * float(np.dot(vec, vec)))
+
+
+def reference_cell(x) -> str:
+    """One CSV table cell: bools as 1/0, integers exact, the rest FLOAT_FORMAT."""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return FLOAT_FORMAT % float(x)
+
+
+def reference_table_csv(header: list[str], rows: list[list]) -> str:
+    """A CSV table formatted cell by cell."""
+    lines = [",".join(header)]
+    lines.extend(",".join(reference_cell(x) for x in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="session")

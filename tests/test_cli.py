@@ -8,18 +8,19 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from pytest import approx
 
 import fucik_branch
-from fucik_branch import __version__
+from fucik_branch import __version__, cli, halfeig
 from fucik_branch.cli import run
 from fucik_branch.grid import Grid, inner_l2, l2_norm, read_field_csv
 from fucik_branch.halfeig import fucik_shoot, split_eigenvalues
-from fucik_branch.monotone import check_vector_inequalities
+from fucik_branch.monotone import SolverError, check_vector_inequalities
 from fucik_branch.quasilinear import ProblemParams
 from fucik_branch.spectrum import closed_form_eigenvalue, eigenpair
 
-from conftest import reference_sweep
+from conftest import reference_sweep, reference_table_csv
 
 
 def read_csv(path):
@@ -286,6 +287,102 @@ def test_solver_failure_exits_1(tmp_path):
               "--gamma", "0.5", "--alpha0", "1e6", "--steps", "3",
               "--output-dir", str(tmp_path)])
     assert rc == 1
+
+
+def test_half_eigen_self_check_failure_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(halfeig, "_RESIDUAL_TOL", 0.0)
+    with pytest.raises(SolverError, match="half-eigen residual"):
+        split_eigenvalues(Grid(), 2, 0.5)
+    # SolverError is a RuntimeError, so callers catching RuntimeError still do
+    with pytest.raises(RuntimeError):
+        split_eigenvalues(Grid(), 2, 0.5)
+    capsys.readouterr()
+    assert run(["halfeig", "--k", "2", "--gamma", "0.5",
+                "--output-dir", str(tmp_path)]) == 1
+    assert "solver failure: half-eigen residual" in capsys.readouterr().err
+    assert not (tmp_path / "halfeig.json").exists()
+    # the branch seed goes through the same checks
+    assert run(["branch", "--p", "3", "--k", "2", "--which", "1",
+                "--gamma", "0.5", "--steps", "3",
+                "--output-dir", str(tmp_path)]) == 1
+    assert "solver failure: half-eigen residual" in capsys.readouterr().err
+
+
+def _recorded_tables(monkeypatch) -> list:
+    """Record (path, fmt, header, rows) of every table cli writes."""
+    tables = []
+    write = cli._write_table
+
+    def recorded(base, fmt, header, rows):
+        path = write(base, fmt, header, rows)
+        tables.append((path, fmt, header, rows))
+        return path
+
+    monkeypatch.setattr(cli, "_write_table", recorded)
+    return tables
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum"],
+    ["fucik", "--samples", "50"],
+    ["branch", "--p", "3", "--k", "2", "--gamma", "0.5", "--steps", "15"],
+    ["branch", "--p", "1.5", "--k", "2", "--gamma", "0.5", "--steps", "15"],
+])
+def test_csv_tables_match_cell_by_cell_formatting(tmp_path, monkeypatch, argv):
+    tables = _recorded_tables(monkeypatch)
+    assert run(argv + ["--output-dir", str(tmp_path)]) == 0
+    assert tables
+    for path, fmt, header, rows in tables:
+        assert fmt == "csv" and rows
+        assert path.read_bytes() == reference_table_csv(header, rows).encode()
+    if argv[0] == "branch":
+        # in_cone is a bool column, and the transformed trace adds h12_original
+        assert all(isinstance(row[5], (bool, np.bool_))
+                   for _, _, _, rows in tables for row in rows)
+        assert (tables[0][2][-1] == "h12_original") == (argv[2] == "1.5")
+
+
+def test_mixed_cell_types_match_cell_by_cell_formatting(tmp_path):
+    header = ["a", "b", "c", "d"]
+    # the second row puts an int in float column a and a float in int column b
+    rows = [[1.5, 2, True, np.int64(-3)],
+            [3, 2.5, np.False_, np.float64(0.1)],
+            [np.float32(0.1), 2 ** 70, False, np.True_],
+            [-0.0, np.uint8(200), 7, 1e300]]
+    path = cli._write_table(tmp_path / "mixed", "csv", header, rows)
+    assert path.read_bytes() == reference_table_csv(header, rows).encode()
+    assert path.read_text().splitlines()[2] == "3,2.5,0,0.10000000000000001"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_table_cell_raises_solver_error(tmp_path, fmt, bad):
+    for col in range(3):
+        rows = [[1, 0.5, True], [2, 1.5, False]]
+        rows[1][col] = bad
+        with pytest.raises(SolverError, match="non-finite value"):
+            cli._write_table(tmp_path / "t", fmt, ["k", "x", "flag"], rows)
+        assert not (tmp_path / f"t.{fmt}").exists()
+
+
+def test_non_finite_table_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "continuum_eigenvalue", lambda grid, k: math.nan)
+    assert run(["spectrum", "--output-dir", str(tmp_path)]) == 1
+    assert "solver failure: non-finite value" in capsys.readouterr().err
+
+
+def test_json_tables_keep_cell_types(tmp_path, monkeypatch):
+    tables = _recorded_tables(monkeypatch)
+    for argv in (["spectrum"], ["fucik", "--samples", "20"]):
+        assert run(argv + ["--format", "json",
+                           "--output-dir", str(tmp_path)]) == 0
+    for path, fmt, header, rows in tables:
+        assert fmt == "json"
+        payload = json.loads(path.read_text())
+        assert [list(entry) for entry in payload] == [sorted(header)] * len(rows)
+        for entry, row in zip(payload, rows):
+            for key, x in zip(header, row):
+                assert entry[key] == x and type(entry[key]) is type(x)
 
 
 def test_log_env_values(tmp_path, monkeypatch, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from fucik_branch import grid as grid_module
 from fucik_branch.grid import (
+    FLOAT_FORMAT,
     Field,
     Grid,
     apply_laplacian,
@@ -48,7 +49,9 @@ def test_grid_basic_geometry():
     assert g.full_nodes.shape == (11,)
     assert g.nodes[0] == pytest.approx(0.2)
     assert g.full_nodes[0] == 0.0
-    assert g.full_nodes[-1] == pytest.approx(2.0)
+    assert g.full_nodes[-1] == 2.0
+    # h*(n+1) is one ulp above pi here; the boundary node is exactly length
+    assert Grid(n_interior=199).full_nodes[-1] == math.pi
 
 
 def test_grid_validation():
@@ -277,18 +280,20 @@ def test_dual_norm_of_laplacian_is_h10(grid, rng):
     assert dual_norm(apply_laplacian(u)) == pytest.approx(h10_norm(u), rel=1e-10)
 
 
-def test_field_csv_round_trip(tmp_path, grid, rng):
-    u = random_field(grid, rng)
-    path = tmp_path / "field.csv"
-    write_field_csv(u, path)
-    back = read_field_csv(path)
-    assert back.grid.n_interior == grid.n_interior
-    assert back.grid.length == pytest.approx(grid.length, rel=1e-15)
-    assert np.array_equal(back.values, u.values)
-    first = path.read_text().splitlines()
-    assert first[0] == "x,value"
-    assert first[1].endswith(",0")
-    assert first[-1].endswith(",0")
+def test_field_csv_round_trip(tmp_path, rng):
+    for n in (10, 199, 399, 799):
+        grid = Grid(n_interior=n)
+        u = random_field(grid, rng)
+        path = tmp_path / f"field{n}.csv"
+        write_field_csv(u, path)
+        back = read_field_csv(path)
+        assert back.grid == grid
+        assert not (back - u).values.any()  # same grid, so the fields combine
+        lines = path.read_text().splitlines()
+        assert lines[0] == "x,value"
+        assert lines[1] == "0,0"
+        assert lines[-1] == f"{FLOAT_FORMAT % grid.length},0"
+        assert len(lines) == n + 3
 
 
 def test_field_csv_rejects_nonzero_boundary(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fucik_branch import halfeig
 from fucik_branch.grid import Grid, inner_l2, l2_norm
 from fucik_branch.halfeig import (
     FucikPoint,
@@ -18,6 +19,8 @@ from fucik_branch.halfeig import (
     split_eigenvalues,
 )
 from fucik_branch.spectrum import closed_form_eigenvalue, eigenpair
+
+from conftest import reference_half_eigen, reference_shot
 
 
 def two_hump_lambda1(gamma: float) -> float:
@@ -333,3 +336,47 @@ def test_discrete_half_eigenpair_residual(n, k, frac):
     pair = split_eigenvalues(grid, k, gamma)
     assert half_eigen_residual(pair.v1, pair.lambda1, gamma) <= 1e-8
     assert half_eigen_residual(pair.v2, pair.lambda2, gamma) <= 1e-8
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n", [9, 199, 799, 3199])
+def test_split_eigenvalues_bit_equal_to_list_shot_bisection(n):
+    grid = Grid(n_interior=n)
+    for k in (2, 3, 5):
+        ek = eigenpair(grid, k).vector.values
+        lam_lo = closed_form_eigenvalue(grid, k)
+        lam_hi = closed_form_eigenvalue(grid, k + 1)
+        for frac in (0.01, 0.25, 0.9):
+            gamma = frac * gamma_window(grid, k).gamma_max
+            pair = split_eigenvalues(grid, k, gamma)
+            lam1, vec1 = reference_half_eigen(grid, gamma, 1, lam_lo, lam_hi)
+            lam2, vec2 = reference_half_eigen(grid, gamma, 2, lam_lo, lam_hi)
+            eta = 0.5 * min(abs(grid.h * float(np.dot(ek, vec1))),
+                            abs(grid.h * float(np.dot(ek, vec2))))
+            assert _bits(pair.lambda1) == _bits(lam1)
+            assert _bits(pair.lambda2) == _bits(lam2)
+            assert _bits(pair.v1.values) == _bits(vec1)
+            assert _bits(pair.v2.values) == _bits(vec2)
+            assert _bits(pair.eta) == _bits(eta)
+
+
+@pytest.mark.parametrize("n", [9, 199, 799])
+def test_end_value_shot_equals_last_node_of_full_shot(n):
+    grid = Grid(n_interior=n)
+    for k in (2, 5):
+        lam_lo = closed_form_eigenvalue(grid, k)
+        lam_hi = closed_form_eigenvalue(grid, k + 1)
+        gamma = 0.25 * gamma_window(grid, k).gamma_max
+        for which in (1, 2):
+            u1 = grid.h if which == 1 else -grid.h
+            root, vec = halfeig._discrete_half_eigen(grid, gamma, which,
+                                                     lam_lo, lam_hi)
+            for lam in (lam_lo, lam_hi, root):
+                full = reference_shot(grid, gamma, which, lam)
+                end = halfeig._end_value(grid, gamma, u1, lam)
+                assert _bits(end) == _bits(full[-1])
+                values = halfeig._shot_values(grid, gamma, u1, lam)
+                assert _bits(values) == _bits(full[1:-1])
