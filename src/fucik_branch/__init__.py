@@ -14,13 +14,12 @@ from .continuation import (Branch, BranchPoint, BranchSeed, ConeParams,
                            MeetsTrivial, cone_test, decompose,
                            localization_check, ls_residual, newton_at_lambda,
                            recompose, scaling_slope, trace_branch)
-from .grid import (Field, Grid, NormReport, apply_laplacian, apply_p_laplacian,
-                   dual_norm, h10_norm, inner_l2, l2_norm, laplacian_solve,
-                   norms, read_field_csv, write_field_csv)
+from .grid import (Field, Grid, NormReport, apply_laplacian, dual_norm,
+                   h10_norm, inner_l2, l2_norm, norms, read_field_csv,
+                   write_field_csv)
 from .halfeig import (FucikPoint, GammaWindow, SplitEigenPair,
-                      fucik_curve_points, fucik_shoot, gamma_window,
-                      half_eigen_residual, shoot_split_lambda,
-                      split_eigenvalues)
+                      fucik_curve_points, gamma_window, half_eigen_residual,
+                      shoot_split_lambda, split_eigenvalues)
 from .monotone import (SolveReport, SolverError, VectorInequalityReport,
                        ball_coercivity_bound, ball_coercivity_samples,
                        check_vector_inequalities, default_ball_radius,
@@ -32,8 +31,7 @@ from .quasilinear import (Jacobian, ProblemParams, TransformedField, energy,
                           residual_weak, to_infinity_variable,
                           transform_coefficient)
 from .spectrum import (EigenPair, closed_form_eigenvalue,
-                       continuum_eigenvalue, eigenpair, eigenpair_iterative,
-                       rayleigh_lambda1)
+                       continuum_eigenvalue, eigenpair)
 
 __version__ = "0.1.0"
 
@@ -43,19 +41,16 @@ __all__ = [
     "LSDecomposition", "LocalizationReport", "MaxSteps", "MeetsInfinity",
     "MeetsTrivial", "NormReport", "ProblemParams", "SolveReport",
     "SolverConfig", "SolverError", "SplitEigenPair", "TransformedField",
-    "VectorInequalityReport", "apply_laplacian", "apply_p_laplacian",
-    "ball_coercivity_bound", "ball_coercivity_samples",
-    "check_vector_inequalities", "closed_form_eigenvalue", "cone_test",
-    "continuum_eigenvalue", "decompose", "default_ball_radius", "dual_norm",
-    "eigenpair", "eigenpair_iterative", "energy", "from_infinity_variable",
-    "fucik_curve_points", "fucik_shoot", "gamma_window", "h10_norm",
+    "VectorInequalityReport", "apply_laplacian", "ball_coercivity_bound",
+    "ball_coercivity_samples", "check_vector_inequalities",
+    "closed_form_eigenvalue", "cone_test", "continuum_eigenvalue", "decompose",
+    "default_ball_radius", "dual_norm", "eigenpair", "energy",
+    "from_infinity_variable", "fucik_curve_points", "gamma_window", "h10_norm",
     "half_eigen_residual", "inner_l2", "jacobian_original",
-    "jacobian_transformed", "l2_norm", "laplacian_solve",
-    "localization_check", "ls_residual", "monotonicity_sweep",
-    "newton_at_lambda", "norms", "original_h10_norm", "rayleigh_lambda1",
-    "read_field_csv", "recompose", "residual_original",
-    "residual_transformed", "residual_weak", "scaling_slope",
-    "shoot_split_lambda", "solve_monotone", "solve_monotone_ball",
-    "split_eigenvalues", "to_infinity_variable", "trace_branch",
-    "transform_coefficient", "write_field_csv",
+    "jacobian_transformed", "l2_norm", "localization_check", "ls_residual",
+    "monotonicity_sweep", "newton_at_lambda", "norms", "original_h10_norm",
+    "read_field_csv", "recompose", "residual_original", "residual_transformed",
+    "residual_weak", "scaling_slope", "shoot_split_lambda", "solve_monotone",
+    "solve_monotone_ball", "split_eigenvalues", "to_infinity_variable",
+    "trace_branch", "transform_coefficient", "write_field_csv",
 ]

@@ -16,7 +16,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,30 +32,6 @@ from .spectrum import continuum_eigenvalue, eigenpair
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
                "debug": logging.DEBUG}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run-wide settings shared by every subcommand."""
-
-    grid_n: int = 199
-    length: float = math.pi
-    output_dir: Path = Path("out")
-    fmt: str = "csv"
-    seed: int = 42
-    solver: SolverConfig = field(default_factory=SolverConfig)
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.grid_n, int) and self.grid_n >= 3):
-            raise ValueError(f"grid-n must be an integer >= 3, got {self.grid_n}")
-        if not (math.isfinite(self.length) and self.length > 0.0):
-            raise ValueError(f"length must be positive and finite, got {self.length}")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.fmt}")
-
-    @property
-    def grid(self) -> Grid:
-        return Grid(n_interior=self.grid_n, length=self.length)
 
 
 def _cell_format(kind: type) -> str:
@@ -102,20 +77,18 @@ def _finite_or_none(x: float | None) -> float | None:
     return float(x)
 
 
-def cmd_spectrum(args: argparse.Namespace, cfg: RunConfig, outdir: Path) -> int:
-    grid = cfg.grid
+def cmd_spectrum(args: argparse.Namespace, grid: Grid, outdir: Path) -> int:
     if not 1 <= args.count <= grid.n_interior:
         raise ValueError(f"count must lie in [1, {grid.n_interior}]")
     rows = [[k, eigenpair(grid, k).value, continuum_eigenvalue(grid, k)]
             for k in range(1, args.count + 1)]
-    path = _write_table(outdir / "spectrum", cfg.fmt,
+    path = _write_table(outdir / "spectrum", args.format,
                         ["k", "lambda_discrete", "lambda_continuum"], rows)
     print(f"wrote {path}")
     return 0
 
 
-def cmd_halfeig(args: argparse.Namespace, cfg: RunConfig, outdir: Path) -> int:
-    grid = cfg.grid
+def cmd_halfeig(args: argparse.Namespace, grid: Grid, outdir: Path) -> int:
     pair = split_eigenvalues(grid, args.k, args.gamma)
     payload = {"k": pair.k, "gamma": pair.gamma, "lambda1": pair.lambda1,
                "lambda2": pair.lambda2, "eta": pair.eta}
@@ -129,11 +102,11 @@ def cmd_halfeig(args: argparse.Namespace, cfg: RunConfig, outdir: Path) -> int:
     return 0
 
 
-def cmd_fucik(args: argparse.Namespace, cfg: RunConfig, outdir: Path) -> int:
-    points = fucik_curve_points(cfg.length, args.lambda_max, args.samples)
+def cmd_fucik(args: argparse.Namespace, grid: Grid, outdir: Path) -> int:
+    points = fucik_curve_points(grid.length, args.lambda_max, args.samples)
     rows = [[pt.lambda_plus, pt.lambda_minus, pt.n_plus, pt.n_minus]
             for pt in points]
-    path = _write_table(outdir / "fucik", cfg.fmt,
+    path = _write_table(outdir / "fucik", args.format,
                         ["lambda_plus", "lambda_minus", "n_plus", "n_minus"],
                         rows)
     print(f"wrote {path} ({len(rows)} points)")
@@ -193,12 +166,12 @@ def _gnuplot_script(entries: list[tuple[str, BranchSeed]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_branch(args: argparse.Namespace, cfg: RunConfig, outdir: Path) -> int:
+def cmd_branch(args: argparse.Namespace, grid: Grid, outdir: Path) -> int:
     whichs = (1, 2) if args.which == "both" else (int(args.which),)
     seeds = [BranchSeed(k=k, which=w, gamma=args.gamma, p=args.p)
              for k in args.k for w in whichs]
-    solver = replace(cfg.solver, alpha0=args.alpha0, max_steps=args.steps)
-    branches = [trace_branch(seed, cfg.grid, solver) for seed in seeds]
+    solver = SolverConfig(alpha0=args.alpha0, max_steps=args.steps)
+    branches = [trace_branch(seed, grid, solver) for seed in seeds]
 
     summaries = []
     entries = []
@@ -225,13 +198,13 @@ def cmd_branch(args: argparse.Namespace, cfg: RunConfig, outdir: Path) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig, outdir: Path) -> int:
-    rng = np.random.default_rng(cfg.seed)
+def cmd_verify(args: argparse.Namespace, grid: Grid, outdir: Path) -> int:
+    rng = np.random.default_rng(args.seed)
     report = check_vector_inequalities(args.p, args.samples, rng)
     worst, bad = monotonicity_sweep(
         ProblemParams(p=args.p, gamma=args.gamma, lam=0.0),
-        n_pairs=args.pairs, rng=np.random.default_rng(cfg.seed + 1),
-        grid=cfg.grid)
+        n_pairs=args.pairs, rng=np.random.default_rng(args.seed + 1),
+        grid=grid)
     payload = {"p": report.p, "n_samples": report.n_samples,
                "c1_emp": report.c1_emp, "c2_emp": report.c2_emp,
                "c1_floor": report.c1_floor, "violations": report.violations,
@@ -256,6 +229,8 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected integers, got {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("expected at least one integer")
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"repeated values in {text!r}")
     return values
 
 
@@ -352,15 +327,13 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        cfg = RunConfig(grid_n=args.grid_n, length=args.length,
-                        output_dir=Path(args.output_dir), fmt=args.format,
-                        seed=args.seed)
-        outdir = cfg.output_dir
+        grid = Grid(n_interior=args.grid_n, length=args.length)
+        outdir = Path(args.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         _write_json(outdir / "run_meta.json",
                     {"command": args.command, "parameters": _meta_params(args),
                      "version": __version__})
-        return args.func(args, cfg, outdir)
+        return args.func(args, grid, outdir)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

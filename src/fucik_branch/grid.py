@@ -6,7 +6,7 @@ load vector divided by h), so that inner_l2(Au, w) realizes the duality
 pairing <Au, w> and equals the weak form a(u, w). Zeroth-order terms use the
 trapezoid rule, under which an L2 function is its own dual vector.
 
-The discrete Poisson solve (laplacian_solve, and with it dual_norm) is
+The discrete Poisson solve (laplacian_solve_values, and with it dual_norm) is
 closed-form and O(n): the LU factors of tridiag(-1, 2, -1) are known, so
 both sweeps are cumulative sums. Its solver is cached per Grid.
 """
@@ -163,12 +163,6 @@ def element_gradients(u: Field) -> np.ndarray:
     return gradient_values(u.values, u.grid.h)
 
 
-def pos_neg_parts(u: Field) -> tuple[Field, Field]:
-    """Split u into (u_plus, u_minus), both nonnegative, with u = u_plus - u_minus."""
-    return (Field(u.grid, np.maximum(u.values, 0.0)),
-            Field(u.grid, np.maximum(-u.values, 0.0)))
-
-
 def apply_laplacian(u: Field) -> Field:
     """Dual vector of the Dirichlet Laplacian: (2u_i - u_{i-1} - u_{i+1}) / h^2."""
     h = u.grid.h
@@ -177,12 +171,6 @@ def apply_laplacian(u: Field) -> Field:
     out[:-1] -= v[1:]
     out[1:] -= v[:-1]
     return Field(u.grid, out / (h * h))
-
-
-def laplacian_solve(f: Field) -> Field:
-    """Inverse of apply_laplacian: solve the discrete Poisson problem."""
-    out = laplacian_solve_values(f.grid, f.values)
-    return Field(f.grid, out)
 
 
 def laplacian_solve_values(grid: Grid, rhs: np.ndarray) -> np.ndarray:
@@ -204,19 +192,6 @@ def _laplacian_factor(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
         return scale * np.cumsum(s[::-1])[::-1]
 
     return solve
-
-
-def apply_p_laplacian(u: Field, p: float) -> Field:
-    """Dual vector of the p-Laplacian with elementwise-constant gradients.
-
-    The flux on each element is |g|^(p-2) g, written as sign(g)|g|^(p-1) so the
-    value at g = 0 is 0 for every p > 1.
-    """
-    if not p > 1.0:
-        raise ValueError(f"p must exceed 1, got {p}")
-    g = element_gradients(u)
-    flux = np.sign(g) * np.abs(g) ** (p - 1.0)
-    return Field(u.grid, -np.diff(flux) / u.grid.h)
 
 
 def inner_l2(u: Field, w: Field) -> float:
@@ -263,10 +238,12 @@ def write_field_csv(u: Field, path) -> None:
 
 def read_field_csv(path) -> Field:
     """Read a field written by write_field_csv, reconstructing its grid."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    x, vals = data[:, 0], data[:, 1]
-    if x.size < 5:
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] < 5:
         raise ValueError("field file too short")
+    x, vals = data[:, 0], data[:, 1]
+    if x[0] != 0.0:
+        raise ValueError(f"field file must start at x = 0, got x = {x[0]:.17g}")
     widths = np.diff(x)
     if not np.allclose(widths, widths[0], rtol=1e-12, atol=0.0):
         raise ValueError("field file is not on a uniform grid")

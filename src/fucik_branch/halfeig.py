@@ -101,18 +101,13 @@ def gamma_window(grid: Grid, k: int) -> GammaWindow:
     return GammaWindow(k=k, gamma_max=min(lam_k - lam_prev, lam_next - lam_k))
 
 
-def fucik_shoot(lambda_plus: float, lambda_minus: float,
-                length: float) -> tuple[float, int, int]:
+def _shoot(lambda_plus: float, lambda_minus: float,
+           length: float) -> tuple[float, int, int]:
     """Endpoint value and hump counts of the arc chain started with u'(0) = 1.
 
     Marches hump by hump instead of using the closed form, so it serves as an
     independent check of the Fucik relation.
     """
-    return _shoot(lambda_plus, lambda_minus, length)
-
-
-def _shoot(lambda_plus: float, lambda_minus: float,
-           length: float) -> tuple[float, int, int]:
     if not (0.0 < lambda_plus < math.inf and 0.0 < lambda_minus < math.inf):
         raise ValueError("shooting requires positive, finite lambda_plus and lambda_minus")
     _check_length(length)

@@ -181,19 +181,12 @@ def solve_monotone(f: Field, params: ProblemParams,
                               f"(residual {rnorm:.3e}, tol {tol:.3e})", report)
         u_new = step[0]
         r_new = residual(u_new)
-        coercivity = min(coercivity, _monotonicity_sample(
-            r_new, r, u_new, u, params.p))
+        # r carries M(u) - f, so r_new - r = M(u_new) - M(u)
+        coercivity = min(coercivity, float(_monotonicity_ratios(
+            (r_new - r).values, (u_new - u).values, grid.h, params.p)))
         u, r = u_new, r_new
     raise SolverError(f"no convergence in {config.max_iter} iterations "
                       f"(residual {rnorm:.3e}, tol {tol:.3e})", report)
-
-
-def _monotonicity_sample(r_new: Field, r_old: Field, u_new: Field,
-                         u_old: Field, p: float) -> float:
-    # r carries M(u) - f, so r_new - r_old = M(u_new) - M(u_old)
-    du = u_new - u_old
-    return float(_monotonicity_ratios((r_new - r_old).values, du.values,
-                                      du.grid.h, p))
 
 
 def _monotonicity_ratios(dr: np.ndarray, du: np.ndarray, h: float,

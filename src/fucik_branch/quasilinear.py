@@ -83,9 +83,6 @@ class Jacobian:
         self.off = off
         self.rank_one = rank_one
 
-    def apply(self, w: Field) -> Field:
-        return Field(self.grid, self.apply_values(w.values))
-
     def apply_values(self, x: np.ndarray) -> np.ndarray:
         y = symmetric_tridiag_apply(self.diag, self.off, x)
         if self.rank_one is not None:
@@ -142,9 +139,10 @@ def _p_flux_derivative(g: np.ndarray, p: float, eps: float) -> np.ndarray:
     return (g * g + eps * eps) ** (0.5 * (p - 4.0)) * ((p - 1.0) * g * g + eps * eps)
 
 
-def _residual_values(values: np.ndarray, h: float, params: ProblemParams,
-                     coeff: float = 1.0) -> np.ndarray:
-    """-div(coeff*|g|^{p-2}g + g) - gamma*u^- - lam*u along the last axis."""
+def residual_original_values(values: np.ndarray, h: float, params: ProblemParams,
+                             coeff: float = 1.0) -> np.ndarray:
+    """-div(coeff*|g|^{p-2}g + g) - gamma*u^- - lam*u along the last axis
+    (one field or a block); residual_original at the default coeff = 1."""
     g = gradient_values(values, h)
     flux = coeff * _p_flux(g, params.p) + g
     return -np.diff(flux, axis=-1) / h \
@@ -154,13 +152,7 @@ def _residual_values(values: np.ndarray, h: float, params: ProblemParams,
 
 def residual_original(u: Field, params: ProblemParams) -> Field:
     """Dual vector of -Delta_p u - Delta u - gamma*u^- - lam*u."""
-    return Field(u.grid, _residual_values(u.values, u.grid.h, params))
-
-
-def residual_original_values(values: np.ndarray, h: float,
-                             params: ProblemParams) -> np.ndarray:
-    """residual_original of nodal values along the last axis (one field or a block)."""
-    return _residual_values(values, h, params)
+    return Field(u.grid, residual_original_values(u.values, u.grid.h, params))
 
 
 def residual_weak(u: Field, lambda_plus: float, lambda_minus: float,
@@ -201,7 +193,7 @@ def _weighted_stiffness(grid: Grid, weights: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _jacobian(u: Field, params: ProblemParams, transformed: bool) -> Jacobian:
-    """Generalized Jacobian of _residual_values at u: coeff 1, or if
+    """Generalized Jacobian of residual_original_values at u: coeff 1, or if
     transformed the norm coefficient and the rank-one term of its derivative.
 
     Gradient stiffness with elementwise weights coeff * d/dg[flux](g) + 1,
@@ -236,7 +228,7 @@ def residual_transformed(v: Field, params: ProblemParams) -> Field:
     """Dual vector of -||v||^{4-p} Delta_p v - Delta v - gamma*v^- - lam*v (1 < p < 2)."""
     _require_singular_range(params.p)
     coeff = transform_coefficient(v, params.p)
-    return Field(v.grid, _residual_values(v.values, v.grid.h, params, coeff))
+    return Field(v.grid, residual_original_values(v.values, v.grid.h, params, coeff))
 
 
 def jacobian_transformed(v: Field, params: ProblemParams) -> Jacobian:

@@ -1,9 +1,9 @@
 """Eigenpairs of the discrete Dirichlet Laplacian on a uniform interval grid.
 
 On a uniform P1 grid the eigenvectors are exact sine samples and the
-eigenvalues have the closed form (2/h^2)(1 - cos(k pi h / L)); the iterative
-path (shifted inverse iteration with tridiagonal solves) exists as an
-independent cross-check, not as the primary route.
+eigenvalues have the closed form (2/h^2)(1 - cos(k pi h / L)). The tests
+cross-check it by inverse iteration and a Rayleigh-quotient search
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._tridiag import symmetric_tridiag_apply, thomas_solve
-from .grid import Field, Grid, laplacian_solve_values
+from ._tridiag import thomas_solve  # noqa: F401 -- perfbench/tracer.py patches it by name here
+from .grid import Field, Grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,95 +65,3 @@ def eigenpair(grid: Grid, k: int) -> EigenPair:
     _check_index(grid, k)
     return EigenPair(k=k, value=closed_form_eigenvalue(grid, k),
                      vector=Field(grid, _eigenvector_values(grid, k)))
-
-
-def eigenpair_iterative(grid: Grid, k: int, tol: float = 1e-12,
-                        max_iter: int = 200) -> EigenPair:
-    """Same eigenpair by shifted inverse iteration with Thomas solves.
-
-    The shift comes from the closed form, offset so the shifted matrix stays
-    safely nonsingular; the start vector is a fixed-seed random vector so the
-    agreement with the closed form is a genuine cross-check.
-    """
-    _check_index(grid, k)
-    n = grid.n_interior
-    h2 = grid.h * grid.h
-    diag = np.full(n, 2.0 / h2)
-    off = np.full(n - 1, -1.0 / h2)
-    target = closed_form_eigenvalue(grid, k)
-    gap = closed_form_eigenvalue(grid, min(k + 1, n)) - target if k < n else \
-        target - closed_form_eigenvalue(grid, k - 1) if k > 1 else target
-    shift = target - 1e-3 * abs(gap) - 1e-9 * target
-
-    rng = np.random.default_rng(12345 + k)
-    v = rng.standard_normal(n)
-    v /= math.sqrt(grid.h * float(np.dot(v, v)))
-    lam = target
-    for _ in range(max_iter):
-        try:
-            w = thomas_solve(off, diag - shift, off, v)
-        except ValueError:
-            shift *= 1.0 - 1e-10
-            continue
-        w /= math.sqrt(grid.h * float(np.dot(w, w)))
-        av = symmetric_tridiag_apply(diag, off, w)
-        lam = grid.h * float(np.dot(av, w))
-        res = av - lam * w
-        v = w
-        if math.sqrt(grid.h * float(np.dot(res, res))) <= tol * max(1.0, lam):
-            break
-        shift = lam  # Rayleigh-quotient update after the first locked step
-    else:
-        raise RuntimeError(f"inverse iteration did not converge for k={k}")
-    return EigenPair(k=k, value=lam, vector=Field(grid, _fix_sign(v)))
-
-
-def rayleigh_lambda1(grid: Grid, trials: int, rng: np.random.Generator | None = None,
-                     max_iter: int = 120) -> float:
-    """Minimize the discrete Rayleigh quotient over random starts.
-
-    Projected gradient descent preconditioned by the stiffness matrix, with an
-    exact line search realized as a 2x2 eigenproblem on span{u, gradient}.
-    The returned value is the smallest quotient seen over all trials.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n = grid.n_interior
-    h = grid.h
-    h2 = h * h
-    diag = np.full(n, 2.0 / h2)
-    off = np.full(n - 1, -1.0 / h2)
-
-    def quotient(u: np.ndarray) -> float:
-        au = symmetric_tridiag_apply(diag, off, u)
-        return float(np.dot(au, u) / np.dot(u, u))
-
-    best = math.inf
-    for _ in range(trials):
-        u = rng.standard_normal(n)
-        u /= math.sqrt(h * float(np.dot(u, u)))
-        q = quotient(u)
-        for _ in range(max_iter):
-            g = u - q * laplacian_solve_values(grid, u)
-            # orthonormalize {u, g} in the discrete L2 inner product
-            g = g - h * float(np.dot(g, u)) * u
-            gn = math.sqrt(h * float(np.dot(g, g)))
-            if gn <= 1e-15:
-                break
-            g /= gn
-            s11 = h * float(np.dot(symmetric_tridiag_apply(diag, off, u), u))
-            s12 = h * float(np.dot(symmetric_tridiag_apply(diag, off, u), g))
-            s22 = h * float(np.dot(symmetric_tridiag_apply(diag, off, g), g))
-            evals, evecs = np.linalg.eigh(np.array([[s11, s12], [s12, s22]]))
-            a, b = evecs[:, 0]
-            u = a * u + b * g
-            u /= math.sqrt(h * float(np.dot(u, u)))
-            qnew = float(evals[0])
-            if q - qnew <= 1e-15 * max(1.0, q):
-                q = qnew
-                break
-            q = qnew
-        best = min(best, q)
-    return best

@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand through the argument parser."""
 
+import argparse
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import fucik_branch
 from fucik_branch import __version__, cli, halfeig
 from fucik_branch.cli import run
 from fucik_branch.grid import Grid, inner_l2, l2_norm, read_field_csv
-from fucik_branch.halfeig import fucik_shoot, split_eigenvalues
+from fucik_branch.halfeig import split_eigenvalues
 from fucik_branch.monotone import SolverError, check_vector_inequalities
 from fucik_branch.quasilinear import ProblemParams
 from fucik_branch.spectrum import closed_form_eigenvalue, eigenpair
@@ -108,8 +109,8 @@ def test_fucik_table_satisfies_shooting(tmp_path):
         assert abs(np_ - nm) <= 1
         # curves come in both orientations; the swapped shoot covers the
         # branch that starts with a negative hump
-        fwd, _, _ = fucik_shoot(lp, lm, math.pi)
-        rev, _, _ = fucik_shoot(lm, lp, math.pi)
+        fwd, _, _ = halfeig._shoot(lp, lm, math.pi)
+        rev, _, _ = halfeig._shoot(lm, lp, math.pi)
         assert min(abs(fwd), abs(rev)) <= 1e-8
 
 
@@ -393,3 +394,25 @@ def test_log_env_values(tmp_path, monkeypatch, capsys):
     assert "FUCIK_BRANCH_LOG" in capsys.readouterr().err
     monkeypatch.setenv("FUCIK_BRANCH_LOG", "error")
     assert run(["spectrum", "--count", "2", "--output-dir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("command", ["spectrum", "fucik"])
+@pytest.mark.parametrize("bad, message", [
+    (["--grid-n", "2"], "must be an integer >= 3"),
+    (["--length", "0"], "length must be positive and finite"),
+    (["--length", "nan"], "length must be positive and finite"),
+])
+def test_bad_grid_exits_2_before_any_output(tmp_path, capsys, command, bad, message):
+    outdir = tmp_path / "out"
+    assert run([command, *bad, "--output-dir", str(outdir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_repeated_k_is_a_usage_error(tmp_path):
+    with pytest.raises(argparse.ArgumentTypeError, match="repeated"):
+        cli._int_list("2,3,2")
+    outdir = tmp_path / "out"
+    assert run(["branch", "--p", "3", "--k", "2,2", "--gamma", "0.5",
+                "--output-dir", str(outdir)]) == 2
+    assert not outdir.exists()

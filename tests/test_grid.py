@@ -11,7 +11,6 @@ from fucik_branch.grid import (
     Field,
     Grid,
     apply_laplacian,
-    apply_p_laplacian,
     dot_values,
     dual_norm,
     element_gradients,
@@ -20,10 +19,8 @@ from fucik_branch.grid import (
     h10_values,
     inner_l2,
     l2_norm,
-    laplacian_solve,
     laplacian_solve_values,
     norms,
-    pos_neg_parts,
     read_field_csv,
     w1p_values,
     write_field_csv,
@@ -33,6 +30,7 @@ from fucik_branch.quasilinear import (ProblemParams, residual_original,
 from fucik_branch.spectrum import closed_form_eigenvalue, eigenpair
 
 from conftest import random_field
+from oracles import apply_p_laplacian, pos_neg_parts
 
 
 def stiffness_matrix(grid: Grid) -> np.ndarray:
@@ -139,8 +137,8 @@ def test_apply_laplacian_linearity(grid, rng):
 
 def test_laplacian_solve_round_trip(grid, rng):
     u = random_field(grid, rng)
-    back = laplacian_solve(apply_laplacian(u))
-    np.testing.assert_allclose(back.values, u.values, rtol=1e-10, atol=1e-12)
+    back = laplacian_solve_values(grid, apply_laplacian(u).values)
+    np.testing.assert_allclose(back, u.values, rtol=1e-10, atol=1e-12)
 
 
 def test_apply_p_laplacian_zero(grid):
@@ -300,4 +298,24 @@ def test_field_csv_rejects_nonzero_boundary(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,value\n0,1\n0.25,2\n0.5,3\n0.75,4\n1,0\n")
     with pytest.raises(ValueError):
+        read_field_csv(path)
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt")  # numpy warns on a file with no rows
+@pytest.mark.parametrize("text", ["x,value\n", "x,value\n0,0\n"],
+                         ids=["header-only", "one-row"])
+def test_field_csv_rejects_short_files(tmp_path, text):
+    path = tmp_path / "short.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="field file too short"):
+        read_field_csv(path)
+
+
+def test_field_csv_rejects_x_not_starting_at_zero(tmp_path):
+    # uniform rows x = 1 .. 7 would otherwise read as a grid of length 7 with
+    # h = 7/6 instead of the file's spacing 1
+    path = tmp_path / "shifted.csv"
+    path.write_text("x,value\n" + "".join(f"{x},{v}\n" for x, v in
+                                          zip(range(1, 8), [0, 1, 2, 3, 2, 1, 0])))
+    with pytest.raises(ValueError, match="x = 0"):
         read_field_csv(path)

@@ -12,7 +12,6 @@ from fucik_branch.grid import Grid, inner_l2, l2_norm
 from fucik_branch.halfeig import (
     FucikPoint,
     fucik_curve_points,
-    fucik_shoot,
     gamma_window,
     half_eigen_residual,
     shoot_split_lambda,
@@ -69,7 +68,7 @@ def test_gamma_window_needs_k_at_least_2(grid):
 def test_fucik_shoot_diagonal():
     for k in (1, 2, 3, 5):
         lam = float(k * k)
-        end, n_plus, n_minus = fucik_shoot(lam, lam, math.pi)
+        end, n_plus, n_minus = halfeig._shoot(lam, lam, math.pi)
         assert abs(end) <= 1e-12
         assert n_plus + n_minus == k
         assert abs(n_plus - n_minus) <= 1
@@ -78,7 +77,7 @@ def test_fucik_shoot_diagonal():
 def test_fucik_shoot_first_curve_is_horizontal():
     # a positive solution never activates the negative part
     for lam_minus in (0.3, 2.0, 17.0):
-        end, n_plus, n_minus = fucik_shoot(1.0, lam_minus, math.pi)
+        end, n_plus, n_minus = halfeig._shoot(1.0, lam_minus, math.pi)
         assert abs(end) <= 1e-12
         assert (n_plus, n_minus) == (1, 0)
 
@@ -87,16 +86,16 @@ def test_fucik_shoot_two_hump_curve():
     # one positive and one negative hump: arc widths must fill the interval
     for lam_plus in (5.0, 7.5, 12.0):
         lam_minus = (1.0 - 1.0 / math.sqrt(lam_plus)) ** -2
-        end, n_plus, n_minus = fucik_shoot(lam_plus, lam_minus, math.pi)
+        end, n_plus, n_minus = halfeig._shoot(lam_plus, lam_minus, math.pi)
         assert abs(end) <= 1e-10
         assert (n_plus, n_minus) == (1, 1)
 
 
 def test_fucik_shoot_rejects_nonpositive():
     with pytest.raises(ValueError):
-        fucik_shoot(0.0, 1.0, math.pi)
+        halfeig._shoot(0.0, 1.0, math.pi)
     with pytest.raises(ValueError):
-        fucik_shoot(1.0, -2.0, math.pi)
+        halfeig._shoot(1.0, -2.0, math.pi)
 
 
 def test_split_degenerates_at_gamma_zero(grid):
@@ -215,8 +214,8 @@ def scanned_fucik_root_count(lam_plus: float, lo: float, hi: float,
     scan = np.linspace(lo, hi, cells + 1)
     hits = set()
     for fwd in (True, False):
-        ends = [fucik_shoot(lam_plus, lm, length)[0] if fwd
-                else fucik_shoot(lm, lam_plus, length)[0] for lm in scan]
+        ends = [halfeig._shoot(lam_plus, lm, length)[0] if fwd
+                else halfeig._shoot(lm, lam_plus, length)[0] for lm in scan]
         hits.update(i for i in range(cells) if ends[i] * ends[i + 1] < 0.0)
     return len(hits)
 
@@ -227,8 +226,8 @@ def test_fucik_curve_points_properties():
     saw_two_hump = False
     for pt in points:
         assert abs(pt.n_plus - pt.n_minus) <= 1
-        end_fwd = fucik_shoot(pt.lambda_plus, pt.lambda_minus, math.pi)[0]
-        end_rev = fucik_shoot(pt.lambda_minus, pt.lambda_plus, math.pi)[0]
+        end_fwd = halfeig._shoot(pt.lambda_plus, pt.lambda_minus, math.pi)[0]
+        end_rev = halfeig._shoot(pt.lambda_minus, pt.lambda_plus, math.pi)[0]
         assert min(abs(end_fwd), abs(end_rev)) <= 1e-9
         # each row satisfies the relation of its own hump counts
         gap = fucik_relation_gap(pt.lambda_plus, pt.lambda_minus, pt.n_plus,
@@ -280,9 +279,9 @@ def test_non_finite_inputs_are_rejected():
         with pytest.raises(ValueError):
             FucikPoint(*bad, 1, 1)
     with pytest.raises(ValueError):
-        fucik_shoot(math.inf, 1.0, math.pi)
+        halfeig._shoot(math.inf, 1.0, math.pi)
     with pytest.raises(ValueError):
-        fucik_shoot(1.0, math.nan, math.pi)
+        halfeig._shoot(1.0, math.nan, math.pi)
     for gamma in (math.nan, math.inf):
         with pytest.raises(ValueError):
             shoot_split_lambda(2, gamma, math.pi, 1)
@@ -312,8 +311,8 @@ def test_shoot_split_lambda_solves_the_fucik_relation(k, frac, length, which):
     assert abs(fucik_relation_gap(lam, lam - gamma, n_plus, n_minus, length)) \
         <= 1e-12 * length
     # the arc chain starting down is the mirror of one starting up
-    end = (fucik_shoot(lam, lam - gamma, length) if which == 1
-           else fucik_shoot(lam - gamma, lam, length))[0]
+    end = (halfeig._shoot(lam, lam - gamma, length) if which == 1
+           else halfeig._shoot(lam - gamma, lam, length))[0]
     assert abs(end) <= 1e-9 * length
 
 

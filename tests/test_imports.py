@@ -1,13 +1,17 @@
-"""Every name a package module imports is used in it.
+"""Every name a package module imports is used in it, and the package's
+__all__ lists exactly the names its __init__ imports.
 
-The only exceptions are the names perfbench/tracer.py patches in a module's
-namespace (its TARGETS), which a module may import for the tracer alone.
+The only exceptions to the first are the names perfbench/tracer.py patches in
+a module's namespace (its TARGETS), which a module may import for the tracer
+alone.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import fucik_branch
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "fucik_branch").glob("*.py")
@@ -45,3 +49,13 @@ def test_unused_imports_are_found():
 def test_module_uses_its_imports(path):
     allowed = {name for mod, name in tracer_targets() if mod == path.stem}
     assert unused_imports(path.read_text()) - allowed == set()
+
+
+def test_all_is_exactly_what_init_imports():
+    tree = ast.parse((ROOT / "src" / "fucik_branch" / "__init__.py").read_text())
+    imported = {a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert len(set(fucik_branch.__all__)) == len(fucik_branch.__all__)
+    assert set(fucik_branch.__all__) == imported
+    for name in fucik_branch.__all__:
+        assert getattr(fucik_branch, name) is not None

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from fucik_branch.grid import Grid, apply_laplacian, h10_norm, inner_l2, l2_norm
-from fucik_branch.spectrum import (
-    closed_form_eigenvalue,
-    continuum_eigenvalue,
-    eigenpair,
-    eigenpair_iterative,
-    rayleigh_lambda1,
-)
+from fucik_branch.spectrum import closed_form_eigenvalue, continuum_eigenvalue, eigenpair
+
+from oracles import eigenpair_iterative, rayleigh_lambda1
 
 
 def test_lambda1_near_continuum(grid):
