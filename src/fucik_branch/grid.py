@@ -241,6 +241,9 @@ def read_field_csv(path) -> Field:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] < 5:
         raise ValueError("field file too short")
+    if data.shape[1] != 2:
+        raise ValueError(
+            f"field file must have 2 columns (x, value), got {data.shape[1]}")
     x, vals = data[:, 0], data[:, 1]
     if x[0] != 0.0:
         raise ValueError(f"field file must start at x = 0, got x = {x[0]:.17g}")

@@ -12,9 +12,12 @@ decreasing scalar function.
 
 The discrete eigenpairs come from the same idea one level down: each row of
 (A + gamma*diag(1[u < 0]) - lambda) u = 0 is a three-term recurrence, shot
-from u_0 = 0 and bisected in lambda until its end value u_{n+1} vanishes.
-The bisection carries only the last two values of the recurrence; the
-eigenvector is shot once, at the root.
+from u_0 = 0, and lambda is the root of its end value u_{n+1}. The root is
+searched only inside the drift bracket around the continuum value, by
+regula falsi with the Illinois rule, down to the same pair of adjacent
+doubles bisection would reach, so the result is the bisection result. The
+search carries only the last two values of the recurrence; the eigenvector
+is shot once, at the root.
 """
 
 from __future__ import annotations
@@ -79,13 +82,38 @@ def _check_length(length: float) -> None:
         raise ValueError(f"interval length must be positive and finite, got {length}")
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Root of f in [lo, hi] to adjacent doubles; f > 0 left of it, f <= 0 right."""
+def _bisect(f, lo: float, hi: float, *, f_lo: float = math.nan,
+            f_hi: float = math.nan) -> float:
+    """Root of f in [lo, hi] to adjacent doubles; f > 0 left of it, f <= 0 right.
+
+    f_lo and f_hi are f(lo) and f(hi) when the caller already has them (NaN
+    when not); the ends are never evaluated here. Each trial point is the
+    regula-falsi point of the bracket with the Illinois rule (Dowell and
+    Jarratt, BIT 11, 1971): when the same end is replaced twice running, the
+    value kept at the other end is halved. The midpoint stands in while the
+    end values do not bracket a sign change, an unknown one included, and
+    when the secant point is not strictly inside (lo, hi). As in bisection,
+    the loop stops on the two adjacent doubles where the computed sign of f
+    flips and returns their midpoint. When the sign flips once in [lo, hi],
+    every sequence of trial points strictly inside the bracket ends on the
+    pair bisection ends on, so the result is the double bisection returns.
+    """
+    last = 0  # +1 when lo was replaced on the previous step, -1 for hi
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if f(mid) > 0.0:
-            lo = mid
+        den = f_lo - f_hi
+        x = lo + (hi - lo) * (f_lo / den) if den > 0.0 else mid
+        if not lo < x < hi:
+            x = mid
+        if (fx := f(x)) > 0.0:
+            lo, f_lo = x, fx
+            if last == 1:
+                f_hi *= 0.5
+            last = 1
         else:
-            hi = mid
+            hi, f_hi = x, fx
+            if last == -1:
+                f_lo *= 0.5
+            last = -1
     return mid
 
 
@@ -196,20 +224,27 @@ def _shot_values(grid: Grid, gamma: float, u1: float, lam: float) -> np.ndarray:
 
 def _discrete_half_eigen(grid: Grid, gamma: float, which: int, lam_lo: float,
                          lam_hi: float) -> tuple[float, np.ndarray]:
-    """Eigenpair of the full discretization in the window [lam_lo, lam_hi].
+    """Eigenpair of the full discretization in the bracket [lam_lo, lam_hi].
 
     Shoots u_0 = 0, u_1 = +h (which=1) or -h (which=2),
     u_{i+1} = (2 - h^2*lambda + h^2*gamma*1[u_i < 0])*u_i - u_{i-1}, so that
     rows 1..n-1 of (A + gamma*diag(1[u < 0]) - lambda) u = 0 hold for every
     lambda and row n holds when u_{n+1}(lambda) = 0. That end value is
-    continuous in lambda (the gamma term vanishes as u_i -> 0) and changes
-    sign across the window, where it is bisected. The bisection evaluates
-    only u_{n+1}; the vector is shot once, at the root. Zero nodes belong to
-    the positive part. Returns lambda and the L2-normalized shot.
+    continuous in lambda (the gamma term vanishes as u_i -> 0).
+    split_eigenvalues passes the drift bracket around the continuum root, so
+    an end value of one sign at both ends raises SolverError; otherwise the
+    two end values start _bisect, which closes the bracket on the sign
+    change. The search evaluates only u_{n+1}; the vector is shot once, at
+    the root. Zero nodes belong to the positive part. Returns lambda and the
+    L2-normalized shot.
     """
     u1 = grid.h if which == 1 else -grid.h
-    side = math.copysign(1.0, _end_value(grid, gamma, u1, lam_lo))
-    lam = _bisect(lambda x: side * _end_value(grid, gamma, u1, x), lam_lo, lam_hi)
+    end_lo = _end_value(grid, gamma, u1, lam_lo)
+    side = math.copysign(1.0, end_lo)
+    if (f_hi := side * _end_value(grid, gamma, u1, lam_hi)) > 0.0:
+        raise SolverError("discrete half-eigenvalue drifted from the continuum root")
+    lam = _bisect(lambda x: side * _end_value(grid, gamma, u1, x), lam_lo, lam_hi,
+                  f_lo=side * end_lo, f_hi=f_hi)
     vec = _shot_values(grid, gamma, u1, lam)
     return lam, vec / math.sqrt(grid.h * float(np.dot(vec, vec)))
 
@@ -218,10 +253,11 @@ def split_eigenvalues(grid: Grid, k: int, gamma: float) -> SplitEigenPair:
     """Both half-eigenvalues of the discretized problem split off lambda_k.
 
     gamma = 0 degenerates to the linear eigenpair on both branches. For
-    gamma > 0 each branch is shot on the discrete window and checked against
-    the window, the continuum value (within 0.25*h^2*lambda^2, four times the
-    leading P1 error constant 1/12), a 1e-8 residual and its orientation; a
-    failed check raises SolverError.
+    gamma > 0 each branch is searched in the drift bracket: the continuum
+    value plus or minus 0.25*h^2*lambda^2 (four times the leading P1 error
+    constant 1/12), clipped to the window [lambda_k, lambda_{k+1}]. No sign
+    change of the end value in that bracket, a residual above 1e-8 or a lost
+    orientation raises SolverError.
     """
     if not gamma >= 0.0:
         raise ValueError("gamma must be nonnegative")
@@ -246,13 +282,10 @@ def split_eigenvalues(grid: Grid, k: int, gamma: float) -> SplitEigenPair:
     results = []
     for which, sign in ((1, +1.0), (2, -1.0)):
         lam_shoot = shoot_split_lambda(k, gamma, grid.length, which)
-        lam, vec = _discrete_half_eigen(grid, gamma, which, lam_lo, lam_hi)
-        if not (lam_lo - 1e-9 <= lam <= lam_hi + 1e-9):
-            raise SolverError(
-                f"discrete half-eigenvalue {lam:.12g} left the window "
-                f"[{lam_lo:.12g}, {lam_hi:.12g}]")
-        if abs(lam - lam_shoot) > _DRIFT_CONST * grid.h ** 2 * lam_shoot ** 2:
-            raise SolverError("discrete half-eigenvalue drifted from the continuum root")
+        drift = _DRIFT_CONST * grid.h ** 2 * lam_shoot ** 2
+        lam, vec = _discrete_half_eigen(grid, gamma, which,
+                                        max(lam_lo, lam_shoot - drift),
+                                        min(lam_hi, lam_shoot + drift))
         field = Field(grid, vec)
         res = half_eigen_residual(field, lam, gamma)
         if res > _RESIDUAL_TOL:

@@ -3,7 +3,8 @@
 No package code calls these, so they live under tests/: the linear
 eigenpairs by shifted inverse iteration and by a Rayleigh-quotient search (a
 cross-check of the closed form in spectrum), the positive and negative parts
-of a field, and the p-Laplacian dual vector written out on its own.
+of a field, the p-Laplacian dual vector written out on its own, and plain
+bisection, the reference for the half-eigenvalue root finder.
 """
 
 from __future__ import annotations
@@ -126,3 +127,13 @@ def apply_p_laplacian(u: Field, p: float) -> Field:
     g = element_gradients(u)
     flux = np.sign(g) * np.abs(g) ** (p - 1.0)
     return Field(u.grid, -np.diff(flux) / u.grid.h)
+
+
+def reference_bisect(f, lo: float, hi: float) -> float:
+    """Root of f in [lo, hi] to adjacent doubles; f > 0 left of it, f <= 0 right."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid

@@ -72,6 +72,19 @@ def test_spectrum_json_format(tmp_path):
             closed_form_eigenvalue(grid, row["k"]), rel=1e-12)
 
 
+def test_half_eigen_drift_failure_exits_1(tmp_path, monkeypatch, capsys):
+    # a drift bracket too narrow to hold the discrete root must be reported
+    monkeypatch.setattr(halfeig, "_DRIFT_CONST", 1e-12)
+    with pytest.raises(SolverError, match="drifted"):
+        split_eigenvalues(Grid(), 2, 0.5)
+    capsys.readouterr()
+    assert run(["halfeig", "--k", "2", "--gamma", "0.5",
+                "--output-dir", str(tmp_path)]) == 1
+    assert "solver failure: discrete half-eigenvalue drifted" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "halfeig.json").exists()
+
+
 def test_halfeig_gamma_zero(tmp_path):
     rc = run(["halfeig", "--k", "2", "--gamma", "0",
               "--output-dir", str(tmp_path)])

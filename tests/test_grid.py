@@ -311,6 +311,17 @@ def test_field_csv_rejects_short_files(tmp_path, text):
         read_field_csv(path)
 
 
+@pytest.mark.parametrize("rows", [
+    ["0", "1", "2", "3", "4"],
+    ["0,0,9", "0.25,1,9", "0.5,2,9", "0.75,1,9", "1,0,9"],
+], ids=["one-column", "three-columns"])
+def test_field_csv_rejects_wrong_column_count(tmp_path, rows):
+    path = tmp_path / "columns.csv"
+    path.write_text("x,value\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="2 columns"):
+        read_field_csv(path)
+
+
 def test_field_csv_rejects_x_not_starting_at_zero(tmp_path):
     # uniform rows x = 1 .. 7 would otherwise read as a grid of length 7 with
     # h = 7/6 instead of the file's spacing 1

@@ -19,7 +19,8 @@ from fucik_branch.halfeig import (
 )
 from fucik_branch.spectrum import closed_form_eigenvalue, eigenpair
 
-from conftest import reference_half_eigen, reference_shot
+from conftest import counting, reference_half_eigen, reference_shot
+from oracles import reference_bisect
 
 
 def two_hump_lambda1(gamma: float) -> float:
@@ -379,3 +380,98 @@ def test_end_value_shot_equals_last_node_of_full_shot(n):
                 assert _bits(end) == _bits(full[-1])
                 values = halfeig._shot_values(grid, gamma, u1, lam)
                 assert _bits(values) == _bits(full[1:-1])
+
+
+def _magnitude(shape: str, scale: float, floor: float, flat: float):
+    """A magnitude, as a function of the distance d >= 0 from the step."""
+    if shape == "linear":
+        return lambda d: scale * d
+    if shape == "flat":
+        # a quantized plateau of height floor within flat of the step, as the
+        # end value u_{n+1} shows next to its root
+        return lambda d: floor if d <= flat else max(scale * d, floor)
+    return lambda d: scale * (1.0 + 1e6 * ((d * 1e9) % 1.0))
+
+
+def _ulps_above(x: float, count: int) -> float:
+    for _ in range(count):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+_magnitudes = st.floats(1e-300, 1e300)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(lo=st.floats(-1e6, 1e6),
+       span=st.one_of(st.integers(1, 300), st.floats(1e-12, 1e6)),
+       where=st.sampled_from(("below", "first", "second", "inside", "last", "above")),
+       frac=st.floats(0.0, 1.0),
+       shapes=st.tuples(st.sampled_from(("linear", "flat", "wild")),
+                        st.sampled_from(("linear", "flat", "wild", "zero"))),
+       scales=st.tuples(_magnitudes, _magnitudes),
+       floors=st.tuples(_magnitudes, _magnitudes),
+       flat_ulps=st.integers(0, 5000))
+def test_root_finder_equals_bisection_on_step_functions(lo, span, where, frac, shapes,
+                                                        scales, floors, flat_ulps):
+    if isinstance(span, int):
+        hi = _ulps_above(lo, span)
+    else:
+        hi = max(lo + span * max(1.0, abs(lo)), math.nextafter(lo, math.inf))
+    t = {"below": math.nextafter(lo, -math.inf), "first": lo,
+         "second": math.nextafter(lo, math.inf),
+         "inside": min(hi, lo + frac * (hi - lo)), "last": hi,
+         "above": math.nextafter(hi, math.inf)}[where]
+    flat = flat_ulps * math.ulp(t)
+    left = _magnitude(shapes[0], scales[0], floors[0], flat)
+    right = (lambda d: 0.0) if shapes[1] == "zero" else \
+        _magnitude(shapes[1], scales[1], floors[1], flat)
+
+    def f(x: float) -> float:
+        # f > 0 below t and f <= 0 from t on, whatever the magnitudes
+        return max(left(t - x), 5e-324) if x < t else -right(x - t)
+
+    expected = _bits(reference_bisect(f, lo, hi))
+    assert _bits(halfeig._bisect(f, lo, hi)) == expected
+    assert _bits(halfeig._bisect(f, lo, hi, f_lo=f(lo), f_hi=f(hi))) == expected
+
+
+def _shots_per_pair(monkeypatch, grid: Grid, k: int, gamma: float) -> int:
+    counts = {"shots": 0}
+    monkeypatch.setattr(halfeig, "_end_value",
+                        counting(counts, "shots", halfeig._end_value))
+    split_eigenvalues(grid, k, gamma)
+    monkeypatch.undo()
+    return counts["shots"]
+
+
+@pytest.mark.parametrize("n,k,gamma", [(799, 2, None), (799, 3, None), (799, 4, None),
+                                       (799, 5, None), (399, 2, 0.5), (399, 3, 0.5)])
+def test_split_eigenvalues_shot_budget_on_benchmark_cases(monkeypatch, n, k, gamma):
+    # the halfeig cases of the benchmark; bisecting the whole window took
+    # 105-108 end-value shots per pair on them
+    grid = Grid(n_interior=n)
+    if gamma is None:
+        gamma = gamma_window(grid, k).gamma_max / 4.0
+    assert _shots_per_pair(monkeypatch, grid, k, gamma) <= 64
+
+
+@pytest.mark.parametrize("n", [9, 199, 799, 3199])
+def test_split_eigenvalues_takes_no_more_shots_than_bisection(monkeypatch, n):
+    grid = Grid(n_interior=n)
+    for k in (2, 3, 5):
+        lam_lo = closed_form_eigenvalue(grid, k)
+        lam_hi = closed_form_eigenvalue(grid, k + 1)
+        for frac in (0.01, 0.25, 0.9):
+            gamma = frac * gamma_window(grid, k).gamma_max
+            bisection = 0
+            for u1 in (grid.h, -grid.h):
+                # one shot orients the window, then bisection over all of it
+                side = math.copysign(1.0, halfeig._end_value(grid, gamma, u1, lam_lo))
+                counts = {"shots": 1}
+                reference_bisect(
+                    counting(counts, "shots",
+                             lambda x: side * halfeig._end_value(grid, gamma, u1, x)),
+                    lam_lo, lam_hi)
+                bisection += counts["shots"]
+            assert _shots_per_pair(monkeypatch, grid, k, gamma) <= bisection
