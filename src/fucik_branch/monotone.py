@@ -16,14 +16,17 @@ themselves for 1 < p < 2 (see quasilinear), so no caller passes an
 epsilon.
 
 The vector inequalities backing the p > 2 case are checked empirically by
-check_vector_inequalities, and strong monotonicity by monotonicity_sweep;
-ball_coercivity_samples certifies coercivity on a ball, and
-default_ball_radius picks the ball. These sampled checks draw their pairs
-one at a time, in the order a pair-by-pair loop would, and evaluate them as
-(pairs, n) arrays, in blocks of about _BLOCK_VALUES doubles per array so
-that memory stays flat in the pair count. default_ball_radius evaluates the
-bound once, at r = 1, reads the radius off its exact r^2 scaling, and
-caches it per (p, grid, seed).
+check_vector_inequalities, and strong monotonicity by monotonicity_sweep,
+whose sampled ratio has the proven floor 2^{2-p}; ball_coercivity_samples
+certifies coercivity on a ball, and default_ball_radius picks the ball.
+These sampled checks draw their pairs one at a time, in the order a
+pair-by-pair loop would, and evaluate them as (pairs, n) arrays, in blocks
+of about _BLOCK_VALUES doubles per array so that memory stays flat in the
+pair count. The two p > 2 samplers return the same doubles as their first
+blocked form (tests/oracles.py): only the Python and numpy work around the
+arithmetic was cut. default_ball_radius evaluates the bound once, at r = 1,
+reads the radius off its exact r^2 scaling, and caches it per (p, grid,
+seed).
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ ARMIJO = 1e-4
 MAX_HALVINGS = 8
 # doubles per (pairs, n) array in the blocks of the sampled checks (64 KiB)
 _BLOCK_VALUES = 1 << 13
+# fewest sample pairs check_vector_inequalities accepts
+MIN_SAMPLES = 10_000
 
 
 class SolverError(RuntimeError):
@@ -215,9 +220,15 @@ def monotonicity_sweep(params: ProblemParams, n_pairs: int = 10000,
     """Sample (Mu - Mw, u - w)_2 / ||u - w||_{1,p}^p over random pairs, p > 2.
 
     Pair scales span four decades. Returns the smallest sampled ratio and
-    the count of nonpositive samples; strong monotonicity of M predicts a
-    strictly positive minimum. Pairs are drawn one at a time, in a fixed
-    generator order, and evaluated in blocks of rows.
+    the count of nonpositive samples. Summing inequality (a) of
+    check_vector_inequalities over the elements proves the ratio >= 2^{2-p}
+    (the Laplacian and, for gamma >= 0, the gamma part only add to it).
+
+    Pairs are drawn one at a time, u then w, each field as one scale
+    10^(-2 + 4 U) from rng.random() followed by n normals; that is the
+    generator stream of rng.uniform(-2, 2) per field, which computes
+    low + (high - low) * U. Each block's fields fill the rows of one
+    (2 * pairs, n) array, u in the even rows and w in the odd ones.
     """
     if params.p <= 2.0:
         raise ValueError("the whole-space monotonicity bound needs p > 2")
@@ -229,23 +240,22 @@ def monotonicity_sweep(params: ProblemParams, n_pairs: int = 10000,
         grid = Grid()
     op = _operator_params(params)
     h, n = grid.h, grid.n_interior
+    uniform, normal = rng.random, rng.standard_normal
     worst = math.inf
     violations = 0
     for rows in _blocks(n_pairs, _block_rows(grid)):
-        pair = np.empty((rows, 2, n))
-        scale = np.empty((rows, 2))
-        for j in range(rows):
-            for k in range(2):
-                scale[j, k] = 10.0 ** rng.uniform(-2.0, 2.0)
-                rng.standard_normal(n, out=pair[j, k])
-        pair *= scale[..., None]
-        require_finite(pair)
-        u, w = pair[:, 0], pair[:, 1]
-        ru = residual_original_values(u, h, op)
-        rw = residual_original_values(w, h, op)
-        du, dr = u - w, ru - rw
-        for x in (ru, rw, du, dr):
-            require_finite(x)
+        fields = np.empty((2 * rows, n))
+        scale = []
+        for row in fields:
+            scale.append(10.0 ** (-2.0 + 4.0 * uniform()))
+            normal(n, out=row)
+        fields *= np.array(scale)[:, None]
+        require_finite(fields)
+        res = residual_original_values(fields, h, op)
+        require_finite(res)
+        du, dr = fields[0::2] - fields[1::2], res[0::2] - res[1::2]
+        require_finite(du)
+        require_finite(dr)
         ratio = _monotonicity_ratios(dr, du, h, params.p)
         ratio = ratio[np.isfinite(ratio)]
         if ratio.size:
@@ -451,6 +461,12 @@ def solve_monotone_ball(f: Field, params: ProblemParams,
                       f"(residual {rnorm:.3e}, tol {tol:.3e})", report)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of x; for one column |x|, to which
+    sqrt(x^2) rounds exactly when x^2 neither underflows nor overflows."""
+    return np.abs(x[:, 0]) if x.shape[1] == 1 else np.linalg.norm(x, axis=1)
+
+
 def check_vector_inequalities(p: float, n_samples: int,
                               rng: np.random.Generator | None = None
                               ) -> VectorInequalityReport:
@@ -462,18 +478,19 @@ def check_vector_inequalities(p: float, n_samples: int,
     Samples live in R^1 and R^2 and include the antipodal pairs x2 = -x1 that
     attain the analytic floor c1 = 2^{2-p}; violations counts failures of (a)
     at that floor and of (b) at the mean-value constant c2 = p - 1, with
-    round-off slack.
+    round-off slack. Pairs with |x2 - x1| <= 1e-12 (|x1| + |x2|) are skipped.
+
+    The norms |x1|, |x2| and |x2 - x1| are taken once per pair and serve the
+    skip test, the fluxes and both ratios. In R^1 they are absolute values,
+    which is what sqrt(x^2) rounds to at these sample scales (no under- or
+    overflow of x^2).
     """
     if p <= 2.0:
         raise ValueError("the inequalities hold in this form only for p > 2")
-    if n_samples < 10_000:
-        raise ValueError("use at least 1e4 sample pairs")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"use at least {MIN_SAMPLES} sample pairs")
     if rng is None:
         rng = np.random.default_rng(42)
-
-    def phi(x: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        return np.where(r > 0.0, r ** (p - 2.0), 0.0) * x
 
     n1 = n_samples // 2
     n2 = n_samples - n1
@@ -494,14 +511,16 @@ def check_vector_inequalities(p: float, n_samples: int,
     c2_bound = p - 1.0
     for a, b in ((x1, x2), (y1, y2)):
         d = b - a
-        dn = np.linalg.norm(d, axis=1)
-        keep = dn > 1e-12 * (np.linalg.norm(a, axis=1) + np.linalg.norm(b, axis=1))
-        a, b, d, dn = a[keep], b[keep], d[keep], dn[keep]
-        dphi = phi(b) - phi(a)
-        lhs_a = np.einsum("ij,ij->i", d, dphi)
-        ratio_a = lhs_a / dn ** p
-        sums = np.linalg.norm(a, axis=1) + np.linalg.norm(b, axis=1)
-        ratio_b = np.linalg.norm(dphi, axis=1) / (sums ** (p - 2.0) * dn)
+        na, nb, dn = _row_norms(a), _row_norms(b), _row_norms(d)
+        sums = na + nb
+        keep = dn > 1e-12 * sums
+        if not keep.all():
+            a, b, d, na, nb, dn, sums = (x[keep] for x in (a, b, d, na, nb, dn, sums))
+        # phi(x) = |x|^{p-2} x, and 0 at x = 0
+        dphi = (np.where(nb > 0.0, nb ** (p - 2.0), 0.0)[:, None] * b
+                - np.where(na > 0.0, na ** (p - 2.0), 0.0)[:, None] * a)
+        ratio_a = np.einsum("ij,ij->i", d, dphi) / dn ** p
+        ratio_b = _row_norms(dphi) / (sums ** (p - 2.0) * dn)
         c1_emp = min(c1_emp, float(np.min(ratio_a)))
         c2_emp = max(c2_emp, float(np.max(ratio_b)))
         violations += int(np.sum(ratio_a < floor * (1.0 - 1e-9)))

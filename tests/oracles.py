@@ -4,7 +4,10 @@ No package code calls these, so they live under tests/: the linear
 eigenpairs by shifted inverse iteration and by a Rayleigh-quotient search (a
 cross-check of the closed form in spectrum), the positive and negative parts
 of a field, the p-Laplacian dual vector written out on its own, and plain
-bisection, the reference for the half-eigenvalue root finder.
+bisection, the reference for the half-eigenvalue root finder, and the
+sampled p > 2 checks as first blocked (scales from rng.uniform, pair[j, k]
+fills, norms taken per use), the bit-for-bit references for monotone's
+samplers.
 """
 
 from __future__ import annotations
@@ -14,7 +17,11 @@ import math
 import numpy as np
 
 from fucik_branch._tridiag import symmetric_tridiag_apply, thomas_solve
-from fucik_branch.grid import Field, Grid, element_gradients, laplacian_solve_values
+from fucik_branch.grid import (Field, Grid, element_gradients,
+                               laplacian_solve_values, require_finite)
+from fucik_branch.monotone import (VectorInequalityReport, _block_rows, _blocks,
+                                   _monotonicity_ratios, _operator_params)
+from fucik_branch.quasilinear import ProblemParams, residual_original_values
 from fucik_branch.spectrum import EigenPair, _check_index, _fix_sign, closed_form_eigenvalue
 
 
@@ -137,3 +144,108 @@ def reference_bisect(f, lo: float, hi: float) -> float:
         else:
             hi = mid
     return mid
+
+
+def reference_monotonicity_sweep(params: ProblemParams, n_pairs: int = 10000,
+                                 rng: np.random.Generator | None = None,
+                                 grid: Grid | None = None) -> tuple[float, int]:
+    """Sample (Mu - Mw, u - w)_2 / ||u - w||_{1,p}^p over random pairs, p > 2.
+
+    Pair scales span four decades. Returns the smallest sampled ratio and
+    the count of nonpositive samples; strong monotonicity of M predicts a
+    strictly positive minimum. Pairs are drawn one at a time, in a fixed
+    generator order, and evaluated in blocks of rows.
+    """
+    if params.p <= 2.0:
+        raise ValueError("the whole-space monotonicity bound needs p > 2")
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be positive")
+    if rng is None:
+        rng = np.random.default_rng(42)
+    if grid is None:
+        grid = Grid()
+    op = _operator_params(params)
+    h, n = grid.h, grid.n_interior
+    worst = math.inf
+    violations = 0
+    for rows in _blocks(n_pairs, _block_rows(grid)):
+        pair = np.empty((rows, 2, n))
+        scale = np.empty((rows, 2))
+        for j in range(rows):
+            for k in range(2):
+                scale[j, k] = 10.0 ** rng.uniform(-2.0, 2.0)
+                rng.standard_normal(n, out=pair[j, k])
+        pair *= scale[..., None]
+        require_finite(pair)
+        u, w = pair[:, 0], pair[:, 1]
+        ru = residual_original_values(u, h, op)
+        rw = residual_original_values(w, h, op)
+        du, dr = u - w, ru - rw
+        for x in (ru, rw, du, dr):
+            require_finite(x)
+        ratio = _monotonicity_ratios(dr, du, h, params.p)
+        ratio = ratio[np.isfinite(ratio)]
+        if ratio.size:
+            worst = min(worst, float(np.min(ratio)))
+            violations += int(np.count_nonzero(ratio <= 0.0))
+    return worst, violations
+
+
+def reference_check_vector_inequalities(p: float, n_samples: int,
+                                        rng: np.random.Generator | None = None
+                                        ) -> VectorInequalityReport:
+    """Empirical constants for the flux-difference inequalities, p > 2.
+
+    (a)  <x2 - x1, |x2|^{p-2}x2 - |x1|^{p-2}x1>  >=  c1 |x2 - x1|^p
+    (b)  | |x2|^{p-2}x2 - |x1|^{p-2}x1 |  <=  c2 (|x2|+|x1|)^{p-2} |x2 - x1|
+
+    Samples live in R^1 and R^2 and include the antipodal pairs x2 = -x1 that
+    attain the analytic floor c1 = 2^{2-p}; violations counts failures of (a)
+    at that floor and of (b) at the mean-value constant c2 = p - 1, with
+    round-off slack.
+    """
+    if p <= 2.0:
+        raise ValueError("the inequalities hold in this form only for p > 2")
+    if n_samples < 10_000:
+        raise ValueError("use at least 1e4 sample pairs")
+    if rng is None:
+        rng = np.random.default_rng(42)
+
+    def phi(x: np.ndarray) -> np.ndarray:
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        return np.where(r > 0.0, r ** (p - 2.0), 0.0) * x
+
+    n1 = n_samples // 2
+    n2 = n_samples - n1
+    scale = 10.0 ** rng.uniform(-3, 3, size=(n1, 1))
+    x1 = rng.standard_normal((n1, 1)) * scale
+    x2 = rng.standard_normal((n1, 1)) * scale
+    scale2 = 10.0 ** rng.uniform(-3, 3, size=(n2, 1))
+    y1 = rng.standard_normal((n2, 2)) * scale2
+    y2 = rng.standard_normal((n2, 2)) * scale2
+    # antipodal pairs attain the floor exactly
+    n_anti = min(64, n2)
+    y2[:n_anti] = -y1[:n_anti]
+
+    c1_emp = math.inf
+    c2_emp = 0.0
+    violations = 0
+    floor = 2.0 ** (2.0 - p)
+    c2_bound = p - 1.0
+    for a, b in ((x1, x2), (y1, y2)):
+        d = b - a
+        dn = np.linalg.norm(d, axis=1)
+        keep = dn > 1e-12 * (np.linalg.norm(a, axis=1) + np.linalg.norm(b, axis=1))
+        a, b, d, dn = a[keep], b[keep], d[keep], dn[keep]
+        dphi = phi(b) - phi(a)
+        lhs_a = np.einsum("ij,ij->i", d, dphi)
+        ratio_a = lhs_a / dn ** p
+        sums = np.linalg.norm(a, axis=1) + np.linalg.norm(b, axis=1)
+        ratio_b = np.linalg.norm(dphi, axis=1) / (sums ** (p - 2.0) * dn)
+        c1_emp = min(c1_emp, float(np.min(ratio_a)))
+        c2_emp = max(c2_emp, float(np.max(ratio_b)))
+        violations += int(np.sum(ratio_a < floor * (1.0 - 1e-9)))
+        violations += int(np.sum(ratio_b > c2_bound * (1.0 + 1e-9)))
+    return VectorInequalityReport(p=p, n_samples=n_samples, c1_emp=c1_emp,
+                                  c2_emp=c2_emp, c1_floor=floor,
+                                  violations=violations)

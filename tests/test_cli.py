@@ -276,11 +276,38 @@ def test_verify_matches_pair_loop(tmp_path):
                 "c1_emp": report.c1_emp, "c2_emp": report.c2_emp,
                 "c1_floor": report.c1_floor, "violations": report.violations,
                 "monotonicity_min": worst, "monotonicity_violations": bad,
-                "monotonicity_pairs": 2000}
+                "monotonicity_pairs": 2000, "monotonicity_floor": 0.5}
     assert payload.keys() == expected.keys()
     assert payload.pop("monotonicity_min") == approx(
         expected.pop("monotonicity_min"), rel=1e-12, abs=0.0)
     assert payload == expected
+
+
+@pytest.mark.parametrize("scale, rc", [(1.0 - 1e-6, 1), (1.0 - 1e-10, 0), (1.0, 0)])
+def test_verify_gates_on_the_monotonicity_floor(tmp_path, monkeypatch, capsys,
+                                                scale, rc):
+    # p = 4: floor 2^{2-p} = 0.25, with the relative slack 1e-9
+    monkeypatch.setattr(cli, "monotonicity_sweep",
+                        lambda params, n_pairs, rng, grid: (0.25 * scale, 0))
+    assert run(["verify", "--p", "4", "--samples", "10000",
+                "--output-dir", str(tmp_path)]) == rc
+    payload = json.loads((tmp_path / "verify.json").read_text())
+    assert payload["monotonicity_floor"] == 0.25
+    assert payload["monotonicity_min"] == 0.25 * scale
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert "(floor 0.25)" in line and line.endswith("FAIL" if rc else "PASS")
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["--p", "1.5"], "--p: must be a finite number > 2"),
+    (["--samples", "100"], "--samples: must be an integer >= 10000"),
+    (["--pairs", "0"], "--pairs: must be an integer >= 1"),
+])
+def test_verify_usage_errors_exit_2_before_any_output(tmp_path, capsys, bad, message):
+    outdir = tmp_path / "out"
+    assert run(["verify", *bad, "--output-dir", str(outdir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_usage_errors_exit_2(tmp_path):

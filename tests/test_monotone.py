@@ -24,6 +24,7 @@ from fucik_branch.quasilinear import (Jacobian, ProblemParams, energy,
                                       residual_original, residual_transformed)
 
 from conftest import count_trials, counting, random_field, reference_sweep
+from oracles import reference_check_vector_inequalities, reference_monotonicity_sweep
 
 P3 = ProblemParams(p=3.0, gamma=0.5, lam=0.0)
 P15 = ProblemParams(p=1.5, gamma=0.5, lam=0.0)
@@ -144,6 +145,74 @@ def test_monotonicity_sweep_matches_pair_loop(grid, n_pairs, seed):
         P3, n_pairs, np.random.default_rng(seed), grid)
     assert worst == pytest.approx(ref_worst, rel=1e-12, abs=0.0)
     assert violations == ref_violations
+
+
+@pytest.mark.parametrize("n_pairs", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2000])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+def test_monotonicity_sweep_bit_equal_to_reference(n_pairs, p):
+    params = ProblemParams(p=p, gamma=0.5, lam=0.0)
+    for seed in (0, 6, 43):
+        assert monotonicity_sweep(params, n_pairs, np.random.default_rng(seed)) \
+            == reference_monotonicity_sweep(params, n_pairs,
+                                            np.random.default_rng(seed))
+
+
+def test_random_scale_is_the_uniform_scale():
+    # Generator.uniform(low, high) returns low + (high - low) * random(), and
+    # both take one double from the stream, so the sweep's scales and the
+    # state after them match the rng.uniform(-2, 2) draws
+    for seed in range(5):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2000):
+            x, y = a.uniform(-2.0, 2.0), -2.0 + 4.0 * b.random()
+            assert x == y and 10.0 ** x == 10.0 ** y
+            assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("n_samples", [10_000, 10_001, 100_000])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+def test_vector_inequalities_bit_equal_to_reference(n_samples, p):
+    for seed in (0, 5, 42):
+        report = check_vector_inequalities(p, n_samples, np.random.default_rng(seed))
+        ref = reference_check_vector_inequalities(p, n_samples,
+                                                  np.random.default_rng(seed))
+        # the dataclass compares every field with ==
+        assert report == ref
+
+
+class CoincidingDraws:
+    """A seeded generator for check_vector_inequalities whose second and
+    fourth standard_normal draws (x2 and y2) repeat the given rows of the
+    draw before them, so those pairs coincide."""
+
+    def __init__(self, seed: int, rows: list[int]):
+        self.rng = np.random.default_rng(seed)
+        self.rows = rows
+        self.last = None
+
+    def uniform(self, low, high, size=None):
+        return self.rng.uniform(low, high, size)
+
+    def standard_normal(self, size):
+        x = self.rng.standard_normal(size)
+        if self.last is not None:
+            x[self.rows] = self.last[self.rows]
+            self.last = None
+        else:
+            self.last = x
+        return x
+
+
+@pytest.mark.parametrize("rows", [[], [0, 1, 500, 4999], [64, 65, 3000]])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+def test_vector_inequalities_skip_coinciding_pairs_like_reference(p, rows):
+    # a coinciding pair left in would give ratio (a) = 0/0 and a NaN c1_emp;
+    # rows = [] takes the path on which every pair is kept
+    report = check_vector_inequalities(p, 10_000, CoincidingDraws(3, rows))
+    ref = reference_check_vector_inequalities(p, 10_000, CoincidingDraws(3, rows))
+    assert report == ref
+    assert math.isfinite(report.c1_emp) and report.violations == 0
 
 
 def test_sampled_checks_run_in_bounded_memory():
