@@ -462,9 +462,13 @@ def solve_monotone_ball(f: Field, params: ProblemParams,
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of x; for one column |x|, to which
-    sqrt(x^2) rounds exactly when x^2 neither underflows nor overflows."""
-    return np.abs(x[:, 0]) if x.shape[1] == 1 else np.linalg.norm(x, axis=1)
+    """Euclidean norm of each row of x, which has one or two columns, with
+    the bits of np.linalg.norm(x, axis=1): sqrt(x0^2 + x1^2) summed in that
+    order, and for one column |x0|, to which sqrt(x0^2) rounds exactly when
+    x0^2 neither underflows nor overflows."""
+    if x.shape[1] == 1:
+        return np.abs(x[:, 0])
+    return np.sqrt(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1])
 
 
 def check_vector_inequalities(p: float, n_samples: int,
@@ -481,9 +485,10 @@ def check_vector_inequalities(p: float, n_samples: int,
     round-off slack. Pairs with |x2 - x1| <= 1e-12 (|x1| + |x2|) are skipped.
 
     The norms |x1|, |x2| and |x2 - x1| are taken once per pair and serve the
-    skip test, the fluxes and both ratios. In R^1 they are absolute values,
-    which is what sqrt(x^2) rounds to at these sample scales (no under- or
-    overflow of x^2).
+    skip test, the fluxes and both ratios. They have the bits of
+    np.linalg.norm: in R^1 they are absolute values, which is what sqrt(x^2)
+    rounds to at these sample scales (no under- or overflow of x^2), and in
+    R^2 they sum the two squares in np.linalg.norm's order.
     """
     if p <= 2.0:
         raise ValueError("the inequalities hold in this form only for p > 2")
