@@ -17,7 +17,7 @@ from .continuation import (Branch, BranchPoint, BranchSeed, ConeParams,
 from .grid import (Field, Grid, NormReport, apply_laplacian, dual_norm,
                    h10_norm, inner_l2, l2_norm, norms, read_field_csv,
                    write_field_csv)
-from .halfeig import (FucikPoint, GammaWindow, SplitEigenPair,
+from .halfeig import (FucikCurves, FucikPoint, GammaWindow, SplitEigenPair,
                       fucik_curve_points, gamma_window, half_eigen_residual,
                       shoot_split_lambda, split_eigenvalues)
 from .monotone import (SolveReport, SolverError, VectorInequalityReport,
@@ -37,7 +37,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Branch", "BranchPoint", "BranchSeed", "ConeParams", "CorrectorFailure",
-    "EigenPair", "Field", "FucikPoint", "GammaWindow", "Grid", "Jacobian",
+    "EigenPair", "Field", "FucikCurves", "FucikPoint", "GammaWindow", "Grid",
+    "Jacobian",
     "LSDecomposition", "LocalizationReport", "MaxSteps", "MeetsInfinity",
     "MeetsTrivial", "NormReport", "ProblemParams", "SolveReport",
     "SolverConfig", "SolverError", "SplitEigenPair", "TransformedField",

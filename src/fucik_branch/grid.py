@@ -17,6 +17,7 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -227,13 +228,16 @@ def dual_norm(r: Field) -> float:
 
 def write_field_csv(u: Field, path) -> None:
     """Write x,value rows for all nodes, from x = 0 to exactly x = length;
-    boundary rows carry value 0."""
-    row = f"{FLOAT_FORMAT},{FLOAT_FORMAT}"
+    boundary rows carry value 0.
+
+    All rows are formatted by one % on the FLOAT_FORMAT row format repeated
+    and joined with newlines, which gives the bytes of formatting row by row.
+    """
     values = [0.0, *u.values.tolist(), 0.0]
-    lines = ["x,value"]
-    lines.extend(row % xv for xv in zip(u.grid.full_nodes.tolist(), values))
+    cells = tuple(chain.from_iterable(zip(u.grid.full_nodes.tolist(), values)))
+    body = "\n".join([f"{FLOAT_FORMAT},{FLOAT_FORMAT}"] * len(values)) % cells
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("x,value\n" + body + "\n")
 
 
 def read_field_csv(path) -> Field:

@@ -8,7 +8,10 @@ so a chain of n_plus positive and n_minus negative humps fills (0, L) exactly
 when n_plus*pi/sqrt(lambda_plus) + n_minus*pi/sqrt(lambda_minus) = L with
 |n_plus - n_minus| <= 1. The Fucik curves are this relation solved for
 lambda_minus, and a continuum half-eigenvalue is the root of one strictly
-decreasing scalar function.
+decreasing scalar function. The curve sweep evaluates that closed form at
+once over every sample and hump count pair, as numpy arrays, and returns the
+rows as the four columns of a FucikCurves; each value is the double the
+scalar formula gives, so the rows are those of a loop over the samples.
 
 The discrete eigenpairs come from the same idea one level down: each row of
 (A + gamma*diag(1[u < 0]) - lambda) u = 0 is a three-term recurrence, shot
@@ -23,6 +26,7 @@ is shot once, at the root.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +79,37 @@ class FucikPoint:
             raise ValueError("Fucik point requires positive lambda_plus and lambda_minus")
         if abs(self.n_plus - self.n_minus) > 1:
             raise ValueError("alternating humps can differ in count by at most 1")
+
+
+@dataclass(frozen=True, eq=False)
+class FucikCurves:
+    """Rows of a Fucik sweep as four aligned columns.
+
+    The constructor applies FucikPoint's two rules to every row at once,
+    with the same messages. len() counts rows, and iterating yields one
+    FucikPoint per row, with Python floats and ints.
+    """
+
+    lambda_plus: np.ndarray
+    lambda_minus: np.ndarray
+    n_plus: np.ndarray
+    n_minus: np.ndarray
+
+    def __post_init__(self) -> None:
+        columns = (self.lambda_plus, self.lambda_minus, self.n_plus, self.n_minus)
+        if not all(c.ndim == 1 and c.shape == self.lambda_plus.shape for c in columns):
+            raise ValueError("Fucik columns must be 1-D and of equal length")
+        if not ((self.lambda_plus > 0.0).all() and (self.lambda_minus > 0.0).all()):
+            raise ValueError("Fucik point requires positive lambda_plus and lambda_minus")
+        if (abs(self.n_plus - self.n_minus) > 1).any():
+            raise ValueError("alternating humps can differ in count by at most 1")
+
+    def __len__(self) -> int:
+        return self.lambda_plus.size
+
+    def __iter__(self) -> Iterator[FucikPoint]:
+        columns = (self.lambda_plus, self.lambda_minus, self.n_plus, self.n_minus)
+        return (FucikPoint(*row) for row in zip(*(c.tolist() for c in columns)))
 
 
 def _check_length(length: float) -> None:
@@ -313,14 +348,26 @@ def half_eigen_residual(u: Field, lam: float, gamma: float) -> float:
 
 
 def fucik_curve_points(length: float, lambda_max: float,
-                       n_samples: int) -> list[FucikPoint]:
+                       n_samples: int) -> FucikCurves:
     """Sample the Fucik curves on [lambda_1, lambda_max]^2 from their closed form.
 
     For each lambda_plus on the sample grid, each hump count pair with
-    n_minus >= 1 and rem = L - n_plus*pi/sqrt(lambda_plus) > 0 gives
-    lambda_minus = (n_minus*pi/rem)^2; rows inside the range are emitted in
-    increasing lambda_minus. The range starts at lambda_1*(1 + 1e-9), just
-    above the curves lambda_plus = lambda_1 and lambda_minus = lambda_1.
+    n_minus in {n_plus - 1, n_plus, n_plus + 1}, n_minus >= 1 and
+    rem = L - n_plus*pi/sqrt(lambda_plus) > 0 gives
+    lambda_minus = (n_minus*pi/rem)^2; rows inside the range are kept, in
+    increasing lambda_minus within each sample. When two pairs of a sample
+    give the same lambda_minus, the one with fewer positive humps (then
+    fewer negative humps) labels the row. The range starts at
+    lambda_1*(1 + 1e-9), just above the curves lambda_plus = lambda_1 and
+    lambda_minus = lambda_1.
+
+    The whole grid sample x n_plus x n_minus is evaluated as arrays, each
+    operation in the order of the scalar formula, so every value is the
+    double the scalar formula gives. The square must stay
+    np.float_power(x, 2.0): it rounds as Python's x ** 2 (libm pow) does,
+    while x * x and np.power(x, 2) can differ from it by one ulp. For
+    x = 2.1367541098445986, x ** 2 is 4.565718125937782 and x * x is
+    4.565718125937783, and such an ulp moves bytes of the fucik table.
     """
     _check_length(length)
     if n_samples < 2:
@@ -329,16 +376,22 @@ def fucik_curve_points(length: float, lambda_max: float,
     if not (math.isfinite(lambda_max) and lambda_max > lam1):
         raise ValueError("lambda_max must be finite and exceed the principal eigenvalue")
     lam_lo = lam1 * (1.0 + 1e-9)
-    points: list[FucikPoint] = []
-    for lp in np.linspace(lam_lo, lambda_max, n_samples):
-        lp = float(lp)
-        rows: dict[float, tuple[int, int]] = {}
-        n_plus = 0
-        while (rem := length - n_plus * math.pi / math.sqrt(lp)) > 0.0:
-            for n_minus in (n_plus - 1, n_plus, n_plus + 1):
-                lm = (n_minus * math.pi / rem) ** 2
-                if n_minus >= 1 and lam_lo <= lm <= lambda_max:
-                    rows.setdefault(lm, (n_plus, n_minus))
-            n_plus += 1
-        points.extend(FucikPoint(lp, lm, *rows[lm]) for lm in sorted(rows))
-    return points
+    lam_plus = np.linspace(lam_lo, lambda_max, n_samples)
+    # rem falls with n_plus, so rem > 0 keeps the counts a scalar loop visits
+    n_top = int(length * math.sqrt(lambda_max) / math.pi) + 2
+    rem = length - np.arange(n_top) * math.pi / np.sqrt(lam_plus)[:, None]
+    sample, n_plus = np.nonzero(rem > 0.0)
+    n_minus = n_plus[:, None] + np.array([-1, 0, 1])
+    lam_minus = np.float_power(n_minus * math.pi / rem[sample, n_plus][:, None], 2.0)
+    keep = ((n_minus >= 1) & (lam_lo <= lam_minus) & (lam_minus <= lambda_max)).ravel()
+    sample = np.repeat(sample, 3)[keep]
+    n_plus = np.repeat(n_plus, 3)[keep]
+    n_minus, lam_minus = n_minus.ravel()[keep], lam_minus.ravel()[keep]
+    # a stable sort keeps equal lambda_minus in generation order; keep the first
+    order = np.lexsort((lam_minus, sample))
+    sample, lam_minus = sample[order], lam_minus[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (sample[1:] != sample[:-1]) | (lam_minus[1:] != lam_minus[:-1])
+    order = order[first]
+    return FucikCurves(lam_plus[sample[first]], lam_minus[first],
+                       n_plus[order], n_minus[order])

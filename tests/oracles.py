@@ -4,8 +4,9 @@ No package code calls these, so they live under tests/: the linear
 eigenpairs by shifted inverse iteration and by a Rayleigh-quotient search (a
 cross-check of the closed form in spectrum), the positive and negative parts
 of a field, the p-Laplacian dual vector written out on its own, and plain
-bisection, the reference for the half-eigenvalue root finder, and the
-sampled p > 2 checks as first blocked (scales from rng.uniform, pair[j, k]
+bisection, the reference for the half-eigenvalue root finder, the Fucik
+sweep as a loop over samples and hump counts, the reference for the
+array sweep, and the sampled p > 2 checks as first blocked (scales from rng.uniform, pair[j, k]
 fills, norms taken per use), the bit-for-bit references for monotone's
 samplers.
 """
@@ -19,6 +20,7 @@ import numpy as np
 from fucik_branch._tridiag import symmetric_tridiag_apply, thomas_solve
 from fucik_branch.grid import (Field, Grid, element_gradients,
                                laplacian_solve_values, require_finite)
+from fucik_branch.halfeig import FucikPoint, _check_length
 from fucik_branch.monotone import (VectorInequalityReport, _block_rows, _blocks,
                                    _monotonicity_ratios, _operator_params)
 from fucik_branch.quasilinear import ProblemParams, residual_original_values
@@ -144,6 +146,36 @@ def reference_bisect(f, lo: float, hi: float) -> float:
         else:
             hi = mid
     return mid
+
+
+def reference_fucik_curve_points(length: float, lambda_max: float,
+                                 n_samples: int) -> list[FucikPoint]:
+    """The Fucik sweep one sample and one hump count pair at a time.
+
+    Same rows, labels and order as halfeig.fucik_curve_points: equal
+    lambda_minus within a sample keep the first pair (setdefault), and each
+    sample is sorted by lambda_minus.
+    """
+    _check_length(length)
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples")
+    lam1 = (math.pi / length) ** 2
+    if not (math.isfinite(lambda_max) and lambda_max > lam1):
+        raise ValueError("lambda_max must be finite and exceed the principal eigenvalue")
+    lam_lo = lam1 * (1.0 + 1e-9)
+    points: list[FucikPoint] = []
+    for lp in np.linspace(lam_lo, lambda_max, n_samples):
+        lp = float(lp)
+        rows: dict[float, tuple[int, int]] = {}
+        n_plus = 0
+        while (rem := length - n_plus * math.pi / math.sqrt(lp)) > 0.0:
+            for n_minus in (n_plus - 1, n_plus, n_plus + 1):
+                lm = (n_minus * math.pi / rem) ** 2
+                if n_minus >= 1 and lam_lo <= lm <= lambda_max:
+                    rows.setdefault(lm, (n_plus, n_minus))
+            n_plus += 1
+        points.extend(FucikPoint(lp, lm, *rows[lm]) for lm in sorted(rows))
+    return points
 
 
 def reference_monotonicity_sweep(params: ProblemParams, n_pairs: int = 10000,

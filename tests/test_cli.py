@@ -22,6 +22,7 @@ from fucik_branch.quasilinear import ProblemParams
 from fucik_branch.spectrum import closed_form_eigenvalue, eigenpair
 
 from conftest import reference_sweep, reference_table_csv
+from oracles import reference_fucik_curve_points
 
 
 def read_csv(path):
@@ -302,6 +303,9 @@ def test_verify_gates_on_the_monotonicity_floor(tmp_path, monkeypatch, capsys,
     (["--p", "1.5"], "--p: must be a finite number > 2"),
     (["--samples", "100"], "--samples: must be an integer >= 10000"),
     (["--pairs", "0"], "--pairs: must be an integer >= 1"),
+    (["--gamma", "-1"], "--gamma: must be a finite number >= 0"),
+    (["--gamma", "nan"], "--gamma: must be a finite number >= 0"),
+    (["--gamma", "inf"], "--gamma: must be a finite number >= 0"),
 ])
 def test_verify_usage_errors_exit_2_before_any_output(tmp_path, capsys, bad, message):
     outdir = tmp_path / "out"
@@ -447,6 +451,92 @@ def test_bad_grid_exits_2_before_any_output(tmp_path, capsys, command, bad, mess
     assert run([command, *bad, "--output-dir", str(outdir)]) == 2
     assert message in capsys.readouterr().err
     assert not outdir.exists()
+
+
+_BRANCH = ["branch", "--p", "3", "--k", "2", "--gamma", "0.5"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["branch", "--p", "3", "--k", "2", "--gamma", "nan"],
+     "--gamma: must be a finite number >= 0"),
+    (["branch", "--p", "3", "--k", "2", "--gamma", "-0.5"],
+     "--gamma: must be a finite number >= 0"),
+    (["halfeig", "--k", "2", "--gamma", "-1"], "--gamma: must be a finite number >= 0"),
+    (["halfeig", "--k", "2", "--gamma", "nan"], "--gamma: must be a finite number >= 0"),
+    (["fucik", "--lambda-max", "inf"], "--lambda-max: must be a finite number"),
+    (["fucik", "--lambda-max", "nan"], "--lambda-max: must be a finite number"),
+    (["fucik", "--samples", "1"], "--samples: must be an integer >= 2"),
+    ([*_BRANCH, "--alpha0", "nan"], "--alpha0: must be a finite number > 0"),
+    ([*_BRANCH, "--alpha0", "0"], "--alpha0: must be a finite number > 0"),
+    ([*_BRANCH, "--steps", "0"], "--steps: must be an integer >= 1"),
+    (["branch", "--p", "nan", "--k", "2"], "--p: must be a finite number in (1, 2) or (2, inf)"),
+    (["branch", "--p", "2", "--k", "2"], "--p: must be a finite number in (1, 2) or (2, inf)"),
+    (["spectrum", "--count", "0"], "--count: must be an integer >= 1"),
+    (["spectrum", "--count", "200"], "--count must not exceed --grid-n (199), got 200"),
+    (["spectrum", "--count", "10", "--grid-n", "9"],
+     "--count must not exceed --grid-n (9), got 10"),
+])
+def test_bad_option_values_exit_2_before_any_output(tmp_path, capsys, argv, message):
+    outdir = tmp_path / "out"
+    assert run([*argv, "--output-dir", str(outdir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_spectrum_count_may_equal_grid_n(tmp_path):
+    assert run(["spectrum", "--count", "9", "--grid-n", "9",
+                "--output-dir", str(tmp_path)]) == 0
+    assert len(read_csv(tmp_path / "spectrum.csv")[1]) == 9
+
+
+def _fucik_reference_bytes(argv: list[str]) -> tuple[bytes, bytes]:
+    """CSV and JSON bytes of the fucik table, built cell by cell from the loop sweep."""
+    args = cli.build_parser().parse_args(["fucik", *argv])
+    header = ["lambda_plus", "lambda_minus", "n_plus", "n_minus"]
+    rows = [[pt.lambda_plus, pt.lambda_minus, pt.n_plus, pt.n_minus]
+            for pt in reference_fucik_curve_points(args.length, args.lambda_max,
+                                                   args.samples)]
+    payload = [dict(zip(header, row)) for row in rows]
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return reference_table_csv(header, rows).encode(), text.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--samples", "2"],
+    ["--length", "7.3", "--lambda-max", "60"],
+])
+def test_fucik_output_bytes_equal_the_loop_sweep(tmp_path, argv):
+    csv_bytes, json_bytes = _fucik_reference_bytes(argv)
+    assert run(["fucik", *argv, "--output-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "fucik.csv").read_bytes() == csv_bytes
+    assert run(["fucik", *argv, "--format", "json", "--output-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "fucik.json").read_bytes() == json_bytes
+
+
+def _table_row(kind: str, i: int) -> list:
+    """Row i of a table, its cell types fixed by kind and its values by i."""
+    return {"a": [0.1 * (i + 1), 7 + i, i % 2 == 0, np.float64(-0.0)],
+            "b": [np.int64(-3 - i), 2.5e-300 * (i + 1), np.bool_(i % 3), 2 ** 70 + i],
+            "c": [np.float32(0.1 * i), np.uint8(200 + i), 1e300 / (i + 1), np.True_],
+            "d": [3 + i, -1.0 / (i + 1), False, np.int32(7 * i)]}[kind]
+
+
+@pytest.mark.parametrize("pattern", [
+    "",               # header only
+    "a",              # one row
+    "abcdcbad",       # the cell types change every row
+    "aaabbbbcccdda",  # and every few rows
+    "d" * 25,         # one run
+])
+def test_bulk_table_matches_cell_by_cell_formatting(tmp_path, pattern):
+    header = ["w", "x", "y", "z"]
+    rows = [_table_row(kind, i) for i, kind in enumerate(pattern)]
+    expected = reference_table_csv(header, rows).encode()
+    assert cli._write_table(tmp_path / "t", "csv", header, rows).read_bytes() == expected
+    # rows as tuples, as cmd_fucik passes them
+    rows = [tuple(row) for row in rows]
+    assert cli._write_table(tmp_path / "t", "csv", header, rows).read_bytes() == expected
 
 
 def test_repeated_k_is_a_usage_error(tmp_path):

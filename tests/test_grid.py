@@ -294,6 +294,21 @@ def test_field_csv_round_trip(tmp_path, rng):
         assert len(lines) == n + 3
 
 
+@pytest.mark.parametrize("n", [3, 199, 799])
+def test_field_csv_matches_row_by_row_formatting(tmp_path, rng, n):
+    grid = Grid(n_interior=n)
+    values = random_field(grid, rng).values.copy()
+    values[0] = -0.0
+    u = Field(grid, values)
+    path = tmp_path / "field.csv"
+    write_field_csv(u, path)
+    xs = [0.0, *(i * grid.h for i in range(1, n + 1)), grid.length]
+    values = [0.0, *(float(v) for v in u.values), 0.0]
+    expected = "x,value\n" + "".join(
+        f"{FLOAT_FORMAT % x},{FLOAT_FORMAT % v}\n" for x, v in zip(xs, values))
+    assert path.read_bytes() == expected.encode()
+
+
 def test_field_csv_rejects_nonzero_boundary(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,value\n0,1\n0.25,2\n0.5,3\n0.75,4\n1,0\n")

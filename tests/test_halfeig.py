@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fucik_branch import halfeig
 from fucik_branch.grid import Grid, inner_l2, l2_norm
 from fucik_branch.halfeig import (
+    FucikCurves,
     FucikPoint,
     fucik_curve_points,
     gamma_window,
@@ -20,7 +21,7 @@ from fucik_branch.halfeig import (
 from fucik_branch.spectrum import closed_form_eigenvalue, eigenpair
 
 from conftest import counting, reference_half_eigen, reference_shot
-from oracles import reference_bisect
+from oracles import reference_bisect, reference_fucik_curve_points
 
 
 def two_hump_lambda1(gamma: float) -> float:
@@ -252,6 +253,92 @@ def test_fucik_curve_points_properties():
         gap = fucik_relation_gap(pt.lambda_plus, pt.lambda_minus, pt.n_plus,
                                  pt.n_minus, math.pi)
         assert abs(gap) <= 1e-9 * math.pi
+
+
+def _sweep_or_error(sweep, *args):
+    try:
+        return sweep(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+# lambda_1 = (pi/L)^2 is above 3 for L = 1 and above 60 for L = 0.31
+@pytest.mark.parametrize("length, swept_cases",
+                         [(math.pi, 36), (1.0, 30), (2.5, 36), (7.3, 36), (0.31, 12)])
+def test_fucik_curve_points_bit_equal_to_the_loop(length, swept_cases):
+    swept = 0
+    for lambda_max in (3.0, 12.0, 30.0, 60.0, 200.0, 1234.5):
+        for samples in (2, 3, 40, 50, 200, 1000):
+            args = (length, lambda_max, samples)
+            expected = _sweep_or_error(reference_fucik_curve_points, *args)
+            got = _sweep_or_error(fucik_curve_points, *args)
+            if isinstance(expected, str):
+                # the loop's ValueError, with its message
+                assert got == expected
+                continue
+            swept += 1
+            assert isinstance(got, FucikCurves) and len(got) == len(expected)
+            assert got.lambda_plus.tolist() == [pt.lambda_plus for pt in expected]
+            assert got.lambda_minus.tolist() == [pt.lambda_minus for pt in expected]
+            assert got.n_plus.tolist() == [pt.n_plus for pt in expected]
+            assert got.n_minus.tolist() == [pt.n_minus for pt in expected]
+            assert list(got) == expected
+    assert swept == swept_cases
+
+
+def test_fucik_curve_points_rejects_what_the_loop_rejects():
+    for args in ((math.pi, 30.0, 1), (math.pi, 0.5, 40), (math.pi, math.inf, 3),
+                 (math.pi, math.nan, 3), (0.0, 30.0, 3), (math.nan, 30.0, 3)):
+        expected = _sweep_or_error(reference_fucik_curve_points, *args)
+        assert isinstance(expected, str)
+        assert _sweep_or_error(fucik_curve_points, *args) == expected
+
+
+@pytest.mark.parametrize("lambda_max", [25.0, 49.0, 81.0])
+def test_fucik_curve_points_keeps_the_first_pair_of_a_tie(lambda_max):
+    # at lambda_plus = (2a+1)^2 on (0, pi), the pairs (a, a+1) and (a+1, a)
+    # give the same lambda_minus = lambda_plus in floating point too; the
+    # loop's setdefault keeps (a, a+1)
+    a = (math.isqrt(int(lambda_max)) - 1) // 2
+    got = list(fucik_curve_points(math.pi, lambda_max, 2))
+    assert got == reference_fucik_curve_points(math.pi, lambda_max, 2)
+    ties = [(pt.n_plus, pt.n_minus) for pt in got
+            if pt.lambda_plus == pt.lambda_minus == lambda_max]
+    assert ties == [(a, a + 1)]
+
+
+def test_float_power_squares_as_python_does():
+    # the array sweep squares with np.float_power to match the loop's x ** 2
+    x = 2.1367541098445986
+    assert x ** 2 == 4.565718125937782 != x * x
+    assert np.float_power(np.array([x]), 2.0)[0] == x ** 2
+    rng = np.random.default_rng(12)
+    xs = np.concatenate([rng.uniform(0.0, 100.0, 2000),
+                         np.exp(rng.uniform(-20.0, 20.0, 2000))])
+    assert np.float_power(xs, 2.0).tolist() == [x ** 2 for x in xs.tolist()]
+
+
+def test_fucik_curves_apply_the_point_rules():
+    def curves(lam_plus, lam_minus, n_plus, n_minus):
+        return FucikCurves(np.array(lam_plus), np.array(lam_minus),
+                           np.array(n_plus), np.array(n_minus))
+
+    good = curves([2.0, 3.0], [4.0, 5.0], [1, 2], [2, 2])
+    assert len(good) == 2
+    assert list(good) == [FucikPoint(2.0, 4.0, 1, 2), FucikPoint(3.0, 5.0, 2, 2)]
+    assert all(type(pt.lambda_plus) is float and type(pt.n_plus) is int for pt in good)
+    assert len(curves([], [], [], [])) == 0
+    for lam_plus, lam_minus in (([2.0, 0.0], [4.0, 5.0]), ([2.0, 3.0], [-1.0, 5.0]),
+                                ([2.0, math.nan], [4.0, 5.0])):
+        with pytest.raises(ValueError, match="^Fucik point requires positive "
+                                             "lambda_plus and lambda_minus$"):
+            curves(lam_plus, lam_minus, [1, 1], [1, 1])
+    for n_plus, n_minus in (([1, 3], [1, 1]), ([0, 1], [2, 1])):
+        with pytest.raises(ValueError, match="^alternating humps can differ in "
+                                             "count by at most 1$"):
+            curves([2.0, 3.0], [4.0, 5.0], n_plus, n_minus)
+    with pytest.raises(ValueError, match="equal length"):
+        curves([2.0, 3.0], [4.0], [1, 1], [1, 1])
 
 
 def test_split_drift_within_p1_bound_over_grids_and_modes():
