@@ -27,7 +27,8 @@ from .config import SolverConfig
 from .continuation import (Branch, BranchSeed, localization_check,
                            scaling_slope, trace_branch)
 from .grid import FLOAT_FORMAT, Grid, write_field_csv
-from .halfeig import fucik_curve_points, gamma_window, split_eigenvalues
+from .halfeig import (check_split, fucik_curve_points, gamma_window,
+                      split_eigenvalues)
 from .monotone import (MIN_SAMPLES, SolverError, check_vector_inequalities,
                        monotonicity_sweep)
 from .quasilinear import ProblemParams
@@ -371,6 +372,22 @@ def _meta_params(args: argparse.Namespace) -> dict:
     return out
 
 
+def _check_against_grid(args: argparse.Namespace, grid: Grid) -> None:
+    """Raise ValueError for option values the grid rules out, from closed
+    forms, so that these usage errors too come before any output."""
+    if args.command == "spectrum" and args.count > grid.n_interior:
+        raise ValueError(f"--count must not exceed --grid-n ({grid.n_interior}), "
+                         f"got {args.count}")
+    if args.command == "fucik":
+        lam1 = continuum_eigenvalue(grid, 1)
+        if not args.lambda_max > lam1:
+            raise ValueError(f"--lambda-max must exceed the principal eigenvalue "
+                             f"(pi/length)^2 = {lam1:.6g}, got {args.lambda_max}")
+    if args.command in ("halfeig", "branch"):
+        for k in args.k if args.command == "branch" else [args.k]:
+            check_split(grid, k, args.gamma)
+
+
 def run(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
@@ -380,9 +397,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         grid = Grid(n_interior=args.grid_n, length=args.length)
-        if args.command == "spectrum" and args.count > grid.n_interior:
-            raise ValueError(f"--count must not exceed --grid-n ({grid.n_interior}), "
-                             f"got {args.count}")
+        _check_against_grid(args, grid)
         outdir = Path(args.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         _write_json(outdir / "run_meta.json",

@@ -284,6 +284,25 @@ def _discrete_half_eigen(grid: Grid, gamma: float, which: int, lam_lo: float,
     return lam, vec / math.sqrt(grid.h * float(np.dot(vec, vec)))
 
 
+def check_split(grid: Grid, k: int, gamma: float) -> None:
+    """Raise ValueError unless split_eigenvalues(grid, k, gamma) is defined:
+    k = 1 with gamma = 0, or 2 <= k <= n_interior - 1 with
+    0 <= gamma < gamma_window(grid, k).gamma_max. Closed forms only."""
+    if not gamma >= 0.0:
+        raise ValueError("gamma must be nonnegative")
+    if not (isinstance(k, int) and k >= 1):
+        raise ValueError(f"k must be a positive integer, got {k}")
+    if k == 1:
+        # The window construction needs a spectral gap on both sides; for the
+        # principal eigenvalue only the unsplit case is defined.
+        if gamma != 0.0:
+            raise ValueError("k = 1 admits only gamma = 0")
+        return
+    gamma_max = gamma_window(grid, k).gamma_max
+    if gamma >= gamma_max:
+        raise ValueError(f"gamma={gamma} outside [0, {gamma_max:.6g}) for k={k}")
+
+
 def split_eigenvalues(grid: Grid, k: int, gamma: float) -> SplitEigenPair:
     """Both half-eigenvalues of the discretized problem split off lambda_k.
 
@@ -294,20 +313,8 @@ def split_eigenvalues(grid: Grid, k: int, gamma: float) -> SplitEigenPair:
     change of the end value in that bracket, a residual above 1e-8 or a lost
     orientation raises SolverError.
     """
-    if not gamma >= 0.0:
-        raise ValueError("gamma must be nonnegative")
+    check_split(grid, k, gamma)
     ek = eigenpair(grid, k)
-    if k == 1:
-        # The window construction needs a spectral gap on both sides; for the
-        # principal eigenvalue only the unsplit case is defined.
-        if gamma != 0.0:
-            raise ValueError("k = 1 admits only gamma = 0")
-        return SplitEigenPair(k=1, gamma=0.0, lambda1=ek.value, lambda2=ek.value,
-                              v1=ek.vector, v2=-ek.vector, eta=0.5)
-    window = gamma_window(grid, k)
-    if gamma >= window.gamma_max:
-        raise ValueError(
-            f"gamma={gamma} outside [0, {window.gamma_max:.6g}) for k={k}")
     if gamma == 0.0:
         return SplitEigenPair(k=k, gamma=0.0, lambda1=ek.value, lambda2=ek.value,
                               v1=ek.vector, v2=-ek.vector, eta=0.5)

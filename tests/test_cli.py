@@ -475,6 +475,27 @@ _BRANCH = ["branch", "--p", "3", "--k", "2", "--gamma", "0.5"]
     (["spectrum", "--count", "200"], "--count must not exceed --grid-n (199), got 200"),
     (["spectrum", "--count", "10", "--grid-n", "9"],
      "--count must not exceed --grid-n (9), got 10"),
+    # checked against the grid's closed forms before any output
+    (["fucik", "--lambda-max", "0.5"],
+     "--lambda-max must exceed the principal eigenvalue (pi/length)^2 = 1, got 0.5"),
+    (["fucik", "--lambda-max", "3", "--length", "1"],
+     "--lambda-max must exceed the principal eigenvalue (pi/length)^2 = 9.8696, got 3.0"),
+    (["halfeig", "--k", "1", "--gamma", "0.5"], "k = 1 admits only gamma = 0"),
+    (["halfeig", "--k", "2", "--gamma", "5"], "gamma=5.0 outside [0, 2.99969) for k=2"),
+    (["halfeig", "--k", "0", "--gamma", "0.5"], "k must be a positive integer, got 0"),
+    (["halfeig", "--k", "250", "--gamma", "0.5"], "k=250 needs at least 251 interior nodes"),
+    (["halfeig", "--k", "199", "--gamma", "0"], "k=199 needs at least 200 interior nodes"),
+    (["branch", "--p", "3", "--k", "250"], "k=250 needs at least 251 interior nodes"),
+    (["branch", "--p", "3", "--k", "2,250"], "k=250 needs at least 251 interior nodes"),
+    (["branch", "--p", "1.5", "--k", "1", "--gamma", "0.5"], "k = 1 admits only gamma = 0"),
+    (["branch", "--p", "3", "--k", "3", "--gamma", "50"], "gamma=50.0 outside"),
+    # a length whose h^2 underflows
+    (["spectrum", "--length", "1e-300"],
+     "length 1e-300 is too small for 199 interior nodes: 1/h^2 overflows"),
+    (["halfeig", "--k", "2", "--gamma", "0.1", "--length", "1e-200"],
+     "length 1e-200 is too small for 199 interior nodes: 1/h^2 overflows"),
+    (["fucik", "--length", "1e-300"],
+     "length 1e-300 is too small for 199 interior nodes: 1/h^2 overflows"),
 ])
 def test_bad_option_values_exit_2_before_any_output(tmp_path, capsys, argv, message):
     outdir = tmp_path / "out"

@@ -61,6 +61,21 @@ def test_grid_validation():
         Grid(length=-1.0)
 
 
+@pytest.mark.parametrize("length, n", [(1e-300, 199), (1e-200, 199), (1e-153, 3199)])
+def test_grid_rejects_a_length_whose_h2_underflows(length, n):
+    with pytest.raises(ValueError, match="1/h\\^2 overflows"):
+        Grid(length=length, n_interior=n)
+
+
+def test_grid_accepts_the_smallest_lengths_with_finite_inverse_h2():
+    # h = 2^-511: h^2 = 2^-1022, the smallest normal double, 1/h^2 = 2^1022
+    g = Grid(length=8.0 * 2.0 ** -511, n_interior=7)
+    assert 1.0 / (g.h * g.h) == 2.0 ** 1022
+    # h = 2^-520: h^2 = 2^-1040 is subnormal but not zero, and 1/h^2 overflows
+    with pytest.raises(ValueError, match="1/h\\^2 overflows"):
+        Grid(length=8.0 * 2.0 ** -520, n_interior=7)
+
+
 def test_field_validation():
     g = Grid(n_interior=5, length=1.0)
     with pytest.raises(ValueError):

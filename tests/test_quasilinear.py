@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fucik_branch import quasilinear
+from fucik_branch import _tridiag, quasilinear
 from fucik_branch.config import SolverConfig
 from fucik_branch.continuation import newton_at_lambda
 from fucik_branch.grid import (
@@ -312,13 +312,18 @@ def test_rank_one_solve_factors_once(grid, rng, monkeypatch):
     monkeypatch.setattr(quasilinear, "tridiag_factor", counting_factor)
     v = smooth_field(grid, rng)
     v = (0.5 / h10_norm(v)) * v
-    jac = jacobian_transformed(v, ProblemParams(p=1.5, gamma=0.5, lam=4.0))
-    assert jac.rank_one is not None
-    rhs = rng.standard_normal(grid.n_interior)
-    x = jac.solve_values(rhs)
-    assert len(factored) == 1
-    dense = jac.as_matrix()
-    np.testing.assert_allclose(dense @ x, rhs, rtol=0.0,
-                               atol=1e-9 * np.max(np.abs(rhs)))
-    np.testing.assert_allclose(jac.apply_values(x), dense @ x, rtol=0.0,
-                               atol=1e-9 * np.max(np.abs(rhs)))
+    # lam = 4 factors by the Thomas loop; at lam = 0 (the ball solve's
+    # operator) the tridiagonal part is an M-matrix: cyclic reduction
+    for lam, cyclic in ((4.0, False), (0.0, True)):
+        jac = jacobian_transformed(v, ProblemParams(p=1.5, gamma=0.5, lam=lam))
+        assert jac.rank_one is not None
+        assert _tridiag._is_m_matrix(jac.off, jac.diag, jac.off) is cyclic
+        rhs = rng.standard_normal(grid.n_interior)
+        factored.clear()
+        x = jac.solve_values(rhs)
+        assert len(factored) == 1
+        dense = jac.as_matrix()
+        np.testing.assert_allclose(dense @ x, rhs, rtol=0.0,
+                                   atol=1e-9 * np.max(np.abs(rhs)))
+        np.testing.assert_allclose(jac.apply_values(x), dense @ x, rtol=0.0,
+                                   atol=1e-9 * np.max(np.abs(rhs)))

@@ -1,12 +1,25 @@
 """Tridiagonal layer: Thomas solves against dense LAPACK and a numpy-scalar
-reference, factor reuse, and zero pivots."""
+reference, factor reuse, and zero pivots; cyclic reduction on M-matrices
+against dense LAPACK, its singular-pivot test, and which callers take it."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fucik_branch._tridiag import thomas_solve, tridiag_factor
+from fucik_branch import _tridiag
+from fucik_branch._tridiag import CORE, thomas_solve, tridiag_factor
+from fucik_branch.config import SolverConfig
+from fucik_branch.continuation import BranchSeed, trace_branch
+from fucik_branch.grid import Grid, h10_norm
+from fucik_branch.monotone import solve_monotone, solve_monotone_ball
+from fucik_branch.quasilinear import (ProblemParams, residual_original,
+                                      residual_transformed)
+
+from conftest import counting
+from test_quasilinear import smooth_field
+
+EPS = np.finfo(float).eps
 
 _PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                      database=None)
@@ -68,3 +81,155 @@ def test_zero_pivot_raises():
     with pytest.raises(ValueError, match="zero pivot"):
         thomas_solve(np.ones(2), np.ones(3), np.ones(2), np.ones(3))
 
+
+
+def m_matrix(n: int, seed: int, spread: float, symmetric: bool):
+    """Random tridiagonal M-matrix: off-diagonals -exp(U(-spread, spread)),
+    each row weakly diagonally dominant, about one row in five and both end
+    rows strictly so (irreducible, hence nonsingular)."""
+    rng = np.random.default_rng(seed)
+    lower = -np.exp(rng.uniform(-spread, spread, n - 1))
+    upper = lower if symmetric else -np.exp(rng.uniform(-spread, spread, n - 1))
+    diag = np.where(rng.random(n) < 0.2, np.exp(rng.uniform(-spread, spread, n)), 0.0)
+    diag[[0, -1]] += np.exp(rng.uniform(-spread, spread, 2))
+    diag[1:] -= lower
+    diag[:-1] -= upper
+    return lower, diag, upper, rng.standard_normal(n)
+
+
+def tridiag_apply(lower, diag, upper, x):
+    y = diag * x
+    y[:-1] += upper * x[1:]
+    y[1:] += lower * x[:-1]
+    return y
+
+
+def inf_norm(lower, diag, upper):
+    rows = np.abs(diag)
+    rows[1:] += np.abs(lower)
+    rows[:-1] += np.abs(upper)
+    return float(rows.max())
+
+
+def neumann(n: int):
+    # tridiag(-1, 2, -1) with 1 in both corners: singular, null vector of ones
+    off = -np.ones(n - 1)
+    diag = np.full(n, 2.0)
+    diag[[0, -1]] = 1.0
+    return off, diag, off
+
+
+@_PROPERTY
+@given(n=st.one_of(st.integers(CORE - 8, 3 * CORE),
+                   st.sampled_from([CORE, CORE + 1, 2 * CORE - 1, 2 * CORE + 1,
+                                    799, 3199])),
+       seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([0.0, 1.0, 3.0]),
+       symmetric=st.booleans())
+def test_m_matrix_solve_is_backward_stable(n, seed, spread, symmetric):
+    lower, diag, upper, rhs = m_matrix(n, seed, spread, symmetric)
+    assert _tridiag._is_m_matrix(lower, diag, upper)
+    x = tridiag_factor(lower, diag, upper)(rhs)
+    norm_t, norm_x = inf_norm(lower, diag, upper), np.max(np.abs(x))
+    residual = np.max(np.abs(tridiag_apply(lower, diag, upper, x) - rhs))
+    assert residual <= 8 * n * EPS * norm_t * norm_x
+    if n <= 799:
+        dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        expected = np.linalg.solve(dense, rhs)
+        # T^{-1} >= 0 entrywise, so ||T^{-1}||_inf = max(T^{-1} 1)
+        cond = norm_t * np.max(np.linalg.solve(dense, np.ones(n)))
+        assert np.max(np.abs(x - expected)) <= 16 * n * EPS * cond * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n", [CORE + 1, 2 * CORE, 2 * CORE + 1, 799])
+def test_cyclic_solve_reuses_its_factor_and_keeps_the_rhs(n):
+    lower, diag, upper, rhs = m_matrix(n, n, 1.0, False)
+    solve = tridiag_factor(lower, diag, upper)
+    kept = rhs.copy()
+    first = solve(rhs)
+    assert np.array_equal(rhs, kept)
+    assert np.array_equal(solve(rhs), first)
+    assert first.shape == (n,)
+
+
+@pytest.mark.parametrize("n", [4, CORE, CORE + 1, 2 * CORE + 1, 799])
+def test_singular_m_matrix_raises_on_both_paths(n):
+    off, diag, _ = neumann(n)
+    assert _tridiag._is_m_matrix(off, diag, off)
+    with pytest.raises(ValueError):
+        tridiag_factor(off, diag, off)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_weighted_neumann_raises_on_the_cyclic_path(seed):
+    # rows sum to zero up to rounding, so the last pivot is round-off, not 0.0
+    w = np.exp(np.random.default_rng(seed).uniform(-3.0, 3.0, 798))
+    diag = np.concatenate(([w[0]], w[:-1] + w[1:], [w[-1]]))
+    off = -w
+    assert _tridiag._is_m_matrix(off, diag, off)
+    with pytest.raises(ValueError, match="zero pivot in cyclic reduction"):
+        tridiag_factor(off, diag, off)
+
+
+@pytest.mark.parametrize("n", [CORE, CORE + 1, 399, 799])
+@pytest.mark.parametrize("shift", [-50.0, 4.0, 4e4])
+def test_shifted_indefinite_systems_keep_the_thomas_bits(n, shift):
+    # a Jacobian's shape at lambda = shift: M-matrix only for shift <= 0
+    lower, diag, upper, rhs = m_matrix(n, 7, 1.0, True)
+    diag = diag * n * n - shift
+    lower, upper = lower * n * n, upper * n * n
+    x = tridiag_factor(lower, diag, upper)(rhs)
+    if shift > 0.0:
+        assert not _tridiag._is_m_matrix(lower, diag, upper)
+        assert np.array_equal(x, numpy_scalar_thomas(lower, diag, upper, rhs))
+    assert np.array_equal(thomas_solve(lower, diag, upper, rhs),
+                          numpy_scalar_thomas(lower, diag, upper, rhs))
+
+
+def test_dominant_systems_with_a_positive_off_diagonal_keep_the_thomas_bits():
+    lower, diag, upper, rhs = m_matrix(799, 3, 1.0, False)
+    upper = upper.copy()
+    upper[400] = -upper[400]
+    assert not _tridiag._is_m_matrix(lower, diag, upper)
+    assert np.array_equal(tridiag_factor(lower, diag, upper)(rhs),
+                          numpy_scalar_thomas(lower, diag, upper, rhs))
+
+
+def test_dominance_test_allows_a_few_ulps():
+    lower, diag, upper, _ = m_matrix(799, 11, 0.0, True)
+    rows = diag + np.concatenate(([0.0], lower)) + np.concatenate((upper, [0.0]))
+    weak = diag - rows  # exactly dominant up to the rounding of this difference
+    assert _tridiag._is_m_matrix(lower, weak * (1.0 - 4 * EPS), upper)
+    assert not _tridiag._is_m_matrix(lower, weak * (1.0 - 1e-12), upper)
+    for row in (0, 10, 399, 798):  # one row short, the middle one or another
+        short = weak.copy()
+        short[row] *= 1.0 - 1e-12
+        assert not _tridiag._is_m_matrix(lower, short, upper)
+    assert not _tridiag._is_m_matrix(lower, np.where(diag > 0, np.nan, diag), upper)
+
+
+def test_which_callers_take_cyclic_reduction(monkeypatch):
+    counts = {"cyclic": 0}
+    monkeypatch.setattr(_tridiag, "_cyclic_factor",
+                        counting(counts, "cyclic", _tridiag._cyclic_factor))
+    assert Grid().n_interior > CORE
+    for p in (3.0, 1.5):
+        branch = trace_branch(BranchSeed(k=2, which=1, gamma=0.5, p=p),
+                              Grid(), SolverConfig(max_steps=8))
+        assert len(branch.points) >= 2
+    assert counts["cyclic"] == 0
+
+    grid = Grid(n_interior=799)
+    rng = np.random.default_rng(3)
+    p3 = ProblemParams(p=3.0, gamma=0.5, lam=0.0)
+    u_star = smooth_field(grid, rng)
+    report = solve_monotone(residual_original(u_star, p3), p3)
+    assert h10_norm(report.solution - u_star) <= 1e-7
+    after_p3 = counts["cyclic"]
+    assert after_p3 > 0
+
+    p15 = ProblemParams(p=1.5, gamma=0.5, lam=0.0)
+    v_star = smooth_field(grid, rng)
+    v_star = (0.2 / h10_norm(v_star)) * v_star
+    report = solve_monotone_ball(residual_transformed(v_star, p15), p15, radius=0.5)
+    assert h10_norm(report.solution - v_star) <= 1e-7
+    assert counts["cyclic"] > after_p3
