@@ -343,7 +343,6 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
     vdir = pair.v1 if seed.which == 1 else pair.v2
     side = 1 if seed.which == 1 else -1
     ek = eigenpair(grid, seed.k)
-    cone = ConeParams(eta=pair.eta)
     prob = _TraceProblem(grid, seed.p, seed.gamma)
 
     a0 = config.alpha0 * inner_l2(ek.vector, vdir)
@@ -361,10 +360,12 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
         h12_orig = None
         if prob.transformed and h12 > 0.0:
             h12_orig = original_h10_norm(field, seed.p)
+        alpha = inner_l2(ek.vector, field)
+        l2 = l2_norm(field)
+        # cone_test's comparison, on this point's own projection and norm
         return BranchPoint(
-            s=s, lam=lam_val, u=field, alpha=inner_l2(ek.vector, field),
-            l2=l2_norm(field), h12=h12,
-            in_cone=cone_test(field, seed.k, cone, side),
+            s=s, lam=lam_val, u=field, alpha=alpha, l2=l2, h12=h12,
+            in_cone=side * alpha > pair.eta * l2,
             corrector_tol=tol_val, h12_original=h12_orig)
 
     points = [make_point(0.0, u, lam, tol_eff)]

@@ -44,10 +44,11 @@ class Grid:
             raise ValueError(f"n_interior must be an integer >= 3, got {self.n_interior}")
         if not (math.isfinite(self.length) and self.length > 0.0):
             raise ValueError(f"length must be positive and finite, got {self.length}")
+        # every discrete Dirichlet eigenvalue lies below 4/h^2
         h2 = self.h * self.h
-        if not (h2 > 0.0 and math.isfinite(1.0 / h2)):
+        if not (h2 > 0.0 and math.isfinite(4.0 / h2)):
             raise ValueError(f"length {self.length} is too small for {self.n_interior} "
-                             f"interior nodes: 1/h^2 overflows")
+                             f"interior nodes: 4/h^2 overflows")
 
     @property
     def h(self) -> float:

@@ -5,9 +5,10 @@ For p > 2 the operator is strongly monotone on the whole space and is also
 the gradient of a convex energy, so a semismooth Newton method with an
 energy-descent line search (damped Picard fallback) converges globally. For
 1 < p < 2 the transformed operator A = -||.||^{4-p} Delta_p - Delta -
-gamma*(.)^- is only coercive on balls, with sampled constant 1 - C'r^2 on the
-ball of radius r; the ball-restricted solve refuses to leave that ball and
-line-searches on the dual norm of the residual.
+gamma*(.)^- is only coercive on balls, with constant at least
+1 - (4-p) L^{1-p/2} r^2 on the ball of radius r in H^1_0(0, L); the
+ball-restricted solve refuses to leave that ball and line-searches on the
+dual norm of the residual.
 
 damped_step is the package's one Armijo backtracking loop, over Newton and
 then Picard directions; its callers here and in continuation differ only in
@@ -18,20 +19,18 @@ epsilon.
 The vector inequalities backing the p > 2 case are checked empirically by
 check_vector_inequalities, and strong monotonicity by monotonicity_sweep,
 whose sampled ratio has the proven floor 2^{2-p}; ball_coercivity_samples
-certifies coercivity on a ball, and default_ball_radius picks the ball.
+samples the certified coercivity bound on a ball, and default_ball_radius is
+the closed-form radius on which that bound is proven >= 0.5.
 These sampled checks draw their pairs one at a time, in the order a
 pair-by-pair loop would, and evaluate them as (pairs, n) arrays, in blocks
 of about _BLOCK_VALUES doubles per array so that memory stays flat in the
 pair count. The two p > 2 samplers return the same doubles as their first
 blocked form (tests/oracles.py): only the Python and numpy work around the
-arithmetic was cut. default_ball_radius evaluates the bound once, at r = 1,
-reads the radius off its exact r^2 scaling, and caches it per (p, grid,
-seed).
+arithmetic was cut.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from collections.abc import Callable, Iterable, Iterator
@@ -365,30 +364,20 @@ def ball_coercivity_bound(params: ProblemParams, r: float, n_pairs: int = 64,
     return float(np.min(ball_coercivity_samples(params, r, n_pairs, rng, grid)))
 
 
-def default_ball_radius(params: ProblemParams, grid: Grid | None = None,
-                        seed: int = 7) -> float:
-    """Largest dyadic r <= 1 whose sampled coercivity bound stays >= 0.5.
+def default_ball_radius(params: ProblemParams, grid: Grid | None = None) -> float:
+    """Radius r* = (2 (4-p) L^{1-p/2})^{-1/2} of a ball on which the certified
+    coercivity bound of ball_coercivity_samples is proven >= 0.5, L being the
+    grid length (pi by default).
 
-    The bound's deficit against 1 scales exactly with r^2 on the same pairs
-    (ball_coercivity_samples), so ball_coercivity_bound is evaluated once, at
-    r = 1 from default_rng(seed), and r = 2^-j is the largest with
-    1 - 4^-j * (1 - B_1) >= 0.5, j <= 29. The bound depends on p, the grid
-    and the seed alone (gamma and lam never enter), so the radius is cached
-    per (p, grid, seed).
+    On B_r, Holder over the n + 1 elements (h * sum 1 = L) gives
+    ||w||_{1,p} <= L^{1/p-1/2} ||w||_{1,2}, and the mean value theorem gives
+    | ||u||^{4-p} - ||w||^{4-p} | <= (4-p) r^{3-p} ||u-w||_{1,2}. Together they
+    bound the deficit of every pair in B_r by (4-p) L^{1-p/2} r^2, which is
+    0.5 at r*. The radius depends on p and L alone, not on n, gamma or lam.
     """
     _check_ball(params, 1.0)
-    return _ball_radius(params.p, grid if grid is not None else Grid(), seed)
-
-
-@functools.lru_cache(maxsize=64)
-def _ball_radius(p: float, grid: Grid, seed: int) -> float:
-    params = ProblemParams(p=p, gamma=0.0, lam=0.0)
-    deficit = 1.0 - ball_coercivity_bound(params, 1.0,
-                                          rng=np.random.default_rng(seed), grid=grid)
-    if not deficit <= 0.5 * 4.0 ** 29:
-        raise SolverError("no dyadic radius with positive sampled coercivity")
-    j = 0 if deficit <= 0.5 else math.ceil(0.5 * math.log2(2.0 * deficit))
-    return 0.5 ** j
+    length = (grid if grid is not None else Grid()).length
+    return (2.0 * (4.0 - params.p) * length ** (1.0 - 0.5 * params.p)) ** -0.5
 
 
 def solve_monotone_ball(f: Field, params: ProblemParams,
@@ -399,9 +388,11 @@ def solve_monotone_ball(f: Field, params: ProblemParams,
 
     Newton on the exact residual with the self-regularizing Jacobian
     jacobian_transformed, an Armijo search on the dual norm of the residual
-    and a damped Picard fallback. The iteration fails informatively if an iterate
-    leaves the ball or a sampled monotonicity ratio turns nonpositive, both of
-    which signal that the radius is too large for this p.
+    and a damped Picard fallback. The radius defaults to default_ball_radius,
+    on which coercivity is proven. For a radius the caller passes, the
+    iteration fails informatively if an iterate leaves the ball or a sampled
+    monotonicity ratio turns nonpositive, both of which signal that the
+    radius is too large for this p.
     """
     if not (1.0 < params.p < 2.0):
         raise ValueError("solve_monotone_ball requires 1 < p < 2")

@@ -489,13 +489,16 @@ _BRANCH = ["branch", "--p", "3", "--k", "2", "--gamma", "0.5"]
     (["branch", "--p", "3", "--k", "2,250"], "k=250 needs at least 251 interior nodes"),
     (["branch", "--p", "1.5", "--k", "1", "--gamma", "0.5"], "k = 1 admits only gamma = 0"),
     (["branch", "--p", "3", "--k", "3", "--gamma", "50"], "gamma=50.0 outside"),
-    # a length whose h^2 underflows
+    # a length whose 4/h^2 overflows
     (["spectrum", "--length", "1e-300"],
-     "length 1e-300 is too small for 199 interior nodes: 1/h^2 overflows"),
+     "length 1e-300 is too small for 199 interior nodes: 4/h^2 overflows"),
     (["halfeig", "--k", "2", "--gamma", "0.1", "--length", "1e-200"],
-     "length 1e-200 is too small for 199 interior nodes: 1/h^2 overflows"),
+     "length 1e-200 is too small for 199 interior nodes: 4/h^2 overflows"),
     (["fucik", "--length", "1e-300"],
-     "length 1e-300 is too small for 199 interior nodes: 1/h^2 overflows"),
+     "length 1e-300 is too small for 199 interior nodes: 4/h^2 overflows"),
+    # 1/h^2 is finite here, but the top eigenvalues, near 4/h^2, overflow
+    (["spectrum", "--length", "1.5e-152"],
+     "length 1.5e-152 is too small for 199 interior nodes: 4/h^2 overflows"),
 ])
 def test_bad_option_values_exit_2_before_any_output(tmp_path, capsys, argv, message):
     outdir = tmp_path / "out"

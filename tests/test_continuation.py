@@ -152,6 +152,16 @@ def test_cone_sides_are_disjoint(branch_p3_w1, branch_p3_w2):
             assert not cone_test(pt.u, 2, cone, 1)
 
 
+@pytest.mark.parametrize("fixture", ["branch_p3_w2", "branch_p15"])
+def test_point_in_cone_equals_cone_test(request, fixture):
+    branch = request.getfixturevalue(fixture)
+    side = 1 if branch.seed.which == 1 else -1
+    cone = ConeParams(eta=branch.eta)
+    assert any(pt.in_cone for pt in branch.points)
+    for pt in branch.points:
+        assert pt.in_cone == cone_test(pt.u, branch.seed.k, cone, side)
+
+
 def test_cone_test_rejects_bad_input(grid):
     cone = ConeParams(eta=0.5)
     with pytest.raises(ValueError):

@@ -63,16 +63,22 @@ def test_grid_validation():
 
 @pytest.mark.parametrize("length, n", [(1e-300, 199), (1e-200, 199), (1e-153, 3199)])
 def test_grid_rejects_a_length_whose_h2_underflows(length, n):
-    with pytest.raises(ValueError, match="1/h\\^2 overflows"):
+    with pytest.raises(ValueError, match="4/h\\^2 overflows"):
         Grid(length=length, n_interior=n)
 
 
-def test_grid_accepts_the_smallest_lengths_with_finite_inverse_h2():
-    # h = 2^-511: h^2 = 2^-1022, the smallest normal double, 1/h^2 = 2^1022
-    g = Grid(length=8.0 * 2.0 ** -511, n_interior=7)
-    assert 1.0 / (g.h * g.h) == 2.0 ** 1022
-    # h = 2^-520: h^2 = 2^-1040 is subnormal but not zero, and 1/h^2 overflows
-    with pytest.raises(ValueError, match="1/h\\^2 overflows"):
+def test_grid_accepts_the_smallest_lengths_with_finite_4_over_h2():
+    # every discrete eigenvalue lies below 4/h^2, so that bound must be finite
+    # h = 2^-510: h^2 = 2^-1020, 4/h^2 = 2^1022
+    g = Grid(length=8.0 * 2.0 ** -510, n_interior=7)
+    assert 4.0 / (g.h * g.h) == 2.0 ** 1022
+    assert closed_form_eigenvalue(g, 7) < math.inf
+    # h = 2^-511: h^2 = 2^-1022, the smallest normal double; 1/h^2 = 2^1022 is
+    # finite but 4/h^2 = 2^1024 overflows
+    with pytest.raises(ValueError, match="4/h\\^2 overflows"):
+        Grid(length=8.0 * 2.0 ** -511, n_interior=7)
+    # h = 2^-520: h^2 = 2^-1040 is subnormal but not zero
+    with pytest.raises(ValueError, match="4/h\\^2 overflows"):
         Grid(length=8.0 * 2.0 ** -520, n_interior=7)
 
 

@@ -228,9 +228,9 @@ def test_sampled_checks_run_in_bounded_memory():
             tracemalloc.stop()
 
     assert peak(lambda: monotonicity_sweep(P3, n_pairs=10_000)) < cap
-    # a cold cache, so that the radius is computed and not looked up
-    monotone._ball_radius.cache_clear()
-    assert peak(lambda: default_ball_radius(P15, grid=Grid(n_interior=799))) < cap
+    # 1,000 pairs at n = 799 at once would take 6.4 MB for each (pairs, n) array
+    assert peak(lambda: ball_coercivity_samples(
+        P15, 0.5, 1_000, np.random.default_rng(7), Grid(n_interior=799))) < cap
 
 
 def test_monotonicity_sweep_needs_p_above_2():
@@ -406,50 +406,37 @@ def test_ball_pairs_scale_exactly_by_powers_of_two(n):
             assert np.array_equal(r * a1, a) and np.array_equal(r * b1, b)
 
 
-@pytest.mark.parametrize("p", [1.2, 1.5, 1.9])
-def test_default_ball_radius_probes_fresh_draws(p):
+@pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 1.8, 1.95])
+def test_default_ball_radius_is_proven_coercive(p):
+    # the proof bounds every pair's deficit by (4-p) L^{1-p/2} r^2, 0.5 at
+    # r*; sampled deficits stay below 0.82 of it over these p, L and n and
+    # seeds 0..19 (about 6 s), of which this runs a tenth
     params = ProblemParams(p=p, gamma=0.5, lam=0.0)
-    for grid in (Grid(), Grid(n_interior=799)):
-        r = 1.0
-        while ball_coercivity_bound(params, r, rng=np.random.default_rng(7),
-                                    grid=grid) < 0.5:
-            r *= 0.5
-        assert default_ball_radius(params, grid=grid) == r
+    for i, length in enumerate((0.1, 1.0, math.pi, 10.0, 100.0)):
+        for n in (3, 9, 199, 799):
+            grid = Grid(length=length, n_interior=n)
+            r = default_ball_radius(params, grid=grid)
+            for seed in (i, i + 10):
+                bound = ball_coercivity_bound(params, r, rng=np.random.default_rng(seed),
+                                              grid=grid)
+                assert 0.5 <= bound < 1.0
 
 
-def test_default_ball_radius_is_cached_per_p_grid_and_seed(monkeypatch):
-    monotone._ball_radius.cache_clear()
-    counts = {"bounds": 0}
-    monkeypatch.setattr(monotone, "ball_coercivity_bound", counting(
-        counts, "bounds", ball_coercivity_bound))
-    grid = Grid(n_interior=99)
-    r = default_ball_radius(P15, grid=grid)
-    for gamma, lam in ((0.0, 0.0), (0.5, 3.0), (2.0, -1.0)):
-        params = ProblemParams(p=1.5, gamma=gamma, lam=lam)
-        assert default_ball_radius(params, grid=Grid(n_interior=99)) == r
-    assert counts["bounds"] == 1
-    # a different p, grid or seed is its own entry, computed once
-    for p, n, seed in ((1.2, 99, 7), (1.5, 199, 7), (1.5, 99, 8)):
-        default_ball_radius(ProblemParams(p=p, gamma=0.5, lam=0.0),
-                            grid=Grid(n_interior=n), seed=seed)
-    assert counts["bounds"] == 4
-    default_ball_radius(P15, grid=Grid(n_interior=99), seed=8)
-    assert counts["bounds"] == 4
-    # the p check runs before the lookup, and p = 3 never reaches the cache
-    with pytest.raises(ValueError):
-        default_ball_radius(P3, grid=grid)
-    assert counts["bounds"] == 4
-
-
-@pytest.mark.parametrize("p", [1.2, 1.5, 1.9])
-def test_cached_ball_radius_equals_fresh_computation(p):
-    params = ProblemParams(p=p, gamma=0.5, lam=0.0)
-    for n in (9, 199, 399, 799):
-        grid = Grid(n_interior=n)
-        fresh = monotone._ball_radius.__wrapped__(p, grid, 7)
-        monotone._ball_radius.cache_clear()
-        assert default_ball_radius(params, grid=grid) == fresh
-        assert default_ball_radius(params, grid=grid) == fresh
+def test_default_ball_radius_is_the_closed_form():
+    for p in (1.05, 1.2, 1.5, 1.8, 1.95):
+        for length in (0.1, 1.0, math.pi, 10.0, 100.0):
+            r = (2.0 * (4.0 - p) * length ** (1.0 - p / 2.0)) ** -0.5
+            radii = {default_ball_radius(ProblemParams(p=p, gamma=gamma, lam=lam),
+                                         grid=Grid(length=length, n_interior=n))
+                     for n in (3, 199, 799)
+                     for gamma, lam in ((0.0, 0.0), (0.5, 3.0), (2.0, -1.0))}
+            assert len(radii) == 1 and radii.pop() == pytest.approx(r, rel=1e-15)
+    # the default grid has length pi
+    assert default_ball_radius(P15) == default_ball_radius(P15, grid=Grid(n_interior=9))
+    assert default_ball_radius(P15) == pytest.approx(0.38759, abs=1e-5)
+    for p in (2.0, 3.0):
+        with pytest.raises(ValueError):
+            default_ball_radius(ProblemParams(p=p, gamma=0.5, lam=0.0))
 
 
 def test_ball_coercivity_samples_of_no_pairs(grid):
