@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output-dir", default="out",
                         help="directory for results (default: out)")
-    common.add_argument("--seed", type=int, default=42,
+    common.add_argument("--seed", type=_int_at_least(0), default=42,
                         help="PRNG seed for sampled checks (default: 42)")
     common.add_argument("--grid-n", type=int, default=199,
                         help="number of interior nodes (default: 199)")
@@ -363,13 +363,8 @@ def _setup_logging() -> None:
 
 
 def _meta_params(args: argparse.Namespace) -> dict:
-    skip = {"func", "command"}
-    out = {}
-    for key, value in vars(args).items():
-        if key in skip:
-            continue
-        out[key] = str(value) if isinstance(value, Path) else value
-    return out
+    return {key: value for key, value in vars(args).items()
+            if key not in ("func", "command")}
 
 
 def _check_against_grid(args: argparse.Namespace, grid: Grid) -> None:

@@ -31,10 +31,12 @@ class SolverConfig:
     norm_cap: float = 1e2
 
     def __post_init__(self) -> None:
-        if min(self.tol_abs, self.tol_rel, self.alpha0, self.corrector_tol,
-               self.norm_cap) <= 0.0:
-            raise ValueError("all tolerances and step bounds must be positive")
-        if min(self.max_iter, self.max_steps) < 1:
-            raise ValueError("iteration limits must be at least 1")
-        if not math.isfinite(self.norm_cap):
-            raise ValueError("norm_cap must be finite")
+        for name in ("tol_abs", "tol_rel", "alpha0", "corrector_tol", "norm_cap"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name in ("max_iter", "max_steps"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and not isinstance(value, bool)
+                    and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")

@@ -125,9 +125,9 @@ class BranchSeed:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         if self.which not in (1, 2):
             raise ValueError(f"which must be 1 or 2, got {self.which}")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be nonnegative")
-        if not (self.p > 1.0 and self.p != 2.0):
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
+        if not (math.isfinite(self.p) and self.p > 1.0 and self.p != 2.0):
             raise ValueError(f"p must lie in (1,2) or (2,inf), got {self.p}")
 
 

@@ -21,12 +21,13 @@ check_vector_inequalities, and strong monotonicity by monotonicity_sweep,
 whose sampled ratio has the proven floor 2^{2-p}; ball_coercivity_samples
 samples the certified coercivity bound on a ball, and default_ball_radius is
 the closed-form radius on which that bound is proven >= 0.5.
-These sampled checks draw their pairs one at a time, in the order a
-pair-by-pair loop would, and evaluate them as (pairs, n) arrays, in blocks
-of about _BLOCK_VALUES doubles per array so that memory stays flat in the
-pair count. The two p > 2 samplers return the same doubles as their first
-blocked form (tests/oracles.py): only the Python and numpy work around the
-arithmetic was cut.
+The sampled checks draw their pairs one at a time, in the order a
+pair-by-pair loop would. monotonicity_sweep evaluates them as (pairs, n)
+arrays, in blocks of about _BLOCK_VALUES doubles per array so that memory
+stays flat in the pair count; ball_coercivity_samples, which no solve calls,
+evaluates each pair on its own. All three samplers return the same doubles
+as their first blocked form (tests/oracles.py): only the Python and numpy
+work around the arithmetic was cut.
 """
 
 from __future__ import annotations
@@ -274,72 +275,50 @@ def ball_coercivity_samples(params: ProblemParams, r: float, n_pairs: int,
 
         1 - |c(u) - c(w)| * ||w||_{1,p}^{p-1} * ||u-w||_{1,p} / ||u-w||_{1,2}^2
 
-    as a guaranteed lower bound for the monotonicity ratio. Its deficit
-    against 1 scales exactly with r^2 when a pair is scaled into B_r, so the
-    same generator state probed at two radii yields exactly r^2-related
-    bounds. The sampled pairs mix far-apart fields with nearby ones. Pairs
-    are drawn one at a time and evaluated in blocks of rows.
+    as a guaranteed lower bound for the monotonicity ratio, whose deficit
+    against 1 scales with r^2 when a pair is scaled into B_r. The first
+    n_pairs // 2 pairs are far apart, two fields with H^1_0 norms in
+    [0.2 r, r]; the rest are nearby, a field of norm at most 0.9 r and b = a
+    + a random step of H^1_0 length 0.05 r (dropped if the step draw is
+    zero). Each field draws its normals and then its norm. Pairs are drawn
+    and evaluated one at a time, each as a one-row block.
     """
-    _check_ball(params, r)
+    _check_ball_exponent(params)
+    if r <= 0.0:
+        raise ValueError("ball radius must be positive")
     if grid is None:
         grid = Grid()
-    bounds = [_certified_bounds(a, b, grid.h, params.p)
-              for a, b in _ball_pairs(grid, r, n_pairs, rng)]
+    h, n = grid.h, grid.n_interior
+
+    def h10(x: np.ndarray) -> np.ndarray:
+        return h10_values(gradient_values(x, h), h)
+
+    def ball_field(radius: float) -> np.ndarray:
+        x = rng.standard_normal(n)[None]
+        x = x * (radius * rng.uniform(0.2, 1.0) / h10(x))
+        require_finite(x)
+        return x
+
+    bounds = []
+    n_far = n_pairs // 2
+    for _ in range(n_far):
+        a = ball_field(r)
+        bounds.append(_certified_bounds(a, ball_field(r), h, params.p))
+    for _ in range(n_pairs - n_far):
+        a = ball_field(0.9 * r)
+        step = rng.standard_normal(n)[None]
+        hn = h10(step)
+        if hn[0] == 0.0:
+            continue
+        b = a + (0.05 * r) / hn * step
+        require_finite(b)
+        bounds.append(_certified_bounds(a, b, h, params.p))
     return np.concatenate(bounds) if bounds else np.empty(0)
 
 
-def _check_ball(params: ProblemParams, r: float) -> None:
+def _check_ball_exponent(params: ProblemParams) -> None:
     if not (1.0 < params.p < 2.0):
         raise ValueError("ball coercivity applies to 1 < p < 2")
-    if r <= 0.0:
-        raise ValueError("ball radius must be positive")
-
-
-def _ball_pairs(grid: Grid, r: float, n_pairs: int,
-                rng: np.random.Generator) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Blocks (a, b) of the sampled pairs in B_r.
-
-    First n_pairs // 2 far-apart pairs of fields with H^1_0 norms in
-    [0.2 r, r]; then nearby pairs, a of norm at most 0.9 r and b = a + a
-    random step of H^1_0 length 0.05 r (dropped if the step draw is zero).
-    Every draw is made in the order of a pair-by-pair loop. Scaling by a
-    power of two is exact, so these blocks at r = 1, times r, are bitwise
-    the blocks drawn at r.
-    """
-    h, n = grid.h, grid.n_interior
-    rows = _block_rows(grid)
-    n_far = n_pairs // 2
-    for count in _blocks(n_far, rows):
-        raw = np.empty((count, 2, n))
-        norm = np.empty((count, 2))
-        for j in range(count):
-            for k in range(2):
-                rng.standard_normal(n, out=raw[j, k])
-                norm[j, k] = r * rng.uniform(0.2, 1.0)
-        pair = _with_h10_norm(raw, norm, h)
-        yield pair[:, 0], pair[:, 1]
-    for count in _blocks(n_pairs - n_far, rows):
-        raw = np.empty((count, 2, n))
-        norm = np.empty(count)
-        for j in range(count):
-            rng.standard_normal(n, out=raw[j, 0])
-            norm[j] = 0.9 * r * rng.uniform(0.2, 1.0)
-            rng.standard_normal(n, out=raw[j, 1])
-        a, step = _with_h10_norm(raw[:, 0], norm, h), raw[:, 1]
-        hn = h10_values(gradient_values(step, h), h)
-        keep = hn != 0.0
-        a = a[keep]
-        b = a + ((0.05 * r) / hn[keep])[:, None] * step[keep]
-        require_finite(b)
-        yield a, b
-
-
-def _with_h10_norm(values: np.ndarray, norm: np.ndarray, h: float) -> np.ndarray:
-    """Each row of values rescaled to the H^1_0 norm given in norm."""
-    scale = norm / h10_values(gradient_values(values, h), h)
-    out = values * scale[..., None]
-    require_finite(out)
-    return out
 
 
 def _certified_bounds(a: np.ndarray, b: np.ndarray, h: float,
@@ -375,7 +354,7 @@ def default_ball_radius(params: ProblemParams, grid: Grid | None = None) -> floa
     bound the deficit of every pair in B_r by (4-p) L^{1-p/2} r^2, which is
     0.5 at r*. The radius depends on p and L alone, not on n, gamma or lam.
     """
-    _check_ball(params, 1.0)
+    _check_ball_exponent(params)
     length = (grid if grid is not None else Grid()).length
     return (2.0 * (4.0 - params.p) * length ** (1.0 - 0.5 * params.p)) ** -0.5
 

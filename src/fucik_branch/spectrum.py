@@ -47,17 +47,9 @@ def _check_index(grid: Grid, k: int) -> None:
 def _eigenvector_values(grid: Grid, k: int) -> np.ndarray:
     vals = np.sin(k * math.pi * grid.nodes / grid.length)
     vals /= math.sqrt(grid.h * float(np.dot(vals, vals)))
-    vals = _fix_sign(vals)
+    # the first value, sin(k pi / (n+1)) for 1 <= k <= n, is positive
     vals.setflags(write=False)
     return vals
-
-
-def _fix_sign(vals: np.ndarray) -> np.ndarray:
-    scale = np.max(np.abs(vals))
-    for v in vals:
-        if abs(v) > 1e-14 * scale:
-            return vals if v > 0.0 else -vals
-    raise ValueError("eigenvector is numerically zero")
 
 
 def eigenpair(grid: Grid, k: int) -> EigenPair:

@@ -7,24 +7,27 @@ of a field, the p-Laplacian dual vector written out on its own, and plain
 bisection, the reference for the half-eigenvalue root finder, the Fucik
 sweep as a loop over samples and hump counts, the reference for the
 array sweep, and the sampled p > 2 checks as first blocked (scales from rng.uniform, pair[j, k]
-fills, norms taken per use), the bit-for-bit references for monotone's
-samplers.
+fills, norms taken per use) and the coercivity-ball samples as blocked
+before the proven radius retired them from the solves, the bit-for-bit
+references for monotone's samplers.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
 from fucik_branch._tridiag import symmetric_tridiag_apply, thomas_solve
-from fucik_branch.grid import (Field, Grid, element_gradients,
-                               laplacian_solve_values, require_finite)
+from fucik_branch.grid import (Field, Grid, element_gradients, gradient_values,
+                               h10_values, laplacian_solve_values, require_finite)
 from fucik_branch.halfeig import FucikPoint, _check_length
 from fucik_branch.monotone import (VectorInequalityReport, _block_rows, _blocks,
-                                   _monotonicity_ratios, _operator_params)
+                                   _certified_bounds, _monotonicity_ratios,
+                                   _operator_params)
 from fucik_branch.quasilinear import ProblemParams, residual_original_values
-from fucik_branch.spectrum import EigenPair, _check_index, _fix_sign, closed_form_eigenvalue
+from fucik_branch.spectrum import EigenPair, _check_index, closed_form_eigenvalue
 
 
 def eigenpair_iterative(grid: Grid, k: int, tol: float = 1e-12,
@@ -66,6 +69,15 @@ def eigenpair_iterative(grid: Grid, k: int, tol: float = 1e-12,
     else:
         raise RuntimeError(f"inverse iteration did not converge for k={k}")
     return EigenPair(k=k, value=lam, vector=Field(grid, _fix_sign(v)))
+
+
+def _fix_sign(vals: np.ndarray) -> np.ndarray:
+    """vals, or -vals, so that the first nonzero value is positive."""
+    scale = np.max(np.abs(vals))
+    for v in vals:
+        if abs(v) > 1e-14 * scale:
+            return vals if v > 0.0 else -vals
+    raise ValueError("eigenvector is numerically zero")
 
 
 def rayleigh_lambda1(grid: Grid, trials: int, rng: np.random.Generator | None = None,
@@ -281,3 +293,82 @@ def reference_check_vector_inequalities(p: float, n_samples: int,
     return VectorInequalityReport(p=p, n_samples=n_samples, c1_emp=c1_emp,
                                   c2_emp=c2_emp, c1_floor=floor,
                                   violations=violations)
+
+
+def reference_blocked_ball_samples(params: ProblemParams, r: float, n_pairs: int,
+                                   rng: np.random.Generator,
+                                   grid: Grid | None = None) -> np.ndarray:
+    """Certified monotonicity lower bounds for pair samples in the ball B_r.
+
+    For a pair (u, w) the pairing (Au - Aw, u - w)_2 splits into the H^1_0
+    square, a nonnegative p-Laplacian part, a nonnegative gamma part, and the
+    norm-coefficient cross term; bounding the cross term by Holder leaves
+
+        1 - |c(u) - c(w)| * ||w||_{1,p}^{p-1} * ||u-w||_{1,p} / ||u-w||_{1,2}^2
+
+    as a guaranteed lower bound for the monotonicity ratio. Its deficit
+    against 1 scales exactly with r^2 when a pair is scaled into B_r, so the
+    same generator state probed at two radii yields exactly r^2-related
+    bounds. The sampled pairs mix far-apart fields with nearby ones. Pairs
+    are drawn one at a time and evaluated in blocks of rows.
+    """
+    _check_ball(params, r)
+    if grid is None:
+        grid = Grid()
+    bounds = [_certified_bounds(a, b, grid.h, params.p)
+              for a, b in _ball_pairs(grid, r, n_pairs, rng)]
+    return np.concatenate(bounds) if bounds else np.empty(0)
+
+
+def _check_ball(params: ProblemParams, r: float) -> None:
+    if not (1.0 < params.p < 2.0):
+        raise ValueError("ball coercivity applies to 1 < p < 2")
+    if r <= 0.0:
+        raise ValueError("ball radius must be positive")
+
+
+def _ball_pairs(grid: Grid, r: float, n_pairs: int,
+                rng: np.random.Generator) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks (a, b) of the sampled pairs in B_r.
+
+    First n_pairs // 2 far-apart pairs of fields with H^1_0 norms in
+    [0.2 r, r]; then nearby pairs, a of norm at most 0.9 r and b = a + a
+    random step of H^1_0 length 0.05 r (dropped if the step draw is zero).
+    Every draw is made in the order of a pair-by-pair loop. Scaling by a
+    power of two is exact, so these blocks at r = 1, times r, are bitwise
+    the blocks drawn at r.
+    """
+    h, n = grid.h, grid.n_interior
+    rows = _block_rows(grid)
+    n_far = n_pairs // 2
+    for count in _blocks(n_far, rows):
+        raw = np.empty((count, 2, n))
+        norm = np.empty((count, 2))
+        for j in range(count):
+            for k in range(2):
+                rng.standard_normal(n, out=raw[j, k])
+                norm[j, k] = r * rng.uniform(0.2, 1.0)
+        pair = _with_h10_norm(raw, norm, h)
+        yield pair[:, 0], pair[:, 1]
+    for count in _blocks(n_pairs - n_far, rows):
+        raw = np.empty((count, 2, n))
+        norm = np.empty(count)
+        for j in range(count):
+            rng.standard_normal(n, out=raw[j, 0])
+            norm[j] = 0.9 * r * rng.uniform(0.2, 1.0)
+            rng.standard_normal(n, out=raw[j, 1])
+        a, step = _with_h10_norm(raw[:, 0], norm, h), raw[:, 1]
+        hn = h10_values(gradient_values(step, h), h)
+        keep = hn != 0.0
+        a = a[keep]
+        b = a + ((0.05 * r) / hn[keep])[:, None] * step[keep]
+        require_finite(b)
+        yield a, b
+
+
+def _with_h10_norm(values: np.ndarray, norm: np.ndarray, h: float) -> np.ndarray:
+    """Each row of values rescaled to the H^1_0 norm given in norm."""
+    scale = norm / h10_values(gradient_values(values, h), h)
+    out = values * scale[..., None]
+    require_finite(out)
+    return out

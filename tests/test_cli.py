@@ -499,6 +499,7 @@ _BRANCH = ["branch", "--p", "3", "--k", "2", "--gamma", "0.5"]
     # 1/h^2 is finite here, but the top eigenvalues, near 4/h^2, overflow
     (["spectrum", "--length", "1.5e-152"],
      "length 1.5e-152 is too small for 199 interior nodes: 4/h^2 overflows"),
+    (["verify", "--seed", "-1"], "--seed: must be an integer >= 0"),
 ])
 def test_bad_option_values_exit_2_before_any_output(tmp_path, capsys, argv, message):
     outdir = tmp_path / "out"

@@ -326,6 +326,18 @@ def test_seed_validation():
         BranchSeed(k=2, which=1, gamma=0.0, p=0.5)
 
 
+@pytest.mark.parametrize("field, good, bad", [
+    ("gamma", 0.0, [math.nan, math.inf, -math.inf, -0.1]),
+    ("p", 1.5, [math.nan, math.inf, 2.0, 1.0, 0.5]),
+])
+def test_seed_field_must_be_finite_and_in_range(field, good, bad):
+    base = {"k": 2, "which": 1, "gamma": 0.5, "p": 3.0}
+    assert getattr(BranchSeed(**{**base, field: good}), field) == good
+    for value in bad:
+        with pytest.raises(ValueError, match=field):
+            BranchSeed(**{**base, field: value})
+
+
 def test_newton_at_lambda_finds_trivial(grid, rng):
     lam = 0.5 * closed_form_eigenvalue(grid, 1)
     params = ProblemParams(p=3.0, gamma=0.0, lam=lam)

@@ -1,9 +1,10 @@
-"""Every name a package module imports is used in it, and the package's
-__all__ lists exactly the names its __init__ imports.
+"""Every name a package module imports is used in it, every private
+top-level function or class of the package is used by the package, and the
+package's __all__ lists exactly the names its __init__ imports.
 
-The only exceptions to the first are the names perfbench/tracer.py patches in
-a module's namespace (its TARGETS), which a module may import for the tracer
-alone.
+The only exceptions to the first two are the names perfbench/tracer.py
+patches (its TARGETS), which a module may import, or define, for the tracer
+alone. Helpers only the tests need live under tests/.
 """
 
 import ast
@@ -49,6 +50,41 @@ def test_unused_imports_are_found():
 def test_module_uses_its_imports(path):
     allowed = {name for mod, name in tracer_targets() if mod == path.stem}
     assert unused_imports(path.read_text()) - allowed == set()
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names a module's code looks up, as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {a.name for a in node.names}
+    return names
+
+
+def private_definitions(source: str) -> set[str]:
+    """Top-level functions and classes whose names start with one underscore."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def test_private_definitions_are_found():
+    source = "def _a(): pass\nclass _B: pass\ndef c(): _a()\ndef __d__(): pass\n"
+    assert private_definitions(source) == {"_a", "_B"}
+    assert {"_a", "c"} <= referenced_names(source + "from x import c\n")
+    assert "_B" not in referenced_names(source)
+
+
+def test_private_definitions_are_used_by_the_package():
+    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "fucik_branch").glob("*.py")}
+    used = set().union(*map(referenced_names, sources.values()))
+    unused = {(mod, name) for mod, source in sources.items()
+              for name in private_definitions(source) - used}
+    assert unused - tracer_targets() == set()
 
 
 def test_all_is_exactly_what_init_imports():

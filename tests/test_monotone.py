@@ -24,7 +24,8 @@ from fucik_branch.quasilinear import (Jacobian, ProblemParams, energy,
                                       residual_original, residual_transformed)
 
 from conftest import count_trials, counting, random_field, reference_sweep
-from oracles import reference_check_vector_inequalities, reference_monotonicity_sweep
+from oracles import (reference_blocked_ball_samples, reference_check_vector_inequalities,
+                     reference_monotonicity_sweep)
 
 P3 = ProblemParams(p=3.0, gamma=0.5, lam=0.0)
 P15 = ProblemParams(p=1.5, gamma=0.5, lam=0.0)
@@ -395,15 +396,26 @@ def test_ball_coercivity_samples_drop_zero_steps(grid):
     np.testing.assert_allclose(bounds, ref, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("n", [199, 399, 799])
-def test_ball_pairs_scale_exactly_by_powers_of_two(n):
+@pytest.mark.parametrize("n", [9, 199, 799])
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.9])
+def test_ball_coercivity_samples_bit_equal_to_blocked_reference(n, p):
     grid = Grid(n_interior=n)
-    unit = list(monotone._ball_pairs(grid, 1.0, 64, np.random.default_rng(7)))
-    for j in range(1, 12):
-        r = 0.5 ** j
-        drawn = monotone._ball_pairs(grid, r, 64, np.random.default_rng(7))
-        for (a1, b1), (a, b) in zip(unit, drawn, strict=True):
-            assert np.array_equal(r * a1, a) and np.array_equal(r * b1, b)
+    params = ProblemParams(p=p, gamma=0.5, lam=0.0)
+    block = monotone._block_rows(grid)
+    # far and near pairs each fill one block, then spill into a second
+    for n_pairs in sorted({1, 2, 3, 64, 2 * block - 1, 2 * block, 2 * block + 3}):
+        bounds = ball_coercivity_samples(params, 0.3, n_pairs,
+                                         np.random.default_rng(n_pairs), grid)
+        ref = reference_blocked_ball_samples(params, 0.3, n_pairs,
+                                             np.random.default_rng(n_pairs), grid)
+        assert np.array_equal(bounds, ref)
+    n_far = block + 2
+    zeroed = {2 * n_far + 2 * i + 1 for i in (0, 7, block + 1)}
+    bounds = ball_coercivity_samples(params, 0.3, 2 * block + 5,
+                                     ZeroedDraws(3, zeroed), grid)
+    ref = reference_blocked_ball_samples(params, 0.3, 2 * block + 5,
+                                         ZeroedDraws(3, zeroed), grid)
+    assert bounds.shape == (2 * block + 2,) and np.array_equal(bounds, ref)
 
 
 @pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 1.8, 1.95])
