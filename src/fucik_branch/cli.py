@@ -3,9 +3,13 @@
 Subcommands: spectrum (discrete Laplacian eigenvalues), halfeig (split
 eigenvalue pair for one k and gamma), fucik (curve sweep), branch
 (pseudo-arclength traces plus gnuplot script), verify (sampled inequality
-checks). All outputs land in --output-dir together with a run_meta.json
-recording the resolved parameters and the package version. Exit codes:
-0 success, 1 solver failure or failed verification, 2 usage error.
+checks). Options only parse: the library object that takes a value checks
+it, and its ValueError is a usage error; only --seed >= 0 and spectrum's
+--count in 1..--grid-n are checked here. Each subcommand computes its
+results, then creates --output-dir and writes them there with a
+run_meta.json recording the resolved parameters and the package version.
+Exit codes: 0 success, 1 solver failure or failed verification, 2 usage
+error, which leaves no output directory.
 """
 
 from __future__ import annotations
@@ -90,21 +94,40 @@ def _finite_or_none(x: float | None) -> float | None:
     return float(x)
 
 
-def cmd_spectrum(args: argparse.Namespace, grid: Grid, outdir: Path) -> int:
+def _output_dir(args: argparse.Namespace) -> Path:
+    """Create --output-dir and write run_meta.json in it; return the directory.
+
+    Subcommands call it only once their results exist."""
+    outdir = Path(args.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    params = {key: value for key, value in vars(args).items()
+              if key not in ("func", "command")}
+    _write_json(outdir / "run_meta.json",
+                {"command": args.command, "parameters": params,
+                 "version": __version__})
+    return outdir
+
+
+def cmd_spectrum(args: argparse.Namespace, grid: Grid) -> int:
+    if not 1 <= args.count <= grid.n_interior:
+        raise ValueError(f"--count must be between 1 and --grid-n "
+                         f"({grid.n_interior}), got {args.count}")
     rows = [[k, eigenpair(grid, k).value, continuum_eigenvalue(grid, k)]
             for k in range(1, args.count + 1)]
-    path = _write_table(outdir / "spectrum", args.format,
+    path = _write_table(_output_dir(args) / "spectrum", args.format,
                         ["k", "lambda_discrete", "lambda_continuum"], rows)
     print(f"wrote {path}")
     return 0
 
 
-def cmd_halfeig(args: argparse.Namespace, grid: Grid, outdir: Path) -> int:
+def cmd_halfeig(args: argparse.Namespace, grid: Grid) -> int:
     pair = split_eigenvalues(grid, args.k, args.gamma)
     payload = {"k": pair.k, "gamma": pair.gamma, "lambda1": pair.lambda1,
                "lambda2": pair.lambda2, "eta": pair.eta}
-    if 2 <= args.k <= grid.n_interior - 1:
+    # split_eigenvalues admits no k above n_interior - 1
+    if args.k >= 2:
         payload["gamma_max"] = gamma_window(grid, args.k).gamma_max
+    outdir = _output_dir(args)
     _write_json(outdir / "halfeig.json", payload)
     write_field_csv(pair.v1, outdir / "halfeig_v1.csv")
     write_field_csv(pair.v2, outdir / "halfeig_v2.csv")
@@ -113,11 +136,11 @@ def cmd_halfeig(args: argparse.Namespace, grid: Grid, outdir: Path) -> int:
     return 0
 
 
-def cmd_fucik(args: argparse.Namespace, grid: Grid, outdir: Path) -> int:
+def cmd_fucik(args: argparse.Namespace, grid: Grid) -> int:
     curves = fucik_curve_points(grid.length, args.lambda_max, args.samples)
     rows = list(zip(curves.lambda_plus.tolist(), curves.lambda_minus.tolist(),
                     curves.n_plus.tolist(), curves.n_minus.tolist()))
-    path = _write_table(outdir / "fucik", args.format,
+    path = _write_table(_output_dir(args) / "fucik", args.format,
                         ["lambda_plus", "lambda_minus", "n_plus", "n_minus"],
                         rows)
     print(f"wrote {path} ({len(rows)} points)")
@@ -177,13 +200,17 @@ def _gnuplot_script(entries: list[tuple[str, BranchSeed]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_branch(args: argparse.Namespace, grid: Grid, outdir: Path) -> int:
+def cmd_branch(args: argparse.Namespace, grid: Grid) -> int:
     whichs = (1, 2) if args.which == "both" else (int(args.which),)
     seeds = [BranchSeed(k=k, which=w, gamma=args.gamma, p=args.p)
              for k in args.k for w in whichs]
     solver = SolverConfig(alpha0=args.alpha0, max_steps=args.steps)
+    # every k is checked before the first trace runs
+    for k in args.k:
+        check_split(grid, k, args.gamma)
     branches = [trace_branch(seed, grid, solver) for seed in seeds]
 
+    outdir = _output_dir(args)
     summaries = []
     entries = []
     for branch in branches:
@@ -209,12 +236,12 @@ def cmd_branch(args: argparse.Namespace, grid: Grid, outdir: Path) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, grid: Grid, outdir: Path) -> int:
-    rng = np.random.default_rng(args.seed)
-    report = check_vector_inequalities(args.p, args.samples, rng)
+def cmd_verify(args: argparse.Namespace, grid: Grid) -> int:
+    params = ProblemParams(p=args.p, gamma=args.gamma, lam=0.0)
+    report = check_vector_inequalities(args.p, args.samples,
+                                       np.random.default_rng(args.seed))
     worst, bad = monotonicity_sweep(
-        ProblemParams(p=args.p, gamma=args.gamma, lam=0.0),
-        n_pairs=args.pairs, rng=np.random.default_rng(args.seed + 1),
+        params, n_pairs=args.pairs, rng=np.random.default_rng(args.seed + 1),
         grid=grid)
     # summing inequality (a) over the elements proves the sampled ratio >= 2^{2-p}
     floor = 2.0 ** (2.0 - args.p)
@@ -223,7 +250,7 @@ def cmd_verify(args: argparse.Namespace, grid: Grid, outdir: Path) -> int:
                "c1_floor": report.c1_floor, "violations": report.violations,
                "monotonicity_min": worst, "monotonicity_violations": bad,
                "monotonicity_pairs": args.pairs, "monotonicity_floor": floor}
-    _write_json(outdir / "verify.json", payload)
+    _write_json(_output_dir(args) / "verify.json", payload)
     # both tests allow the same relative round-off slack at the exact floor;
     # a nonpositive sample lies below the floor too
     ineq_ok = report.violations == 0
@@ -248,48 +275,23 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer >= minimum."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be an integer >= {minimum}, got {value}")
-        return value
-    return parse
-
-
-def _float_where(ok, requirement: str):
-    """argparse type: a float for which ok(value) holds, else a usage error."""
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
-        return value
-    return parse
-
-
-_finite = _float_where(math.isfinite, "a finite number")
-_positive = _float_where(lambda v: 0.0 < v < math.inf, "a finite number > 0")
-_nonnegative = _float_where(lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
-# the range of the sampled p > 2 checks
-_exponent_above_2 = _float_where(lambda v: 2.0 < v < math.inf, "a finite number > 2")
-_exponent = _float_where(lambda v: 1.0 < v < math.inf and v != 2.0,
-                         "a finite number in (1, 2) or (2, inf)")
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy's error for a negative seed does not name the option."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The parser; option types turn bad values into usage errors before any output."""
+    """The parser; its option types only parse (see the module docstring)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output-dir", default="out",
                         help="directory for results (default: out)")
-    common.add_argument("--seed", type=_int_at_least(0), default=42,
+    common.add_argument("--seed", type=_seed, default=42,
                         help="PRNG seed for sampled checks (default: 42)")
     common.add_argument("--grid-n", type=int, default=199,
                         help="number of interior nodes (default: 199)")
@@ -306,46 +308,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", parents=[common],
                         help="discrete Dirichlet Laplacian eigenvalues")
-    sp.add_argument("--count", type=_int_at_least(1), default=10,
+    sp.add_argument("--count", type=int, default=10,
                     help="number of eigenvalues (default: 10)")
     sp.set_defaults(func=cmd_spectrum)
 
     he = sub.add_parser("halfeig", parents=[common],
                         help="split eigenvalue pair for one k and gamma")
     he.add_argument("--k", type=int, required=True)
-    he.add_argument("--gamma", type=_nonnegative, required=True)
+    he.add_argument("--gamma", type=float, required=True)
     he.set_defaults(func=cmd_halfeig)
 
     fu = sub.add_parser("fucik", parents=[common],
                         help="sample the first Fucik curves from their closed form")
-    fu.add_argument("--lambda-max", type=_finite, default=30.0,
+    fu.add_argument("--lambda-max", type=float, default=30.0,
                     help="largest lambda_plus swept (default: 30)")
-    fu.add_argument("--samples", type=_int_at_least(2), default=200,
+    fu.add_argument("--samples", type=int, default=200,
                     help="lambda_plus grid size (default: 200)")
     fu.set_defaults(func=cmd_fucik)
 
     br = sub.add_parser("branch", parents=[common],
                         help="trace bifurcation branches")
-    br.add_argument("--p", type=_exponent, required=True)
+    br.add_argument("--p", type=float, required=True)
     br.add_argument("--k", type=_int_list, required=True,
                     help="mode index or comma list, e.g. 2 or 1,2,3")
     br.add_argument("--which", choices=("1", "2", "both"), default="both")
-    br.add_argument("--gamma", type=_nonnegative, default=0.0)
-    br.add_argument("--alpha0", type=_positive, default=1e-3,
+    br.add_argument("--gamma", type=float, default=0.0)
+    br.add_argument("--alpha0", type=float, default=1e-3,
                     help="seed amplitude (default: 1e-3)")
-    br.add_argument("--steps", type=_int_at_least(1), default=200,
+    br.add_argument("--steps", type=int, default=200,
                     help="maximum accepted points per branch (default: 200)")
     br.set_defaults(func=cmd_branch)
 
     ve = sub.add_parser("verify", parents=[common],
                         help="sampled vector-inequality and monotonicity checks")
-    ve.add_argument("--p", type=_exponent_above_2, default=3.0,
+    ve.add_argument("--p", type=float, default=3.0,
                     help="exponent p > 2 (default: 3)")
-    ve.add_argument("--gamma", type=_nonnegative, default=0.5)
-    ve.add_argument("--samples", type=_int_at_least(MIN_SAMPLES), default=100000,
+    ve.add_argument("--gamma", type=float, default=0.5)
+    ve.add_argument("--samples", type=int, default=100000,
                     help=f"vector-inequality sample count, at least {MIN_SAMPLES} "
                          f"(default: 1e5)")
-    ve.add_argument("--pairs", type=_int_at_least(1), default=2000,
+    ve.add_argument("--pairs", type=int, default=2000,
                     help="monotonicity pair count (default: 2000)")
     ve.set_defaults(func=cmd_verify)
     return parser
@@ -362,27 +364,6 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _meta_params(args: argparse.Namespace) -> dict:
-    return {key: value for key, value in vars(args).items()
-            if key not in ("func", "command")}
-
-
-def _check_against_grid(args: argparse.Namespace, grid: Grid) -> None:
-    """Raise ValueError for option values the grid rules out, from closed
-    forms, so that these usage errors too come before any output."""
-    if args.command == "spectrum" and args.count > grid.n_interior:
-        raise ValueError(f"--count must not exceed --grid-n ({grid.n_interior}), "
-                         f"got {args.count}")
-    if args.command == "fucik":
-        lam1 = continuum_eigenvalue(grid, 1)
-        if not args.lambda_max > lam1:
-            raise ValueError(f"--lambda-max must exceed the principal eigenvalue "
-                             f"(pi/length)^2 = {lam1:.6g}, got {args.lambda_max}")
-    if args.command in ("halfeig", "branch"):
-        for k in args.k if args.command == "branch" else [args.k]:
-            check_split(grid, k, args.gamma)
-
-
 def run(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
@@ -391,14 +372,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        grid = Grid(n_interior=args.grid_n, length=args.length)
-        _check_against_grid(args, grid)
-        outdir = Path(args.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_json(outdir / "run_meta.json",
-                    {"command": args.command, "parameters": _meta_params(args),
-                     "version": __version__})
-        return args.func(args, grid, outdir)
+        return args.func(args, Grid(n_interior=args.grid_n, length=args.length))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

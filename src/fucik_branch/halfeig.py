@@ -289,7 +289,7 @@ def check_split(grid: Grid, k: int, gamma: float) -> None:
     k = 1 with gamma = 0, or 2 <= k <= n_interior - 1 with
     0 <= gamma < gamma_window(grid, k).gamma_max. Closed forms only."""
     if not gamma >= 0.0:
-        raise ValueError("gamma must be nonnegative")
+        raise ValueError(f"gamma must be nonnegative, got {gamma}")
     if not (isinstance(k, int) and k >= 1):
         raise ValueError(f"k must be a positive integer, got {k}")
     if k == 1:

@@ -231,9 +231,9 @@ def monotonicity_sweep(params: ProblemParams, n_pairs: int = 10000,
     (2 * pairs, n) array, u in the even rows and w in the odd ones.
     """
     if params.p <= 2.0:
-        raise ValueError("the whole-space monotonicity bound needs p > 2")
+        raise ValueError(f"the whole-space monotonicity bound needs p > 2, got p={params.p}")
     if n_pairs < 1:
-        raise ValueError("n_pairs must be positive")
+        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
     if rng is None:
         rng = np.random.default_rng(42)
     if grid is None:
@@ -460,10 +460,10 @@ def check_vector_inequalities(p: float, n_samples: int,
     rounds to at these sample scales (no under- or overflow of x^2), and in
     R^2 they sum the two squares in np.linalg.norm's order.
     """
-    if p <= 2.0:
-        raise ValueError("the inequalities hold in this form only for p > 2")
+    if not p > 2.0:
+        raise ValueError(f"the inequalities hold in this form only for p > 2, got p={p}")
     if n_samples < MIN_SAMPLES:
-        raise ValueError(f"use at least {MIN_SAMPLES} sample pairs")
+        raise ValueError(f"n_samples must be at least {MIN_SAMPLES}, got {n_samples}")
     if rng is None:
         rng = np.random.default_rng(42)
 

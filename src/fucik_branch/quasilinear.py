@@ -48,13 +48,12 @@ class ProblemParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if not (self.p > 1.0 and self.p != 2.0):
+        if not (math.isfinite(self.p) and self.p > 1.0 and self.p != 2.0):
             raise ValueError(f"p must lie in (1,2) or (2,inf), got {self.p}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-        if not (math.isfinite(self.p) and math.isfinite(self.gamma)
-                and math.isfinite(self.lam)):
-            raise ValueError("parameters must be finite")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
         if self.lam - self.gamma <= 0.0:
             logger.debug("lambda_minus = lam - gamma = %.6g is nonpositive",
                          self.lam - self.gamma)

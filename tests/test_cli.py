@@ -299,13 +299,26 @@ def test_verify_gates_on_the_monotonicity_floor(tmp_path, monkeypatch, capsys,
     assert "(floor 0.25)" in line and line.endswith("FAIL" if rc else "PASS")
 
 
+def _case(argv: list[str], message: str, case_id: str):
+    """A usage-error case whose message changed when its check moved from an
+    argparse option type into the library object that takes the value. It
+    keeps the id the old argparse message gave it, so the case keeps its name."""
+    return pytest.param(argv, message, id=case_id)
+
+
 @pytest.mark.parametrize("bad, message", [
-    (["--p", "1.5"], "--p: must be a finite number > 2"),
-    (["--samples", "100"], "--samples: must be an integer >= 10000"),
-    (["--pairs", "0"], "--pairs: must be an integer >= 1"),
-    (["--gamma", "-1"], "--gamma: must be a finite number >= 0"),
-    (["--gamma", "nan"], "--gamma: must be a finite number >= 0"),
-    (["--gamma", "inf"], "--gamma: must be a finite number >= 0"),
+    _case(["--p", "1.5"], "only for p > 2, got p=1.5",
+          "bad0---p: must be a finite number > 2"),
+    _case(["--samples", "100"], "n_samples must be at least 10000, got 100",
+          "bad1---samples: must be an integer >= 10000"),
+    _case(["--pairs", "0"], "n_pairs must be at least 1, got 0",
+          "bad2---pairs: must be an integer >= 1"),
+    _case(["--gamma", "-1"], "gamma must be finite and nonnegative, got -1.0",
+          "bad3---gamma: must be a finite number >= 0"),
+    _case(["--gamma", "nan"], "gamma must be finite and nonnegative, got nan",
+          "bad4---gamma: must be a finite number >= 0"),
+    _case(["--gamma", "inf"], "gamma must be finite and nonnegative, got inf",
+          "bad5---gamma: must be a finite number >= 0"),
 ])
 def test_verify_usage_errors_exit_2_before_any_output(tmp_path, capsys, bad, message):
     outdir = tmp_path / "out"
@@ -327,11 +340,14 @@ def test_usage_errors_exit_2(tmp_path):
 
 
 def test_solver_failure_exits_1(tmp_path):
-    # an absurd seed amplitude makes the seeding corrector stall
+    # an absurd seed amplitude makes the seeding corrector stall; no results,
+    # so no output
+    outdir = tmp_path / "out"
     rc = run(["branch", "--p", "3", "--k", "2", "--which", "1",
               "--gamma", "0.5", "--alpha0", "1e6", "--steps", "3",
-              "--output-dir", str(tmp_path)])
+              "--output-dir", str(outdir)])
     assert rc == 1
+    assert not outdir.exists()
 
 
 def test_half_eigen_self_check_failure_exits_1(tmp_path, monkeypatch, capsys):
@@ -457,29 +473,49 @@ _BRANCH = ["branch", "--p", "3", "--k", "2", "--gamma", "0.5"]
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["branch", "--p", "3", "--k", "2", "--gamma", "nan"],
-     "--gamma: must be a finite number >= 0"),
-    (["branch", "--p", "3", "--k", "2", "--gamma", "-0.5"],
-     "--gamma: must be a finite number >= 0"),
-    (["halfeig", "--k", "2", "--gamma", "-1"], "--gamma: must be a finite number >= 0"),
-    (["halfeig", "--k", "2", "--gamma", "nan"], "--gamma: must be a finite number >= 0"),
-    (["fucik", "--lambda-max", "inf"], "--lambda-max: must be a finite number"),
-    (["fucik", "--lambda-max", "nan"], "--lambda-max: must be a finite number"),
-    (["fucik", "--samples", "1"], "--samples: must be an integer >= 2"),
-    ([*_BRANCH, "--alpha0", "nan"], "--alpha0: must be a finite number > 0"),
-    ([*_BRANCH, "--alpha0", "0"], "--alpha0: must be a finite number > 0"),
-    ([*_BRANCH, "--steps", "0"], "--steps: must be an integer >= 1"),
-    (["branch", "--p", "nan", "--k", "2"], "--p: must be a finite number in (1, 2) or (2, inf)"),
-    (["branch", "--p", "2", "--k", "2"], "--p: must be a finite number in (1, 2) or (2, inf)"),
-    (["spectrum", "--count", "0"], "--count: must be an integer >= 1"),
-    (["spectrum", "--count", "200"], "--count must not exceed --grid-n (199), got 200"),
-    (["spectrum", "--count", "10", "--grid-n", "9"],
-     "--count must not exceed --grid-n (9), got 10"),
-    # checked against the grid's closed forms before any output
-    (["fucik", "--lambda-max", "0.5"],
-     "--lambda-max must exceed the principal eigenvalue (pi/length)^2 = 1, got 0.5"),
-    (["fucik", "--lambda-max", "3", "--length", "1"],
-     "--lambda-max must exceed the principal eigenvalue (pi/length)^2 = 9.8696, got 3.0"),
+    _case(["branch", "--p", "3", "--k", "2", "--gamma", "nan"],
+          "gamma must be finite and nonnegative, got nan",
+          "argv0---gamma: must be a finite number >= 0"),
+    _case(["branch", "--p", "3", "--k", "2", "--gamma", "-0.5"],
+          "gamma must be finite and nonnegative, got -0.5",
+          "argv1---gamma: must be a finite number >= 0"),
+    _case(["halfeig", "--k", "2", "--gamma", "-1"], "gamma must be nonnegative, got -1.0",
+          "argv2---gamma: must be a finite number >= 0"),
+    _case(["halfeig", "--k", "2", "--gamma", "nan"], "gamma must be nonnegative, got nan",
+          "argv3---gamma: must be a finite number >= 0"),
+    _case(["fucik", "--lambda-max", "inf"], "lambda_max must be finite and exceed",
+          "argv4---lambda-max: must be a finite number"),
+    _case(["fucik", "--lambda-max", "nan"], "lambda_max must be finite and exceed",
+          "argv5---lambda-max: must be a finite number"),
+    _case(["fucik", "--samples", "1"], "need at least 2 samples",
+          "argv6---samples: must be an integer >= 2"),
+    _case([*_BRANCH, "--alpha0", "nan"], "alpha0 must be finite and positive, got nan",
+          "argv7---alpha0: must be a finite number > 0"),
+    _case([*_BRANCH, "--alpha0", "0"], "alpha0 must be finite and positive, got 0.0",
+          "argv8---alpha0: must be a finite number > 0"),
+    _case([*_BRANCH, "--steps", "0"], "max_steps must be an integer >= 1, got 0",
+          "argv9---steps: must be an integer >= 1"),
+    _case(["branch", "--p", "nan", "--k", "2"], "p must lie in (1,2) or (2,inf), got nan",
+          "argv10---p: must be a finite number in (1, 2) or (2, inf)"),
+    _case(["branch", "--p", "2", "--k", "2"], "p must lie in (1,2) or (2,inf), got 2.0",
+          "argv11---p: must be a finite number in (1, 2) or (2, inf)"),
+    _case(["spectrum", "--count", "0"], "--count must be between 1 and --grid-n (199), got 0",
+          "argv12---count: must be an integer >= 1"),
+    _case(["spectrum", "--count", "200"],
+          "--count must be between 1 and --grid-n (199), got 200",
+          "argv13---count must not exceed --grid-n (199), got 200"),
+    _case(["spectrum", "--count", "10", "--grid-n", "9"],
+          "--count must be between 1 and --grid-n (9), got 10",
+          "argv14---count must not exceed --grid-n (9), got 10"),
+    # below the principal eigenvalue (pi/length)^2
+    _case(["fucik", "--lambda-max", "0.5"],
+          "lambda_max must be finite and exceed the principal eigenvalue",
+          "argv15---lambda-max must exceed the principal eigenvalue (pi/length)^2 = 1, "
+          "got 0.5"),
+    _case(["fucik", "--lambda-max", "3", "--length", "1"],
+          "lambda_max must be finite and exceed the principal eigenvalue",
+          "argv16---lambda-max must exceed the principal eigenvalue (pi/length)^2 = "
+          "9.8696, got 3.0"),
     (["halfeig", "--k", "1", "--gamma", "0.5"], "k = 1 admits only gamma = 0"),
     (["halfeig", "--k", "2", "--gamma", "5"], "gamma=5.0 outside [0, 2.99969) for k=2"),
     (["halfeig", "--k", "0", "--gamma", "0.5"], "k must be a positive integer, got 0"),
@@ -506,6 +542,28 @@ def test_bad_option_values_exit_2_before_any_output(tmp_path, capsys, argv, mess
     assert run([*argv, "--output-dir", str(outdir)]) == 2
     assert message in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def test_branch_checks_every_k_before_the_first_trace(tmp_path, monkeypatch):
+    traced = []
+    monkeypatch.setattr(cli, "trace_branch", lambda *args: traced.append(args))
+    assert run(["branch", "--p", "3", "--k", "2,250", "--gamma", "0.5",
+                "--output-dir", str(tmp_path / "out")]) == 2
+    assert traced == []
+
+
+def test_options_only_parse():
+    # value checks belong to the library objects that take the values; the
+    # seed type is the one exception (numpy's error would not name --seed)
+    parsers = [cli.build_parser()]
+    for parser in parsers:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            # type None passes the string through
+            assert action.choices is not None or action.type in (
+                None, str, int, float, cli._int_list, cli._seed), action.dest
+    assert len(parsers) == 6
 
 
 def test_spectrum_count_may_equal_grid_n(tmp_path):

@@ -20,7 +20,7 @@ from fucik_branch.continuation import (BranchSeed, ConeParams,
                                        recompose, scaling_slope, trace_branch)
 from fucik_branch.grid import (Field, Grid, dual_norm, h10_norm, inner_l2,
                                l2_norm, norms)
-from fucik_branch.halfeig import split_eigenvalues
+from fucik_branch.halfeig import gamma_window, split_eigenvalues
 from fucik_branch.monotone import SolverError
 from fucik_branch.quasilinear import (Jacobian, ProblemParams,
                                       from_infinity_variable,
@@ -336,6 +336,36 @@ def test_seed_field_must_be_finite_and_in_range(field, good, bad):
     for value in bad:
         with pytest.raises(ValueError, match=field):
             BranchSeed(**{**base, field: value})
+
+
+def assert_mirror_images(first, second):
+    """Point by point, second is first reflected by i -> n + 1 - i (x -> L - x)."""
+    assert first.termination == second.termination
+    assert len(first.points) == len(second.points)
+    for a, b in zip(first.points, second.points):
+        assert abs(a.lam - b.lam) <= 1e-12 * abs(a.lam)
+        scale = np.max(np.abs(a.u.values))
+        assert np.max(np.abs(a.u.values - b.u.values[::-1])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("p", [3.0, 1.5])
+def test_even_k_sides_are_mirror_images(grid, p):
+    # k = 2 has one hump of each sign, so reflection swaps the two sides
+    config = SolverConfig(max_steps=60)
+    first, second = (trace_branch(BranchSeed(k=2, which=which, gamma=0.5, p=p),
+                                  grid, config) for which in (1, 2))
+    assert len(first.points) == 60
+    assert_mirror_images(first, second)
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_odd_k_trace_is_its_own_mirror(grid, which):
+    # k = 3 has humps +, -, + (or -, +, -), which reflection maps onto themselves
+    gamma = 0.5 * gamma_window(grid, 3).gamma_max
+    branch = trace_branch(BranchSeed(k=3, which=which, gamma=gamma, p=3.0), grid,
+                          SolverConfig(max_steps=60))
+    assert len(branch.points) == 60
+    assert_mirror_images(branch, branch)
 
 
 def test_newton_at_lambda_finds_trivial(grid, rng):

@@ -265,6 +265,9 @@ def test_vector_inequalities_preconditions():
         check_vector_inequalities(1.5, 100000)
     with pytest.raises(ValueError):
         check_vector_inequalities(3.0, 100)
+    # a NaN exponent used to pass with c1_emp = inf and no violations
+    with pytest.raises(ValueError, match="got p=nan"):
+        check_vector_inequalities(math.nan, 100000)
 
 
 def test_ball_solve_zero(grid):

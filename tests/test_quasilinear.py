@@ -59,6 +59,19 @@ def test_params_validation():
     ProblemParams(p=1.5, gamma=0.0, lam=-2.0)
 
 
+@pytest.mark.parametrize("field, good, bad", [
+    ("p", 1.5, [math.nan, math.inf, -math.inf, 2.0, 1.0, 0.5]),
+    ("gamma", 0.0, [math.nan, math.inf, -math.inf, -0.1]),
+    ("lam", -2.0, [math.nan, math.inf, -math.inf]),
+])
+def test_params_field_must_be_finite_and_in_range(field, good, bad):
+    base = {"p": 3.0, "gamma": 0.5, "lam": 1.0}
+    assert getattr(ProblemParams(**{**base, field: good}), field) == good
+    for value in bad:
+        with pytest.raises(ValueError, match=f"^{field} .*, got {value}$"):
+            ProblemParams(**{**base, field: value})
+
+
 def test_residual_original_zero(grid):
     params = ProblemParams(p=3.0, gamma=0.5, lam=4.0)
     assert not residual_original(Field.zeros(grid), params).values.any()
