@@ -33,8 +33,8 @@ from .continuation import (Branch, BranchSeed, localization_check,
 from .grid import FLOAT_FORMAT, Grid, write_field_csv
 from .halfeig import (check_split, fucik_curve_points, gamma_window,
                       split_eigenvalues)
-from .monotone import (MIN_SAMPLES, SolverError, check_vector_inequalities,
-                       monotonicity_sweep)
+from .monotone import (MIN_SAMPLES, SolverError, check_monotonicity_sweep,
+                       check_vector_inequalities, monotonicity_sweep)
 from .quasilinear import ProblemParams
 from .spectrum import continuum_eigenvalue, eigenpair
 
@@ -238,6 +238,7 @@ def cmd_branch(args: argparse.Namespace, grid: Grid) -> int:
 
 def cmd_verify(args: argparse.Namespace, grid: Grid) -> int:
     params = ProblemParams(p=args.p, gamma=args.gamma, lam=0.0)
+    check_monotonicity_sweep(params, args.pairs)
     report = check_vector_inequalities(args.p, args.samples,
                                        np.random.default_rng(args.seed))
     worst, bad = monotonicity_sweep(

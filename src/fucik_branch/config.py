@@ -10,10 +10,10 @@ from dataclasses import dataclass
 class SolverConfig:
     """Tolerances, iteration limits and the continuation's seed and budget.
 
-    The monotone solves (solve_monotone, solve_monotone_ball) stop when the
-    dual-norm residual falls below tol_abs or below tol_rel times the dual
-    norm of the data; newton_at_lambda stops when the L2 residual norm falls
-    below tol_abs. All three take at most max_iter Newton steps. The
+    The monotone solves (solve_monotone, solve_monotone_ball, and
+    newton_at_lambda through solve_monotone) stop when the dual-norm residual
+    falls below tol_abs or below tol_rel times the dual norm of the data, and
+    take at most max_iter Newton steps. The
     continuation corrector stops when the L2 residual and the arclength
     defect both fall below corrector_tol * max(1, |lambda| ||u||_2). A trace
     starts at seed amplitude alpha0, takes at most max_steps points, and

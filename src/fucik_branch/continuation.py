@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import SolverConfig
 from .grid import Field, Grid, h10_norm, inner_l2, l2_norm, laplacian_solve_values
 from .halfeig import gamma_window, split_eigenvalues
-from .monotone import (MAX_HALVINGS, SolverError, damped_step, newton_then_picard,
-                       solve_monotone, solve_monotone_ball)
+from .monotone import (MAX_HALVINGS, SolverError, damped_step, solve_monotone,
+                       solve_monotone_ball)
 from .quasilinear import (Jacobian, ProblemParams, jacobian_original,
                           jacobian_transformed, original_h10_norm,
                           residual_original, residual_transformed)
@@ -186,9 +186,9 @@ def ls_residual(alpha: float, lam: float, v: Field, params: ProblemParams,
     returns (scalar defect, complement defect):
         alpha - alpha*lam/lambda_k - (T(u), e_k)_2
         v - P_k(lam*(-Delta)^{-1} v) - P_k(T(u))
-    Both vanish exactly at solutions of the full equation. For 1 < p < 2 the
-    same defects are formed for the transformed operator on its coercivity
-    ball.
+    Both vanish exactly at solutions of the full equation; M is params' operator
+    at lam = 0. For 1 < p < 2 the same defects are formed for the transformed
+    operator on its proven coercivity ball, which u must lie in.
     """
     if config is None:
         config = SolverConfig(tol_abs=1e-12, tol_rel=1e-14)
@@ -196,11 +196,11 @@ def ls_residual(alpha: float, lam: float, v: Field, params: ProblemParams,
     ek = eigenpair(grid, k)
     u = recompose(alpha, v, k)
     rhs = Field(grid, lam * u.values)
+    op = replace(params, lam=0.0)
     if params.p > 2.0:
-        rep = solve_monotone(rhs, params, config, u0=u)
+        rep = solve_monotone(rhs, op, config, u0=u)
     else:
-        radius = min(1.0, max(0.1, 2.0 * h10_norm(u)))
-        rep = solve_monotone_ball(rhs, params, config, radius=radius, u0=u)
+        rep = solve_monotone_ball(rhs, op, config, u0=u)
     t_vals = rep.solution.values - laplacian_solve_values(grid, rhs.values)
     h = grid.h
     scalar = alpha - alpha * lam / ek.value \
@@ -468,31 +468,10 @@ def scaling_slope(branch: Branch, max_points: int = 25) -> float:
 
 def newton_at_lambda(u0: Field, params: ProblemParams,
                      config: SolverConfig | None = None) -> Field:
-    """Square semismooth Newton for the original equation at frozen lambda.
+    """The solution of the original equation at params.lam reached from u0,
+    for p > 2: solve_monotone with f = 0.
 
-    Damped on the L2 residual norm with a preconditioned-gradient fallback;
-    used to probe regions where only the trivial solution exists.
+    For lam below the first discrete eigenvalue the energy is convex and
+    u = 0 its only critical point, so this probes the trivial-only region.
     """
-    if config is None:
-        config = SolverConfig()
-
-    def trial(w: Field) -> tuple[float, Field]:
-        rw = residual_original(w, params)
-        return l2_norm(rw), rw
-
-    u = u0
-    r = residual_original(u, params)
-    for it in range(config.max_iter + 1):
-        rnorm = l2_norm(r)
-        if rnorm <= config.tol_abs:
-            return u
-        if it == config.max_iter:
-            break
-        dirs = newton_then_picard(jacobian_original(u, params), r)
-        step = damped_step(u, rnorm, ((d, -rnorm) for d in dirs), trial)
-        if step is None:
-            raise SolverError("fixed-lambda Newton stalled "
-                              f"(residual {rnorm:.3e})")
-        u, r = step
-    raise SolverError("fixed-lambda Newton did not converge in "
-                      f"{config.max_iter} iterations")
+    return solve_monotone(Field.zeros(u0.grid), params, config, u0=u0).solution

@@ -1,14 +1,14 @@
-"""Monotone-operator solves for M = -Delta_p - Delta - gamma*(.)^-, and the
-damped-Newton step that every nonlinear solve of the package takes.
+"""Monotone-operator solves for M = -Delta_p - Delta - gamma*(.)^- - lam, and
+the damped-Newton step that every nonlinear solve of the package takes.
 
-For p > 2 the operator is strongly monotone on the whole space and is also
-the gradient of a convex energy, so a semismooth Newton method with an
-energy-descent line search (damped Picard fallback) converges globally. For
-1 < p < 2 the transformed operator A = -||.||^{4-p} Delta_p - Delta -
-gamma*(.)^- is only coercive on balls, with constant at least
-1 - (4-p) L^{1-p/2} r^2 on the ball of radius r in H^1_0(0, L); the
-ball-restricted solve refuses to leave that ball and line-searches on the
-dual norm of the residual.
+For p > 2 and lam below the first discrete eigenvalue the operator is
+strongly monotone and the gradient of a convex energy, so a semismooth
+Newton method with an energy-descent line search (damped Picard fallback)
+converges globally. For 1 < p < 2 the transformed operator A = -||.||^{4-p}
+Delta_p - Delta - gamma*(.)^- - lam is only coercive on balls, with constant
+at least 1 - (4-p) L^{1-p/2} r^2 on the ball of radius r in H^1_0(0, L) for
+lam <= 0; the ball-restricted solve refuses to leave that ball and
+line-searches on the dual norm of the residual.
 
 damped_step is the package's one Armijo backtracking loop, over Newton and
 then Picard directions; its callers here and in continuation differ only in
@@ -35,7 +35,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +72,7 @@ class SolveReport:
 
     coercivity_estimate is the smallest monotonicity ratio sampled along the
     iteration path: <Mu - Mw, u - w> / ||u-w||_{1,p}^p for the p > 2 solve and
-    <Au - Aw, u - w> / ||u-w||_{1,2}^2 for the ball-restricted solve.
+    <Au - Aw, u - w> / ||u-w||_{1,2}^2 for the ball solve, both with their -lam term.
     ball_radius_used is inf for the unconstrained solve.
     """
 
@@ -93,11 +93,6 @@ class VectorInequalityReport:
     c2_emp: float
     c1_floor: float
     violations: int
-
-
-def _operator_params(params: ProblemParams) -> ProblemParams:
-    # the solves here treat M u = f; any spectral lam in params is not part of M
-    return replace(params, lam=0.0) if params.lam != 0.0 else params
 
 
 def newton_then_picard(jac: Jacobian, r: Field) -> Iterator[Field]:
@@ -141,18 +136,18 @@ def damped_step(x, m0: float, directions: Iterable[tuple[object, float]],
 def solve_monotone(f: Field, params: ProblemParams,
                    config: SolverConfig | None = None,
                    u0: Field | None = None) -> SolveReport:
-    """Solve -Delta_p u - Delta u - gamma*u^- = f for p > 2.
+    """Solve -Delta_p u - Delta u - gamma*u^- - lam*u = f for p > 2.
 
-    Semismooth Newton with an Armijo line search on the convex energy
-    E(u) - <f, u>; if a Newton step cannot produce descent, the step falls
-    back to the damped Picard direction (a preconditioned gradient step).
-    The default start is the plain Poisson solve for f.
+    Semismooth Newton with an Armijo line search on the energy E(u) - <f, u>,
+    which is convex, and the descent global, for lam below the first discrete
+    eigenvalue; if a Newton step cannot produce descent, the step falls back
+    to the damped Picard direction (a preconditioned gradient step). The
+    default start is the plain Poisson solve for f.
     """
     if params.p <= 2.0:
-        raise ValueError("solve_monotone requires p > 2; use solve_monotone_ball")
+        raise ValueError(f"solve_monotone needs p > 2, got p={params.p}; use the ball solve")
     if config is None:
         config = SolverConfig()
-    params = _operator_params(params)
     grid = f.grid
 
     def residual(u: Field) -> Field:
@@ -214,6 +209,14 @@ def _blocks(n_pairs: int, rows: int) -> Iterator[int]:
         yield min(rows, n_pairs - start)
 
 
+def check_monotonicity_sweep(params: ProblemParams, n_pairs: int) -> None:
+    """Raise ValueError unless monotonicity_sweep can take these arguments."""
+    if params.p <= 2.0:
+        raise ValueError(f"the monotonicity bound holds only for p > 2, got p={params.p}")
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
+
+
 def monotonicity_sweep(params: ProblemParams, n_pairs: int = 10000,
                        rng: np.random.Generator | None = None,
                        grid: Grid | None = None) -> tuple[float, int]:
@@ -222,7 +225,7 @@ def monotonicity_sweep(params: ProblemParams, n_pairs: int = 10000,
     Pair scales span four decades. Returns the smallest sampled ratio and
     the count of nonpositive samples. Summing inequality (a) of
     check_vector_inequalities over the elements proves the ratio >= 2^{2-p}
-    (the Laplacian and, for gamma >= 0, the gamma part only add to it).
+    for lam <= 0 (the Laplacian, the gamma part and -lam*u only add to it).
 
     Pairs are drawn one at a time, u then w, each field as one scale
     10^(-2 + 4 U) from rng.random() followed by n normals; that is the
@@ -230,15 +233,11 @@ def monotonicity_sweep(params: ProblemParams, n_pairs: int = 10000,
     low + (high - low) * U. Each block's fields fill the rows of one
     (2 * pairs, n) array, u in the even rows and w in the odd ones.
     """
-    if params.p <= 2.0:
-        raise ValueError(f"the whole-space monotonicity bound needs p > 2, got p={params.p}")
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
+    check_monotonicity_sweep(params, n_pairs)
     if rng is None:
         rng = np.random.default_rng(42)
     if grid is None:
         grid = Grid()
-    op = _operator_params(params)
     h, n = grid.h, grid.n_interior
     uniform, normal = rng.random, rng.standard_normal
     worst = math.inf
@@ -251,7 +250,7 @@ def monotonicity_sweep(params: ProblemParams, n_pairs: int = 10000,
             normal(n, out=row)
         fields *= np.array(scale)[:, None]
         require_finite(fields)
-        res = residual_original_values(fields, h, op)
+        res = residual_original_values(fields, h, params)
         require_finite(res)
         du, dr = fields[0::2] - fields[1::2], res[0::2] - res[1::2]
         require_finite(du)
@@ -368,7 +367,7 @@ def solve_monotone_ball(f: Field, params: ProblemParams,
     Newton on the exact residual with the self-regularizing Jacobian
     jacobian_transformed, an Armijo search on the dual norm of the residual
     and a damped Picard fallback. The radius defaults to default_ball_radius,
-    on which coercivity is proven. For a radius the caller passes, the
+    on which coercivity is proven for lam <= 0. For a radius the caller passes, the
     iteration fails informatively if an iterate leaves the ball or a sampled
     monotonicity ratio turns nonpositive, both of which signal that the
     radius is too large for this p.
@@ -377,7 +376,6 @@ def solve_monotone_ball(f: Field, params: ProblemParams,
         raise ValueError("solve_monotone_ball requires 1 < p < 2")
     if config is None:
         config = SolverConfig()
-    params = _operator_params(params)
     grid = f.grid
     if radius is None:
         radius = default_ball_radius(params, grid=grid)

@@ -93,11 +93,11 @@ class Jacobian:
         """Solver for J x = rhs: one tridiagonal factorization, Sherman-Morrison
         for the rank-one term; ValueError if either is singular.
 
-        tridiag_factor picks the path. The monotone solves' Jacobians
-        (lam = 0) are M-matrices and, above CORE unknowns, factor by cyclic
-        reduction, which also raises on a pivot that is only numerically
-        nonzero; the continuation's, shifted by -lam, factor by the Thomas
-        loop bit for bit."""
+        tridiag_factor picks the path. The Jacobians at lam <= 0, as in the
+        monotone solves of the CLI and the benchmark, are M-matrices and,
+        above CORE unknowns, factor by cyclic reduction, which also raises on
+        a pivot that is only numerically nonzero; those shifted by lam > 0,
+        as in the continuation, factor by the Thomas loop bit for bit."""
         tri = tridiag_factor(self.off, self.diag, self.off)
         if self.rank_one is None:
             return tri

@@ -51,7 +51,6 @@ def reference_sweep(params: ProblemParams, n_pairs: int,
                     rng: np.random.Generator, grid: Grid) -> tuple[float, int]:
     """monotonicity_sweep written as a loop over pairs of Fields: the minimum
     ratio (Mu - Mw, u - w)_2 / ||u - w||_{1,p}^p and the nonpositive count."""
-    op = ProblemParams(p=params.p, gamma=params.gamma, lam=0.0)
     worst, violations = math.inf, 0
     for _ in range(n_pairs):
         u = Field(grid, 10.0 ** rng.uniform(-2.0, 2.0)
@@ -62,7 +61,7 @@ def reference_sweep(params: ProblemParams, n_pairs: int,
         denom = norms(du, params.p).w1p ** params.p
         if denom == 0.0:
             continue
-        ratio = inner_l2(residual_original(u, op) - residual_original(w, op),
+        ratio = inner_l2(residual_original(u, params) - residual_original(w, params),
                          du) / denom
         if math.isfinite(ratio):
             worst = min(worst, ratio)

@@ -24,8 +24,7 @@ from fucik_branch.grid import (Field, Grid, element_gradients, gradient_values,
                                h10_values, laplacian_solve_values, require_finite)
 from fucik_branch.halfeig import FucikPoint, _check_length
 from fucik_branch.monotone import (VectorInequalityReport, _block_rows, _blocks,
-                                   _certified_bounds, _monotonicity_ratios,
-                                   _operator_params)
+                                   _certified_bounds, _monotonicity_ratios)
 from fucik_branch.quasilinear import ProblemParams, residual_original_values
 from fucik_branch.spectrum import EigenPair, _check_index, closed_form_eigenvalue
 
@@ -208,7 +207,6 @@ def reference_monotonicity_sweep(params: ProblemParams, n_pairs: int = 10000,
         rng = np.random.default_rng(42)
     if grid is None:
         grid = Grid()
-    op = _operator_params(params)
     h, n = grid.h, grid.n_interior
     worst = math.inf
     violations = 0
@@ -222,8 +220,8 @@ def reference_monotonicity_sweep(params: ProblemParams, n_pairs: int = 10000,
         pair *= scale[..., None]
         require_finite(pair)
         u, w = pair[:, 0], pair[:, 1]
-        ru = residual_original_values(u, h, op)
-        rw = residual_original_values(w, h, op)
+        ru = residual_original_values(u, h, params)
+        rw = residual_original_values(w, h, params)
         du, dr = u - w, ru - rw
         for x in (ru, rw, du, dr):
             require_finite(x)

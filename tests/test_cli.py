@@ -21,7 +21,7 @@ from fucik_branch.monotone import SolverError, check_vector_inequalities
 from fucik_branch.quasilinear import ProblemParams
 from fucik_branch.spectrum import closed_form_eigenvalue, eigenpair
 
-from conftest import reference_sweep, reference_table_csv
+from conftest import counting, reference_sweep, reference_table_csv
 from oracles import reference_fucik_curve_points
 
 
@@ -324,6 +324,16 @@ def test_verify_usage_errors_exit_2_before_any_output(tmp_path, capsys, bad, mes
     outdir = tmp_path / "out"
     assert run(["verify", *bad, "--output-dir", str(outdir)]) == 2
     assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_verify_checks_pairs_before_sampling(tmp_path, monkeypatch):
+    counts = {"calls": 0}
+    monkeypatch.setattr(cli, "check_vector_inequalities", counting(
+        counts, "calls", cli.check_vector_inequalities))
+    outdir = tmp_path / "out"
+    assert run(["verify", "--pairs", "0", "--output-dir", str(outdir)]) == 2
+    assert counts["calls"] == 0
     assert not outdir.exists()
 
 

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from fucik_branch import continuation
+from fucik_branch import continuation, monotone
 from fucik_branch.config import SolverConfig
-from fucik_branch.continuation import (BranchSeed, ConeParams,
+from fucik_branch.continuation import (BranchSeed, ConeParams, Termination,
                                        _bordered_solve, _corrector,
                                        _CorrectorFailed,
                                        _TraceProblem, _trivial_candidates,
@@ -370,10 +370,11 @@ def test_odd_k_trace_is_its_own_mirror(grid, which):
 
 def test_newton_at_lambda_finds_trivial(grid, rng):
     lam = 0.5 * closed_form_eigenvalue(grid, 1)
-    params = ProblemParams(p=3.0, gamma=0.0, lam=lam)
-    u0 = random_field(grid, rng, scale=0.05)
-    sol = newton_at_lambda(u0, params)
-    assert l2_norm(sol) <= 1e-8
+    for gamma in (0.0, 0.5):
+        params = ProblemParams(p=3.0, gamma=gamma, lam=lam)
+        u0 = random_field(grid, rng, scale=0.05)
+        sol = newton_at_lambda(u0, params)
+        assert l2_norm(sol) <= 1e-8
 
 
 def test_newton_at_lambda_reports_failure(grid, rng):
@@ -390,12 +391,35 @@ def test_newton_at_lambda_accepts_its_last_step(grid, rng, monkeypatch):
     params = ProblemParams(p=3.0, gamma=0.0, lam=lam)
     u0 = random_field(grid, rng, scale=0.05)
     counts = {"steps": 0}
-    monkeypatch.setattr(continuation, "jacobian_original", counting(
-        counts, "steps", continuation.jacobian_original))
+    monkeypatch.setattr(monotone, "jacobian_original", counting(
+        counts, "steps", monotone.jacobian_original))
     newton_at_lambda(u0, params)
     assert counts["steps"] >= 2
     sol = newton_at_lambda(u0, params, SolverConfig(max_iter=counts["steps"]))
     assert l2_norm(sol) <= 1e-8
+
+
+def test_newton_at_lambda_rejects_p_below_2(grid, monkeypatch):
+    # the energy solve needs p > 2; it raises before any residual is taken
+    counts = {"residuals": 0}
+    monkeypatch.setattr(monotone, "residual_original", counting(
+        counts, "residuals", monotone.residual_original))
+    params = ProblemParams(p=1.5, gamma=0.5, lam=0.5)
+    with pytest.raises(ValueError, match=r"p=1\.5"):
+        newton_at_lambda(Field.zeros(grid), params)
+    assert counts["residuals"] == 0
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.8, 2.5, 3.0, 4.0])
+def test_census_subset_ends_classified(p):
+    # one census trace per p: k = 3, gamma = 0.5 gamma_max, which = 1, n = 199
+    grid = Grid(n_interior=199)
+    gamma = 0.5 * gamma_window(grid, 3).gamma_max
+    branch = trace_branch(BranchSeed(k=3, which=1, gamma=gamma, p=p), grid,
+                          SolverConfig(max_steps=60))
+    assert isinstance(branch.termination, Termination)
+    s_end = branch.points[-1].s
+    assert math.isfinite(s_end) and s_end > 0.0
 
 
 def test_trivial_candidates_cover_every_admissible_mode(grid):

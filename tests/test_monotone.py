@@ -22,6 +22,7 @@ from fucik_branch.monotone import (
 )
 from fucik_branch.quasilinear import (Jacobian, ProblemParams, energy,
                                       residual_original, residual_transformed)
+from fucik_branch.spectrum import closed_form_eigenvalue
 
 from conftest import count_trials, counting, random_field, reference_sweep
 from oracles import (reference_blocked_ball_samples, reference_check_vector_inequalities,
@@ -93,6 +94,15 @@ def test_solve_monotone_manufactured(grid, rng):
         assert h10_norm(report.solution - u_star) <= 1e-7
         assert report.final_residual <= 1e-9
         assert report.coercivity_estimate > 0.0
+
+
+def test_solve_monotone_solves_at_the_lambda_of_its_params(grid):
+    # below lambda_1 the energy with -lam/2 ||u||^2 stays convex
+    params = ProblemParams(p=3.0, gamma=0.5, lam=0.5 * closed_form_eigenvalue(grid, 1))
+    u_star = Field.from_function(grid, lambda x: math.sin(x) + math.sin(2.0 * x))
+    report = solve_monotone(residual_original(u_star, params), params)
+    assert h10_norm(report.solution - u_star) <= 1e-7
+    assert report.coercivity_estimate > 0.0
 
 
 def test_solve_monotone_unique_from_random_starts(grid, rng):
