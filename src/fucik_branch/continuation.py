@@ -8,7 +8,8 @@ Keller predictor-corrector: the first step leaves the seed along the
 half-eigenfunction with lambda frozen, later steps use the secant tangent,
 and the corrector is a damped semismooth Newton method on the bordered
 system (residual + arclength plane), solved in O(n) by block elimination on
-one factorization of the tridiagonal (plus rank-one) Jacobian and damped by
+one factorization of the tridiagonal (plus rank-one) Jacobian, refined once
+only where the first pass misses its residual test, and damped by
 monotone.damped_step on the norm of (residual, arclength defect).
 
 The Lyapunov-Schmidt split u = alpha*e_k + v with v orthogonal to e_k, the
@@ -43,6 +44,9 @@ logger = logging.getLogger("fucik_branch.continuation")
 _DS0 = 5e-3
 _DS_MAX = 0.25
 _CORRECTOR_MAX_ITER = 14
+# the bordered solve refines once unless its first pass already leaves a
+# bordered residual at most this fraction of ||(r, c)||
+_REFINE_TOL = 1e-12
 _ZERO_CAP = 1e-5
 _TRIVIAL_MATCH_TOL = 1e-2
 
@@ -247,9 +251,10 @@ def _bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,
     """Solve [[J, -u], [<row_u, .>_2, row_lam]] (du, dlam) = -(r, c) by block elimination.
 
     One factorization of J serves all solves; dlam comes from the Schur
-    complement <row_u, J^{-1} u>_2 + row_lam. The second pass refines on the
-    bordered residual: plain bordering loses digits when J is (nearly)
-    singular, as at a seed on a discrete eigenvalue."""
+    complement <row_u, J^{-1} u>_2 + row_lam. A second pass refines on the
+    bordered residual only when the first misses ||residual|| <= _REFINE_TOL
+    * ||(r, c)||: plain bordering loses digits when J is (nearly) singular,
+    as at a seed on a discrete eigenvalue."""
     h = jac.grid.h
     try:
         solve = jac.factor()
@@ -260,10 +265,14 @@ def _bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,
     if schur == 0.0:
         raise _CorrectorFailed("singular bordered system: zero Schur complement")
     du, dlam = np.zeros_like(u), 0.0
-    for _ in range(2):
-        x = solve(dlam * u - r - jac.apply_values(du))
-        d = (-c - h * float(np.dot(row_u, du)) - row_lam * dlam
-             - h * float(np.dot(row_u, x))) / schur
+    for refine in (False, True):
+        res_u = dlam * u - r - jac.apply_values(du)
+        res_c = -c - h * float(np.dot(row_u, du)) - row_lam * dlam
+        if refine and math.sqrt(h * float(np.dot(res_u, res_u)) + res_c * res_c) \
+                <= _REFINE_TOL * math.sqrt(h * float(np.dot(r, r)) + c * c):
+            break
+        x = solve(res_u)
+        d = (res_c - h * float(np.dot(row_u, x))) / schur
         du, dlam = du + (x + d * y), dlam + d
     return du, dlam
 

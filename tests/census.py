@@ -1,0 +1,132 @@
+"""Termination census of the branch tracer over p, k, gamma and side.
+
+    python3 tests/census.py --n 199 --out census-199.csv
+
+Traces p in {1.2, 1.5, 1.8, 2.5, 3, 4} x k in {2, 3, 4} x gamma in
+{0, 0.25, 0.5, 0.9} gamma_max(k), both sides when gamma > 0 (126 traces),
+on a grid of n interior nodes with 200 steps each. Writes one CSV row
+per trace: termination and detail, point count, final (lambda, ||u||_2),
+arclength, seconds, and for even k the mirror defect against the other
+side. Prints per-(p < 2, p > 2) tallies of the terminations and of the
+even-k mirror pairs that end differently. Needs only numpy; it imports the
+package from the src/ next to this directory. Pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import csv
+import math
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from fucik_branch.config import SolverConfig  # noqa: E402
+from fucik_branch.continuation import BranchSeed, trace_branch  # noqa: E402
+from fucik_branch.grid import Grid  # noqa: E402
+from fucik_branch.halfeig import gamma_window  # noqa: E402
+from fucik_branch.monotone import SolverError  # noqa: E402
+
+PS = (1.2, 1.5, 1.8, 2.5, 3.0, 4.0)
+KS = (2, 3, 4)
+GAMMA_FRACTIONS = (0.0, 0.25, 0.5, 0.9)
+STEPS = 200
+FIELDS = ("p", "k", "gamma_frac", "which", "termination", "detail", "points",
+          "lam", "l2", "arclength", "seconds", "mirror_defect")
+PRINTED = ("p", "k", "gamma_frac", "which", "termination", "points", "lam", "l2",
+           "arclength", "seconds")
+
+
+def mirror_defect(first, second) -> float:
+    """Largest relative gap, over the points both traces share, between the
+    first trace and the second reflected by i -> n + 1 - i."""
+    worst = 0.0
+    for a, b in zip(first.points, second.points):
+        scale = max(float(np.max(np.abs(a.u.values))), 1e-300)
+        worst = max(worst, abs(a.lam - b.lam) / abs(a.lam),
+                    float(np.max(np.abs(a.u.values - b.u.values[::-1]))) / scale)
+    return worst
+
+
+def trace_row(grid: Grid, config: SolverConfig, p: float, k: int,
+              frac: float, which: int) -> tuple[dict, object]:
+    gamma = frac * gamma_window(grid, k).gamma_max
+    row = {"p": p, "k": k, "gamma_frac": frac, "which": which, "mirror_defect": ""}
+    start = time.perf_counter()
+    try:
+        branch = trace_branch(BranchSeed(k=k, which=which, gamma=gamma, p=p),
+                              grid, config)
+    except SolverError as exc:
+        row.update(termination="SeedFailure", detail=str(exc), points=0,
+                   lam=math.nan, l2=math.nan, arclength=math.nan,
+                   seconds=time.perf_counter() - start)
+        return row, None
+    last = branch.points[-1]
+    row.update(termination=branch.termination.kind,
+               detail=getattr(branch.termination, "detail", ""),
+               points=len(branch.points), lam=last.lam, l2=last.l2,
+               arclength=last.s, seconds=time.perf_counter() - start)
+    return row, branch
+
+
+def ends_differently(a: dict, b: dict) -> bool:
+    return (a["termination"], a["points"], f"{a['lam']:.4f}", f"{a['l2']:.4f}") \
+        != (b["termination"], b["points"], f"{b['lam']:.4f}", f"{b['l2']:.4f}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[1])
+    ap.add_argument("--n", type=int, default=199, help="interior nodes")
+    ap.add_argument("--out", type=Path, required=True, help="CSV file to write")
+    args = ap.parse_args(argv)
+    grid = Grid(n_interior=args.n)
+    config = SolverConfig(max_steps=STEPS)
+
+    rows = []
+    mirror_pairs = collections.Counter()
+    for p in PS:
+        for k in KS:
+            for frac in GAMMA_FRACTIONS:
+                sides = [trace_row(grid, config, p, k, frac, which)
+                         for which in ((1, 2) if frac > 0.0 else (1,))]
+                if len(sides) == 2 and k % 2 == 0:
+                    (first, b1), (second, b2) = sides
+                    if b1 is not None and b2 is not None:
+                        first["mirror_defect"] = second["mirror_defect"] = \
+                            mirror_defect(b1, b2)
+                    cls = "p<2" if p < 2.0 else "p>2"
+                    mirror_pairs[cls, "pairs"] += 1
+                    mirror_pairs[cls, "differ"] += ends_differently(first, second)
+                for row, _ in sides:
+                    rows.append(row)
+                    print(" ".join(f"{row[f]:.6g}" if isinstance(row[f], float)
+                                   else str(row[f]) for f in PRINTED), flush=True)
+
+    with args.out.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=FIELDS)
+        writer.writeheader()
+        writer.writerows(rows)
+
+    print(f"\ncensus at n = {args.n}, {STEPS} steps, {len(rows)} traces, "
+          f"{sum(r['seconds'] for r in rows):.1f} s")
+    for cls, pick in (("p<2", lambda p: p < 2.0), ("p>2", lambda p: p > 2.0)):
+        sel = [r for r in rows if pick(r["p"])]
+        kinds = collections.Counter(r["termination"] for r in sel)
+        print(f"{cls}: {len(sel)} traces: "
+              + ", ".join(f"{kind} {cnt}" for kind, cnt in sorted(kinds.items())))
+        others = collections.Counter((r["p"], r["termination"]) for r in sel
+                                     if r["termination"] != "MaxSteps")
+        for (p, kind), cnt in sorted(others.items()):
+            print(f"    p = {p}: {kind} {cnt}")
+        print(f"    even-k mirror pairs that end differently: "
+              f"{mirror_pairs[cls, 'differ']}/{mirror_pairs[cls, 'pairs']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

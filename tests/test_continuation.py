@@ -483,6 +483,62 @@ def test_bordered_solve_at_a_discrete_eigenvalue(n, k):
                           r, 0.0) <= 1e-10
 
 
+def count_solves(monkeypatch) -> dict:
+    """Count the calls of every solver Jacobian.factor returns."""
+    counts = {"solves": 0}
+    factor = Jacobian.factor
+    monkeypatch.setattr(Jacobian, "factor",
+                        lambda self: counting(counts, "solves", factor(self)))
+    return counts
+
+
+def test_bordered_solve_refines_only_when_needed(branch_p3_w1, monkeypatch):
+    counts = count_solves(monkeypatch)
+    # a corrector step of a p = 3 trace is well conditioned: y = J^{-1} u and
+    # one bordering pass, no refinement
+    grid = branch_p3_w1.points[0].u.grid
+    a, b = branch_p3_w1.points[50:52]
+    du, dlam = b.u.values - a.u.values, b.lam - a.lam
+    ds = math.sqrt(grid.h * float(np.dot(du, du)) + dlam * dlam)
+    t_u, t_lam = du / ds, dlam / ds
+    pred_u, pred_lam = a.u.values + 1.4 * ds * t_u, a.lam + 1.4 * ds * t_lam
+    prob = _TraceProblem(grid, 3.0, 0.5)
+    _bordered_solve(prob.jacobian(pred_u, pred_lam), pred_u, t_u, t_lam,
+                    prob.residual(pred_u, pred_lam), 0.0)
+    assert counts["solves"] == 2
+    # the singular J of test_bordered_solve_at_a_discrete_eigenvalue: bordering
+    # alone loses digits, so the refinement pass runs
+    for n in (199, 799):
+        grid = Grid(n_interior=n)
+        h2 = grid.h * grid.h
+        ek = eigenpair(grid, 3)
+        jac = Jacobian(grid, np.full(n, 2.0 / h2 - ek.value),
+                       np.full(n - 1, -1.0 / h2))
+        r = 1e-6 * np.random.default_rng(3).standard_normal(n)
+        counts["solves"] = 0
+        _bordered_solve(jac, 1e-3 * ek.vector.values, ek.vector.values, 0.0, r, 0.0)
+        assert counts["solves"] == 3
+
+
+def test_conditional_refinement_keeps_p3_traces(monkeypatch):
+    # against the always-refining arithmetic (a negative tolerance never
+    # passes): same terminations and points, lambda and u within 1e-12
+    grid = Grid(n_interior=199)
+    config = SolverConfig(max_steps=60)
+    seeds = [BranchSeed(k=k, which=which, gamma=0.5, p=3.0)
+             for k in (2, 3) for which in (1, 2)]
+    conditional = [trace_branch(seed, grid, config) for seed in seeds]
+    monkeypatch.setattr(continuation, "_REFINE_TOL", -1.0)
+    for seed, got in zip(seeds, conditional):
+        ref = trace_branch(seed, grid, config)
+        assert got.termination == ref.termination
+        assert len(got.points) == len(ref.points) == 60
+        for a, b in zip(got.points, ref.points):
+            assert abs(a.lam - b.lam) <= 1e-12 * abs(b.lam)
+            scale = np.max(np.abs(b.u.values))
+            assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-12 * scale
+
+
 def test_singular_bordered_system_raises(grid):
     n = grid.n_interior
     e1, e2 = np.eye(n)[:2]
