@@ -10,7 +10,13 @@ tridiag_factor takes one of two paths, chosen by the system it is given.
   Thomas loop factors that core. A solve replays the levels on the right-hand
   side, solves the core and back-substitutes level by level.
 - The Thomas loop over Python floats, for every other system. thomas_solve
-  always takes it.
+  always takes it. When tridiag_factor is handed two to four right-hand
+  sides, the loop that eliminates also substitutes forward and one loop
+  substitutes back, for two columns at once; a column of complex numbers
+  carries two right-hand sides as its real and imaginary parts. CPython's
+  complex operations with the real factors reduce to the float operations,
+  up to the sign of a zero, so each solution has the bits of a solve of its
+  own. One such pass serves a Newton step of the continuation's corrector.
 
 The split follows diagonal dominance because that is where cyclic reduction
 without pivoting is provably stable: each reduced system of a diagonally
@@ -29,9 +35,11 @@ an exact zero pivot only.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
+
+Solver = Callable[[np.ndarray], np.ndarray]
 
 # Largest system the Thomas loop factors alone, and the largest core it
 # factors on the cyclic path. Measured (micro table of BENCH_13.json): one
@@ -44,11 +52,13 @@ CORE = 128
 _DOMINANCE_ULPS = 8
 _EPS = float(np.finfo(float).eps)
 _NEAR_ZERO_PIVOT = "zero pivot in cyclic reduction, to 4 n eps of its row's diagonal"
+_ZERO_PIVOT = "zero pivot in tridiagonal solve"
 
 
-def tridiag_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray
-                   ) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor tridiagonal T; returns the solver rhs -> T^{-1} rhs.
+def tridiag_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                   rhs: Sequence[np.ndarray] = ()) -> tuple[Solver, list[np.ndarray]]:
+    """Factor tridiagonal T; returns the solver b -> T^{-1} b and
+    [T^{-1} b for b in rhs].
 
     lower has length n-1, diag n, upper n-1. An M-matrix with n > CORE is
     factored by cyclic reduction, which raises ValueError on a pivot that is
@@ -57,8 +67,9 @@ def tridiag_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray
     ValueError signals a singular (or, on the cyclic path, numerically
     singular) system or, for the shifted systems, a singular shift."""
     if diag.size > CORE and _is_m_matrix(lower, diag, upper):
-        return _cyclic_factor(lower, diag, upper)
-    return _thomas_factor(lower, diag, upper)
+        solve = _cyclic_factor(lower, diag, upper)
+        return solve, [solve(b) for b in rhs]
+    return _thomas_factor(lower, diag, upper, rhs)
 
 
 def _is_m_matrix(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> bool:
@@ -86,7 +97,38 @@ def _eliminate(low: list[float], piv: list[float], cp: list[float]) -> None:
             cp[i - 1] /= piv[i - 1]
             piv[i] -= low[i - 1] * cp[i - 1]
         if piv[i] == 0.0:
-            raise ValueError("zero pivot in tridiagonal solve")
+            raise ValueError(_ZERO_PIVOT)
+
+
+def _eliminate_and_solve(low: list[float], diag: list[float], up: list[float],
+                         b: list, e: list) -> tuple[list[float], list[float], list, list]:
+    """_eliminate with _sweeps of the columns b and e (lists of Python floats
+    or complex numbers) in the same loops, each operation in its order there.
+    Returns the pivots, the upper multipliers and the two solutions."""
+    p = diag[0]
+    piv, cp = [p], []
+    try:
+        d, f = b[0] / p, e[0] / p
+        xb, xe = [d], [f]
+        for lo, di, ui, bi, ei in zip(low, diag[1:], up, b[1:], e[1:]):
+            c = ui / p
+            p = di - lo * c
+            # a zero pivot raises ZeroDivisionError here, before it is used
+            d = (bi - lo * d) / p
+            f = (ei - lo * f) / p
+            cp.append(c)
+            piv.append(p)
+            xb.append(d)
+            xe.append(f)
+    except ZeroDivisionError:
+        raise ValueError(_ZERO_PIVOT) from None
+    for i in range(len(xb) - 2, -1, -1):
+        c = cp[i]
+        d = xb[i] - c * d
+        xb[i] = d
+        f = xe[i] - c * f
+        xe[i] = f
+    return piv, cp, xb, xe
 
 
 def _sweeps(b: list[float], low: list[float], piv: list[float],
@@ -100,18 +142,42 @@ def _sweeps(b: list[float], low: list[float], piv: list[float],
     for i in range(len(x) - 2, -1, -1):
         d = x[i] - cp[i] * d
         x[i] = d
-    return np.array(x)
+    return np.fromiter(x, float, len(x))
 
 
-def _thomas_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray
-                   ) -> Callable[[np.ndarray], np.ndarray]:
+def _column(re: np.ndarray, im: np.ndarray | None) -> list:
+    """re, or re + i im, as a list of Python numbers."""
+    if im is None:
+        return re.tolist()
+    z = np.empty(re.size, dtype=complex)
+    z.real, z.imag = re, im
+    return z.tolist()
+
+
+def _thomas_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                   rhs: Sequence[np.ndarray] = ()) -> tuple[Solver, list[np.ndarray]]:
+    """The Thomas factorization, with T^{-1} b for each b in rhs.
+
+    Two to four right-hand sides are solved inside the factorization's loops
+    (_eliminate_and_solve): column j carries rhs[j], and rhs[j + 2] as its
+    imaginary part where there is one. Any other count is solved after it."""
     low, piv, cp = lower.tolist(), diag.tolist(), upper.tolist()
-    _eliminate(low, piv, cp)
+    xs: list[np.ndarray] = []
+    if 2 <= len(rhs) <= 4:
+        cols = [_column(rhs[j], rhs[j + 2] if j + 2 < len(rhs) else None)
+                for j in (0, 1)]
+        piv, cp, *sols = _eliminate_and_solve(low, piv, cp, *cols)
+        # float or complex, as the column; the real parts first, in column order
+        arrays = [np.fromiter(x, type(x[0]), len(x)) for x in sols]
+        xs = [np.ascontiguousarray(x.real) for x in arrays] \
+            + [np.ascontiguousarray(x.imag) for x in arrays if x.dtype == complex]
+    else:
+        _eliminate(low, piv, cp)
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        return _sweeps(rhs.tolist(), low, piv, cp)
+    def solve(b: np.ndarray) -> np.ndarray:
+        return _sweeps(b.tolist(), low, piv, cp)
 
-    return solve
+    return solve, xs + [solve(b) for b in rhs[len(xs):]]
 
 
 def _cyclic_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray
@@ -175,7 +241,7 @@ def _cyclic_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray
 def thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
                  rhs: np.ndarray) -> np.ndarray:
     """Solve T x = rhs for tridiagonal T by the Thomas loop, whatever T is."""
-    return _thomas_factor(lower, diag, upper)(rhs)
+    return _thomas_factor(lower, diag, upper, (rhs,))[1][0]
 
 
 def symmetric_tridiag_apply(diag: np.ndarray, off: np.ndarray,

@@ -10,7 +10,11 @@ and the corrector is a damped semismooth Newton method on the bordered
 system (residual + arclength plane), solved in O(n) by block elimination on
 one factorization of the tridiagonal (plus rank-one) Jacobian, refined once
 only where the first pass misses its residual test, and damped by
-monotone.damped_step on the norm of (residual, arclength defect).
+monotone.damped_step on the norm of (residual, arclength defect). The first
+pass starts from (-r, -c), and both of its solves, J^{-1} u and J^{-1}(-r),
+come out of the factorization's own Thomas loops (see _tridiag). Residuals
+and Jacobians are taken on the nodal value arrays, from one gradient per
+evaluation.
 
 The Lyapunov-Schmidt split u = alpha*e_k + v with v orthogonal to e_k, the
 spectral cones around +-e_k, and the fixed-point defect built from
@@ -31,8 +35,11 @@ from .grid import Field, Grid, h10_norm, inner_l2, l2_norm, laplacian_solve_valu
 from .halfeig import gamma_window, split_eigenvalues
 from .monotone import (MAX_HALVINGS, SolverError, damped_step, solve_monotone,
                        solve_monotone_ball)
-from .quasilinear import (Jacobian, ProblemParams, jacobian_original,
-                          jacobian_transformed, original_h10_norm,
+from .quasilinear import (Jacobian, ProblemParams, jacobian_values, original_h10_norm,
+                          residual_original_values, residual_transformed_values)
+# perfbench/tracer.py patches these by name here; the trace calls the *_values
+# functions above
+from .quasilinear import (jacobian_original, jacobian_transformed,  # noqa: F401
                           residual_original, residual_transformed)
 from .spectrum import closed_form_eigenvalue, eigenpair
 
@@ -232,17 +239,12 @@ class _TraceProblem:
         return ProblemParams(p=self.p, gamma=self.gamma, lam=lam)
 
     def residual(self, u_vals: np.ndarray, lam: float) -> np.ndarray:
-        field = Field(self.grid, u_vals)
         if self.transformed:
-            return residual_transformed(field, self._params(lam)).values
-        return residual_original(field, self._params(lam)).values
+            return residual_transformed_values(u_vals, self.grid.h, self._params(lam))
+        return residual_original_values(u_vals, self.grid.h, self._params(lam))
 
     def jacobian(self, u_vals: np.ndarray, lam: float) -> Jacobian:
-        field = Field(self.grid, u_vals)
-        params = self._params(lam)
-        if self.transformed:
-            return jacobian_transformed(field, params)
-        return jacobian_original(field, params)
+        return jacobian_values(u_vals, self.grid, self._params(lam), self.transformed)
 
 
 def _bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,
@@ -250,31 +252,30 @@ def _bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,
                     ) -> tuple[np.ndarray, float]:
     """Solve [[J, -u], [<row_u, .>_2, row_lam]] (du, dlam) = -(r, c) by block elimination.
 
-    One factorization of J serves all solves; dlam comes from the Schur
-    complement <row_u, J^{-1} u>_2 + row_lam. A second pass refines on the
-    bordered residual only when the first misses ||residual|| <= _REFINE_TOL
-    * ||(r, c)||: plain bordering loses digits when J is (nearly) singular,
-    as at a seed on a discrete eigenvalue."""
+    One factorization of J serves all solves, and y = J^{-1} u and
+    x = J^{-1}(-r) come out of it; dlam comes from the Schur complement
+    <row_u, y>_2 + row_lam. A second pass refines on the bordered residual
+    only when the first misses ||residual|| <= _REFINE_TOL * ||(r, c)||:
+    plain bordering loses digits when J is (nearly) singular, as at a seed
+    on a discrete eigenvalue."""
     h = jac.grid.h
     try:
-        solve = jac.factor()
+        solve, (y, x) = jac.factor(u, -r)
     except ValueError as exc:
         raise _CorrectorFailed(f"singular bordered system: {exc}")
-    y = solve(u)
     schur = h * float(np.dot(row_u, y)) + row_lam
     if schur == 0.0:
         raise _CorrectorFailed("singular bordered system: zero Schur complement")
-    du, dlam = np.zeros_like(u), 0.0
-    for refine in (False, True):
-        res_u = dlam * u - r - jac.apply_values(du)
-        res_c = -c - h * float(np.dot(row_u, du)) - row_lam * dlam
-        if refine and math.sqrt(h * float(np.dot(res_u, res_u)) + res_c * res_c) \
-                <= _REFINE_TOL * math.sqrt(h * float(np.dot(r, r)) + c * c):
-            break
-        x = solve(res_u)
-        d = (res_c - h * float(np.dot(row_u, x))) / schur
-        du, dlam = du + (x + d * y), dlam + d
-    return du, dlam
+    dlam = (-c - h * float(np.dot(row_u, x))) / schur
+    du = x + dlam * y
+    res_u = dlam * u - r - jac.apply_values(du)
+    res_c = -c - h * float(np.dot(row_u, du)) - row_lam * dlam
+    if math.sqrt(h * float(np.dot(res_u, res_u)) + res_c * res_c) \
+            <= _REFINE_TOL * math.sqrt(h * float(np.dot(r, r)) + c * c):
+        return du, dlam
+    x = solve(res_u)
+    d = (res_c - h * float(np.dot(row_u, x))) / schur
+    return du + (x + d * y), dlam + d
 
 
 def _corrector(prob: _TraceProblem, u0: np.ndarray, lam0: float,

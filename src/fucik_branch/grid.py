@@ -171,12 +171,15 @@ def element_gradients(u: Field) -> np.ndarray:
 
 def apply_laplacian(u: Field) -> Field:
     """Dual vector of the Dirichlet Laplacian: (2u_i - u_{i-1} - u_{i+1}) / h^2."""
-    h = u.grid.h
-    v = u.values
+    return Field(u.grid, laplacian_values(u.values, u.grid.h))
+
+
+def laplacian_values(v: np.ndarray, h: float) -> np.ndarray:
+    """apply_laplacian of one field's nodal values."""
     out = 2.0 * v
     out[:-1] -= v[1:]
     out[1:] -= v[:-1]
-    return Field(u.grid, out / (h * h))
+    return out / (h * h)
 
 
 def laplacian_solve_values(grid: Grid, rhs: np.ndarray) -> np.ndarray:

@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._tridiag import symmetric_tridiag_apply, tridiag_factor
+from ._tridiag import Solver, symmetric_tridiag_apply, tridiag_factor
 from ._tridiag import thomas_solve  # noqa: F401 -- perfbench/tracer.py patches it by name here
-from .grid import (Field, Grid, apply_laplacian, dual_norm, element_gradients,
-                   gradient_values, h10_norm)
+from .grid import (Field, Grid, dual_norm, element_gradients, gradient_values,
+                   h10_norm, h10_values, laplacian_values)
 
 logger = logging.getLogger("fucik_branch.quasilinear")
 
@@ -89,33 +88,36 @@ class Jacobian:
             y = y + a * (self.grid.h * float(np.dot(b, x)))
         return y
 
-    def factor(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Solver for J x = rhs: one tridiagonal factorization, Sherman-Morrison
-        for the rank-one term; ValueError if either is singular.
+    def factor(self, *rhs: np.ndarray) -> tuple[Solver, list[np.ndarray]]:
+        """Solver for J x = b, and J^{-1} b for each right-hand side given: one
+        tridiagonal factorization, which also solves the right-hand sides and
+        the rank-one a, Sherman-Morrison for the rank-one term; ValueError if
+        either is singular.
 
         tridiag_factor picks the path. The Jacobians at lam <= 0, as in the
         monotone solves of the CLI and the benchmark, are M-matrices and,
         above CORE unknowns, factor by cyclic reduction, which also raises on
         a pivot that is only numerically nonzero; those shifted by lam > 0,
         as in the continuation, factor by the Thomas loop bit for bit."""
-        tri = tridiag_factor(self.off, self.diag, self.off)
         if self.rank_one is None:
-            return tri
+            return tridiag_factor(self.off, self.diag, self.off, rhs)
         a, b = self.rank_one
         h = self.grid.h
-        t2 = tri(a)
+        tri, (t2, *ts) = tridiag_factor(self.off, self.diag, self.off, (a, *rhs))
         denom = 1.0 + h * float(np.dot(b, t2))
         if denom == 0.0:
             raise ValueError("singular rank-one update")
 
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            t1 = tri(rhs)
+        def update(t1: np.ndarray) -> np.ndarray:
             return t1 - t2 * (h * float(np.dot(b, t1)) / denom)
 
-        return solve
+        def solve(x: np.ndarray) -> np.ndarray:
+            return update(tri(x))
+
+        return solve, [update(t1) for t1 in ts]
 
     def solve_values(self, rhs: np.ndarray) -> np.ndarray:
-        return self.factor()(rhs)
+        return self.factor()[0](rhs)
 
     def as_matrix(self) -> np.ndarray:
         n = self.diag.size
@@ -138,19 +140,32 @@ def _p_flux(g: np.ndarray, p: float, eps: float = 0.0) -> np.ndarray:
 
 
 def _p_flux_derivative(g: np.ndarray, p: float, eps: float) -> np.ndarray:
-    # exact derivative of _p_flux; eps > 0 whenever p < 2 (see _jacobian)
+    # exact derivative of _p_flux; eps > 0 whenever p < 2 (see jacobian_values)
     if eps == 0.0:
         return (p - 1.0) * np.abs(g) ** (p - 2.0)
     return (g * g + eps * eps) ** (0.5 * (p - 4.0)) * ((p - 1.0) * g * g + eps * eps)
 
 
-def residual_original_values(values: np.ndarray, h: float, params: ProblemParams,
-                             coeff: float = 1.0) -> np.ndarray:
-    """-div(coeff*|g|^{p-2}g + g) - gamma*u^- - lam*u along the last axis
-    (one field or a block); residual_original at the default coeff = 1."""
+def residual_original_values(values: np.ndarray, h: float,
+                             params: ProblemParams) -> np.ndarray:
+    """residual_original along the last axis (one field or a block)."""
+    return _residual(values, gradient_values(values, h), h, params, 1.0)
+
+
+def residual_transformed_values(values: np.ndarray, h: float,
+                                params: ProblemParams) -> np.ndarray:
+    """residual_transformed of one field's nodal values, from one gradient."""
     g = gradient_values(values, h)
+    return _residual(values, g, h, params, float(h10_values(g, h)) ** (4.0 - params.p))
+
+
+def _residual(values: np.ndarray, g: np.ndarray, h: float, params: ProblemParams,
+              coeff: float) -> np.ndarray:
+    """-div(coeff*|g|^{p-2}g + g) - gamma*u^- - lam*u, g the element gradients
+    of values."""
     flux = coeff * _p_flux(g, params.p) + g
-    return -np.diff(flux, axis=-1) / h \
+    # np.diff's subtraction, without its overhead
+    return -(flux[..., 1:] - flux[..., :-1]) / h \
         - params.gamma * np.maximum(-values, 0.0) \
         - params.lam * values
 
@@ -197,32 +212,34 @@ def _weighted_stiffness(grid: Grid, weights: np.ndarray) -> tuple[np.ndarray, np
     return diag, off
 
 
-def _jacobian(u: Field, params: ProblemParams, transformed: bool) -> Jacobian:
-    """Generalized Jacobian of residual_original_values at u: coeff 1, or if
-    transformed the norm coefficient and the rank-one term of its derivative.
+def jacobian_values(values: np.ndarray, grid: Grid, params: ProblemParams,
+                    transformed: bool = False) -> Jacobian:
+    """Generalized Jacobian of residual_original at the nodal values, or if
+    transformed of residual_transformed: the norm coefficient and the rank-one
+    term of its derivative. The element gradients are computed once.
 
     Gradient stiffness with elementwise weights coeff * d/dg[flux](g) + 1,
     plus the diagonal gamma*1[u_i<0] - lam: the slope of -gamma*max(-t,0) on
     t < 0 is +gamma, with zero nodes assigned to the positive part.
     """
-    p = params.p
-    g = element_gradients(u)
+    p, h = params.p, grid.h
+    g = gradient_values(values, h)
     eps = 0.0 if p > 2.0 else _EPS_REG_SCALE * (float(np.mean(np.abs(g))) + 1.0)
-    coeff = transform_coefficient(u, p) if transformed else 1.0
+    nrm = float(h10_values(g, h)) if transformed else 0.0
+    coeff = nrm ** (4.0 - p) if transformed else 1.0
     w = coeff * _p_flux_derivative(g, p, eps) + 1.0
-    diag, off = _weighted_stiffness(u.grid, w)
-    diag = diag + params.gamma * (u.values < 0.0) - params.lam
-    nrm = h10_norm(u) if transformed else 0.0
+    diag, off = _weighted_stiffness(grid, w)
+    diag = diag + params.gamma * (values < 0.0) - params.lam
     if nrm == 0.0:
-        return Jacobian(u.grid, diag, off)
-    a = -np.diff(_p_flux(g, p, eps)) / u.grid.h
-    b = (4.0 - p) * nrm ** (2.0 - p) * apply_laplacian(u).values
-    return Jacobian(u.grid, diag, off, rank_one=(a, b))
+        return Jacobian(grid, diag, off)
+    a = -np.diff(_p_flux(g, p, eps)) / h
+    b = (4.0 - p) * nrm ** (2.0 - p) * laplacian_values(values, h)
+    return Jacobian(grid, diag, off, rank_one=(a, b))
 
 
 def jacobian_original(u: Field, params: ProblemParams) -> Jacobian:
-    """Generalized Jacobian of residual_original at u (see _jacobian)."""
-    return _jacobian(u, params, transformed=False)
+    """Generalized Jacobian of residual_original at u (see jacobian_values)."""
+    return jacobian_values(u.values, u.grid, params)
 
 
 def transform_coefficient(v: Field, p: float) -> float:
@@ -232,8 +249,7 @@ def transform_coefficient(v: Field, p: float) -> float:
 def residual_transformed(v: Field, params: ProblemParams) -> Field:
     """Dual vector of -||v||^{4-p} Delta_p v - Delta v - gamma*v^- - lam*v (1 < p < 2)."""
     _require_singular_range(params.p)
-    coeff = transform_coefficient(v, params.p)
-    return Field(v.grid, residual_original_values(v.values, v.grid.h, params, coeff))
+    return Field(v.grid, residual_transformed_values(v.values, v.grid.h, params))
 
 
 def jacobian_transformed(v: Field, params: ProblemParams) -> Jacobian:
@@ -244,7 +260,7 @@ def jacobian_transformed(v: Field, params: ProblemParams) -> Jacobian:
     (4-p) ||v||_{1,2}^{2-p} * (Delta_p v dual) <Laplacian v dual, .>_2.
     """
     _require_singular_range(params.p)
-    return _jacobian(v, params, transformed=True)
+    return jacobian_values(v.values, v.grid, params, transformed=True)
 
 
 def _require_singular_range(p: float) -> None:

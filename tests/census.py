@@ -1,6 +1,7 @@
 """Termination census of the branch tracer over p, k, gamma and side.
 
     python3 tests/census.py --n 199 --out census-199.csv
+    python3 tests/census.py --n 199 --out new-199.csv --against census-199.csv
 
 Traces p in {1.2, 1.5, 1.8, 2.5, 3, 4} x k in {2, 3, 4} x gamma in
 {0, 0.25, 0.5, 0.9} gamma_max(k), both sides when gamma > 0 (126 traces),
@@ -8,8 +9,11 @@ on a grid of n interior nodes with 200 steps each. Writes one CSV row
 per trace: termination and detail, point count, final (lambda, ||u||_2),
 arclength, seconds, and for even k the mirror defect against the other
 side. Prints per-(p < 2, p > 2) tallies of the terminations and of the
-even-k mirror pairs that end differently. Needs only numpy; it imports the
-package from the src/ next to this directory. Pytest does not collect it.
+even-k mirror pairs that end differently. With --against, a CSV of an
+earlier run at the same n, it also prints the rows whose termination, point
+count or final (lambda, ||u||_2, arclength) changed, and the diff of the
+tallies. Needs only numpy; it imports the package from the src/ next to this
+directory. Pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import argparse
 import collections
 import csv
+import difflib
 import math
 import sys
 import time
@@ -40,6 +45,12 @@ FIELDS = ("p", "k", "gamma_frac", "which", "termination", "detail", "points",
           "lam", "l2", "arclength", "seconds", "mirror_defect")
 PRINTED = ("p", "k", "gamma_frac", "which", "termination", "points", "lam", "l2",
            "arclength", "seconds")
+KEY = ("p", "k", "gamma_frac", "which")
+# what --against compares; seconds always differ, and mirror_defect follows
+# from the points
+COMPARED = ("termination", "points", "lam", "l2", "arclength")
+TYPES = {"p": float, "k": int, "gamma_frac": float, "which": int, "points": int,
+         "lam": float, "l2": float, "arclength": float, "seconds": float}
 
 
 def mirror_defect(first, second) -> float:
@@ -79,16 +90,64 @@ def ends_differently(a: dict, b: dict) -> bool:
         != (b["termination"], b["points"], f"{b['lam']:.4f}", f"{b['l2']:.4f}")
 
 
+def tally(rows: list[dict]) -> list[str]:
+    """Per-(p < 2, p > 2) lines: terminations, the p of those other than
+    MaxSteps, and the even-k mirror pairs that end differently."""
+    sides = collections.defaultdict(list)
+    for r in rows:
+        if r["k"] % 2 == 0:
+            sides[r["p"], r["k"], r["gamma_frac"]].append(r)
+    lines = []
+    for cls, pick in (("p<2", lambda p: p < 2.0), ("p>2", lambda p: p > 2.0)):
+        sel = [r for r in rows if pick(r["p"])]
+        kinds = collections.Counter(r["termination"] for r in sel)
+        lines.append(f"{cls}: {len(sel)} traces: "
+                     + ", ".join(f"{kind} {cnt}" for kind, cnt in sorted(kinds.items())))
+        others = collections.Counter((r["p"], r["termination"]) for r in sel
+                                     if r["termination"] != "MaxSteps")
+        for (p, kind), cnt in sorted(others.items()):
+            lines.append(f"    p = {p}: {kind} {cnt}")
+        pairs = [pair for (p, _, _), pair in sides.items() if pick(p) and len(pair) == 2]
+        lines.append(f"    even-k mirror pairs that end differently: "
+                     f"{sum(ends_differently(*pair) for pair in pairs)}/{len(pairs)}")
+    return lines
+
+
+def read_rows(path: Path) -> list[dict]:
+    """The rows of a census CSV, typed as a run makes them."""
+    with path.open(newline="") as fh:
+        return [{f: TYPES.get(f, str)(v) for f, v in row.items()}
+                for row in csv.DictReader(fh)]
+
+
+def changed_rows(before: list[dict], after: list[dict]) -> list[tuple[dict, dict | None]]:
+    """(row, earlier row) for each row of after whose COMPARED fields differ
+    from the earlier row with its KEY, or that has none; NaN equals NaN."""
+    earlier = {tuple(r[f] for f in KEY): r for r in before}
+
+    def same(a, b) -> bool:
+        return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+    out = []
+    for row in after:
+        old = earlier.get(tuple(row[f] for f in KEY))
+        if old is None or not all(same(row[f], old[f]) for f in COMPARED):
+            out.append((row, old))
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[1])
     ap.add_argument("--n", type=int, default=199, help="interior nodes")
     ap.add_argument("--out", type=Path, required=True, help="CSV file to write")
+    ap.add_argument("--against", type=Path,
+                    help="CSV of an earlier run at the same n to compare with")
     args = ap.parse_args(argv)
     grid = Grid(n_interior=args.n)
     config = SolverConfig(max_steps=STEPS)
+    before = read_rows(args.against) if args.against else None
 
     rows = []
-    mirror_pairs = collections.Counter()
     for p in PS:
         for k in KS:
             for frac in GAMMA_FRACTIONS:
@@ -99,9 +158,6 @@ def main(argv: list[str] | None = None) -> int:
                     if b1 is not None and b2 is not None:
                         first["mirror_defect"] = second["mirror_defect"] = \
                             mirror_defect(b1, b2)
-                    cls = "p<2" if p < 2.0 else "p>2"
-                    mirror_pairs[cls, "pairs"] += 1
-                    mirror_pairs[cls, "differ"] += ends_differently(first, second)
                 for row, _ in sides:
                     rows.append(row)
                     print(" ".join(f"{row[f]:.6g}" if isinstance(row[f], float)
@@ -114,17 +170,18 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"\ncensus at n = {args.n}, {STEPS} steps, {len(rows)} traces, "
           f"{sum(r['seconds'] for r in rows):.1f} s")
-    for cls, pick in (("p<2", lambda p: p < 2.0), ("p>2", lambda p: p > 2.0)):
-        sel = [r for r in rows if pick(r["p"])]
-        kinds = collections.Counter(r["termination"] for r in sel)
-        print(f"{cls}: {len(sel)} traces: "
-              + ", ".join(f"{kind} {cnt}" for kind, cnt in sorted(kinds.items())))
-        others = collections.Counter((r["p"], r["termination"]) for r in sel
-                                     if r["termination"] != "MaxSteps")
-        for (p, kind), cnt in sorted(others.items()):
-            print(f"    p = {p}: {kind} {cnt}")
-        print(f"    even-k mirror pairs that end differently: "
-              f"{mirror_pairs[cls, 'differ']}/{mirror_pairs[cls, 'pairs']}")
+    print("\n".join(tally(rows)))
+    if before is not None:
+        changed = changed_rows(before, rows)
+        print(f"\nagainst {args.against}: {len(changed)} of {len(rows)} rows changed")
+        for row, old in changed:
+            print(" ".join(str(row[f]) for f in KEY) + ": "
+                  + ("new row" if old is None else ", ".join(
+                      f"{f} {old[f]!r} -> {row[f]!r}" for f in COMPARED
+                      if old[f] != row[f])))
+        diff = list(difflib.unified_diff(tally(before), tally(rows), str(args.against),
+                                         str(args.out), lineterm="", n=0))
+        print("\n".join(diff) if diff else "tallies unchanged")
     return 0
 
 

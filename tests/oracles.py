@@ -9,7 +9,8 @@ sweep as a loop over samples and hump counts, the reference for the
 array sweep, and the sampled p > 2 checks as first blocked (scales from rng.uniform, pair[j, k]
 fills, norms taken per use) and the coercivity-ball samples as blocked
 before the proven radius retired them from the solves, the bit-for-bit
-references for monotone's samplers.
+references for monotone's samplers, and the trace corrector's arithmetic
+before its one-pass bordered solve, the bit-for-bit reference for the trace.
 """
 
 from __future__ import annotations
@@ -19,13 +20,16 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from fucik_branch import continuation
 from fucik_branch._tridiag import symmetric_tridiag_apply, thomas_solve
 from fucik_branch.grid import (Field, Grid, element_gradients, gradient_values,
                                h10_values, laplacian_solve_values, require_finite)
 from fucik_branch.halfeig import FucikPoint, _check_length
 from fucik_branch.monotone import (VectorInequalityReport, _block_rows, _blocks,
                                    _certified_bounds, _monotonicity_ratios)
-from fucik_branch.quasilinear import ProblemParams, residual_original_values
+from fucik_branch.quasilinear import (Jacobian, ProblemParams, jacobian_original,
+                                      jacobian_transformed, residual_original,
+                                      residual_original_values, residual_transformed)
 from fucik_branch.spectrum import EigenPair, _check_index, closed_form_eigenvalue
 
 
@@ -370,3 +374,66 @@ def _with_h10_norm(values: np.ndarray, norm: np.ndarray, h: float) -> np.ndarray
     out = values * scale[..., None]
     require_finite(out)
     return out
+
+
+class ReferenceTraceProblem:
+    """continuation._TraceProblem through the Field functions: a Field built
+    around every residual and Jacobian argument."""
+
+    def __init__(self, grid: Grid, p: float, gamma: float):
+        self.grid = grid
+        self.p = p
+        self.gamma = gamma
+        self.transformed = p < 2.0
+
+    def residual(self, u_vals: np.ndarray, lam: float) -> np.ndarray:
+        params = ProblemParams(p=self.p, gamma=self.gamma, lam=lam)
+        fn = residual_transformed if self.transformed else residual_original
+        return fn(Field(self.grid, u_vals), params).values
+
+    def jacobian(self, u_vals: np.ndarray, lam: float) -> Jacobian:
+        params = ProblemParams(p=self.p, gamma=self.gamma, lam=lam)
+        fn = jacobian_transformed if self.transformed else jacobian_original
+        return fn(Field(self.grid, u_vals), params)
+
+
+def reference_bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,
+                             row_lam: float, r: np.ndarray, c: float
+                             ) -> tuple[np.ndarray, float]:
+    """continuation._bordered_solve one right-hand side at a time: each
+    tridiagonal solve a thomas_solve, Sherman-Morrison for the rank-one term,
+    and a first bordering pass that starts from du = 0, dlam = 0."""
+    h = jac.grid.h
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return thomas_solve(jac.off, jac.diag, jac.off, rhs)
+
+    try:
+        if jac.rank_one is not None:
+            a, b = jac.rank_one
+            t2 = solve(a)
+            denom = 1.0 + h * float(np.dot(b, t2))
+            if denom == 0.0:
+                raise ValueError("singular rank-one update")
+
+            def solve(rhs: np.ndarray, tri=solve) -> np.ndarray:
+                t1 = tri(rhs)
+                return t1 - t2 * (h * float(np.dot(b, t1)) / denom)
+
+        y = solve(u)
+    except ValueError as exc:
+        raise continuation._CorrectorFailed(f"singular bordered system: {exc}")
+    schur = h * float(np.dot(row_u, y)) + row_lam
+    if schur == 0.0:
+        raise continuation._CorrectorFailed("singular bordered system: zero Schur complement")
+    du, dlam = np.zeros_like(u), 0.0
+    for refine in (False, True):
+        res_u = dlam * u - r - jac.apply_values(du)
+        res_c = -c - h * float(np.dot(row_u, du)) - row_lam * dlam
+        if refine and math.sqrt(h * float(np.dot(res_u, res_u)) + res_c * res_c) \
+                <= continuation._REFINE_TOL * math.sqrt(h * float(np.dot(r, r)) + c * c):
+            break
+        x = solve(res_u)
+        d = (res_c - h * float(np.dot(row_u, x))) / schur
+        du, dlam = du + (x + d * y), dlam + d
+    return du, dlam

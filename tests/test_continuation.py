@@ -28,6 +28,7 @@ from fucik_branch.quasilinear import (Jacobian, ProblemParams,
 from fucik_branch.spectrum import closed_form_eigenvalue, eigenpair
 
 from conftest import count_trials, counting, random_field
+from oracles import ReferenceTraceProblem, reference_bordered_solve
 
 
 def weighted_l2(field: Field) -> float:
@@ -368,6 +369,25 @@ def test_odd_k_trace_is_its_own_mirror(grid, which):
     assert_mirror_images(branch, branch)
 
 
+@pytest.mark.parametrize("p", [3.0, 1.5])
+def test_trace_keeps_the_bits_of_one_solve_per_right_hand_side(grid, monkeypatch, p):
+    # every lambda and u equal to the corrector arithmetic of
+    # oracles.reference_bordered_solve: Field-built residuals and Jacobians,
+    # one thomas_solve per right-hand side, a first pass from du = 0
+    config = SolverConfig(max_steps=60)
+    seeds = [BranchSeed(k=2, which=which, gamma=0.5, p=p) for which in (1, 2)]
+    got = [trace_branch(seed, grid, config) for seed in seeds]
+    monkeypatch.setattr(continuation, "_TraceProblem", ReferenceTraceProblem)
+    monkeypatch.setattr(continuation, "_bordered_solve", reference_bordered_solve)
+    for seed, branch in zip(seeds, got):
+        ref = trace_branch(seed, grid, config)
+        assert branch.termination == ref.termination
+        assert len(branch.points) == len(ref.points) == 60
+        for a, b in zip(branch.points, ref.points):
+            assert a.lam == b.lam and a.s == b.s
+            assert np.array_equal(a.u.values, b.u.values)
+
+
 def test_newton_at_lambda_finds_trivial(grid, rng):
     lam = 0.5 * closed_form_eigenvalue(grid, 1)
     for gamma in (0.0, 0.5):
@@ -483,19 +503,25 @@ def test_bordered_solve_at_a_discrete_eigenvalue(n, k):
                           r, 0.0) <= 1e-10
 
 
-def count_solves(monkeypatch) -> dict:
-    """Count the calls of every solver Jacobian.factor returns."""
-    counts = {"solves": 0}
+def count_sweeps(monkeypatch) -> dict:
+    """Count the factorizations of Jacobian.factor and the calls of every
+    solver it returns: the solves made after the factorization's own pass."""
+    counts = {"factors": 0, "sweeps": 0}
     factor = Jacobian.factor
-    monkeypatch.setattr(Jacobian, "factor",
-                        lambda self: counting(counts, "solves", factor(self)))
+
+    def counted_factor(self, *rhs):
+        counts["factors"] += 1
+        solve, xs = factor(self, *rhs)
+        return counting(counts, "sweeps", solve), xs
+
+    monkeypatch.setattr(Jacobian, "factor", counted_factor)
     return counts
 
 
 def test_bordered_solve_refines_only_when_needed(branch_p3_w1, monkeypatch):
-    counts = count_solves(monkeypatch)
+    counts = count_sweeps(monkeypatch)
     # a corrector step of a p = 3 trace is well conditioned: y = J^{-1} u and
-    # one bordering pass, no refinement
+    # x = J^{-1}(-r) come out of the factorization, and no refinement sweep
     grid = branch_p3_w1.points[0].u.grid
     a, b = branch_p3_w1.points[50:52]
     du, dlam = b.u.values - a.u.values, b.lam - a.lam
@@ -505,7 +531,7 @@ def test_bordered_solve_refines_only_when_needed(branch_p3_w1, monkeypatch):
     prob = _TraceProblem(grid, 3.0, 0.5)
     _bordered_solve(prob.jacobian(pred_u, pred_lam), pred_u, t_u, t_lam,
                     prob.residual(pred_u, pred_lam), 0.0)
-    assert counts["solves"] == 2
+    assert counts == {"factors": 1, "sweeps": 0}
     # the singular J of test_bordered_solve_at_a_discrete_eigenvalue: bordering
     # alone loses digits, so the refinement pass runs
     for n in (199, 799):
@@ -515,9 +541,9 @@ def test_bordered_solve_refines_only_when_needed(branch_p3_w1, monkeypatch):
         jac = Jacobian(grid, np.full(n, 2.0 / h2 - ek.value),
                        np.full(n - 1, -1.0 / h2))
         r = 1e-6 * np.random.default_rng(3).standard_normal(n)
-        counts["solves"] = 0
+        counts.update(factors=0, sweeps=0)
         _bordered_solve(jac, 1e-3 * ek.vector.values, ek.vector.values, 0.0, r, 0.0)
-        assert counts["solves"] == 3
+        assert counts == {"factors": 1, "sweeps": 1}
 
 
 def test_conditional_refinement_keeps_p3_traces(monkeypatch):
@@ -571,7 +597,7 @@ def test_corrector_evaluates_each_trial_once(grid, monkeypatch, p):
     # the seed correction of a trace: one residual at the start, one per
     # line-search trial, none repeated
     counts = {"residuals": 0, "trials": 0}
-    name = "residual_transformed" if p < 2.0 else "residual_original"
+    name = "residual_transformed_values" if p < 2.0 else "residual_original_values"
     monkeypatch.setattr(continuation, name, counting(
         counts, "residuals", getattr(continuation, name)))
     count_trials(monkeypatch, continuation, counts)

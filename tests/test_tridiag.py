@@ -1,6 +1,8 @@
 """Tridiagonal layer: Thomas solves against dense LAPACK and a numpy-scalar
-reference, factor reuse, and zero pivots; cyclic reduction on M-matrices
-against dense LAPACK, its singular-pivot test, and which callers take it."""
+reference, the right-hand sides solved inside the factorization against the
+same reference column by column, factor reuse, and zero pivots; cyclic
+reduction on M-matrices against dense LAPACK, its singular-pivot test, and
+which callers take it."""
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from fucik_branch.config import SolverConfig
 from fucik_branch.continuation import BranchSeed, trace_branch
 from fucik_branch.grid import Grid, h10_norm
 from fucik_branch.monotone import solve_monotone, solve_monotone_ball
-from fucik_branch.quasilinear import (ProblemParams, residual_original,
-                                      residual_transformed)
+from fucik_branch.quasilinear import (ProblemParams, jacobian_transformed,
+                                      residual_original, residual_transformed)
 
 from conftest import counting
 from test_quasilinear import smooth_field
@@ -69,9 +71,24 @@ def test_thomas_matches_dense_solve(n, seed):
 @given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
 def test_reused_factor_is_bit_identical_to_fresh_solves(n, seed):
     lower, diag, upper, _ = dominant_system(n, seed)
-    solve = tridiag_factor(lower, diag, upper)
+    solve, _ = tridiag_factor(lower, diag, upper)
     for rhs in np.random.default_rng(seed + 1).standard_normal((4, n)):
         assert np.array_equal(solve(rhs), thomas_solve(lower, diag, upper, rhs))
+
+
+@_PROPERTY
+@given(n=st.integers(1, 400), count=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_right_hand_sides_solved_with_the_factor_keep_the_thomas_bits(n, count, seed):
+    # two to four of them ride in the factorization's loops, complex-packed
+    # beyond two; one, or five, are solved after it
+    lower, diag, upper, _ = dominant_system(n, seed)
+    rhs = list(np.random.default_rng(seed + 1).standard_normal((count, n)))
+    solve, xs = tridiag_factor(lower, diag, upper, rhs)
+    assert len(xs) == count
+    for b, x in zip(rhs, xs):
+        assert x.dtype == float and x.flags.c_contiguous
+        assert np.array_equal(x, numpy_scalar_thomas(lower, diag, upper, b))
+        assert np.array_equal(solve(b), x)
 
 
 def test_zero_pivot_raises():
@@ -80,6 +97,9 @@ def test_zero_pivot_raises():
     # the second pivot is 1 - 1*1/1 = 0
     with pytest.raises(ValueError, match="zero pivot"):
         thomas_solve(np.ones(2), np.ones(3), np.ones(2), np.ones(3))
+    for count in (2, 3):
+        with pytest.raises(ValueError, match="zero pivot"):
+            tridiag_factor(np.ones(2), np.ones(3), np.ones(2), [np.ones(3)] * count)
 
 
 
@@ -128,7 +148,7 @@ def neumann(n: int):
 def test_m_matrix_solve_is_backward_stable(n, seed, spread, symmetric):
     lower, diag, upper, rhs = m_matrix(n, seed, spread, symmetric)
     assert _tridiag._is_m_matrix(lower, diag, upper)
-    x = tridiag_factor(lower, diag, upper)(rhs)
+    x = tridiag_factor(lower, diag, upper)[0](rhs)
     norm_t, norm_x = inf_norm(lower, diag, upper), np.max(np.abs(x))
     residual = np.max(np.abs(tridiag_apply(lower, diag, upper, x) - rhs))
     assert residual <= 8 * n * EPS * norm_t * norm_x
@@ -143,7 +163,7 @@ def test_m_matrix_solve_is_backward_stable(n, seed, spread, symmetric):
 @pytest.mark.parametrize("n", [CORE + 1, 2 * CORE, 2 * CORE + 1, 799])
 def test_cyclic_solve_reuses_its_factor_and_keeps_the_rhs(n):
     lower, diag, upper, rhs = m_matrix(n, n, 1.0, False)
-    solve = tridiag_factor(lower, diag, upper)
+    solve, _ = tridiag_factor(lower, diag, upper)
     kept = rhs.copy()
     first = solve(rhs)
     assert np.array_equal(rhs, kept)
@@ -177,12 +197,43 @@ def test_shifted_indefinite_systems_keep_the_thomas_bits(n, shift):
     lower, diag, upper, rhs = m_matrix(n, 7, 1.0, True)
     diag = diag * n * n - shift
     lower, upper = lower * n * n, upper * n * n
-    x = tridiag_factor(lower, diag, upper)(rhs)
+    x = tridiag_factor(lower, diag, upper)[0](rhs)
     if shift > 0.0:
         assert not _tridiag._is_m_matrix(lower, diag, upper)
         assert np.array_equal(x, numpy_scalar_thomas(lower, diag, upper, rhs))
+        # a corrector's right-hand sides: u, -r and the rank-one a
+        cols = [rhs, -np.cos(np.arange(n)), np.full(n, 1e-300)]
+        for count in (2, 3):
+            _, xs = tridiag_factor(lower, diag, upper, cols[:count])
+            for b, x in zip(cols, xs):
+                assert np.array_equal(x, numpy_scalar_thomas(lower, diag, upper, b))
     assert np.array_equal(thomas_solve(lower, diag, upper, rhs),
                           numpy_scalar_thomas(lower, diag, upper, rhs))
+
+
+@pytest.mark.parametrize("n", [CORE, 399])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_rank_one_solves_keep_the_thomas_bits(n, count):
+    # a p = 1.5 trace Jacobian: Sherman-Morrison on numpy_scalar_thomas solves
+    grid = Grid(n_interior=n)
+    rng = np.random.default_rng(n + count)
+    v = smooth_field(grid, rng)
+    v = (0.5 / h10_norm(v)) * v
+    jac = jacobian_transformed(v, ProblemParams(p=1.5, gamma=0.5, lam=4.0))
+    a, b = jac.rank_one
+    rhs = list(rng.standard_normal((count, n)))
+    solve, xs = jac.factor(*rhs)
+
+    def reference(q):
+        t1 = numpy_scalar_thomas(jac.off, jac.diag, jac.off, q)
+        t2 = numpy_scalar_thomas(jac.off, jac.diag, jac.off, a)
+        denom = 1.0 + grid.h * float(np.dot(b, t2))
+        return t1 - t2 * (grid.h * float(np.dot(b, t1)) / denom)
+
+    assert len(xs) == count
+    for q, x in zip(rhs, xs):
+        assert np.array_equal(x, reference(q))
+        assert np.array_equal(solve(q), x)
 
 
 def test_dominant_systems_with_a_positive_off_diagonal_keep_the_thomas_bits():
@@ -190,7 +241,7 @@ def test_dominant_systems_with_a_positive_off_diagonal_keep_the_thomas_bits():
     upper = upper.copy()
     upper[400] = -upper[400]
     assert not _tridiag._is_m_matrix(lower, diag, upper)
-    assert np.array_equal(tridiag_factor(lower, diag, upper)(rhs),
+    assert np.array_equal(tridiag_factor(lower, diag, upper)[0](rhs),
                           numpy_scalar_thomas(lower, diag, upper, rhs))
 
 
