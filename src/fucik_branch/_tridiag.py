@@ -1,14 +1,14 @@
-"""Tridiagonal linear solves and the symmetric tridiagonal matvec.
+"""Symmetric tridiagonal solves, of systems given as (off, diag), and the matvec.
 
 tridiag_factor takes one of two paths, chosen by the system it is given.
 
 - Cyclic reduction, for systems with more than CORE unknowns that are
-  M-matrices: off-diagonals <= 0 and every row weakly diagonally dominant, up
-  to _DOMINANCE_ULPS ulps of its diagonal. Odd-even cyclic reduction
-  (Hockney, J. ACM 12, 1965) eliminates every other unknown with numpy array
+  M-matrices: off <= 0 and every row weakly diagonally dominant, up to
+  _DOMINANCE_ULPS ulps of its diagonal. Odd-even cyclic reduction (Hockney,
+  J. ACM 12, 1965) eliminates every other unknown with numpy array
   operations, level after level, until at most CORE unknowns remain; the
-  Thomas loop factors that core. A solve replays the levels on the right-hand
-  side, solves the core and back-substitutes level by level.
+  Thomas loop factors that core. A solve replays the levels on the
+  right-hand side, solves the core and back-substitutes level by level.
 - The Thomas loop over Python floats, for every other system. thomas_solve
   always takes it. When tridiag_factor is handed two to four right-hand
   sides, the loop that eliminates also substitutes forward and one loop
@@ -55,67 +55,72 @@ _NEAR_ZERO_PIVOT = "zero pivot in cyclic reduction, to 4 n eps of its row's diag
 _ZERO_PIVOT = "zero pivot in tridiagonal solve"
 
 
-def tridiag_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+def tridiag_factor(off: np.ndarray, diag: np.ndarray,
                    rhs: Sequence[np.ndarray] = ()) -> tuple[Solver, list[np.ndarray]]:
-    """Factor tridiagonal T; returns the solver b -> T^{-1} b and
-    [T^{-1} b for b in rhs].
+    """Factor the symmetric tridiagonal T; returns the solver b -> T^{-1} b
+    and [T^{-1} b for b in rhs].
 
-    lower has length n-1, diag n, upper n-1. An M-matrix with n > CORE is
-    factored by cyclic reduction, which raises ValueError on a pivot that is
-    not safely positive relative to its row; every other system by the Thomas
-    loop, which raises ValueError on a zero pivot. Neither pivots, so a
-    ValueError signals a singular (or, on the cyclic path, numerically
-    singular) system or, for the shifted systems, a singular shift."""
-    if diag.size > CORE and _is_m_matrix(lower, diag, upper):
-        solve = _cyclic_factor(lower, diag, upper)
+    off has length n-1, diag n. An M-matrix with n > CORE is factored by
+    cyclic reduction, which raises ValueError on a pivot that is not safely
+    positive relative to its row; every other system by the Thomas loop,
+    which raises ValueError on a zero pivot. Neither pivots, so a ValueError
+    signals a singular (or, on the cyclic path, numerically singular) system
+    or, for the shifted systems, a singular shift."""
+    if diag.size > CORE and _is_m_matrix(off, diag):
+        solve = _cyclic_factor(off, diag)
         return solve, [solve(b) for b in rhs]
-    return _thomas_factor(lower, diag, upper, rhs)
+    return _thomas_factor(off, diag, rhs)
 
 
-def _is_m_matrix(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> bool:
-    """Off-diagonals <= 0 and diag + lower + upper >= -_DOMINANCE_ULPS ulps of
-    diag on every row; False on NaN."""
+def _is_m_matrix(off: np.ndarray, diag: np.ndarray) -> bool:
+    """off <= 0 and each row's diag plus its two off-diagonal entries
+    >= -_DOMINANCE_ULPS ulps of diag; False on NaN."""
     scale = 1.0 + _DOMINANCE_ULPS * _EPS
     # the middle row alone, first: a shifted system (-lambda on every row)
     # fails it at the cost of a few scalar operations
     i = diag.size // 2
-    if diag.item(i) * scale + lower.item(i - 1) + upper.item(i) < 0.0:
+    if diag.item(i) * scale + off.item(i - 1) + off.item(i) < 0.0:
         return False
     rows = diag * scale
-    rows[1:] += lower
-    rows[:-1] += upper
-    return bool(rows.min() >= 0.0) and bool(lower.max() <= 0.0) \
-        and bool(upper.max() <= 0.0)
+    rows[1:] += off
+    rows[:-1] += off
+    return bool(rows.min() >= 0.0) and bool(off.max() <= 0.0)
 
 
-def _eliminate(low: list[float], piv: list[float], cp: list[float]) -> None:
-    """Thomas forward elimination in place: piv becomes the pivots and cp the
-    upper multipliers. Python floats run several times faster than numpy
-    scalars."""
-    for i in range(len(piv)):
-        if i > 0:
-            cp[i - 1] /= piv[i - 1]
-            piv[i] -= low[i - 1] * cp[i - 1]
-        if piv[i] == 0.0:
-            raise ValueError(_ZERO_PIVOT)
+def _eliminate(off: list[float], diag: list[float]) -> tuple[list[float], list[float]]:
+    """Thomas forward elimination: the pivots and the multipliers off[i] /
+    pivot[i]. Python floats run several times faster than numpy scalars."""
+    p = diag[0]
+    piv, cp = [p], []
+    try:
+        for o, d in zip(off, diag[1:]):
+            c = o / p
+            p = d - o * c
+            cp.append(c)
+            piv.append(p)
+    except ZeroDivisionError:
+        raise ValueError(_ZERO_PIVOT) from None
+    if p == 0.0:
+        raise ValueError(_ZERO_PIVOT)
+    return piv, cp
 
 
-def _eliminate_and_solve(low: list[float], diag: list[float], up: list[float],
-                         b: list, e: list) -> tuple[list[float], list[float], list, list]:
+def _eliminate_and_solve(off: list[float], diag: list[float], b: list, e: list
+                         ) -> tuple[list[float], list[float], list, list]:
     """_eliminate with _sweeps of the columns b and e (lists of Python floats
     or complex numbers) in the same loops, each operation in its order there.
-    Returns the pivots, the upper multipliers and the two solutions."""
+    Returns the pivots, the multipliers and the two solutions."""
     p = diag[0]
     piv, cp = [p], []
     try:
         d, f = b[0] / p, e[0] / p
         xb, xe = [d], [f]
-        for lo, di, ui, bi, ei in zip(low, diag[1:], up, b[1:], e[1:]):
-            c = ui / p
-            p = di - lo * c
+        for o, di, bi, ei in zip(off, diag[1:], b[1:], e[1:]):
+            c = o / p
+            p = di - o * c
             # a zero pivot raises ZeroDivisionError here, before it is used
-            d = (bi - lo * d) / p
-            f = (ei - lo * f) / p
+            d = (bi - o * d) / p
+            f = (ei - o * f) / p
             cp.append(c)
             piv.append(p)
             xb.append(d)
@@ -131,13 +136,13 @@ def _eliminate_and_solve(low: list[float], diag: list[float], up: list[float],
     return piv, cp, xb, xe
 
 
-def _sweeps(b: list[float], low: list[float], piv: list[float],
+def _sweeps(b: list[float], off: list[float], piv: list[float],
             cp: list[float]) -> np.ndarray:
     """Forward and back substitution with the factors of _eliminate."""
     d = b[0] / piv[0]
     x = [d]
-    for bi, li, pi in zip(b[1:], low, piv[1:]):
-        d = (bi - li * d) / pi
+    for bi, oi, pi in zip(b[1:], off, piv[1:]):
+        d = (bi - oi * d) / pi
         x.append(d)
     for i in range(len(x) - 2, -1, -1):
         d = x[i] - cp[i] * d
@@ -154,64 +159,64 @@ def _column(re: np.ndarray, im: np.ndarray | None) -> list:
     return z.tolist()
 
 
-def _thomas_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+def _thomas_factor(off: np.ndarray, diag: np.ndarray,
                    rhs: Sequence[np.ndarray] = ()) -> tuple[Solver, list[np.ndarray]]:
     """The Thomas factorization, with T^{-1} b for each b in rhs.
 
     Two to four right-hand sides are solved inside the factorization's loops
     (_eliminate_and_solve): column j carries rhs[j], and rhs[j + 2] as its
     imaginary part where there is one. Any other count is solved after it."""
-    low, piv, cp = lower.tolist(), diag.tolist(), upper.tolist()
+    off_list = off.tolist()
     xs: list[np.ndarray] = []
     if 2 <= len(rhs) <= 4:
         cols = [_column(rhs[j], rhs[j + 2] if j + 2 < len(rhs) else None)
                 for j in (0, 1)]
-        piv, cp, *sols = _eliminate_and_solve(low, piv, cp, *cols)
+        piv, cp, *sols = _eliminate_and_solve(off_list, diag.tolist(), *cols)
         # float or complex, as the column; the real parts first, in column order
         arrays = [np.fromiter(x, type(x[0]), len(x)) for x in sols]
         xs = [np.ascontiguousarray(x.real) for x in arrays] \
             + [np.ascontiguousarray(x.imag) for x in arrays if x.dtype == complex]
     else:
-        _eliminate(low, piv, cp)
+        piv, cp = _eliminate(off_list, diag.tolist())
 
     def solve(b: np.ndarray) -> np.ndarray:
-        return _sweeps(b.tolist(), low, piv, cp)
+        return _sweeps(b.tolist(), off_list, piv, cp)
 
     return solve, xs + [solve(b) for b in rhs[len(xs):]]
 
 
-def _cyclic_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray
-                   ) -> Callable[[np.ndarray], np.ndarray]:
-    """Cyclic reduction of an M-matrix down to a Thomas-factored core.
+def _cyclic_factor(off: np.ndarray, diag: np.ndarray) -> Solver:
+    """Cyclic reduction of a symmetric M-matrix down to a Thomas-factored core.
 
     The system is padded with decoupled unit rows to 2^levels * (m + 1) - 1
     unknowns, m <= CORE, so that every level has an odd count: it keeps the
     odd rows 1, 3, ..., each with both neighbours, and eliminates the even
-    rows 0, 2, ..., whose pivots are the diagonal at that level. Row j's
-    pivots must exceed 4 n eps diag[j]."""
+    rows 0, 2, ..., whose pivots are the diagonal at that level. A reduced
+    symmetric system is symmetric, so a level keeps one coupling array c,
+    c[i] between rows i and i + 1. Row j's pivots must exceed 4 n eps diag[j]."""
     n = diag.size
     size, levels = n + 1, 0
     while size > CORE + 1:
         size, levels = (size + 1) // 2, levels + 1
     total = (size << levels) - 1
-    lo, d, up = np.zeros(total), np.ones(total), np.zeros(total)
-    lo[1:n], d[:n], up[:n - 1] = lower, diag, upper
+    c, d = np.zeros(total - 1), np.ones(total)
+    c[:n - 1], d[:n] = off, diag
     floor = d * (4.0 * n * _EPS)
     steps = []
     for _ in range(levels):
-        d_even, lo_even, up_even = d[0::2], lo[0::2], up[0::2]
+        # kept row m couples to eliminated rows m (left) and m + 1 (right)
+        d_even, left, right = d[0::2], c[0::2], c[1::2]
         if not (d_even > floor[0::2]).all():
             raise ValueError(_NEAR_ZERO_PIVOT)
         neg_inv = -1.0 / d_even
-        alpha = lo[1::2] * neg_inv[:-1]
-        beta = up[1::2] * neg_inv[1:]
-        d = d[1::2] + alpha * up_even[:-1] + beta * lo_even[1:]
-        lo, up = alpha * lo_even[:-1], beta * up_even[1:]
+        alpha = left * neg_inv[:-1]
+        beta = right * neg_inv[1:]
+        d = d[1::2] + alpha * left + beta * right
+        c = beta[:-1] * left[1:]
         floor = floor[1::2]
-        steps.append((alpha, beta, d_even, lo_even[1:] / d_even[1:],
-                      up_even[:-1] / d_even[:-1]))
-    low, piv, cp = lo[1:].tolist(), d.tolist(), up[:-1].tolist()
-    _eliminate(low, piv, cp)
+        steps.append((alpha, beta, d_even, right / d_even[1:], left / d_even[:-1]))
+    off_list = c.tolist()
+    piv, cp = _eliminate(off_list, d.tolist())
     if not (np.array(piv) > floor).all():
         raise ValueError(_NEAR_ZERO_PIVOT)
 
@@ -223,12 +228,12 @@ def _cyclic_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray
             r_even = r[0::2]
             r = r[1::2] + alpha * r_even[:-1] + beta * r_even[1:]
             evens.append(r_even)
-        x = _sweeps(r.tolist(), low, piv, cp)
-        for (_, _, d_even, lo_scaled, up_scaled), r_even in zip(reversed(steps),
-                                                               reversed(evens)):
+        x = _sweeps(r.tolist(), off_list, piv, cp)
+        for (_, _, d_even, right_scaled, left_scaled), r_even in zip(reversed(steps),
+                                                                   reversed(evens)):
             x_even = r_even / d_even
-            x_even[1:] -= lo_scaled * x
-            x_even[:-1] -= up_scaled * x
+            x_even[1:] -= right_scaled * x
+            x_even[:-1] -= left_scaled * x
             full = np.empty(2 * x.size + 1)
             full[0::2] = x_even
             full[1::2] = x
@@ -238,10 +243,9 @@ def _cyclic_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray
     return solve
 
 
-def thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                 rhs: np.ndarray) -> np.ndarray:
-    """Solve T x = rhs for tridiagonal T by the Thomas loop, whatever T is."""
-    return _thomas_factor(lower, diag, upper, (rhs,))[1][0]
+def thomas_solve(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve T x = rhs for symmetric tridiagonal T by the Thomas loop, whatever T is."""
+    return _thomas_factor(off, diag, (rhs,))[1][0]
 
 
 def symmetric_tridiag_apply(diag: np.ndarray, off: np.ndarray,

@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from collections.abc import Sequence
-from itertools import chain, groupby, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -53,26 +53,21 @@ def _write_table(base: Path, fmt: str, header: list[str],
                  rows: Sequence[Sequence]) -> Path:
     """Write rows as base.csv or base.json; a non-finite cell raises SolverError.
 
-    CSV cells are formatted by type (_cell_format). Each run of consecutive
-    rows with the same cell types is formatted by one % on its row format
-    repeated and joined with newlines, which gives the bytes formatting
-    cell by cell gives, at a fraction of the interpreter work.
+    CSV cells are formatted by type (_cell_format). Every table has one type
+    per column, so the first row's types give the row format, and one % on
+    it repeated and joined with newlines formats the table: the bytes
+    formatting cell by cell gives, at a fraction of the interpreter work.
     """
     cells = list(chain.from_iterable(rows))
     if not np.isfinite(np.array(cells, dtype=float)).all():
         raise SolverError(f"non-finite value in output table {base.name}")
     if fmt == "csv":
         path = base.with_suffix(".csv")
-        chunks = [",".join(header)]
-        start = 0
-        # runs of rows with equal tuples of cell types
-        for kinds, run in groupby(map(tuple, map(map, repeat(type), rows))):
-            count = len(list(run))
-            stop = start + count * len(kinds)
-            row_format = ",".join(map(_cell_format, kinds))
-            chunks.append("\n".join([row_format] * count) % tuple(cells[start:stop]))
-            start = stop
-        path.write_text("\n".join(chunks) + "\n", newline="\n")
+        lines = [",".join(header)]
+        if rows:
+            row_format = ",".join(_cell_format(type(x)) for x in rows[0])
+            lines.append("\n".join([row_format] * len(rows)) % tuple(cells))
+        path.write_text("\n".join(lines) + "\n", newline="\n")
     else:
         path = base.with_suffix(".json")
         payload = [{key: (bool(x) if isinstance(x, (bool, np.bool_)) else

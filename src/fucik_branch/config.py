@@ -1,4 +1,4 @@
-"""Solver and continuation tuning knobs shared across modules."""
+"""Solver and continuation settings a caller varies."""
 
 from __future__ import annotations
 
@@ -8,35 +8,28 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances, iteration limits and the continuation's seed and budget.
+    """Tolerances of the monotone solves, and the continuation's seed and budget.
 
     The monotone solves (solve_monotone, solve_monotone_ball, and
     newton_at_lambda through solve_monotone) stop when the dual-norm residual
-    falls below tol_abs or below tol_rel times the dual norm of the data, and
-    take at most max_iter Newton steps. The
-    continuation corrector stops when the L2 residual and the arclength
-    defect both fall below corrector_tol * max(1, |lambda| ||u||_2). A trace
-    starts at seed amplitude alpha0, takes at most max_steps points, and
-    ends when the L2 norm exceeds norm_cap.
+    falls below tol_abs or below tol_rel times the dual norm of the data. A
+    trace starts at seed amplitude alpha0 and takes at most max_steps points.
+    The other limits are constants beside the loops that read them:
+    monotone._MAX_ITER, continuation._CORRECTOR_TOL and _NORM_CAP.
     """
 
     tol_abs: float = 1e-9
     tol_rel: float = 1e-12
-    max_iter: int = 80
 
     # pseudo-arclength continuation
     alpha0: float = 1e-3
     max_steps: int = 200
-    corrector_tol: float = 1e-10
-    norm_cap: float = 1e2
 
     def __post_init__(self) -> None:
-        for name in ("tol_abs", "tol_rel", "alpha0", "corrector_tol", "norm_cap"):
+        for name in ("tol_abs", "tol_rel", "alpha0"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        for name in ("max_iter", "max_steps"):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and not isinstance(value, bool)
-                    and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not (isinstance(self.max_steps, int) and not isinstance(self.max_steps, bool)
+                and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")

@@ -51,11 +51,16 @@ logger = logging.getLogger("fucik_branch.continuation")
 _DS0 = 5e-3
 _DS_MAX = 0.25
 _CORRECTOR_MAX_ITER = 14
+# corrector tolerance, relative to max(1, |lambda| ||u||_2), and the L2 norm
+# above which a trace meets infinity
+_CORRECTOR_TOL = 1e-10
+_NORM_CAP = 1e2
 # the bordered solve refines once unless its first pass already leaves a
 # bordered residual at most this fraction of ||(r, c)||
 _REFINE_TOL = 1e-12
 _ZERO_CAP = 1e-5
 _TRIVIAL_MATCH_TOL = 1e-2
+_SLOPE_POINTS = 25  # points near the seed that scaling_slope fits
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,8 +284,8 @@ def _bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,
 
 
 def _corrector(prob: _TraceProblem, u0: np.ndarray, lam0: float,
-               row_u: np.ndarray, row_lam: float, c0: float,
-               config: SolverConfig) -> tuple[np.ndarray, float, int, float, float]:
+               row_u: np.ndarray, row_lam: float, c0: float
+               ) -> tuple[np.ndarray, float, int, float, float]:
     """Bordered Newton for F(u, lam) = 0 with <row_u, u>_2 + row_lam*lam = c0.
 
     Damped on the norm of (F, constraint defect) over the stacked (u, lam)."""
@@ -299,7 +304,7 @@ def _corrector(prob: _TraceProblem, u0: np.ndarray, lam0: float,
         rr = h * float(np.dot(r, r))
         rnorm = math.sqrt(rr)
         scale = max(1.0, abs(lam) * math.sqrt(h * float(np.dot(u, u))))
-        tol_eff = config.corrector_tol * scale
+        tol_eff = _CORRECTOR_TOL * scale
         if rnorm <= tol_eff and abs(c) <= tol_eff:
             return u, lam, it, rnorm, tol_eff
         du, dlam = _bordered_solve(prob.jacobian(u, lam), u, row_u, row_lam, r, c)
@@ -340,7 +345,7 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
     For p > 2 the traced variable is u itself; for 1 < p < 2 it is the
     rescaled variable, and each point additionally reports the
     back-transformed original norm. The trace stops when the L2 norm exceeds
-    norm_cap (MeetsInfinity), collapses below _ZERO_CAP next to a different
+    _NORM_CAP (MeetsInfinity), collapses below _ZERO_CAP next to a different
     half-eigenvalue (MeetsTrivial), the step budget runs out (MaxSteps), or
     the corrector fails after MAX_HALVINGS step halvings (CorrectorFailure).
     """
@@ -359,7 +364,7 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
     try:
         u, lam, _, _, tol_eff = _corrector(
             prob, config.alpha0 * vdir.values, lam_star,
-            ek.vector.values, 0.0, a0, config)
+            ek.vector.values, 0.0, a0)
     except _CorrectorFailed as exc:
         raise SolverError(f"seed correction failed for {seed}: {exc}")
 
@@ -394,8 +399,7 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
             pred_lam = lam + ds * t_lam
             c0 = grid.h * float(np.dot(t_u, pred_u)) + t_lam * pred_lam
             try:
-                step_result = _corrector(prob, pred_u, pred_lam, t_u, t_lam,
-                                         c0, config)
+                step_result = _corrector(prob, pred_u, pred_lam, t_u, t_lam, c0)
                 break
             except _CorrectorFailed as exc:
                 halved += 1
@@ -422,7 +426,7 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
         elif iters >= _CORRECTOR_MAX_ITER - 3:
             ds = max(ds * 0.6, 1e-12)
         l2u = points[-1].l2
-        if l2u > config.norm_cap:
+        if l2u > _NORM_CAP:
             termination = MeetsInfinity()
         elif l2u < _ZERO_CAP:
             if candidates is None:
@@ -461,11 +465,12 @@ def localization_check(branch: Branch) -> LocalizationReport:
                               violations=violations)
 
 
-def scaling_slope(branch: Branch, max_points: int = 25) -> float:
-    """Log-log slope of |lambda - lambda_seed| against |alpha| near the seed."""
+def scaling_slope(branch: Branch) -> float:
+    """Log-log slope of |lambda - lambda_seed| against |alpha| over the first
+    _SLOPE_POINTS points."""
     xs = []
     ys = []
-    for pt in branch.points[:max_points]:
+    for pt in branch.points[:_SLOPE_POINTS]:
         dev = abs(pt.lam - branch.lambda_seed)
         if dev > 1e-13 and abs(pt.alpha) > 0.0:
             xs.append(math.log(abs(pt.alpha)))

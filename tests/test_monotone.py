@@ -475,9 +475,10 @@ def test_ball_coercivity_rejects_bad_input(grid):
         ball_coercivity_bound(P15, -1.0, grid=grid)
 
 
-def test_out_of_iterations_reports_the_steps_taken(grid, rng):
-    # an unreachable tolerance: both solves take every one of max_iter steps
-    config = SolverConfig(tol_abs=1e-300, tol_rel=1e-300, max_iter=3)
+def test_out_of_iterations_reports_the_steps_taken(grid, rng, monkeypatch):
+    # an unreachable tolerance: both solves take every one of _MAX_ITER steps
+    monkeypatch.setattr(monotone, "_MAX_ITER", 3)
+    config = SolverConfig(tol_abs=1e-300, tol_rel=1e-300)
     f = Field.from_function(grid, lambda x: math.sin(2.0 * x))
     with pytest.raises(SolverError, match="no convergence in 3 iterations") as exc:
         solve_monotone(f, P3, config)

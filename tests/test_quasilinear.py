@@ -330,7 +330,7 @@ def test_rank_one_solve_factors_once(grid, rng, monkeypatch):
     for lam, cyclic in ((4.0, False), (0.0, True)):
         jac = jacobian_transformed(v, ProblemParams(p=1.5, gamma=0.5, lam=lam))
         assert jac.rank_one is not None
-        assert _tridiag._is_m_matrix(jac.off, jac.diag, jac.off) is cyclic
+        assert _tridiag._is_m_matrix(jac.off, jac.diag) is cyclic
         rhs = rng.standard_normal(grid.n_interior)
         factored.clear()
         x = jac.solve_values(rhs)
