@@ -1,15 +1,15 @@
 """Symmetric tridiagonal solves, of systems given as (off, diag), and the matvec.
 
-tridiag_factor takes one of two paths, chosen by the system it is given.
+tridiag_factor takes one of two paths, chosen by the size of the system.
 
-- Cyclic reduction, for systems with more than CORE unknowns that are
-  M-matrices: off <= 0 and every row weakly diagonally dominant, up to
-  _DOMINANCE_ULPS ulps of its diagonal. Odd-even cyclic reduction (Hockney,
-  J. ACM 12, 1965) eliminates every other unknown with numpy array
-  operations, level after level, until at most CORE unknowns remain; the
-  Thomas loop factors that core. A solve replays the levels on the
-  right-hand side, solves the core and back-substitutes level by level.
-- The Thomas loop over Python floats, for every other system. thomas_solve
+- Cyclic reduction, for systems with more than 2 CORE + 1 unknowns, where
+  two levels fit above a core of at most CORE. Odd-even cyclic reduction
+  (Hockney, J. ACM 12, 1965) eliminates every other unknown with numpy
+  array operations, level after level, while the rows it eliminates have
+  safely positive pivots, until at most CORE unknowns remain; the Thomas
+  loop factors that core. A solve replays the levels on the right-hand
+  side, solves the core and back-substitutes level by level.
+- The Thomas loop over Python floats, for smaller systems. thomas_solve
   always takes it. When tridiag_factor is handed two to four right-hand
   sides, the loop that eliminates also substitutes forward and one loop
   substitutes back, for two columns at once; a column of complex numbers
@@ -18,19 +18,26 @@ tridiag_factor takes one of two paths, chosen by the system it is given.
   up to the sign of a zero, so each solution has the bits of a solve of its
   own. One such pass serves a Newton step of the continuation's corrector.
 
-The split follows diagonal dominance because that is where cyclic reduction
-without pivoting is provably stable: each reduced system of a diagonally
-dominant one is again diagonally dominant, with off-diagonals that shrink
-from level to level (Heller, SIAM J. Numer. Anal. 13, 1976). The Jacobians of
-the monotone solves are such systems: a stiffness matrix with positive
-weights plus a nonnegative diagonal. The continuation's Jacobians carry
--lambda on every row, so they are indefinite and never dominant; they keep
-the Thomas loop bit for bit, which matters because where the p = 1.5 traces
-stall depends on round-off. On the cyclic path a pivot at or below
-4 n eps times the diagonal of its row in the original system raises
-ValueError, which flags singular and numerically singular M-matrices (the
-Neumann matrix, say) and not only an exact zero; the Thomas path raises on
-an exact zero pivot only.
+Cyclic reduction without pivoting is provably stable on diagonally dominant
+systems: each reduced system is again diagonally dominant, with
+off-diagonals that shrink from level to level (Heller, SIAM J. Numer. Anal.
+13, 1976). The Jacobians of the monotone solves are such systems (M-matrices:
+a stiffness matrix with positive weights plus a nonnegative diagonal) and
+reduce down to the core. The continuation's Jacobians carry -lambda on every
+row, so they are indefinite. Near a low mode every level still eliminates
+positive pivots (for the Laplacian shifted by lambda_k the ratio of diagonal
+to off-diagonal at level l is 2 cos(2^l k pi h / L)); near a high mode a later
+level would not, and the reduction stops there and hands that level's system
+to the Thomas loop as its core, which solves it, rather than raise. An
+eliminated pivot is safe above 4 n eps times the magnitude of its row's
+diagonal in the original system. A core pivot at or below that, in
+magnitude, raises ValueError, which flags singular and numerically singular
+systems (the Neumann matrix, say) and not only an exact zero; the Thomas path
+raises on an exact zero pivot only. Results agree with the Thomas loop's to
+round-off; below the threshold tridiag_factor is that loop, and the p < 2
+trace keeps it at every size (quasilinear.Jacobian.factor). The threshold is
+the measured crossover: one level costs about what it saves at 199 unknowns
+(crossover table of BENCH_21.json).
 """
 
 from __future__ import annotations
@@ -41,12 +48,9 @@ import numpy as np
 
 Solver = Callable[[np.ndarray], np.ndarray]
 
-# Largest system the Thomas loop factors alone, and the largest core it
-# factors on the cyclic path. Measured (micro table of BENCH_13.json): one
-# level of cyclic reduction plus the dominance test costs more than it saves
-# below about 200 unknowns, while at 799 and beyond cores of 50 to 100
-# unknowns are fastest; 128 keeps those cores and loses a few percent
-# between 129 and 200 unknowns.
+# Largest core the Thomas loop factors on the cyclic path, taken only above
+# 2 CORE + 1 unknowns. Measured (micro table of BENCH_13.json): at 799 and
+# beyond cores of 50 to 100 unknowns are fastest, and 128 keeps those cores.
 CORE = 128
 # slack of the weak diagonal dominance test, in ulps of the diagonal
 _DOMINANCE_ULPS = 8
@@ -60,13 +64,13 @@ def tridiag_factor(off: np.ndarray, diag: np.ndarray,
     """Factor the symmetric tridiagonal T; returns the solver b -> T^{-1} b
     and [T^{-1} b for b in rhs].
 
-    off has length n-1, diag n. An M-matrix with n > CORE is factored by
-    cyclic reduction, which raises ValueError on a pivot that is not safely
-    positive relative to its row; every other system by the Thomas loop,
-    which raises ValueError on a zero pivot. Neither pivots, so a ValueError
-    signals a singular (or, on the cyclic path, numerically singular) system
-    or, for the shifted systems, a singular shift."""
-    if diag.size > CORE and _is_m_matrix(off, diag):
+    off has length n-1, diag n. A system with n > 2 CORE + 1, definite or
+    not, is factored by cyclic reduction, which raises ValueError on a core
+    pivot within 4 n eps of its row's diagonal; a smaller one by the Thomas
+    loop, which raises ValueError on a zero pivot. Neither pivots, so a
+    ValueError signals a singular (or, on the cyclic path, numerically
+    singular) system or, for the shifted systems, a singular shift."""
+    if diag.size > 2 * CORE + 1:
         solve = _cyclic_factor(off, diag)
         return solve, [solve(b) for b in rhs]
     return _thomas_factor(off, diag, rhs)
@@ -74,7 +78,8 @@ def tridiag_factor(off: np.ndarray, diag: np.ndarray,
 
 def _is_m_matrix(off: np.ndarray, diag: np.ndarray) -> bool:
     """off <= 0 and each row's diag plus its two off-diagonal entries
-    >= -_DOMINANCE_ULPS ulps of diag; False on NaN."""
+    >= -_DOMINANCE_ULPS ulps of diag; False on NaN. Only Jacobian.factor's
+    rank-one branch asks (see there)."""
     scale = 1.0 + _DOMINANCE_ULPS * _EPS
     # the middle row alone, first: a shifted system (-lambda on every row)
     # fails it at the cost of a few scalar operations
@@ -186,14 +191,17 @@ def _thomas_factor(off: np.ndarray, diag: np.ndarray,
 
 
 def _cyclic_factor(off: np.ndarray, diag: np.ndarray) -> Solver:
-    """Cyclic reduction of a symmetric M-matrix down to a Thomas-factored core.
+    """Cyclic reduction of a symmetric tridiagonal system to a Thomas-factored core.
 
     The system is padded with decoupled unit rows to 2^levels * (m + 1) - 1
     unknowns, m <= CORE, so that every level has an odd count: it keeps the
     odd rows 1, 3, ..., each with both neighbours, and eliminates the even
     rows 0, 2, ..., whose pivots are the diagonal at that level. A reduced
     symmetric system is symmetric, so a level keeps one coupling array c,
-    c[i] between rows i and i + 1. Row j's pivots must exceed 4 n eps diag[j]."""
+    c[i] between rows i and i + 1. With floor[j] = 4 n eps |diag[j]|, a level
+    runs only if its eliminated pivots exceed their rows' floor; otherwise
+    its system, padding rows and all, is the core, and the core's pivots
+    must exceed their floor in magnitude."""
     n = diag.size
     size, levels = n + 1, 0
     while size > CORE + 1:
@@ -201,13 +209,13 @@ def _cyclic_factor(off: np.ndarray, diag: np.ndarray) -> Solver:
     total = (size << levels) - 1
     c, d = np.zeros(total - 1), np.ones(total)
     c[:n - 1], d[:n] = off, diag
-    floor = d * (4.0 * n * _EPS)
+    floor = np.abs(d) * (4.0 * n * _EPS)
     steps = []
     for _ in range(levels):
         # kept row m couples to eliminated rows m (left) and m + 1 (right)
         d_even, left, right = d[0::2], c[0::2], c[1::2]
         if not (d_even > floor[0::2]).all():
-            raise ValueError(_NEAR_ZERO_PIVOT)
+            break
         neg_inv = -1.0 / d_even
         alpha = left * neg_inv[:-1]
         beta = right * neg_inv[1:]
@@ -217,7 +225,7 @@ def _cyclic_factor(off: np.ndarray, diag: np.ndarray) -> Solver:
         steps.append((alpha, beta, d_even, right / d_even[1:], left / d_even[:-1]))
     off_list = c.tolist()
     piv, cp = _eliminate(off_list, d.tolist())
-    if not (np.array(piv) > floor).all():
+    if not (np.abs(piv) > floor).all():
         raise ValueError(_NEAR_ZERO_PIVOT)
 
     def solve(rhs: np.ndarray) -> np.ndarray:

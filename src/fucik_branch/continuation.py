@@ -12,7 +12,7 @@ one factorization of the tridiagonal (plus rank-one) Jacobian, refined once
 only where the first pass misses its residual test, and damped by
 monotone.damped_step on the norm of (residual, arclength defect). The first
 pass starts from (-r, -c), and both of its solves, J^{-1} u and J^{-1}(-r),
-come out of the factorization's own Thomas loops (see _tridiag). Residuals
+come with the factorization (see _tridiag and Jacobian.factor). Residuals
 and Jacobians are taken on the nodal value arrays, from one gradient per
 evaluation.
 
@@ -258,7 +258,7 @@ def _bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,
     """Solve [[J, -u], [<row_u, .>_2, row_lam]] (du, dlam) = -(r, c) by block elimination.
 
     One factorization of J serves all solves, and y = J^{-1} u and
-    x = J^{-1}(-r) come out of it; dlam comes from the Schur complement
+    x = J^{-1}(-r) come with it; dlam comes from the Schur complement
     <row_u, y>_2 + row_lam. A second pass refines on the bordered residual
     only when the first misses ||residual|| <= _REFINE_TOL * ||(r, c)||:
     plain bordering loses digits when J is (nearly) singular, as at a seed

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tridiag import Solver, symmetric_tridiag_apply, tridiag_factor
+from ._tridiag import (Solver, _is_m_matrix, _thomas_factor, symmetric_tridiag_apply,
+                       tridiag_factor)
 from ._tridiag import thomas_solve  # noqa: F401 -- perfbench/tracer.py patches it by name here
 from .grid import (Field, Grid, dual_norm, element_gradients, gradient_values,
                    h10_norm, h10_values, laplacian_values)
@@ -94,16 +95,21 @@ class Jacobian:
         also solves the right-hand sides and the rank-one a, Sherman-Morrison
         for the rank-one term; ValueError if either is singular.
 
-        tridiag_factor picks the path. The Jacobians at lam <= 0, as in the
-        monotone solves of the CLI and the benchmark, are M-matrices and,
-        above CORE unknowns, factor by cyclic reduction, which also raises on
-        a pivot that is only numerically nonzero; those shifted by lam > 0,
-        as in the continuation, factor by the Thomas loop bit for bit."""
+        tridiag_factor picks the path by size: above 2 CORE + 1 unknowns
+        cyclic reduction, which also raises on a pivot that is only
+        numerically nonzero. The rank-one branch keeps the Thomas loop bit
+        for bit unless its tridiagonal part is an M-matrix, as in the ball
+        solves at lam <= 0: it serves the p < 2 trace, whose stalls depend on
+        round-off (on cyclic reduction the p = 1.5, k = 2, gamma = 0.5,
+        which = 2 trace at n = 399 ended in CorrectorFailure after 160 points
+        instead of MaxSteps after 200), until ROADMAP item 10 replaces its
+        corrector."""
         if self.rank_one is None:
             return tridiag_factor(self.off, self.diag, rhs)
         a, b = self.rank_one
         h = self.grid.h
-        tri, (t2, *ts) = tridiag_factor(self.off, self.diag, (a, *rhs))
+        factor = tridiag_factor if _is_m_matrix(self.off, self.diag) else _thomas_factor
+        tri, (t2, *ts) = factor(self.off, self.diag, (a, *rhs))
         denom = 1.0 + h * float(np.dot(b, t2))
         if denom == 0.0:
             raise ValueError("singular rank-one update")

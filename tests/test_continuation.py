@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from fucik_branch import continuation, monotone
+from fucik_branch import _tridiag, continuation, monotone, quasilinear
 from fucik_branch.config import SolverConfig
 from fucik_branch.continuation import (BranchSeed, ConeParams, Termination,
                                        _bordered_solve, _corrector,
@@ -389,6 +389,36 @@ def test_trace_keeps_the_bits_of_one_solve_per_right_hand_side(grid, monkeypatch
             assert np.array_equal(a.u.values, b.u.values)
 
 
+def test_cyclic_trace_matches_the_thomas_loop(monkeypatch):
+    # at n = 399 the p = 3 trace's Jacobians factor by cyclic reduction; the
+    # same traces on the Thomas loop end the same way, equal up to round-off
+    grid = Grid(n_interior=399)
+    config = SolverConfig(max_steps=60)
+    seeds = [BranchSeed(k=k, which=which, gamma=0.5, p=3.0)
+             for k in (2, 3) for which in (1, 2)]
+    got = [trace_branch(seed, grid, config) for seed in seeds]
+    monkeypatch.setattr(quasilinear, "tridiag_factor", _tridiag._thomas_factor)
+    for seed, branch in zip(seeds, got):
+        ref = trace_branch(seed, grid, config)
+        assert branch.termination == ref.termination
+        assert len(branch.points) == len(ref.points) == 60
+        for a, b in zip(branch.points, ref.points):
+            assert abs(a.lam - b.lam) <= 1e-12 * abs(b.lam)
+            scale = np.max(np.abs(b.u.values))
+            assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [399, 799])
+def test_high_mode_trace_reduces_only_while_its_pivots_are_safe(n):
+    # near lambda_150 a later level of cyclic reduction would eliminate rows
+    # with negative pivots: the factorization hands that level's system to
+    # the Thomas loop instead of failing the seed
+    branch = trace_branch(BranchSeed(k=150, which=1, gamma=0.0, p=3.0),
+                          Grid(n_interior=n), SolverConfig(max_steps=20))
+    assert branch.termination.kind == "MaxSteps"
+    assert len(branch.points) == 20
+
+
 def test_newton_at_lambda_finds_trivial(grid, rng):
     lam = 0.5 * closed_form_eigenvalue(grid, 1)
     for gamma in (0.0, 0.5):
@@ -493,7 +523,7 @@ def test_bordered_solve_matches_dense(n, p, gamma, lam, amp, seed):
     assert bordered_error(jac, u, row_u, rng.uniform(-1.0, 1.0), r, c) <= 1e-10
 
 
-@pytest.mark.parametrize("n", [199, 799])
+@pytest.mark.parametrize("n", [199, 799, 3199])
 @pytest.mark.parametrize("k", [1, 3])
 def test_bordered_solve_at_a_discrete_eigenvalue(n, k):
     # J = A - lambda_k I is singular; the border row e_k makes the system regular

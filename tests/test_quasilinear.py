@@ -31,7 +31,7 @@ from fucik_branch.quasilinear import (
 )
 from fucik_branch.spectrum import closed_form_eigenvalue, eigenpair
 
-from conftest import random_field
+from conftest import counting, random_field
 from oracles import apply_p_laplacian, pos_neg_parts
 
 
@@ -315,26 +315,23 @@ def test_jacobian_transformed_matches_finite_differences(grid, rng):
 
 
 def test_rank_one_solve_factors_once(grid, rng, monkeypatch):
-    factored = []
-
-    def counting_factor(*args):
-        factored.append(args)
-        return real_factor(*args)
-
-    real_factor = quasilinear.tridiag_factor
-    monkeypatch.setattr(quasilinear, "tridiag_factor", counting_factor)
+    counts = {"tridiag_factor": 0, "_thomas_factor": 0}
+    for name in counts:
+        monkeypatch.setattr(quasilinear, name,
+                            counting(counts, name, getattr(quasilinear, name)))
     v = smooth_field(grid, rng)
     v = (0.5 / h10_norm(v)) * v
-    # lam = 4 factors by the Thomas loop; at lam = 0 (the ball solve's
-    # operator) the tridiagonal part is an M-matrix: cyclic reduction
-    for lam, cyclic in ((4.0, False), (0.0, True)):
+    # lam = 4 (a trace's operator) factors by the Thomas loop itself; at
+    # lam = 0 (the ball solve's operator) the tridiagonal part is an M-matrix,
+    # which tridiag_factor takes
+    for lam, name in ((4.0, "_thomas_factor"), (0.0, "tridiag_factor")):
         jac = jacobian_transformed(v, ProblemParams(p=1.5, gamma=0.5, lam=lam))
         assert jac.rank_one is not None
-        assert _tridiag._is_m_matrix(jac.off, jac.diag) is cyclic
+        assert _tridiag._is_m_matrix(jac.off, jac.diag) is (name == "tridiag_factor")
         rhs = rng.standard_normal(grid.n_interior)
-        factored.clear()
+        counts.update(dict.fromkeys(counts, 0))
         x = jac.solve_values(rhs)
-        assert len(factored) == 1
+        assert counts == {**dict.fromkeys(counts, 0), name: 1}
         dense = jac.as_matrix()
         np.testing.assert_allclose(dense @ x, rhs, rtol=0.0,
                                    atol=1e-9 * np.max(np.abs(rhs)))

@@ -1,8 +1,8 @@
 """Tridiagonal layer: Thomas solves against dense LAPACK and a numpy-scalar
 reference, the right-hand sides solved inside the factorization against the
 same reference column by column, factor reuse, and zero pivots; cyclic
-reduction on M-matrices against dense LAPACK, its singular-pivot test, and
-which callers take it."""
+reduction on M-matrices and on shifted, indefinite systems against dense
+LAPACK, its singular-pivot test, and which callers take it."""
 
 import numpy as np
 import pytest
@@ -135,6 +135,26 @@ def inf_norm(off, diag):
     return float(rows.max())
 
 
+def assert_backward_stable(off, diag, rhs, xs):
+    """Each x solves T x = b with a residual within 8 n eps ||T|| ||x||, and
+    lies within the reach of T's condition number of the dense LAPACK solve."""
+    n = diag.size
+    t = dense(off, diag)
+    norm_t = inf_norm(off, diag)
+    cond = norm_t * np.linalg.norm(np.linalg.inv(t), np.inf)
+    for b, x in zip(rhs, xs, strict=True):
+        residual = np.max(np.abs(tridiag_apply(off, diag, x) - b))
+        assert residual <= 8 * n * EPS * norm_t * np.max(np.abs(x))
+        expected = np.linalg.solve(t, b)
+        assert np.max(np.abs(x - expected)) <= 16 * n * EPS * cond * np.max(np.abs(expected))
+
+
+def shifted_system(n: int, shift: float):
+    """A Jacobian's shape at lambda = shift: M-matrix only for shift <= 0."""
+    off, diag, rhs = m_matrix(n, 7, 1.0)
+    return off * n * n, diag * n * n - shift, rhs
+
+
 def neumann(n: int):
     # tridiag(-1, 2, -1) with 1 in both corners: singular, null vector of ones
     diag = np.full(n, 2.0)
@@ -162,7 +182,7 @@ def test_m_matrix_solve_is_backward_stable(n, seed, spread):
         assert np.max(np.abs(x - expected)) <= 16 * n * EPS * cond * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("n", [CORE + 1, 2 * CORE, 2 * CORE + 1, 799])
+@pytest.mark.parametrize("n", [CORE + 1, 2 * CORE, 2 * CORE + 1, 2 * CORE + 2, 799])
 def test_cyclic_solve_reuses_its_factor_and_keeps_the_rhs(n):
     off, diag, rhs = m_matrix(n, n, 1.0)
     solve, _ = tridiag_factor(off, diag)
@@ -173,7 +193,7 @@ def test_cyclic_solve_reuses_its_factor_and_keeps_the_rhs(n):
     assert first.shape == (n,)
 
 
-@pytest.mark.parametrize("n", [4, CORE, CORE + 1, 2 * CORE + 1, 799])
+@pytest.mark.parametrize("n", [4, CORE, CORE + 1, 2 * CORE + 1, 2 * CORE + 2, 799])
 def test_singular_m_matrix_raises_on_both_paths(n):
     off, diag = neumann(n)
     assert _tridiag._is_m_matrix(off, diag)
@@ -195,22 +215,35 @@ def test_weighted_neumann_raises_on_the_cyclic_path(seed):
 @pytest.mark.parametrize("n", [CORE, CORE + 1, 399, 799])
 @pytest.mark.parametrize("shift", [-50.0, 4.0, 4e4])
 def test_shifted_indefinite_systems_keep_the_thomas_bits(n, shift):
-    # a Jacobian's shape at lambda = shift: M-matrix only for shift <= 0
-    off, diag, rhs = m_matrix(n, 7, 1.0)
-    diag = diag * n * n - shift
-    off = off * n * n
-    x = tridiag_factor(off, diag)[0](rhs)
-    if shift > 0.0:
-        assert not _tridiag._is_m_matrix(off, diag)
-        assert np.array_equal(x, numpy_scalar_thomas(off, diag, rhs))
-        # a corrector's right-hand sides: u, -r and the rank-one a
-        cols = [rhs, -np.cos(np.arange(n)), np.full(n, 1e-300)]
-        for count in (2, 3):
-            _, xs = tridiag_factor(off, diag, cols[:count])
+    # thomas_solve keeps the loop's bits at every size; tridiag_factor keeps
+    # them up to 2 CORE + 1 unknowns and is backward stable beyond, where it
+    # reduces cyclically, whether the system is an M-matrix or not
+    off, diag, rhs = shifted_system(n, shift)
+    assert _tridiag._is_m_matrix(off, diag) is (shift <= 0.0)
+    # a corrector's right-hand sides: u, -r and the rank-one a
+    cols = [rhs, -np.cos(np.arange(n)), np.full(n, 1e-300)]
+    for count in (1, 2, 3):
+        solve, xs = tridiag_factor(off, diag, cols[:count])
+        if n <= 2 * CORE + 1:
             for b, x in zip(cols, xs):
                 assert np.array_equal(x, numpy_scalar_thomas(off, diag, b))
+        else:
+            assert_backward_stable(off, diag, cols[:count], xs)
+        assert np.array_equal(solve(rhs), xs[0])
     assert np.array_equal(thomas_solve(off, diag, rhs),
                           numpy_scalar_thomas(off, diag, rhs))
+
+
+@pytest.mark.parametrize("n", [399, 799])
+@pytest.mark.parametrize("ulps", [-3, 2])
+def test_shifts_a_few_ulps_from_an_eigenvalue_are_solved_backward_stably(n, ulps):
+    # numerically singular, yet solved: the reduction stops before a level
+    # whose pivots are unsafe, and no core pivot falls to 4 n eps |diag_j|
+    off, diag, rhs = shifted_system(n, 0.0)
+    eigenvalues = np.linalg.eigvalsh(dense(off, diag))
+    for j in (0, 1, 5, n // 2, n - 1):
+        shifted = diag - eigenvalues[j] * (1.0 + ulps * EPS)
+        assert_backward_stable(off, shifted, [rhs], [tridiag_factor(off, shifted)[0](rhs)])
 
 
 @pytest.mark.parametrize("n", [CORE, 399])
@@ -239,11 +272,13 @@ def test_rank_one_solves_keep_the_thomas_bits(n, count):
 
 
 def test_dominant_systems_with_a_positive_off_diagonal_keep_the_thomas_bits():
+    # not an M-matrix: tridiag_factor reduces it cyclically all the same
     off, diag, rhs = m_matrix(799, 3, 1.0)
     off = off.copy()
     off[400] = -off[400]
     assert not _tridiag._is_m_matrix(off, diag)
-    assert np.array_equal(tridiag_factor(off, diag)[0](rhs),
+    assert_backward_stable(off, diag, [rhs], [tridiag_factor(off, diag)[0](rhs)])
+    assert np.array_equal(thomas_solve(off, diag, rhs),
                           numpy_scalar_thomas(off, diag, rhs))
 
 
@@ -264,13 +299,18 @@ def test_which_callers_take_cyclic_reduction(monkeypatch):
     counts = {"cyclic": 0}
     monkeypatch.setattr(_tridiag, "_cyclic_factor",
                         counting(counts, "cyclic", _tridiag._cyclic_factor))
-    assert Grid().n_interior > CORE
-    for p in (3.0, 1.5):
+    # the p = 3 trace's indefinite Jacobians take it; the p = 1.5 trace's
+    # rank-one Jacobians keep the Thomas loop (Jacobian.factor)
+    grid = Grid(n_interior=399)
+    assert grid.n_interior > 2 * CORE + 1
+    for p, cyclic in ((3.0, True), (1.5, False)):
+        counts["cyclic"] = 0
         branch = trace_branch(BranchSeed(k=2, which=1, gamma=0.5, p=p),
-                              Grid(), SolverConfig(max_steps=8))
-        assert len(branch.points) >= 2
-    assert counts["cyclic"] == 0
+                              grid, SolverConfig(max_steps=8))
+        assert len(branch.points) == 8
+        assert (counts["cyclic"] > 0) is cyclic
 
+    counts["cyclic"] = 0
     grid = Grid(n_interior=799)
     rng = np.random.default_rng(3)
     p3 = ProblemParams(p=3.0, gamma=0.5, lam=0.0)
