@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fucik_branch import halfeig
@@ -523,24 +523,41 @@ def test_root_finder_equals_bisection_on_step_functions(lo, span, where, frac, s
     assert _bits(halfeig._bisect(f, lo, hi, f_lo=f(lo), f_hi=f(hi))) == expected
 
 
-def _shots_per_pair(monkeypatch, grid: Grid, k: int, gamma: float) -> int:
-    counts = {"shots": 0}
-    monkeypatch.setattr(halfeig, "_end_value",
-                        counting(counts, "shots", halfeig._end_value))
+def _searches(monkeypatch, grid: Grid, k: int, gamma: float) -> list[list]:
+    """The multiplier pairs split_eigenvalues shoots, one list per
+    _discrete_half_eigen call, in the order _end_value shoots them."""
+    searches = []
+    search, end_value = halfeig._discrete_half_eigen, halfeig._end_value
+
+    def recorded_search(*args):
+        searches.append([])
+        return search(*args)
+
+    def recorded_end_value(grid, gamma, u1, lam):
+        searches[-1].append(halfeig._multipliers(grid, gamma, lam))
+        return end_value(grid, gamma, u1, lam)
+
+    monkeypatch.setattr(halfeig, "_discrete_half_eigen", recorded_search)
+    monkeypatch.setattr(halfeig, "_end_value", recorded_end_value)
     split_eigenvalues(grid, k, gamma)
     monkeypatch.undo()
-    return counts["shots"]
+    return searches
+
+
+def _shots_per_pair(monkeypatch, grid: Grid, k: int, gamma: float) -> int:
+    return sum(map(len, _searches(monkeypatch, grid, k, gamma)))
 
 
 @pytest.mark.parametrize("n,k,gamma", [(799, 2, None), (799, 3, None), (799, 4, None),
                                        (799, 5, None), (399, 2, 0.5), (399, 3, 0.5)])
 def test_split_eigenvalues_shot_budget_on_benchmark_cases(monkeypatch, n, k, gamma):
     # the halfeig cases of the benchmark; bisecting the whole window took
-    # 105-108 end-value shots per pair on them
+    # 105-108 end-value shots per pair on them, the drift-bracket search
+    # 41-55, and shooting each multiplier pair once takes 10-14
     grid = Grid(n_interior=n)
     if gamma is None:
         gamma = gamma_window(grid, k).gamma_max / 4.0
-    assert _shots_per_pair(monkeypatch, grid, k, gamma) <= 64
+    assert _shots_per_pair(monkeypatch, grid, k, gamma) <= 16
 
 
 @pytest.mark.parametrize("n", [9, 199, 799, 3199])
@@ -561,4 +578,44 @@ def test_split_eigenvalues_takes_no_more_shots_than_bisection(monkeypatch, n):
                              lambda x: side * halfeig._end_value(grid, gamma, u1, x)),
                     lam_lo, lam_hi)
                 bisection += counts["shots"]
-            assert _shots_per_pair(monkeypatch, grid, k, gamma) <= bisection
+            searches = _searches(monkeypatch, grid, k, gamma)
+            assert len(searches) == 2
+            # each search shoots a multiplier pair at most once
+            assert all(len(set(pairs)) == len(pairs) for pairs in searches)
+            assert sum(map(len, searches)) <= bisection
+
+
+def _same_multipliers_within(grid: Grid, gamma: float, lam: float, ulps: int) -> float:
+    """The double farthest from lam, at most |ulps| steps toward sign(ulps), whose
+    multipliers are lam's. The doubles sharing a pair are consecutive, because
+    each multiplier rounds a monotone function of lam."""
+    key = halfeig._multipliers(grid, gamma, lam)
+    toward = math.copysign(math.inf, ulps)
+    for _ in range(abs(ulps)):
+        step = math.nextafter(lam, toward)
+        if halfeig._multipliers(grid, gamma, step) != key:
+            break
+        lam = step
+    return lam
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from((9, 199, 799)), k=st.integers(2, 10),
+       frac=st.floats(1e-6, 0.999), which=st.sampled_from((1, 2)),
+       where=st.floats(0.0, 1.0), ulps=st.integers(1, 8) | st.integers(-8, -1))
+def test_end_value_reads_lambda_only_through_the_multipliers(n, k, frac, which,
+                                                             where, ulps):
+    # the invariant that lets _discrete_half_eigen shoot each multiplier pair once
+    grid = Grid(n_interior=n)
+    k = min(k, n - 1)
+    gamma = frac * gamma_window(grid, k).gamma_max
+    lam_shoot = shoot_split_lambda(k, gamma, grid.length, which)
+    drift = halfeig._DRIFT_CONST * grid.h ** 2 * lam_shoot ** 2
+    lam_lo = max(closed_form_eigenvalue(grid, k), lam_shoot - drift)
+    lam_hi = min(closed_form_eigenvalue(grid, k + 1), lam_shoot + drift)
+    lam = lam_lo + where * (lam_hi - lam_lo)
+    near = _same_multipliers_within(grid, gamma, lam, ulps)
+    assume(near != lam)
+    u1 = grid.h if which == 1 else -grid.h
+    assert _bits(halfeig._end_value(grid, gamma, u1, near)) == \
+        _bits(halfeig._end_value(grid, gamma, u1, lam))
