@@ -5,12 +5,17 @@ from (lambda_k^which, 0): for p > 2 out of zero in the original variable, for
 1 < p < 2 out of zero in the rescaled variable, which corresponds to
 bifurcation from infinity of the original problem. A branch is traced by a
 Keller predictor-corrector: the first step leaves the seed along the
-half-eigenfunction with lambda frozen, later steps use the secant tangent,
-and the corrector is a damped semismooth Newton method on the bordered
-system (residual + arclength plane), solved in O(n) by block elimination on
-one factorization of the tridiagonal (plus rank-one) Jacobian, refined once
-only where the first pass misses its residual test, and damped by
-monotone.damped_step on the norm of (residual, arclength defect). The first
+half-eigenfunction with lambda frozen, and later steps constrain the
+corrector to the plane through the secant point normal to the secant
+tangent. For p > 2, once three points past the seed are accepted, the
+corrector starts from their quadratic extrapolation instead of the secant
+point, which leaves most steps one Newton iteration (Allgower & Georg,
+Numerical Continuation Methods, 1990, ch. 6). The corrector is a damped
+semismooth Newton method on the bordered system (residual + arclength
+plane), solved in O(n) by block elimination on one factorization of the
+tridiagonal (plus rank-one) Jacobian, refined once only where the first
+pass misses its residual test, and damped by monotone.damped_step on the
+norm of (residual, arclength defect). The first
 pass starts from (-r, -c), and both of its solves, J^{-1} u and J^{-1}(-r),
 come with the factorization (see _tridiag and Jacobian.factor). Residuals
 and Jacobians are taken on the nodal value arrays, from one gradient per
@@ -24,6 +29,7 @@ as instrumentation for the traced branches.
 
 from __future__ import annotations
 
+import collections
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -88,7 +94,8 @@ class BranchPoint:
 
     For a transformed trace (1 < p < 2) h12_original carries the
     back-transformed ||u||_{1,2}; it is None for p > 2. corrector_tol is the
-    effective residual tolerance the corrector met at this point.
+    effective residual tolerance the corrector met at this point, and
+    iterations the Newton steps it took to meet it.
     """
 
     s: float
@@ -99,6 +106,7 @@ class BranchPoint:
     h12: float
     in_cone: bool
     corrector_tol: float
+    iterations: int
     h12_original: float | None = None
 
 
@@ -319,6 +327,30 @@ def _corrector(prob: _TraceProblem, u0: np.ndarray, lam0: float,
                            f"{_CORRECTOR_MAX_ITER} iterations")
 
 
+def _corrector_start(prob: _TraceProblem, history: collections.deque, s_next: float,
+                     pred_u: np.ndarray, pred_lam: float
+                     ) -> tuple[np.ndarray, float]:
+    """Where the corrector starts the step to arclength s_next.
+
+    For p > 2 with three accepted points (s, u, lam) in history, the
+    quadratic Lagrange extrapolation through them; otherwise the secant
+    point (pred_u, pred_lam). The transformed trace (1 < p < 2) keeps the
+    secant start: where its corrector stalls depends on round-off, and with
+    the quadratic start both p = 1.5, k = 2, gamma = 0.5 traces at n = 399
+    end in CorrectorFailure at the lambda ~ 25.1 stall, which = 1 after 145
+    points and which = 2 after 118 (166 points and MaxSteps at 200 from
+    the secant start). ROADMAP item 10, which replaces that corrector, is
+    where this exception goes.
+    """
+    if prob.transformed or len(history) < 3:
+        return pred_u, pred_lam
+    (s0, u0, l0), (s1, u1, l1), (s2, u2, l2) = history
+    w0 = (s_next - s1) * (s_next - s2) / ((s0 - s1) * (s0 - s2))
+    w1 = (s_next - s0) * (s_next - s2) / ((s1 - s0) * (s1 - s2))
+    w2 = (s_next - s0) * (s_next - s1) / ((s2 - s0) * (s2 - s1))
+    return w0 * u0 + w1 * u1 + w2 * u2, w0 * l0 + w1 * l1 + w2 * l2
+
+
 def _trivial_candidates(grid: Grid, gamma: float) -> list[float]:
     """Half-eigenvalues of -u'' - gamma*u^- = lambda*u reachable at desk scale.
 
@@ -344,7 +376,11 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
 
     For p > 2 the traced variable is u itself; for 1 < p < 2 it is the
     rescaled variable, and each point additionally reports the
-    back-transformed original norm. The trace stops when the L2 norm exceeds
+    back-transformed original norm. Each step is constrained to the plane
+    through the secant point u + ds*t normal to the secant tangent t; for
+    p > 2 the corrector starts from the quadratic extrapolation through the
+    last three points past the seed (see _corrector_start), for 1 < p < 2
+    from the secant point. The trace stops when the L2 norm exceeds
     _NORM_CAP (MeetsInfinity), collapses below _ZERO_CAP next to a different
     half-eigenvalue (MeetsTrivial), the step budget runs out (MaxSteps), or
     the corrector fails after MAX_HALVINGS step halvings (CorrectorFailure).
@@ -362,14 +398,14 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
 
     a0 = config.alpha0 * inner_l2(ek.vector, vdir)
     try:
-        u, lam, _, _, tol_eff = _corrector(
+        u, lam, iters, _, tol_eff = _corrector(
             prob, config.alpha0 * vdir.values, lam_star,
             ek.vector.values, 0.0, a0)
     except _CorrectorFailed as exc:
         raise SolverError(f"seed correction failed for {seed}: {exc}")
 
     def make_point(s: float, u_vals: np.ndarray, lam_val: float,
-                   tol_val: float) -> BranchPoint:
+                   tol_val: float, iters: int) -> BranchPoint:
         field = Field(grid, u_vals)
         h12 = h10_norm(field)
         h12_orig = None
@@ -381,9 +417,12 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
         return BranchPoint(
             s=s, lam=lam_val, u=field, alpha=alpha, l2=l2, h12=h12,
             in_cone=side * alpha > pair.eta * l2,
-            corrector_tol=tol_val, h12_original=h12_orig)
+            corrector_tol=tol_val, iterations=iters, h12_original=h12_orig)
 
-    points = [make_point(0.0, u, lam, tol_eff)]
+    points = [make_point(0.0, u, lam, tol_eff, iters)]
+    # the last three accepted points after the seed, as (s, u, lam); the
+    # seed's step froze lambda, so it would bend the extrapolation
+    history = collections.deque(maxlen=3)
     t_u = vdir.values.copy()
     t_lam = 0.0
     ds = _DS0
@@ -398,8 +437,9 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
             pred_u = u + ds * t_u
             pred_lam = lam + ds * t_lam
             c0 = grid.h * float(np.dot(t_u, pred_u)) + t_lam * pred_lam
+            u0, lam0 = _corrector_start(prob, history, s + ds, pred_u, pred_lam)
             try:
-                step_result = _corrector(prob, pred_u, pred_lam, t_u, t_lam, c0)
+                step_result = _corrector(prob, u0, lam0, t_u, t_lam, c0)
                 break
             except _CorrectorFailed as exc:
                 halved += 1
@@ -420,7 +460,8 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
         t_u = du / step_len
         t_lam = (lam_new - lam) / step_len
         u, lam = u_new, lam_new
-        points.append(make_point(s, u, lam, tol_eff))
+        history.append((s, u, lam))
+        points.append(make_point(s, u, lam, tol_eff, iters))
         if iters <= 3:
             ds = min(ds * 1.4, _DS_MAX)
         elif iters >= _CORRECTOR_MAX_ITER - 3:

@@ -7,14 +7,19 @@ Traces p in {1.2, 1.5, 1.8, 2.5, 3, 4} x k in {2, 3, 4} x gamma in
 {0, 0.25, 0.5, 0.9} gamma_max(k), both sides when gamma > 0 (126 traces),
 on a grid of n interior nodes with 200 steps each. Writes one CSV row
 per trace: termination and detail, point count, final (lambda, ||u||_2),
-arclength, seconds, and for even k the mirror defect against the other
-side. Prints per-(p < 2, p > 2) tallies of the terminations and of the
-even-k mirror pairs that end differently. With --against, a CSV of an
-earlier run at the same n, it also prints the rows whose termination, point
-count or final (lambda, ||u||_2, arclength) changed, and the diff of the
-tallies, and exits with status 1 when any row changed (0 otherwise), so
-that it serves as a pass/fail check. Needs only numpy; it imports the package from the src/ next to this
-directory. Pytest does not collect it.
+arclength, the Newton steps of the trace's corrector calls summed over its
+points, seconds, and for even k the mirror defect against the other side.
+Prints per-(p < 2, p > 2) tallies of the terminations, the Newton steps per
+point and the even-k mirror pairs that end differently. With --against, a
+CSV of an earlier run at the same n, it also prints the rows whose
+termination, point count or final (lambda, ||u||_2, arclength) changed, the
+largest relative change of those three among the changed rows that keep
+their termination and point count, and the diff of the tallies, and exits
+with status 1 when any row changed (0 otherwise), so that it serves as a
+pass/fail check. An earlier CSV without the Newton-step column is read as
+well; the tally diff then leaves the Newton steps out. Needs only numpy; it
+imports the package from the src/ next to this directory. Pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -43,15 +48,19 @@ KS = (2, 3, 4)
 GAMMA_FRACTIONS = (0.0, 0.25, 0.5, 0.9)
 STEPS = 200
 FIELDS = ("p", "k", "gamma_frac", "which", "termination", "detail", "points",
-          "lam", "l2", "arclength", "seconds", "mirror_defect")
+          "lam", "l2", "arclength", "newton_steps", "seconds", "mirror_defect")
 PRINTED = ("p", "k", "gamma_frac", "which", "termination", "points", "lam", "l2",
-           "arclength", "seconds")
+           "arclength", "newton_steps", "seconds")
 KEY = ("p", "k", "gamma_frac", "which")
 # what --against compares; seconds always differ, and mirror_defect follows
 # from the points
 COMPARED = ("termination", "points", "lam", "l2", "arclength")
+# the final values whose relative change is reported for rows that keep their
+# termination and point count
+DRIFTED = ("lam", "l2", "arclength")
 TYPES = {"p": float, "k": int, "gamma_frac": float, "which": int, "points": int,
-         "lam": float, "l2": float, "arclength": float, "seconds": float}
+         "lam": float, "l2": float, "arclength": float, "newton_steps": int,
+         "seconds": float}
 
 
 def mirror_defect(first, second) -> float:
@@ -75,14 +84,16 @@ def trace_row(grid: Grid, config: SolverConfig, p: float, k: int,
                               grid, config)
     except SolverError as exc:
         row.update(termination="SeedFailure", detail=str(exc), points=0,
-                   lam=math.nan, l2=math.nan, arclength=math.nan,
+                   lam=math.nan, l2=math.nan, arclength=math.nan, newton_steps=0,
                    seconds=time.perf_counter() - start)
         return row, None
     last = branch.points[-1]
     row.update(termination=branch.termination.kind,
                detail=getattr(branch.termination, "detail", ""),
                points=len(branch.points), lam=last.lam, l2=last.l2,
-               arclength=last.s, seconds=time.perf_counter() - start)
+               arclength=last.s,
+               newton_steps=sum(pt.iterations for pt in branch.points),
+               seconds=time.perf_counter() - start)
     return row, branch
 
 
@@ -91,9 +102,10 @@ def ends_differently(a: dict, b: dict) -> bool:
         != (b["termination"], b["points"], f"{b['lam']:.4f}", f"{b['l2']:.4f}")
 
 
-def tally(rows: list[dict]) -> list[str]:
-    """Per-(p < 2, p > 2) lines: terminations, the p of those other than
-    MaxSteps, and the even-k mirror pairs that end differently."""
+def tally(rows: list[dict], steps: bool = True) -> list[str]:
+    """Per-(p < 2, p > 2) lines: terminations and, with steps, Newton steps
+    per point; the p of the terminations other than MaxSteps; and the even-k
+    mirror pairs that end differently."""
     sides = collections.defaultdict(list)
     for r in rows:
         if r["k"] % 2 == 0:
@@ -102,8 +114,12 @@ def tally(rows: list[dict]) -> list[str]:
     for cls, pick in (("p<2", lambda p: p < 2.0), ("p>2", lambda p: p > 2.0)):
         sel = [r for r in rows if pick(r["p"])]
         kinds = collections.Counter(r["termination"] for r in sel)
-        lines.append(f"{cls}: {len(sel)} traces: "
-                     + ", ".join(f"{kind} {cnt}" for kind, cnt in sorted(kinds.items())))
+        line = f"{cls}: {len(sel)} traces: " \
+            + ", ".join(f"{kind} {cnt}" for kind, cnt in sorted(kinds.items()))
+        if steps:
+            taken, points = sum(r["newton_steps"] for r in sel), sum(r["points"] for r in sel)
+            line += f"; {taken / points:.3f} Newton steps per point ({taken}/{points})"
+        lines.append(line)
         others = collections.Counter((r["p"], r["termination"]) for r in sel
                                      if r["termination"] != "MaxSteps")
         for (p, kind), cnt in sorted(others.items()):
@@ -135,6 +151,16 @@ def changed_rows(before: list[dict], after: list[dict]) -> list[tuple[dict, dict
         if old is None or not all(same(row[f], old[f]) for f in COMPARED):
             out.append((row, old))
     return out
+
+
+def largest_drift(changed: list[tuple[dict, dict | None]]) -> tuple[int, dict]:
+    """How many changed rows keep their termination and point count, and
+    the largest relative change of each DRIFTED value among them."""
+    kept = [(row, old) for row, old in changed if old is not None
+            and (row["termination"], row["points"]) == (old["termination"], old["points"])]
+    return len(kept), {f: max((abs(row[f] - old[f]) / max(abs(old[f]), 1e-300)
+                               for row, old in kept), default=0.0)
+                       for f in DRIFTED}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -180,7 +206,14 @@ def main(argv: list[str] | None = None) -> int:
                   + ("new row" if old is None else ", ".join(
                       f"{f} {old[f]!r} -> {row[f]!r}" for f in COMPARED
                       if old[f] != row[f])))
-        diff = list(difflib.unified_diff(tally(before), tally(rows), str(args.against),
+        kept, drift = largest_drift(changed)
+        if kept:
+            print(f"{kept} changed rows keep their termination and point count; "
+                  "largest relative change: "
+                  + ", ".join(f"{f} {drift[f]:.2g}" for f in DRIFTED))
+        steps = all("newton_steps" in r for r in before)
+        diff = list(difflib.unified_diff(tally(before, steps), tally(rows, steps),
+                                         str(args.against),
                                          str(args.out), lineterm="", n=0))
         print("\n".join(diff) if diff else "tallies unchanged")
         return 1 if changed else 0

@@ -1,4 +1,6 @@
-"""tests/census.py --against: the exit status says whether any row changed."""
+"""tests/census.py --against: the exit status says whether any row changed,
+the drift of rows that keep their ending, and older CSVs without the
+Newton-step column."""
 
 import csv
 
@@ -9,7 +11,15 @@ def _row(grid, config, p, k, frac, which):
     # a stand-in for a trace: the census's row, without tracing
     return {"p": p, "k": k, "gamma_frac": frac, "which": which, "mirror_defect": "",
             "termination": "MaxSteps", "detail": "", "points": 200, "lam": 1.0 + p,
-            "l2": 0.5, "arclength": 2.0, "seconds": 0.0}, None
+            "l2": 0.5, "arclength": 2.0, "newton_steps": 250 + k, "seconds": 0.0}, None
+
+
+def _write(path, rows, fields):
+    with path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
 
 
 def test_against_exits_1_when_a_row_changed(tmp_path, monkeypatch, capsys):
@@ -23,11 +33,49 @@ def test_against_exits_1_when_a_row_changed(tmp_path, monkeypatch, capsys):
     with first.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     rows[5]["lam"] = "9.0"
-    edited = tmp_path / "edited.csv"
-    with edited.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=census.FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+    edited = _write(tmp_path / "edited.csv", rows, census.FIELDS)
     assert census.main(["--n", "9", "--out", str(tmp_path / "new.csv"),
                         "--against", str(edited)]) == 1
     assert "1 of 126 rows changed" in capsys.readouterr().out
+
+
+def test_against_reports_round_off_drift(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(census, "trace_row", _row)
+    first = tmp_path / "first.csv"
+    census.main(["--n", "9", "--out", str(first)])
+    out = capsys.readouterr().out
+    # the 63 p < 2 traces: 21 at each k, of 200 points and 250 + k steps
+    assert "p<2: 63 traces: MaxSteps 63; 1.265 Newton steps per point " \
+        "(15939/12600)" in out
+    with first.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[5]["lam"] = repr(float(rows[5]["lam"]) * (1.0 + 2e-11))
+    rows[7]["arclength"] = "2.5"
+    rows[9]["points"] = "199"
+    edited = _write(tmp_path / "edited.csv", rows, census.FIELDS)
+    assert census.main(["--n", "9", "--out", str(tmp_path / "new.csv"),
+                        "--against", str(edited)]) == 1
+    out = capsys.readouterr().out
+    assert "3 of 126 rows changed" in out
+    assert "2 changed rows keep their termination and point count; largest " \
+        "relative change: lam 2e-11, l2 0, arclength 0.2" in out
+    # both CSVs carry Newton steps, so the tally diff compares them too
+    assert "\n-p<2: 63 traces: MaxSteps 63; 1.265 Newton steps per point " \
+        "(15939/12599)\n" in out
+
+
+def test_against_reads_a_csv_without_newton_steps(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(census, "trace_row", _row)
+    first = tmp_path / "first.csv"
+    census.main(["--n", "9", "--out", str(first)])
+    with first.open(newline="") as fh:
+        rows = [{f: v for f, v in row.items() if f != "newton_steps"}
+                for row in csv.DictReader(fh)]
+    older = _write(tmp_path / "older.csv", rows,
+                  [f for f in census.FIELDS if f != "newton_steps"])
+    capsys.readouterr()
+    assert census.main(["--n", "9", "--out", str(tmp_path / "new.csv"),
+                        "--against", str(older)]) == 0
+    out = capsys.readouterr().out
+    assert "0 of 126 rows changed" in out
+    assert "tallies unchanged" in out

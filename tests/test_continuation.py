@@ -643,3 +643,70 @@ def test_corrector_evaluates_each_trial_once(grid, monkeypatch, p):
     assert iters >= 2
     assert counts["trials"] >= iters
     assert counts["residuals"] == 1 + counts["trials"]
+
+
+def test_points_record_the_corrector_iterations(grid, monkeypatch):
+    # each point's iterations is the step count of the _corrector call that
+    # produced it, the seed's included
+    taken = []
+
+    def recording(*args):
+        result = _corrector(*args)
+        taken.append(result[2])
+        return result
+
+    monkeypatch.setattr(continuation, "_corrector", recording)
+    for p in (3.0, 1.5):
+        taken.clear()
+        branch = trace_branch(BranchSeed(k=2, which=1, gamma=0.5, p=p), grid,
+                              SolverConfig(max_steps=30))
+        assert [pt.iterations for pt in branch.points] == taken
+        assert min(taken) >= 1
+
+
+def test_p3_traces_take_at_most_five_newton_steps_per_four_points(grid):
+    # the quadratic start leaves most p > 2 points one Newton step; the
+    # secant start took 1223 steps for these 800 points
+    config = SolverConfig(max_steps=200)
+    branches = [trace_branch(BranchSeed(k=k, which=which, gamma=0.5, p=3.0), grid,
+                             config) for k in (2, 3) for which in (1, 2)]
+    points = [pt for branch in branches for pt in branch.points]
+    assert len(points) == 800
+    assert sum(pt.iterations for pt in points) <= 1.25 * len(points)
+
+
+def secant_start(prob, history, s_next, pred_u, pred_lam):
+    return pred_u, pred_lam
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+def test_quadratic_start_moves_p_above_2_points_within_tolerance(grid, monkeypatch,
+                                                                  p, k):
+    # the start does not change the equations the corrector solves, so the
+    # points move only within the corrector tolerance
+    seed = BranchSeed(k=k, which=1, gamma=0.5 * gamma_window(grid, k).gamma_max, p=p)
+    config = SolverConfig(max_steps=200)
+    got = trace_branch(seed, grid, config)
+    monkeypatch.setattr(continuation, "_corrector_start", secant_start)
+    ref = trace_branch(seed, grid, config)
+    assert got.termination == ref.termination
+    assert len(got.points) == len(ref.points)
+    for a, b in zip(got.points, ref.points):
+        assert abs(a.lam - b.lam) <= 1e-9 * abs(b.lam)
+        assert abs(a.s - b.s) <= 1e-9
+        assert weighted_l2(a.u - b.u) <= 1e-8
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_transformed_trace_keeps_the_secant_start(grid, monkeypatch, which):
+    seed = BranchSeed(k=2, which=which, gamma=0.5, p=1.5)
+    config = SolverConfig(max_steps=200)
+    got = trace_branch(seed, grid, config)
+    monkeypatch.setattr(continuation, "_corrector_start", secant_start)
+    ref = trace_branch(seed, grid, config)
+    assert got.termination == ref.termination
+    assert len(got.points) == len(ref.points)
+    for a, b in zip(got.points, ref.points):
+        assert a.lam == b.lam and a.s == b.s
+        assert np.array_equal(a.u.values, b.u.values)
