@@ -230,8 +230,13 @@ def h10_norm(u: Field) -> float:
 
 def dual_norm(r: Field) -> float:
     """Norm of a dual vector over the discrete test space: sup <r, w> / ||w||_{1,2}."""
-    z = laplacian_solve_values(r.grid, r.values)
-    return math.sqrt(max(r.grid.h * float(np.dot(r.values, z)), 0.0))
+    return dual_norm_values(r.grid, r.values)
+
+
+def dual_norm_values(grid: Grid, r: np.ndarray) -> float:
+    """dual_norm of one dual vector's nodal values on grid."""
+    z = laplacian_solve_values(grid, r)
+    return math.sqrt(max(grid.h * float(np.dot(r, z)), 0.0))
 
 
 def write_field_csv(u: Field, path) -> None:

@@ -14,7 +14,8 @@ damped_step is the package's one Armijo backtracking loop, over Newton and
 then Picard directions; its callers here and in continuation differ only in
 their merit and stopping tests. The Jacobians they take regularize
 themselves for 1 < p < 2 (see quasilinear), so no caller passes an
-epsilon.
+epsilon. Both solves iterate on nodal arrays, one gradient per line-search
+trial, and build a Field only for the SolveReport they return or raise with.
 
 The vector inequalities backing the p > 2 case are checked empirically by
 check_vector_inequalities, and strong monotonicity by monotonicity_sweep,
@@ -40,12 +41,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SolverConfig
-from .grid import (Field, Grid, dot_values, dual_norm, gradient_values,
-                   h10_norm, h10_values, inner_l2, laplacian_solve_values,
-                   require_finite, w1p_values)
-from .quasilinear import (Jacobian, ProblemParams, energy, jacobian_original,
-                          jacobian_transformed, residual_original,
-                          residual_original_values, residual_transformed)
+from .grid import (Field, Grid, _check_same_grid, dot_values, dual_norm_values,
+                   gradient_values, h10_values, laplacian_solve_values, require_finite,
+                   w1p_values)
+from .quasilinear import (Jacobian, ProblemParams, _energy, _jacobian, _residual,
+                          residual_original_values)
+from .grid import dual_norm  # noqa: F401 -- perfbench/tracer.py patches it by name here
+# perfbench/tracer.py patches these by name here; the solves call the cores above
+from .quasilinear import (energy, jacobian_original, jacobian_transformed,  # noqa: F401
+                          residual_original, residual_transformed)
 
 logger = logging.getLogger("fucik_branch.monotone")
 
@@ -97,17 +101,20 @@ class VectorInequalityReport:
     violations: int
 
 
-def newton_then_picard(jac: Jacobian, r: Field) -> Iterator[Field]:
-    """Candidate directions for the residual r, lazily: the Newton direction
-    -J^{-1} r unless its solve raises ValueError or is not finite (which Field
-    rejects), then the Picard direction -(-Delta)^{-1} r."""
+def newton_then_picard(jac: Jacobian, r: np.ndarray, grid: Grid) -> Iterator[np.ndarray]:
+    """Candidate directions for the residual values r, lazily: the Newton
+    direction -J^{-1} r unless its solve raises ValueError or is not finite,
+    then the Picard direction -(-Delta)^{-1} r, which must be finite."""
     try:
-        newton = Field(r.grid, -jac.solve_values(r.values))
+        newton = -jac.solve_values(r)
+        require_finite(newton)
     except ValueError:
         pass
     else:
         yield newton
-    yield Field(r.grid, -laplacian_solve_values(r.grid, r.values))
+    picard = -laplacian_solve_values(grid, r)
+    require_finite(picard)
+    yield picard
 
 
 def damped_step(x, m0: float, directions: Iterable[tuple[object, float]],
@@ -135,6 +142,12 @@ def damped_step(x, m0: float, directions: Iterable[tuple[object, float]],
     return None
 
 
+def _report(grid: Grid, u: np.ndarray, it: int, rnorm: float, coercivity: float,
+            radius: float) -> SolveReport:
+    return SolveReport(solution=Field(grid, u), iterations=it, final_residual=rnorm,
+                       coercivity_estimate=coercivity, ball_radius_used=radius)
+
+
 def solve_monotone(f: Field, params: ProblemParams,
                    config: SolverConfig | None = None,
                    u0: Field | None = None) -> SolveReport:
@@ -144,51 +157,57 @@ def solve_monotone(f: Field, params: ProblemParams,
     which is convex, and the descent global, for lam below the first discrete
     eigenvalue; if a Newton step cannot produce descent, the step falls back
     to the damped Picard direction (a preconditioned gradient step). The
-    default start is the plain Poisson solve for f.
+    default start is the plain Poisson solve for f. A trial's one gradient
+    gives its energy and, once accepted, its residual and Jacobian.
     """
     if params.p <= 2.0:
         raise ValueError(f"solve_monotone needs p > 2, got p={params.p}; use the ball solve")
     if config is None:
         config = SolverConfig()
-    grid = f.grid
+    grid, h, fv = f.grid, f.grid.h, f.values
+    if u0 is not None:
+        _check_same_grid(u0, f)
+    u = laplacian_solve_values(grid, fv) if u0 is None else u0.values
 
-    def residual(u: Field) -> Field:
-        return residual_original(u, params) - f
+    def trial(w: np.ndarray) -> tuple[float, tuple[float, np.ndarray]]:
+        require_finite(w)
+        g = gradient_values(w, h)
+        merit = _energy(w, g, h, params) - h * float(np.dot(fv, w))
+        return merit, (merit, g)
 
-    def merit(u: Field) -> float:
-        return energy(u, params) - inner_l2(f, u)
+    def residual(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+        rw = _residual(w, g, h, params, 1.0) - fv
+        require_finite(rw)
+        return rw
 
-    u = u0 if u0 is not None else Field(grid, laplacian_solve_values(grid, f.values))
-    r = residual(u)
-    tol = max(config.tol_abs, config.tol_rel * dual_norm(f))
+    m0, (_, g) = trial(u)
+    r = residual(u, g)
+    tol = max(config.tol_abs, config.tol_rel * dual_norm_values(grid, fv))
     coercivity = math.inf
     for it in range(_MAX_ITER + 1):
-        rnorm = dual_norm(r)
-        report = SolveReport(solution=u, iterations=it, final_residual=rnorm,
-                             coercivity_estimate=coercivity,
-                             ball_radius_used=math.inf)
+        rnorm = dual_norm_values(grid, r)
         if rnorm <= tol:
-            return report
+            return _report(grid, u, it, rnorm, coercivity, math.inf)
         if it == _MAX_ITER:
             break
-        m0 = merit(u)
-        dirs = newton_then_picard(jacobian_original(u, params), r)
+        dirs = newton_then_picard(_jacobian(u, g, grid, params, False), r, grid)
         # near convergence the true decrease drops below the float resolution of
         # the energy; the slack keeps full Newton steps acceptable on that plateau
-        step = damped_step(u, m0, ((d, inner_l2(r, d)) for d in dirs),
-                           lambda w: (merit(w), None),
+        step = damped_step(u, m0, ((d, h * float(np.dot(r, d))) for d in dirs), trial,
                            slack=32.0 * np.finfo(float).eps * abs(m0))
         if step is None:
             raise SolverError(f"line search stalled in monotone solve "
-                              f"(residual {rnorm:.3e}, tol {tol:.3e})", report)
-        u_new = step[0]
-        r_new = residual(u_new)
+                              f"(residual {rnorm:.3e}, tol {tol:.3e})",
+                              _report(grid, u, it, rnorm, coercivity, math.inf))
+        u_new, (m0, g) = step
+        r_new = residual(u_new, g)
         # r carries M(u) - f, so r_new - r = M(u_new) - M(u)
         coercivity = min(coercivity, float(_monotonicity_ratios(
-            (r_new - r).values, (u_new - u).values, grid.h, params.p)))
+            r_new - r, u_new - u, h, params.p)))
         u, r = u_new, r_new
     raise SolverError(f"no convergence in {_MAX_ITER} iterations "
-                      f"(residual {rnorm:.3e}, tol {tol:.3e})", report)
+                      f"(residual {rnorm:.3e}, tol {tol:.3e})",
+                      _report(grid, u, it, rnorm, coercivity, math.inf))
 
 
 def _monotonicity_ratios(dr: np.ndarray, du: np.ndarray, h: float,
@@ -372,63 +391,64 @@ def solve_monotone_ball(f: Field, params: ProblemParams,
     on which coercivity is proven for lam <= 0. For a radius the caller passes, the
     iteration fails informatively if an iterate leaves the ball or a sampled
     monotonicity ratio turns nonpositive, both of which signal that the
-    radius is too large for this p.
+    radius is too large for this p. A trial's one gradient gives its norm and
+    residual and, once accepted, its ball test and Jacobian.
     """
     if not (1.0 < params.p < 2.0):
         raise ValueError("solve_monotone_ball requires 1 < p < 2")
     if config is None:
         config = SolverConfig()
-    grid = f.grid
+    grid, h, fv = f.grid, f.grid.h, f.values
     if radius is None:
         radius = default_ball_radius(params, grid=grid)
+    if u0 is not None:
+        _check_same_grid(u0, f)
+    v = np.zeros(grid.n_interior) if u0 is None else u0.values
 
-    def residual(v: Field) -> Field:
-        return residual_transformed(v, params) - f
+    def trial(w: np.ndarray) -> tuple[float, tuple]:
+        require_finite(w)
+        g = gradient_values(w, h)
+        nrm = float(h10_values(g, h))
+        rw = _residual(w, g, h, params, nrm ** (4.0 - params.p)) - fv
+        require_finite(rw)
+        merit = dual_norm_values(grid, rw)
+        return merit, (rw, merit, g, nrm)
 
-    v = u0 if u0 is not None else Field.zeros(grid)
-    if h10_norm(v) > radius:
+    rnorm, (r, _, g, nrm) = trial(v)
+    if nrm > radius:
         raise ValueError("initial guess lies outside the coercivity ball")
-
-    def trial(w: Field) -> tuple[float, tuple[Field, float]]:
-        rw = residual(w)
-        merit = dual_norm(rw)
-        return merit, (rw, merit)
-
-    r = residual(v)
-    tol = max(config.tol_abs, config.tol_rel * dual_norm(f))
-    rnorm = dual_norm(r)
+    tol = max(config.tol_abs, config.tol_rel * dual_norm_values(grid, fv))
     coercivity = math.inf
     for it in range(_MAX_ITER + 1):
-        report = SolveReport(solution=v, iterations=it, final_residual=rnorm,
-                             coercivity_estimate=coercivity,
-                             ball_radius_used=radius)
         if rnorm <= tol:
-            return report
+            return _report(grid, v, it, rnorm, coercivity, radius)
         if it == _MAX_ITER:
             break
-        dirs = newton_then_picard(jacobian_transformed(v, params), r)
+        dirs = newton_then_picard(_jacobian(v, g, grid, params, True), r, grid)
         step = damped_step(v, rnorm, ((d, -rnorm) for d in dirs), trial)
         if step is None:
             raise SolverError("line search stalled in ball-restricted solve",
-                              report)
-        v_new, (r_new, rnorm_new) = step
-        if h10_norm(v_new) > radius:
+                              _report(grid, v, it, rnorm, coercivity, radius))
+        v_new, (r_new, rnorm_new, g, nrm) = step
+        if nrm > radius:
             raise SolverError(
                 f"iterate left the coercivity ball (||v||_1,2 = "
-                f"{h10_norm(v_new):.6g} > r = {radius:.6g}); reduce the radius "
-                f"or the data", report)
+                f"{nrm:.6g} > r = {radius:.6g}); reduce the radius "
+                f"or the data", _report(grid, v, it, rnorm, coercivity, radius))
         dv = v_new - v
-        denom = h10_norm(dv) ** 2
+        denom = float(h10_values(gradient_values(dv, h), h)) ** 2
         if denom > 0.0:
-            sample = inner_l2(r_new - r, dv) / denom
-            coercivity = min(coercivity, sample)
+            sample = h * float(np.dot(r_new - r, dv)) / denom
             if sample <= 0.0:
                 raise SolverError(
                     f"nonpositive monotonicity sample {sample:.3e} on the ball "
-                    f"of radius {radius:.6g}: radius too large", report)
+                    f"of radius {radius:.6g}: radius too large",
+                    _report(grid, v, it, rnorm, coercivity, radius))
+            coercivity = min(coercivity, sample)
         v, r, rnorm = v_new, r_new, rnorm_new
     raise SolverError(f"no convergence in {_MAX_ITER} iterations "
-                      f"(residual {rnorm:.3e}, tol {tol:.3e})", report)
+                      f"(residual {rnorm:.3e}, tol {tol:.3e})",
+                      _report(grid, v, it, rnorm, coercivity, radius))
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:

@@ -201,13 +201,16 @@ def energy(u: Field, params: ProblemParams) -> float:
     (u^-)^2 = min(u,0)^2 gives -2u^- on {u<0}, which produces the operator's
     -gamma*u^- term.
     """
-    h = u.grid.h
-    g = element_gradients(u)
+    return _energy(u.values, element_gradients(u), u.grid.h, params)
+
+
+def _energy(values: np.ndarray, g: np.ndarray, h: float, params: ProblemParams) -> float:
+    """energy of one field's nodal values, g their element gradients."""
     e_p = h * float(np.sum(np.abs(g) ** params.p)) / params.p
     e_2 = 0.5 * h * float(np.dot(g, g))
-    neg = np.maximum(-u.values, 0.0)
+    neg = np.maximum(-values, 0.0)
     e_gamma = 0.5 * params.gamma * h * float(np.dot(neg, neg))
-    e_lam = 0.5 * params.lam * h * float(np.dot(u.values, u.values))
+    e_lam = 0.5 * params.lam * h * float(np.dot(values, values))
     return e_p + e_2 + e_gamma - e_lam
 
 
@@ -228,8 +231,13 @@ def jacobian_values(values: np.ndarray, grid: Grid, params: ProblemParams,
     plus the diagonal gamma*1[u_i<0] - lam: the slope of -gamma*max(-t,0) on
     t < 0 is +gamma, with zero nodes assigned to the positive part.
     """
+    return _jacobian(values, gradient_values(values, grid.h), grid, params, transformed)
+
+
+def _jacobian(values: np.ndarray, g: np.ndarray, grid: Grid, params: ProblemParams,
+              transformed: bool) -> Jacobian:
+    """jacobian_values, g the element gradients of values."""
     p, h = params.p, grid.h
-    g = gradient_values(values, h)
     eps = 0.0 if p > 2.0 else _EPS_REG_SCALE * (float(np.mean(np.abs(g))) + 1.0)
     nrm = float(h10_values(g, h)) if transformed else 0.0
     coeff = nrm ** (4.0 - p) if transformed else 1.0

@@ -9,8 +9,11 @@ sweep as a loop over samples and hump counts, the reference for the
 array sweep, and the sampled p > 2 checks as first blocked (scales from rng.uniform, pair[j, k]
 fills, norms taken per use) and the coercivity-ball samples as blocked
 before the proven radius retired them from the solves, the bit-for-bit
-references for monotone's samplers, and the trace corrector's arithmetic
-before its one-pass bordered solve, the bit-for-bit reference for the trace.
+references for monotone's samplers, the trace corrector's arithmetic
+before its one-pass bordered solve, the bit-for-bit reference for the trace,
+and the two monotone solves as Field loops (a Field per iterate, residual
+and direction, each gradient taken where it is used), the bit-for-bit
+references for the array solves.
 """
 
 from __future__ import annotations
@@ -20,14 +23,17 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from fucik_branch import continuation
+from fucik_branch import continuation, monotone
 from fucik_branch._tridiag import symmetric_tridiag_apply, thomas_solve
-from fucik_branch.grid import (Field, Grid, element_gradients, gradient_values,
-                               h10_values, laplacian_solve_values, require_finite)
+from fucik_branch.config import SolverConfig
+from fucik_branch.grid import (Field, Grid, dual_norm, element_gradients, gradient_values,
+                               h10_norm, h10_values, inner_l2, laplacian_solve_values,
+                               require_finite)
 from fucik_branch.halfeig import FucikPoint, _check_length
-from fucik_branch.monotone import (VectorInequalityReport, _block_rows, _blocks,
-                                   _certified_bounds, _monotonicity_ratios)
-from fucik_branch.quasilinear import (Jacobian, ProblemParams, jacobian_original,
+from fucik_branch.monotone import (SolveReport, SolverError, VectorInequalityReport,
+                                   _block_rows, _blocks, _certified_bounds,
+                                   _monotonicity_ratios, default_ball_radius)
+from fucik_branch.quasilinear import (Jacobian, ProblemParams, energy, jacobian_original,
                                       jacobian_transformed, residual_original,
                                       residual_original_values, residual_transformed)
 from fucik_branch.spectrum import EigenPair, _check_index, closed_form_eigenvalue
@@ -437,3 +443,131 @@ def reference_bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,
         d = (res_c - h * float(np.dot(row_u, x))) / schur
         du, dlam = du + (x + d * y), dlam + d
     return du, dlam
+
+
+def reference_newton_then_picard(jac: Jacobian, r: Field) -> Iterator[Field]:
+    """monotone.newton_then_picard on Fields: the Newton direction unless its
+    solve raises ValueError or is not finite (which Field rejects), then the
+    Picard direction."""
+    try:
+        newton = Field(r.grid, -jac.solve_values(r.values))
+    except ValueError:
+        pass
+    else:
+        yield newton
+    yield Field(r.grid, -laplacian_solve_values(r.grid, r.values))
+
+
+def reference_solve_monotone(f: Field, params: ProblemParams,
+                             config: SolverConfig | None = None,
+                             u0: Field | None = None) -> SolveReport:
+    """monotone.solve_monotone as a Field loop, which takes the gradient of an
+    iterate once for its merit, once for its Jacobian and once for its
+    residual. monotone._MAX_ITER and monotone.damped_step are looked up at
+    each call, so a test that patches them patches this loop too."""
+    if params.p <= 2.0:
+        raise ValueError(f"solve_monotone needs p > 2, got p={params.p}; use the ball solve")
+    if config is None:
+        config = SolverConfig()
+    grid = f.grid
+    max_iter = monotone._MAX_ITER
+
+    def residual(u: Field) -> Field:
+        return residual_original(u, params) - f
+
+    def merit(u: Field) -> float:
+        return energy(u, params) - inner_l2(f, u)
+
+    u = u0 if u0 is not None else Field(grid, laplacian_solve_values(grid, f.values))
+    r = residual(u)
+    tol = max(config.tol_abs, config.tol_rel * dual_norm(f))
+    coercivity = math.inf
+    for it in range(max_iter + 1):
+        rnorm = dual_norm(r)
+        report = SolveReport(solution=u, iterations=it, final_residual=rnorm,
+                             coercivity_estimate=coercivity,
+                             ball_radius_used=math.inf)
+        if rnorm <= tol:
+            return report
+        if it == max_iter:
+            break
+        m0 = merit(u)
+        dirs = reference_newton_then_picard(jacobian_original(u, params), r)
+        step = monotone.damped_step(u, m0, ((d, inner_l2(r, d)) for d in dirs),
+                                    lambda w: (merit(w), None),
+                                    slack=32.0 * np.finfo(float).eps * abs(m0))
+        if step is None:
+            raise SolverError(f"line search stalled in monotone solve "
+                              f"(residual {rnorm:.3e}, tol {tol:.3e})", report)
+        u_new = step[0]
+        r_new = residual(u_new)
+        coercivity = min(coercivity, float(_monotonicity_ratios(
+            (r_new - r).values, (u_new - u).values, grid.h, params.p)))
+        u, r = u_new, r_new
+    raise SolverError(f"no convergence in {max_iter} iterations "
+                      f"(residual {rnorm:.3e}, tol {tol:.3e})", report)
+
+
+def reference_solve_monotone_ball(f: Field, params: ProblemParams,
+                                  config: SolverConfig | None = None,
+                                  radius: float | None = None,
+                                  u0: Field | None = None) -> SolveReport:
+    """monotone.solve_monotone_ball as a Field loop, which takes the gradient
+    of an iterate for its ball test, its Jacobian and its residual apart;
+    monotone._MAX_ITER and monotone.damped_step are looked up at each call."""
+    if not (1.0 < params.p < 2.0):
+        raise ValueError("solve_monotone_ball requires 1 < p < 2")
+    if config is None:
+        config = SolverConfig()
+    grid = f.grid
+    max_iter = monotone._MAX_ITER
+    if radius is None:
+        radius = default_ball_radius(params, grid=grid)
+
+    def residual(v: Field) -> Field:
+        return residual_transformed(v, params) - f
+
+    v = u0 if u0 is not None else Field.zeros(grid)
+    if h10_norm(v) > radius:
+        raise ValueError("initial guess lies outside the coercivity ball")
+
+    def trial(w: Field) -> tuple[float, tuple[Field, float]]:
+        rw = residual(w)
+        merit = dual_norm(rw)
+        return merit, (rw, merit)
+
+    r = residual(v)
+    tol = max(config.tol_abs, config.tol_rel * dual_norm(f))
+    rnorm = dual_norm(r)
+    coercivity = math.inf
+    for it in range(max_iter + 1):
+        report = SolveReport(solution=v, iterations=it, final_residual=rnorm,
+                             coercivity_estimate=coercivity,
+                             ball_radius_used=radius)
+        if rnorm <= tol:
+            return report
+        if it == max_iter:
+            break
+        dirs = reference_newton_then_picard(jacobian_transformed(v, params), r)
+        step = monotone.damped_step(v, rnorm, ((d, -rnorm) for d in dirs), trial)
+        if step is None:
+            raise SolverError("line search stalled in ball-restricted solve",
+                              report)
+        v_new, (r_new, rnorm_new) = step
+        if h10_norm(v_new) > radius:
+            raise SolverError(
+                f"iterate left the coercivity ball (||v||_1,2 = "
+                f"{h10_norm(v_new):.6g} > r = {radius:.6g}); reduce the radius "
+                f"or the data", report)
+        dv = v_new - v
+        denom = h10_norm(dv) ** 2
+        if denom > 0.0:
+            sample = inner_l2(r_new - r, dv) / denom
+            coercivity = min(coercivity, sample)
+            if sample <= 0.0:
+                raise SolverError(
+                    f"nonpositive monotonicity sample {sample:.3e} on the ball "
+                    f"of radius {radius:.6g}: radius too large", report)
+        v, r, rnorm = v_new, r_new, rnorm_new
+    raise SolverError(f"no convergence in {max_iter} iterations "
+                      f"(residual {rnorm:.3e}, tol {tol:.3e})", report)

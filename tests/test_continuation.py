@@ -443,8 +443,8 @@ def test_newton_at_lambda_accepts_its_last_step(grid, rng, monkeypatch):
     params = ProblemParams(p=3.0, gamma=0.0, lam=lam)
     u0 = random_field(grid, rng, scale=0.05)
     counts = {"steps": 0}
-    monkeypatch.setattr(monotone, "jacobian_original", counting(
-        counts, "steps", monotone.jacobian_original))
+    monkeypatch.setattr(monotone, "_jacobian", counting(
+        counts, "steps", monotone._jacobian))
     newton_at_lambda(u0, params)
     assert counts["steps"] >= 2
     monkeypatch.setattr(monotone, "_MAX_ITER", counts["steps"])
@@ -455,8 +455,8 @@ def test_newton_at_lambda_accepts_its_last_step(grid, rng, monkeypatch):
 def test_newton_at_lambda_rejects_p_below_2(grid, monkeypatch):
     # the energy solve needs p > 2; it raises before any residual is taken
     counts = {"residuals": 0}
-    monkeypatch.setattr(monotone, "residual_original", counting(
-        counts, "residuals", monotone.residual_original))
+    monkeypatch.setattr(monotone, "_residual", counting(
+        counts, "residuals", monotone._residual))
     params = ProblemParams(p=1.5, gamma=0.5, lam=0.5)
     with pytest.raises(ValueError, match=r"p=1\.5"):
         newton_at_lambda(Field.zeros(grid), params)

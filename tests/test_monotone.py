@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fucik_branch import monotone
+from fucik_branch import grid as grid_module
+from fucik_branch import monotone, quasilinear
 from fucik_branch.config import SolverConfig
 from fucik_branch.grid import (Field, Grid, dual_norm, h10_norm, inner_l2,
                                laplacian_solve_values, norms)
@@ -26,7 +27,8 @@ from fucik_branch.spectrum import closed_form_eigenvalue
 
 from conftest import count_trials, counting, random_field, reference_sweep
 from oracles import (reference_blocked_ball_samples, reference_check_vector_inequalities,
-                     reference_monotonicity_sweep)
+                     reference_monotonicity_sweep, reference_solve_monotone,
+                     reference_solve_monotone_ball)
 
 P3 = ProblemParams(p=3.0, gamma=0.5, lam=0.0)
 P15 = ProblemParams(p=1.5, gamma=0.5, lam=0.0)
@@ -507,8 +509,8 @@ def test_ball_solve_falls_back_to_picard(grid, rng, monkeypatch):
 def test_ball_solve_evaluates_each_trial_once(grid, rng, monkeypatch):
     # one residual at the start, one per line-search trial, none repeated
     counts = {"residuals": 0, "trials": 0}
-    monkeypatch.setattr(monotone, "residual_transformed", counting(
-        counts, "residuals", residual_transformed))
+    monkeypatch.setattr(monotone, "_residual", counting(
+        counts, "residuals", monotone._residual))
     count_trials(monkeypatch, monotone, counts)
     r = default_ball_radius(P15, grid=grid)
     v_star = random_field(grid, rng)
@@ -524,8 +526,8 @@ def test_ball_solve_takes_one_dual_norm_per_trial(grid, rng, monkeypatch):
     # one for the tolerance on f, one at the start, one per line-search
     # trial; an accepted trial's norm is reused, not recomputed
     counts = {"dual_norms": 0, "trials": 0}
-    monkeypatch.setattr(monotone, "dual_norm", counting(
-        counts, "dual_norms", dual_norm))
+    monkeypatch.setattr(monotone, "dual_norm_values", counting(
+        counts, "dual_norms", monotone.dual_norm_values))
     count_trials(monkeypatch, monotone, counts)
     r = default_ball_radius(P15, grid=grid)
     v_star = random_field(grid, rng)
@@ -550,3 +552,182 @@ def test_stalled_line_search_is_reported_as_a_stall(grid, monkeypatch):
         solve_monotone(f, P3)
     assert exc.value.report.iterations == 1
     assert calls["steps"] == 2
+
+
+@pytest.mark.parametrize("other", [Grid(length=2.0, n_interior=199), Grid(n_interior=99)],
+                         ids=["same-n-other-length", "other-n"])
+def test_solves_reject_u0_on_another_grid(grid, other):
+    # u0 must live on f's grid: an equal node count is not enough
+    f = Field.from_function(grid, lambda x: math.sin(2.0 * x))
+    u0 = Field.from_function(other, lambda x: 0.01 * math.sin(x))
+    with pytest.raises(ValueError, match="fields live on different grids"):
+        solve_monotone(f, P3, u0=u0)
+    with pytest.raises(ValueError, match="fields live on different grids"):
+        solve_monotone_ball(f, P15, u0=u0)
+
+
+def smooth_field(grid: Grid, rng: np.random.Generator, scale: float) -> Field:
+    """A random combination of the first six sine modes, with H^1_0 norm scale."""
+    x = grid.nodes
+    vals = sum(rng.standard_normal() * np.sin(k * math.pi * x / grid.length) / k
+               for k in range(1, 7))
+    u = Field(grid, vals)
+    return (scale / h10_norm(u)) * u
+
+
+def report_bits(report) -> tuple:
+    """Everything a SolveReport carries, floats as their exact hex."""
+    return (report.solution.values.tobytes(), report.iterations,
+            report.final_residual.hex(), report.coercivity_estimate.hex(),
+            report.ball_radius_used.hex())
+
+
+def error_bits(solve, *args, **kwargs) -> tuple:
+    with pytest.raises(SolverError) as exc:
+        solve(*args, **kwargs)
+    return str(exc.value), report_bits(exc.value.report)
+
+
+def outcome_bits(solve, *args, **kwargs) -> tuple:
+    """report_bits of the solve, or its SolverError's message and report_bits."""
+    try:
+        return report_bits(solve(*args, **kwargs))
+    except SolverError as exc:
+        return str(exc), report_bits(exc.report)
+
+
+@pytest.mark.parametrize("n", [199, 399, 799])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+def test_solve_monotone_bit_identical_to_field_loop(p, n):
+    # the array loop takes the Field loop's arithmetic, on the Thomas
+    # (n = 199) and the cyclic-reduction (n = 399, 799) Jacobian solves
+    grid = Grid(n_interior=n)
+    rng = np.random.default_rng(round(10 * p) + n)
+    params = ProblemParams(p=p, gamma=0.5, lam=0.5 * closed_form_eigenvalue(grid, 1))
+    for scale in (0.1, 1.0, 5.0):
+        f = residual_original(smooth_field(grid, rng, scale), params)
+        u0 = random_field(grid, rng, scale=0.01)
+        for start in (None, u0):
+            new = solve_monotone(f, params, u0=start)
+            assert new.iterations >= 2
+            assert report_bits(new) == report_bits(
+                reference_solve_monotone(f, params, u0=start))
+
+
+@pytest.mark.parametrize("n", [199, 399, 799])
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+def test_ball_solve_bit_identical_to_field_loop(p, n):
+    grid = Grid(n_interior=n)
+    rng = np.random.default_rng(round(10 * p) + n)
+    params = ProblemParams(p=p, gamma=0.5, lam=0.0)
+    r = default_ball_radius(params, grid=grid)
+    for scale in (0.1, 0.3, 0.5):
+        f = residual_transformed(smooth_field(grid, rng, scale * r), params)
+        u0 = smooth_field(grid, rng, 0.3 * r)
+        for start in (None, u0):
+            new = solve_monotone_ball(f, params, radius=r, u0=start)
+            assert new.iterations >= 2
+            assert report_bits(new) == report_bits(
+                reference_solve_monotone_ball(f, params, radius=r, u0=start))
+
+
+def test_picard_fallback_bit_identical_to_field_loop(grid, monkeypatch):
+    def failing_solve(self, rhs):
+        raise ValueError("singular")
+
+    # Picard alone: the p > 2 solve runs out of iterations, the ball solve converges
+    monkeypatch.setattr(Jacobian, "solve_values", failing_solve)
+    rng = np.random.default_rng(3)
+    f = residual_original(smooth_field(grid, rng, 1.0), P3)
+    assert outcome_bits(solve_monotone, f, P3) == outcome_bits(reference_solve_monotone, f, P3)
+    r = default_ball_radius(P15, grid=grid)
+    f = residual_transformed(smooth_field(grid, rng, 0.5 * r), P15)
+    assert outcome_bits(solve_monotone_ball, f, P15, radius=r) \
+        == outcome_bits(reference_solve_monotone_ball, f, P15, radius=r)
+
+
+def test_error_paths_bit_identical_to_field_loop(grid, rng, monkeypatch):
+    r = default_ball_radius(P15, grid=grid)
+    f3 = Field.from_function(grid, lambda x: math.sin(2.0 * x))
+    f15 = residual_transformed(smooth_field(grid, rng, 0.5 * r), P15)
+    cases = [(solve_monotone, reference_solve_monotone, f3, P3, {}),
+             (solve_monotone_ball, reference_solve_monotone_ball, f15, P15,
+              {"radius": r})]
+    # out of iterations
+    with monkeypatch.context() as m:
+        m.setattr(monotone, "_MAX_ITER", 3)
+        config = SolverConfig(tol_abs=1e-300, tol_rel=1e-300)
+        for solve, reference, f, params, kw in cases:
+            new = error_bits(solve, f, params, config, **kw)
+            assert new[0].startswith("no convergence in 3 iterations")
+            assert new[1][1] == 3
+            assert new == error_bits(reference, f, params, config, **kw)
+    # a line search that stalls on the second step
+    step = monotone.damped_step
+    for solve, reference, f, params, kw in cases:
+        outcomes = []
+        for fn in (solve, reference):
+            calls = {"steps": 0}
+
+            def stalling_step(*args, **kwargs):
+                calls["steps"] += 1
+                return step(*args, **kwargs) if calls["steps"] == 1 else None
+
+            with monkeypatch.context() as m:
+                m.setattr(monotone, "damped_step", stalling_step)
+                outcomes.append(error_bits(fn, f, params, **kw))
+        assert "line search stalled" in outcomes[0][0]
+        assert outcomes[0][1][1] == 1
+        assert outcomes[0] == outcomes[1]
+    # an iterate that leaves the ball
+    v_star = random_field(grid, rng)
+    f = residual_transformed((8.0 * 0.25 / h10_norm(v_star)) * v_star, P15)
+    new = error_bits(solve_monotone_ball, f, P15, radius=0.25)
+    assert "left the coercivity ball" in new[0]
+    assert new == error_bits(reference_solve_monotone_ball, f, P15, radius=0.25)
+
+
+def count_solve_work(monkeypatch) -> dict:
+    """Count gradients in every namespace the solves reach, the p > 2
+    energies, the dual norms and the line-search trials."""
+    counts = {"gradients": 0, "energies": 0, "dual_norms": 0, "trials": 0}
+    for module in (monotone, quasilinear, grid_module):
+        monkeypatch.setattr(module, "gradient_values", counting(
+            counts, "gradients", module.gradient_values))
+    monkeypatch.setattr(monotone, "_energy", counting(counts, "energies", monotone._energy))
+    monkeypatch.setattr(monotone, "dual_norm_values", counting(
+        counts, "dual_norms", monotone.dual_norm_values))
+    count_trials(monkeypatch, monotone, counts)
+    return counts
+
+
+@pytest.mark.parametrize("start", [False, True], ids=["default-start", "u0"])
+def test_solve_monotone_takes_one_gradient_per_trial(grid, rng, monkeypatch, start):
+    # one gradient at the start, one per trial (which gives its energy, and
+    # the residual and Jacobian if accepted) and one per step for the
+    # monotonicity sample; one energy at the start and one per trial
+    f = residual_original(smooth_field(grid, rng, 2.0), P3)
+    u0 = random_field(grid, rng, scale=0.01) if start else None
+    counts = count_solve_work(monkeypatch)
+    report = solve_monotone(f, P3, u0=u0)
+    assert report.iterations >= 2
+    assert counts["trials"] >= report.iterations
+    assert counts["gradients"] == 1 + counts["trials"] + report.iterations
+    assert counts["energies"] == 1 + counts["trials"]
+
+
+@pytest.mark.parametrize("start", [False, True], ids=["default-start", "u0"])
+def test_ball_solve_takes_one_gradient_per_trial(grid, rng, monkeypatch, start):
+    # one gradient at the start, one per trial (which gives its norm and
+    # residual) and one per step for the monotonicity sample; the merit, a
+    # dual norm, once at the start and once per trial, plus the tolerance's
+    r = default_ball_radius(P15, grid=grid)
+    f = residual_transformed(smooth_field(grid, rng, 0.5 * r), P15)
+    u0 = smooth_field(grid, rng, 0.3 * r) if start else None
+    counts = count_solve_work(monkeypatch)
+    report = solve_monotone_ball(f, P15, radius=r, u0=u0)
+    assert report.iterations >= 2
+    assert counts["trials"] >= report.iterations
+    assert counts["gradients"] == 1 + counts["trials"] + report.iterations
+    assert counts["dual_norms"] == 2 + counts["trials"]
+    assert counts["energies"] == 0
