@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--gamma", type=float, default=0.5)
     ve.add_argument("--samples", type=int, default=100000,
                     help=f"vector-inequality sample count, at least {MIN_SAMPLES} "
-                         f"(default: 1e5)")
+                         f"(default: 100000)")
     ve.add_argument("--pairs", type=int, default=2000,
                     help="monotonicity pair count (default: 2000)")
     ve.set_defaults(func=cmd_verify)

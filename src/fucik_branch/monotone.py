@@ -22,13 +22,16 @@ check_vector_inequalities, and strong monotonicity by monotonicity_sweep,
 whose sampled ratio has the proven floor 2^{2-p}; ball_coercivity_samples
 samples the certified coercivity bound on a ball, and default_ball_radius is
 the closed-form radius on which that bound is proven >= 0.5.
-The sampled checks draw their pairs one at a time, in the order a
+The field samplers draw their pairs one at a time, in the order a
 pair-by-pair loop would. monotonicity_sweep evaluates them as (pairs, n)
 arrays, in blocks of about _BLOCK_VALUES doubles per array so that memory
 stays flat in the pair count; ball_coercivity_samples, which no solve calls,
-evaluates each pair on its own. All three samplers return the same doubles
-as their first blocked form (tests/oracles.py): only the Python and numpy
-work around the arithmetic was cut.
+evaluates each pair on its own. check_vector_inequalities draws each of its
+two sets whole, as one array per quantity, because its draw order is fixed;
+its inputs are O(samples), and it evaluates them in blocks of _BLOCK_VALUES
+values, so its temporaries are O(block). All three samplers return the same
+doubles as their first blocked form (tests/oracles.py): only the Python and
+numpy work around the arithmetic was cut.
 """
 
 from __future__ import annotations
@@ -473,6 +476,20 @@ def check_vector_inequalities(p: float, n_samples: int,
     attain the analytic floor c1 = 2^{2-p}; violations counts failures of (a)
     at that floor and of (b) at the mean-value constant c2 = p - 1, with
     round-off slack. Pairs with |x2 - x1| <= 1e-12 (|x1| + |x2|) are skipped.
+    Raises ValueError, naming p, when the smallest ratio (a) or the largest
+    ratio (b) is not a finite double: from about p = 43 on, depending on the
+    draws, |x|^{p-2} under- or overflows and gives infinite ratios and false
+    violations. A ratio (a) of +inf from an underflowed |x2 - x1|^p alone
+    changes neither the minimum nor the count, so it does not raise.
+
+    The n_samples // 2 pairs in R^1 are drawn as a scale column, then all x1,
+    then all x2, and evaluated before the rest are drawn in R^2 the same way.
+    That fixed draw order keeps the inputs O(n_samples): at most 40 bytes per
+    R^2 pair, the R^1 set being freed by then. Each set is evaluated in blocks
+    of _BLOCK_VALUES // dim rows, so the temporaries are O(block) whatever
+    n_samples. Every operation is elementwise or per row, and the extremes
+    and counts carry over blocks exactly, so the report does not depend on
+    the block size.
 
     The norms |x1|, |x2| and |x2 - x1| are taken once per pair and serve the
     skip test, the fluxes and both ratios. They have the bits of
@@ -488,23 +505,40 @@ def check_vector_inequalities(p: float, n_samples: int,
         rng = np.random.default_rng(42)
 
     n1 = n_samples // 2
-    n2 = n_samples - n1
-    scale = 10.0 ** rng.uniform(-3, 3, size=(n1, 1))
-    x1 = rng.standard_normal((n1, 1)) * scale
-    x2 = rng.standard_normal((n1, 1)) * scale
-    scale2 = 10.0 ** rng.uniform(-3, 3, size=(n2, 1))
-    y1 = rng.standard_normal((n2, 2)) * scale2
-    y2 = rng.standard_normal((n2, 2)) * scale2
+    c1_1, c2_1, bad_1 = _inequality_extremes(rng, n1, 1, p, 0)
     # antipodal pairs attain the floor exactly
-    n_anti = min(64, n2)
-    y2[:n_anti] = -y1[:n_anti]
+    n2 = n_samples - n1
+    c1_2, c2_2, bad_2 = _inequality_extremes(rng, n2, 2, p, min(64, n2))
+    return VectorInequalityReport(p=p, n_samples=n_samples, c1_emp=min(c1_1, c1_2),
+                                  c2_emp=max(c2_1, c2_2), c1_floor=2.0 ** (2.0 - p),
+                                  violations=bad_1 + bad_2)
+
+
+# a ratio that leaves the double range raises or is harmless, so numpy's
+# warnings for it would only repeat that
+@np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore")
+def _inequality_extremes(rng: np.random.Generator, n: int, dim: int, p: float,
+                         n_anti: int) -> tuple[float, float, int]:
+    """Draw n pairs in R^dim for check_vector_inequalities, the first n_anti
+    of them antipodal, and return the smallest ratio (a), the largest ratio
+    (b) and the violation count over the kept pairs. The arrays live only in
+    this call, so the caller's next set is drawn after they are freed."""
+    scale = 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    x1 = rng.standard_normal((n, dim))
+    x2 = rng.standard_normal((n, dim))
+    x1 *= scale
+    x2 *= scale
+    del scale
+    x2[:n_anti] = -x1[:n_anti]
 
     c1_emp = math.inf
     c2_emp = 0.0
     violations = 0
     floor = 2.0 ** (2.0 - p)
     c2_bound = p - 1.0
-    for a, b in ((x1, x2), (y1, y2)):
+    rows = _BLOCK_VALUES // dim
+    for start in range(0, n, rows):
+        a, b = x1[start:start + rows], x2[start:start + rows]
         d = b - a
         na, nb, dn = _row_norms(a), _row_norms(b), _row_norms(d)
         sums = na + nb
@@ -516,10 +550,15 @@ def check_vector_inequalities(p: float, n_samples: int,
                 - np.where(na > 0.0, na ** (p - 2.0), 0.0)[:, None] * a)
         ratio_a = np.einsum("ij,ij->i", d, dphi) / dn ** p
         ratio_b = _row_norms(dphi) / (sums ** (p - 2.0) * dn)
-        c1_emp = min(c1_emp, float(np.min(ratio_a)))
-        c2_emp = max(c2_emp, float(np.max(ratio_b)))
-        violations += int(np.sum(ratio_a < floor * (1.0 - 1e-9)))
-        violations += int(np.sum(ratio_b > c2_bound * (1.0 + 1e-9)))
-    return VectorInequalityReport(p=p, n_samples=n_samples, c1_emp=c1_emp,
-                                  c2_emp=c2_emp, c1_floor=floor,
-                                  violations=violations)
+        # NaN passes through np.min and np.max; a ratio (a) of +inf, from an
+        # underflowed |x2 - x1|^p, leaves the minimum alone
+        lo, hi = float(np.min(ratio_a)), float(np.max(ratio_b))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"the sampled inequality ratios at p={p} leave the "
+                             f"double range (|x|^(p-2) under- or overflows); "
+                             f"use a smaller p")
+        c1_emp = min(c1_emp, lo)
+        c2_emp = max(c2_emp, hi)
+        violations += int(np.count_nonzero(ratio_a < floor * (1.0 - 1e-9)))
+        violations += int(np.count_nonzero(ratio_b > c2_bound * (1.0 + 1e-9)))
+    return c1_emp, c2_emp, violations

@@ -319,12 +319,26 @@ def _case(argv: list[str], message: str, case_id: str):
           "bad4---gamma: must be a finite number >= 0"),
     _case(["--gamma", "inf"], "gamma must be finite and nonnegative, got inf",
           "bad5---gamma: must be a finite number >= 0"),
+    # |x|^(p-2) leaves the double range: the report would hold inf, which
+    # verify.json cannot take
+    (["--p", "60"], "ratios at p=60.0 leave the double range"),
+    (["--p", "100"], "ratios at p=100.0 leave the double range"),
 ])
 def test_verify_usage_errors_exit_2_before_any_output(tmp_path, capsys, bad, message):
     outdir = tmp_path / "out"
     assert run(["verify", *bad, "--output-dir", str(outdir)]) == 2
     assert message in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def test_verify_samples_help_names_its_default():
+    # --samples parses integers only, so "1e5" in the help was not a value it takes
+    parser = cli.build_parser()
+    verify = next(action for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)).choices["verify"]
+    samples = next(action for action in verify._actions if "--samples" in action.option_strings)
+    assert f"(default: {samples.default})" in samples.help
+    assert samples.type("100000") == samples.default
 
 
 def test_verify_checks_pairs_before_sampling(tmp_path, monkeypatch):

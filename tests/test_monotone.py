@@ -183,7 +183,10 @@ def test_random_scale_is_the_uniform_scale():
         assert a.bit_generator.state == b.bit_generator.state
 
 
-@pytest.mark.parametrize("n_samples", [10_000, 10_001, 100_000])
+# 2 * _BLOCK_VALUES + 3 ends each set in a short block; 20,000 splits the R^1
+# set into blocks of 8192 + 1808 rows and the R^2 set into 4096 * 2 + 1808
+@pytest.mark.parametrize("n_samples", [10_000, 10_001, 100_000,
+                                       2 * monotone._BLOCK_VALUES + 3, 20_000])
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
 def test_vector_inequalities_bit_equal_to_reference(n_samples, p):
     for seed in (0, 5, 42):
@@ -217,13 +220,19 @@ class CoincidingDraws:
         return x
 
 
-@pytest.mark.parametrize("rows", [[], [0, 1, 500, 4999], [64, 65, 3000]])
+@pytest.mark.parametrize("rows, n_samples", [
+    pytest.param([], 10_000, id="rows0"),
+    pytest.param([0, 1, 500, 4999], 10_000, id="rows1"),
+    pytest.param([64, 65, 3000], 10_000, id="rows2"),
+    # the last and first rows of adjacent blocks: 4096 rows per R^2 block,
+    # 8192 per R^1 block
+    pytest.param([4095, 4096, 8191, 8192], 20_000, id="rows3")])
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
-def test_vector_inequalities_skip_coinciding_pairs_like_reference(p, rows):
+def test_vector_inequalities_skip_coinciding_pairs_like_reference(p, rows, n_samples):
     # a coinciding pair left in would give ratio (a) = 0/0 and a NaN c1_emp;
     # rows = [] takes the path on which every pair is kept
-    report = check_vector_inequalities(p, 10_000, CoincidingDraws(3, rows))
-    ref = reference_check_vector_inequalities(p, 10_000, CoincidingDraws(3, rows))
+    report = check_vector_inequalities(p, n_samples, CoincidingDraws(3, rows))
+    ref = reference_check_vector_inequalities(p, n_samples, CoincidingDraws(3, rows))
     assert report == ref
     assert math.isfinite(report.c1_emp) and report.violations == 0
 
@@ -244,6 +253,12 @@ def test_sampled_checks_run_in_bounded_memory():
     # 1,000 pairs at n = 799 at once would take 6.4 MB for each (pairs, n) array
     assert peak(lambda: ball_coercivity_samples(
         P15, 0.5, 1_000, np.random.default_rng(7), Grid(n_interior=799))) < cap
+    # evaluating all 100,000 vector pairs at once peaks at 8.5 MiB
+    assert peak(lambda: check_vector_inequalities(3.0, 100_000)) < cap
+    # the draw order fixes the inputs: at 10^6 samples the R^2 set's scale
+    # column, x1 and x2 take 40 bytes per pair (84.5 MiB peak all at once)
+    n2 = 1_000_000 - 1_000_000 // 2
+    assert peak(lambda: check_vector_inequalities(3.0, 1_000_000)) < 40 * n2 + cap
 
 
 def test_monotonicity_sweep_needs_p_above_2():
@@ -270,6 +285,26 @@ def test_vector_inequality_antipodal_ratio():
     dphi = np.linalg.norm(-e) ** (p - 2.0) * (-e) - np.linalg.norm(e) ** (p - 2.0) * e
     ratio = float(np.dot(d, dphi)) / np.linalg.norm(d) ** p
     assert ratio == pytest.approx(2.0 ** (2.0 - p), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [60.0, 100.0])
+def test_vector_inequalities_refuse_exponents_that_leave_the_double_range(p):
+    # |x|^{p-2} underflows for the small pairs (the ratio (b) turns inf, with
+    # false violations) and overflows for the large ones (c1_emp was inf at 100)
+    with pytest.raises(ValueError, match=f"at p={p} "):
+        check_vector_inequalities(p, 100_000)
+
+
+def test_vector_inequalities_keep_an_infinite_ratio_a_like_reference():
+    # seed 12 at p = 43 draws a pair whose |x2 - x1|^p underflows to 0 (the
+    # reference warns of the division): its ratio (a) is +inf, which sets
+    # neither c1_emp nor a violation, so the report is the reference's and finite
+    report = check_vector_inequalities(43.0, 100_000, np.random.default_rng(12))
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        ref = reference_check_vector_inequalities(43.0, 100_000, np.random.default_rng(12))
+    assert report == ref
+    assert math.isfinite(report.c1_emp) and math.isfinite(report.c2_emp)
+    assert report.violations == 0
 
 
 def test_vector_inequalities_preconditions():
