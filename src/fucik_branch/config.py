@@ -14,8 +14,9 @@ class SolverConfig:
     newton_at_lambda through solve_monotone) stop when the dual-norm residual
     falls below tol_abs or below tol_rel times the dual norm of the data. A
     trace starts at seed amplitude alpha0 and takes at most max_steps points.
-    The other limits are constants beside the loops that read them:
-    monotone._MAX_ITER, continuation._CORRECTOR_TOL and _NORM_CAP.
+    The other limits are module constants: the step limits that the solves
+    pass to monotone.newton, monotone._MAX_ITER and
+    continuation._CORRECTOR_MAX_ITER, and continuation._CORRECTOR_TOL and _NORM_CAP.
     """
 
     tol_abs: float = 1e-9

@@ -14,12 +14,14 @@ Numerical Continuation Methods, 1990, ch. 6). The corrector is a damped
 semismooth Newton method on the bordered system (residual + arclength
 plane), solved in O(n) by block elimination on one factorization of the
 tridiagonal (plus rank-one) Jacobian, refined once only where the first
-pass misses its residual test, and damped by monotone.damped_step on the
-norm of (residual, arclength defect). The first
-pass starts from (-r, -c), and both of its solves, J^{-1} u and J^{-1}(-r),
-come with the factorization (see _tridiag and Jacobian.factor). Residuals
-and Jacobians are taken on the nodal value arrays, from one gradient per
-evaluation.
+pass misses its residual test. It runs in monotone.newton, the loop of the
+monotone solves, damped on the norm of (residual, arclength defect), and
+takes at most _CORRECTOR_MAX_ITER = 13 Newton steps, so it tests 14
+iterates; where it fails it raises SolverError, and trace_branch halves the
+step. The first pass starts from (-r, -c), and both of its solves,
+J^{-1} u and J^{-1}(-r), come with the factorization (see _tridiag and
+Jacobian.factor). Residuals and Jacobians are taken on the nodal value
+arrays, from one gradient per evaluation.
 
 The Lyapunov-Schmidt split u = alpha*e_k + v with v orthogonal to e_k, the
 spectral cones around +-e_k, and the fixed-point defect built from
@@ -39,7 +41,7 @@ import numpy as np
 from .config import SolverConfig
 from .grid import Field, Grid, h10_norm, inner_l2, l2_norm, laplacian_solve_values
 from .halfeig import gamma_window, split_eigenvalues
-from .monotone import (MAX_HALVINGS, SolverError, damped_step, solve_monotone,
+from .monotone import (MAX_HALVINGS, STALLED, SolverError, newton, solve_monotone,
                        solve_monotone_ball)
 from .quasilinear import (Jacobian, ProblemParams, jacobian_values, original_h10_norm,
                           residual_original_values, residual_transformed_values)
@@ -51,12 +53,13 @@ from .spectrum import closed_form_eigenvalue, eigenpair
 
 logger = logging.getLogger("fucik_branch.continuation")
 
-# step-length policy: first and largest arclength step, corrector iterations
-# per step; a trace meets the trivial branch below _ZERO_CAP in L2 norm within
-# _TRIVIAL_MATCH_TOL of a half-eigenvalue other than its seed
+# step-length policy: first and largest arclength step, Newton steps per
+# corrector call (so 14 tests of its iterates); a trace meets the trivial
+# branch below _ZERO_CAP in L2 norm within _TRIVIAL_MATCH_TOL of a
+# half-eigenvalue other than its seed
 _DS0 = 5e-3
 _DS_MAX = 0.25
-_CORRECTOR_MAX_ITER = 14
+_CORRECTOR_MAX_ITER = 13
 # corrector tolerance, relative to max(1, |lambda| ||u||_2), and the L2 norm
 # above which a trace meets infinity
 _CORRECTOR_TOL = 1e-10
@@ -235,10 +238,6 @@ def ls_residual(alpha: float, lam: float, v: Field, params: ProblemParams,
     return scalar, Field(grid, dv)
 
 
-class _CorrectorFailed(Exception):
-    pass
-
-
 class _TraceProblem:
     """Residual and generalized Jacobian of the traced equation at given lambda."""
 
@@ -275,10 +274,10 @@ def _bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,
     try:
         solve, (y, x) = jac.factor(u, -r)
     except ValueError as exc:
-        raise _CorrectorFailed(f"singular bordered system: {exc}")
+        raise SolverError(f"singular bordered system: {exc}")
     schur = h * float(np.dot(row_u, y)) + row_lam
     if schur == 0.0:
-        raise _CorrectorFailed("singular bordered system: zero Schur complement")
+        raise SolverError("singular bordered system: zero Schur complement")
     dlam = (-c - h * float(np.dot(row_u, x))) / schur
     du = x + dlam * y
     res_u = dlam * u - r - jac.apply_values(du)
@@ -296,35 +295,36 @@ def _corrector(prob: _TraceProblem, u0: np.ndarray, lam0: float,
                ) -> tuple[np.ndarray, float, int, float, float]:
     """Bordered Newton for F(u, lam) = 0 with <row_u, u>_2 + row_lam*lam = c0.
 
-    Damped on the norm of (F, constraint defect) over the stacked (u, lam)."""
+    Damped on the norm of (F, constraint defect) over the stacked (u, lam);
+    converged when both parts are at most _CORRECTOR_TOL max(1, |lam| ||u||_2).
+    Returns (u, lam, steps, ||F||, that tolerance)."""
     h = prob.grid.h
     n = u0.size
 
-    def trial(x: np.ndarray) -> tuple[float, tuple[np.ndarray, float]]:
-        r = prob.residual(x[:n], float(x[n]))
-        c = h * float(np.dot(row_u, x[:n])) + row_lam * float(x[n]) - c0
-        return math.sqrt(h * float(np.dot(r, r)) + c * c), (r, c)
+    def trial(x: np.ndarray) -> tuple[float, tuple]:
+        u, lam = x[:n], float(x[n])
+        r = prob.residual(u, lam)
+        c = h * float(np.dot(row_u, u)) + row_lam * lam - c0
+        rr = h * float(np.dot(r, r))
+        tol_eff = _CORRECTOR_TOL * max(1.0, abs(lam) * math.sqrt(h * float(np.dot(u, u))))
+        return math.sqrt(rr + c * c), (r, c, math.sqrt(rr), tol_eff)
+
+    def directions(x: np.ndarray, m0: float, data: tuple) -> list[tuple[np.ndarray, float]]:
+        du, dlam = _bordered_solve(prob.jacobian(x[:n], float(x[n])), x[:n], row_u,
+                                   row_lam, data[0], data[1])
+        if not (np.all(np.isfinite(du)) and math.isfinite(dlam)):
+            raise SolverError("non-finite Newton step")
+        return [(np.append(du, dlam), -m0)]
 
     x = np.append(u0, lam0)
-    _, (r, c) = trial(x)
-    for it in range(_CORRECTOR_MAX_ITER):
-        u, lam = x[:n], float(x[n])
-        rr = h * float(np.dot(r, r))
-        rnorm = math.sqrt(rr)
-        scale = max(1.0, abs(lam) * math.sqrt(h * float(np.dot(u, u))))
-        tol_eff = _CORRECTOR_TOL * scale
-        if rnorm <= tol_eff and abs(c) <= tol_eff:
-            return u, lam, it, rnorm, tol_eff
-        du, dlam = _bordered_solve(prob.jacobian(u, lam), u, row_u, row_lam, r, c)
-        if not (np.all(np.isfinite(du)) and math.isfinite(dlam)):
-            raise _CorrectorFailed("non-finite Newton step")
-        m0 = math.sqrt(rr + c * c)
-        step = damped_step(x, m0, [(np.append(du, dlam), -m0)], trial)
-        if step is None:
-            raise _CorrectorFailed("corrector line search stalled")
-        x, (r, c) = step
-    raise _CorrectorFailed(f"no corrector convergence in "
-                           f"{_CORRECTOR_MAX_ITER} iterations")
+    x, _, (_, _, rnorm, tol_eff), it, stop = newton(
+        x, *trial(x), trial, directions,
+        lambda d: d[2] <= d[3] and abs(d[1]) <= d[3], _CORRECTOR_MAX_ITER)
+    if stop is STALLED:
+        raise SolverError("corrector line search stalled")
+    if stop is not None:
+        raise SolverError(f"no corrector convergence in {_CORRECTOR_MAX_ITER} iterations")
+    return x[:n], float(x[n]), it, rnorm, tol_eff
 
 
 def _corrector_start(prob: _TraceProblem, history: collections.deque, s_next: float,
@@ -401,8 +401,8 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
         u, lam, iters, _, tol_eff = _corrector(
             prob, config.alpha0 * vdir.values, lam_star,
             ek.vector.values, 0.0, a0)
-    except _CorrectorFailed as exc:
-        raise SolverError(f"seed correction failed for {seed}: {exc}")
+    except SolverError as exc:
+        raise SolverError(f"seed correction failed for {seed}: {exc}") from exc
 
     def make_point(s: float, u_vals: np.ndarray, lam_val: float,
                    tol_val: float, iters: int) -> BranchPoint:
@@ -431,25 +431,21 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
     candidates: list[float] | None = None
 
     while len(points) < config.max_steps and termination is None:
-        halved = 0
-        step_result = None
-        while True:
+        # the corrector gets MAX_HALVINGS + 1 tries, ds halved after each failure
+        for _ in range(MAX_HALVINGS + 1):
             pred_u = u + ds * t_u
             pred_lam = lam + ds * t_lam
             c0 = grid.h * float(np.dot(t_u, pred_u)) + t_lam * pred_lam
             u0, lam0 = _corrector_start(prob, history, s + ds, pred_u, pred_lam)
             try:
-                step_result = _corrector(prob, u0, lam0, t_u, t_lam, c0)
+                u_new, lam_new, iters, _, tol_eff = _corrector(prob, u0, lam0, t_u, t_lam, c0)
                 break
-            except _CorrectorFailed as exc:
-                halved += 1
-                if halved > MAX_HALVINGS:
-                    termination = CorrectorFailure(detail=str(exc))
-                    break
+            except SolverError as exc:
+                failure = str(exc)
                 ds *= 0.5
-        if step_result is None:
+        else:
+            termination = CorrectorFailure(detail=failure)
             break
-        u_new, lam_new, iters, _, tol_eff = step_result
         du = u_new - u
         step_len = math.sqrt(grid.h * float(np.dot(du, du))
                              + (lam_new - lam) ** 2)
@@ -464,7 +460,7 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
         points.append(make_point(s, u, lam, tol_eff, iters))
         if iters <= 3:
             ds = min(ds * 1.4, _DS_MAX)
-        elif iters >= _CORRECTOR_MAX_ITER - 3:
+        elif iters >= 11:
             ds = max(ds * 0.6, 1e-12)
         l2u = points[-1].l2
         if l2u > _NORM_CAP:

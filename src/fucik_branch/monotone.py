@@ -1,5 +1,5 @@
 """Monotone-operator solves for M = -Delta_p - Delta - gamma*(.)^- - lam, and
-the damped-Newton step that every nonlinear solve of the package takes.
+the damped-Newton loop that every nonlinear solve of the package runs.
 
 For p > 2 and lam below the first discrete eigenvalue the operator is
 strongly monotone and the gradient of a convex energy, so a semismooth
@@ -10,12 +10,14 @@ at least 1 - (4-p) L^{1-p/2} r^2 on the ball of radius r in H^1_0(0, L) for
 lam <= 0; the ball-restricted solve refuses to leave that ball and
 line-searches on the dual norm of the residual.
 
-damped_step is the package's one Armijo backtracking loop, over Newton and
-then Picard directions; its callers here and in continuation differ only in
-their merit and stopping tests. The Jacobians they take regularize
-themselves for 1 < p < 2 (see quasilinear), so no caller passes an
-epsilon. Both solves iterate on nodal arrays, one gradient per line-search
-trial, and build a Field only for the SolveReport they return or raise with.
+newton is the package's one damped-Newton loop, and damped_step its Armijo
+search over Newton and then Picard directions; the two solves here (which
+share _solve) and the continuation corrector differ only in their trial and
+merit, directions, convergence test, acceptance checks and messages. The
+Jacobians they take regularize themselves for 1 < p < 2 (see quasilinear),
+so no caller passes an epsilon. Both solves iterate on nodal arrays, one
+gradient per line-search trial, and build a Field only for the SolveReport
+they return or raise with.
 
 The vector inequalities backing the p > 2 case are checked empirically by
 check_vector_inequalities, and strong monotonicity by monotonicity_sweep,
@@ -36,7 +38,6 @@ numpy work around the arithmetic was cut.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -54,13 +55,14 @@ from .grid import dual_norm  # noqa: F401 -- perfbench/tracer.py patches it by n
 from .quasilinear import (energy, jacobian_original, jacobian_transformed,  # noqa: F401
                           residual_original, residual_transformed)
 
-logger = logging.getLogger("fucik_branch.monotone")
-
 # Armijo slope fraction and halvings per direction of damped_step
 ARMIJO = 1e-4
 MAX_HALVINGS = 8
 # Newton steps a monotone solve takes at most
 _MAX_ITER = 80
+# the stops of newton short of convergence, other than a refused step
+STALLED = "stalled"
+OUT_OF_STEPS = "out of steps"
 # doubles per (pairs, n) array in the blocks of the sampled checks (64 KiB)
 _BLOCK_VALUES = 1 << 13
 # fewest sample pairs check_vector_inequalities accepts
@@ -145,10 +147,74 @@ def damped_step(x, m0: float, directions: Iterable[tuple[object, float]],
     return None
 
 
-def _report(grid: Grid, u: np.ndarray, it: int, rnorm: float, coercivity: float,
-            radius: float) -> SolveReport:
-    return SolveReport(solution=Field(grid, u), iterations=it, final_residual=rnorm,
-                       coercivity_estimate=coercivity, ball_radius_used=radius)
+def newton(x, merit: float, data, trial: Callable, directions: Callable,
+           converged: Callable, max_iter: int, accept: Callable | None = None,
+           slack: float = 0.0) -> tuple:
+    """Damped Newton from x, whose merit and data are given; trial(y) returns
+    (merit, data) at a trial point y.
+
+    converged(data) is tested before each of at most max_iter steps and
+    after the last. A step is damped_step over directions(x, merit, data),
+    with slack * |merit| of Armijo slack; accept(x, data, x_new, data_new)
+    returns the data kept for x_new or raises SolverError to refuse it.
+    Returns (x, merit, data, steps, stop) at the last iterate tested, stop
+    being None (converged), STALLED, OUT_OF_STEPS or accept's SolverError.
+    """
+    def kept(y):
+        m, d = trial(y)
+        return m, (m, d)
+
+    for it in range(max_iter + 1):
+        if converged(data):
+            return x, merit, data, it, None
+        if it == max_iter:
+            return x, merit, data, it, OUT_OF_STEPS
+        step = damped_step(x, merit, directions(x, merit, data), kept, slack * abs(merit))
+        if step is None:
+            return x, merit, data, it, STALLED
+        x_new, (merit_new, data_new) = step
+        if accept is not None:
+            try:
+                data_new = accept(x, data, x_new, data_new)
+            except SolverError as exc:
+                return x, merit, data, it, exc
+        x, merit, data = x_new, merit_new, data_new
+
+
+def _solve(f: Field, params: ProblemParams, config: SolverConfig | None, u: np.ndarray,
+           merit: float, data: tuple, trial: Callable, accept: Callable, radius: float,
+           stalled: str, slack: float = 0.0) -> SolveReport:
+    """newton from u for the energy (p > 2) or the ball solve: the SolveReport
+    of the last iterate tested, or SolverError with it. An iterate's data are
+    its residual, gradient, residual norm (tested against the tolerance) and
+    the coercivity sampled so far; the slope of a direction d is (r, d)_2 on
+    the energy and -merit on the ball's residual norm."""
+    if config is None:
+        config = SolverConfig()
+    grid, h = f.grid, f.grid.h
+    transformed = params.p < 2.0
+    tol = max(config.tol_abs, config.tol_rel * dual_norm_values(grid, f.values))
+
+    def directions(u: np.ndarray, merit: float, data: tuple) -> Iterator[tuple]:
+        r = data[0]
+        dirs = newton_then_picard(_jacobian(u, data[1], grid, params, transformed), r, grid)
+        return ((d, -merit if transformed else h * float(np.dot(r, d))) for d in dirs)
+
+    u, _, (_, _, rnorm, coercivity), it, stop = newton(
+        u, merit, data, trial, directions, lambda data: data[2] <= tol,
+        _MAX_ITER, accept, slack)
+    report = SolveReport(solution=Field(grid, u), iterations=it, final_residual=rnorm,
+                         coercivity_estimate=coercivity, ball_radius_used=radius)
+    if stop is None:
+        return report
+    if stop is STALLED:
+        message = stalled.format(rnorm=rnorm, tol=tol)
+    elif stop is OUT_OF_STEPS:
+        message = (f"no convergence in {_MAX_ITER} iterations "
+                   f"(residual {rnorm:.3e}, tol {tol:.3e})")
+    else:
+        message = str(stop)
+    raise SolverError(message, report)
 
 
 def solve_monotone(f: Field, params: ProblemParams,
@@ -165,52 +231,37 @@ def solve_monotone(f: Field, params: ProblemParams,
     """
     if params.p <= 2.0:
         raise ValueError(f"solve_monotone needs p > 2, got p={params.p}; use the ball solve")
-    if config is None:
-        config = SolverConfig()
     grid, h, fv = f.grid, f.grid.h, f.values
     if u0 is not None:
         _check_same_grid(u0, f)
     u = laplacian_solve_values(grid, fv) if u0 is None else u0.values
 
-    def trial(w: np.ndarray) -> tuple[float, tuple[float, np.ndarray]]:
+    def trial(w: np.ndarray) -> tuple[float, np.ndarray]:
         require_finite(w)
         g = gradient_values(w, h)
-        merit = _energy(w, g, h, params) - h * float(np.dot(fv, w))
-        return merit, (merit, g)
+        return _energy(w, g, h, params) - h * float(np.dot(fv, w)), g
 
     def residual(w: np.ndarray, g: np.ndarray) -> np.ndarray:
         rw = _residual(w, g, h, params, 1.0) - fv
         require_finite(rw)
         return rw
 
-    m0, (_, g) = trial(u)
-    r = residual(u, g)
-    tol = max(config.tol_abs, config.tol_rel * dual_norm_values(grid, fv))
-    coercivity = math.inf
-    for it in range(_MAX_ITER + 1):
-        rnorm = dual_norm_values(grid, r)
-        if rnorm <= tol:
-            return _report(grid, u, it, rnorm, coercivity, math.inf)
-        if it == _MAX_ITER:
-            break
-        dirs = newton_then_picard(_jacobian(u, g, grid, params, False), r, grid)
-        # near convergence the true decrease drops below the float resolution of
-        # the energy; the slack keeps full Newton steps acceptable on that plateau
-        step = damped_step(u, m0, ((d, h * float(np.dot(r, d))) for d in dirs), trial,
-                           slack=32.0 * np.finfo(float).eps * abs(m0))
-        if step is None:
-            raise SolverError(f"line search stalled in monotone solve "
-                              f"(residual {rnorm:.3e}, tol {tol:.3e})",
-                              _report(grid, u, it, rnorm, coercivity, math.inf))
-        u_new, (m0, g) = step
+    def accept(u: np.ndarray, data: tuple, u_new: np.ndarray, g: np.ndarray) -> tuple:
         r_new = residual(u_new, g)
         # r carries M(u) - f, so r_new - r = M(u_new) - M(u)
-        coercivity = min(coercivity, float(_monotonicity_ratios(
-            r_new - r, u_new - u, h, params.p)))
-        u, r = u_new, r_new
-    raise SolverError(f"no convergence in {_MAX_ITER} iterations "
-                      f"(residual {rnorm:.3e}, tol {tol:.3e})",
-                      _report(grid, u, it, rnorm, coercivity, math.inf))
+        coercivity = min(data[3], float(_monotonicity_ratios(
+            r_new - data[0], u_new - u, h, params.p)))
+        return r_new, g, dual_norm_values(grid, r_new), coercivity
+
+    m0, g = trial(u)
+    r = residual(u, g)
+    # near convergence the true decrease drops below the float resolution of
+    # the energy; the slack keeps full Newton steps acceptable on that plateau
+    return _solve(f, params, config, u, m0, (r, g, dual_norm_values(grid, r), math.inf),
+                  trial, accept, math.inf,
+                  "line search stalled in monotone solve "
+                  "(residual {rnorm:.3e}, tol {tol:.3e})",
+                  slack=32.0 * np.finfo(float).eps)
 
 
 def _monotonicity_ratios(dr: np.ndarray, du: np.ndarray, h: float,
@@ -399,8 +450,6 @@ def solve_monotone_ball(f: Field, params: ProblemParams,
     """
     if not (1.0 < params.p < 2.0):
         raise ValueError("solve_monotone_ball requires 1 < p < 2")
-    if config is None:
-        config = SolverConfig()
     grid, h, fv = f.grid, f.grid.h, f.values
     if radius is None:
         radius = default_ball_radius(params, grid=grid)
@@ -414,44 +463,33 @@ def solve_monotone_ball(f: Field, params: ProblemParams,
         nrm = float(h10_values(g, h))
         rw = _residual(w, g, h, params, nrm ** (4.0 - params.p)) - fv
         require_finite(rw)
-        merit = dual_norm_values(grid, rw)
-        return merit, (rw, merit, g, nrm)
+        rnorm = dual_norm_values(grid, rw)
+        return rnorm, (rw, g, rnorm, nrm)
 
-    rnorm, (r, _, g, nrm) = trial(v)
-    if nrm > radius:
-        raise ValueError("initial guess lies outside the coercivity ball")
-    tol = max(config.tol_abs, config.tol_rel * dual_norm_values(grid, fv))
-    coercivity = math.inf
-    for it in range(_MAX_ITER + 1):
-        if rnorm <= tol:
-            return _report(grid, v, it, rnorm, coercivity, radius)
-        if it == _MAX_ITER:
-            break
-        dirs = newton_then_picard(_jacobian(v, g, grid, params, True), r, grid)
-        step = damped_step(v, rnorm, ((d, -rnorm) for d in dirs), trial)
-        if step is None:
-            raise SolverError("line search stalled in ball-restricted solve",
-                              _report(grid, v, it, rnorm, coercivity, radius))
-        v_new, (r_new, rnorm_new, g, nrm) = step
+    def accept(v: np.ndarray, data: tuple, v_new: np.ndarray, data_new: tuple) -> tuple:
+        r_new, g, rnorm, nrm = data_new
         if nrm > radius:
             raise SolverError(
                 f"iterate left the coercivity ball (||v||_1,2 = "
                 f"{nrm:.6g} > r = {radius:.6g}); reduce the radius "
-                f"or the data", _report(grid, v, it, rnorm, coercivity, radius))
+                f"or the data")
         dv = v_new - v
         denom = float(h10_values(gradient_values(dv, h), h)) ** 2
+        coercivity = data[3]
         if denom > 0.0:
-            sample = h * float(np.dot(r_new - r, dv)) / denom
+            sample = h * float(np.dot(r_new - data[0], dv)) / denom
             if sample <= 0.0:
                 raise SolverError(
                     f"nonpositive monotonicity sample {sample:.3e} on the ball "
-                    f"of radius {radius:.6g}: radius too large",
-                    _report(grid, v, it, rnorm, coercivity, radius))
+                    f"of radius {radius:.6g}: radius too large")
             coercivity = min(coercivity, sample)
-        v, r, rnorm = v_new, r_new, rnorm_new
-    raise SolverError(f"no convergence in {_MAX_ITER} iterations "
-                      f"(residual {rnorm:.3e}, tol {tol:.3e})",
-                      _report(grid, v, it, rnorm, coercivity, radius))
+        return r_new, g, rnorm, coercivity
+
+    rnorm, (r, g, _, nrm) = trial(v)
+    if nrm > radius:
+        raise ValueError("initial guess lies outside the coercivity ball")
+    return _solve(f, params, config, v, rnorm, (r, g, rnorm, math.inf), trial, accept,
+                  radius, "line search stalled in ball-restricted solve")
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:

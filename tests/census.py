@@ -12,7 +12,8 @@ points, seconds, and for even k the mirror defect against the other side.
 Prints per-(p < 2, p > 2) tallies of the terminations, the Newton steps per
 point and the even-k mirror pairs that end differently. With --against, a
 CSV of an earlier run at the same n, it also prints the rows whose
-termination, point count or final (lambda, ||u||_2, arclength) changed, the
+termination, failure detail, point count or final (lambda, ||u||_2,
+arclength) changed, the
 largest relative change of those three among the changed rows that keep
 their termination and point count, and the diff of the tallies, and exits
 with status 1 when any row changed (0 otherwise), so that it serves as a
@@ -54,7 +55,7 @@ PRINTED = ("p", "k", "gamma_frac", "which", "termination", "points", "lam", "l2"
 KEY = ("p", "k", "gamma_frac", "which")
 # what --against compares; seconds always differ, and mirror_defect follows
 # from the points
-COMPARED = ("termination", "points", "lam", "l2", "arclength")
+COMPARED = ("termination", "detail", "points", "lam", "l2", "arclength")
 # the final values whose relative change is reported for rows that keep their
 # termination and point count
 DRIFTED = ("lam", "l2", "arclength")

@@ -428,10 +428,10 @@ def reference_bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,
 
         y = solve(u)
     except ValueError as exc:
-        raise continuation._CorrectorFailed(f"singular bordered system: {exc}")
+        raise SolverError(f"singular bordered system: {exc}")
     schur = h * float(np.dot(row_u, y)) + row_lam
     if schur == 0.0:
-        raise continuation._CorrectorFailed("singular bordered system: zero Schur complement")
+        raise SolverError("singular bordered system: zero Schur complement")
     du, dlam = np.zeros_like(u), 0.0
     for refine in (False, True):
         res_u = dlam * u - r - jac.apply_values(du)

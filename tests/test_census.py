@@ -79,3 +79,21 @@ def test_against_reads_a_csv_without_newton_steps(tmp_path, monkeypatch, capsys)
     out = capsys.readouterr().out
     assert "0 of 126 rows changed" in out
     assert "tallies unchanged" in out
+
+
+def test_against_compares_failure_details(tmp_path, monkeypatch, capsys):
+    # a row that keeps its termination and values but changes its reason
+    monkeypatch.setattr(census, "trace_row", _row)
+    first = tmp_path / "first.csv"
+    census.main(["--n", "9", "--out", str(first)])
+    with first.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[5]["detail"] = "corrector line search stalled"
+    edited = _write(tmp_path / "edited.csv", rows, census.FIELDS)
+    capsys.readouterr()
+    assert census.main(["--n", "9", "--out", str(tmp_path / "new.csv"),
+                        "--against", str(edited)]) == 1
+    out = capsys.readouterr().out
+    assert "1 of 126 rows changed" in out
+    assert "1.2 2 0.9 1: detail 'corrector line search stalled' -> ''" in out
+    assert "tallies unchanged" in out

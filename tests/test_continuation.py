@@ -12,7 +12,6 @@ from fucik_branch import _tridiag, continuation, monotone, quasilinear
 from fucik_branch.config import SolverConfig
 from fucik_branch.continuation import (BranchSeed, ConeParams, Termination,
                                        _bordered_solve, _corrector,
-                                       _CorrectorFailed,
                                        _TraceProblem, _trivial_candidates,
                                        cone_test,
                                        decompose, ls_residual,
@@ -609,7 +608,7 @@ def test_singular_bordered_system_raises(grid):
          "singular rank-one update"),
     ]
     for jac, row_u, why in cases:
-        with pytest.raises(_CorrectorFailed, match=f"singular bordered system: {why}"):
+        with pytest.raises(SolverError, match=f"singular bordered system: {why}"):
             _bordered_solve(jac, e1, row_u, 0.0, ones, 0.0)
 
 
@@ -633,7 +632,7 @@ def test_corrector_evaluates_each_trial_once(grid, monkeypatch, p):
     name = "residual_transformed_values" if p < 2.0 else "residual_original_values"
     monkeypatch.setattr(continuation, name, counting(
         counts, "residuals", getattr(continuation, name)))
-    count_trials(monkeypatch, continuation, counts)
+    count_trials(monkeypatch, monotone, counts)
     pair = split_eigenvalues(grid, 2, 0.5)
     ek = eigenpair(grid, 2).vector
     alpha0 = 0.1
@@ -643,6 +642,32 @@ def test_corrector_evaluates_each_trial_once(grid, monkeypatch, p):
     assert iters >= 2
     assert counts["trials"] >= iters
     assert counts["residuals"] == 1 + counts["trials"]
+
+
+def test_corrector_tests_every_iterate_it_steps_to(grid, monkeypatch):
+    # with an unreachable tolerance and a line search that never stalls, the
+    # corrector takes _CORRECTOR_MAX_ITER = 13 steps and tests each of the 14
+    # iterates, the last included, before it gives up
+    counts = {"steps": 0, "tests": 0}
+    step, loop = monotone.damped_step, continuation.newton
+
+    def never_stalls(x, m0, directions, trial, slack=0.0):
+        counts["steps"] += 1
+        return step(x, m0, directions, trial, slack) or (x, trial(x)[1])
+
+    def counted_loop(x, merit, data, trial, directions, converged, *args):
+        return loop(x, merit, data, trial, directions,
+                    counting(counts, "tests", converged), *args)
+
+    monkeypatch.setattr(continuation, "_CORRECTOR_TOL", -1.0)
+    monkeypatch.setattr(monotone, "damped_step", never_stalls)
+    monkeypatch.setattr(continuation, "newton", counted_loop)
+    pair = split_eigenvalues(grid, 2, 0.5)
+    ek = eigenpair(grid, 2).vector
+    with pytest.raises(SolverError, match="no corrector convergence in 13 iterations"):
+        _corrector(_TraceProblem(grid, 3.0, 0.5), 0.1 * pair.v1.values, pair.lambda1,
+                   ek.values, 0.0, 0.1 * inner_l2(ek, pair.v1))
+    assert counts == {"steps": 13, "tests": 14}
 
 
 def test_points_record_the_corrector_iterations(grid, monkeypatch):

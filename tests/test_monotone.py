@@ -589,6 +589,80 @@ def test_stalled_line_search_is_reported_as_a_stall(grid, monkeypatch):
     assert calls["steps"] == 2
 
 
+def halving_loop(counts: dict) -> tuple:
+    """trial and directions of a scalar newton run: merit x^2 and the
+    direction -x/2 of slope -x^2, so every step halves x at t = 1 and no
+    iterate reaches 0. counts["trials"] and counts["steps"] count their calls."""
+    def trial(y: float) -> tuple[float, float]:
+        counts["trials"] += 1
+        return y * y, y
+
+    def directions(x: float, merit: float, data) -> list[tuple[float, float]]:
+        counts["steps"] += 1
+        return [(-0.5 * x, -x * x)]
+
+    return trial, directions
+
+
+def never(data) -> bool:
+    return False
+
+
+def test_newton_takes_no_step_from_a_converged_start():
+    counts = {"trials": 0, "steps": 0, "tests": 0}
+    trial, directions = halving_loop(counts)
+    converged = counting(counts, "tests", lambda data: True)
+    assert monotone.newton(1.0, 1.0, 1.0, trial, directions, converged, 5) \
+        == (1.0, 1.0, 1.0, 0, None)
+    assert counts == {"trials": 0, "steps": 0, "tests": 1}
+
+
+def test_newton_with_an_unreachable_tolerance_takes_max_iter_steps():
+    # max_iter steps and max_iter + 1 tests, the last iterate tested returned
+    counts = {"trials": 0, "steps": 0, "tests": 0}
+    trial, directions = halving_loop(counts)
+    x, merit, data, steps, stop = monotone.newton(
+        1.0, 1.0, 1.0, trial, directions, counting(counts, "tests", never), 6)
+    assert stop is monotone.OUT_OF_STEPS
+    assert steps == counts["steps"] == counts["trials"] == 6
+    assert counts["tests"] == 7
+    assert (x, merit, data) == (2.0 ** -6, 2.0 ** -12, 2.0 ** -6)
+
+
+def test_newton_reports_a_stall_as_a_stall():
+    # the second direction is an ascent that claims descent, so every
+    # trial of the second step fails
+    counts = {"trials": 0, "steps": 0}
+    trial, halving = halving_loop(counts)
+
+    def directions(x, merit, data):
+        d, slope = halving(x, merit, data)[0]
+        return [(d if counts["steps"] == 1 else -d, slope)]
+
+    x, merit, data, steps, stop = monotone.newton(1.0, 1.0, 1.0, trial, directions,
+                                                  never, 5)
+    assert stop is monotone.STALLED
+    assert (x, merit, data, steps) == (0.5, 0.25, 0.5, 1)
+    assert counts["trials"] == 1 + monotone.MAX_HALVINGS + 1
+
+
+def test_newton_refused_step_leaves_the_pre_step_iterate():
+    # accept keeps its own data for each step and refuses the second
+    counts = {"trials": 0, "steps": 0}
+    trial, directions = halving_loop(counts)
+
+    def accept(x, data, x_new, data_new):
+        if x_new < 0.3:
+            raise SolverError(f"refused {x_new}")
+        return "kept", data_new
+
+    x, merit, data, steps, stop = monotone.newton(
+        1.0, 1.0, ("kept", 1.0), trial, directions, never, 5, accept)
+    assert isinstance(stop, SolverError) and str(stop) == "refused 0.25"
+    assert (x, merit, data, steps) == (0.5, 0.25, ("kept", 0.5), 1)
+    assert counts["steps"] == counts["trials"] == 2
+
+
 @pytest.mark.parametrize("other", [Grid(length=2.0, n_interior=199), Grid(n_interior=99)],
                          ids=["same-n-other-length", "other-n"])
 def test_solves_reject_u0_on_another_grid(grid, other):
