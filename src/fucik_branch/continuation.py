@@ -7,8 +7,8 @@ bifurcation from infinity of the original problem. A branch is traced by a
 Keller predictor-corrector: the first step leaves the seed along the
 half-eigenfunction with lambda frozen, and later steps constrain the
 corrector to the plane through the secant point normal to the secant
-tangent. For p > 2, once three points past the seed are accepted, the
-corrector starts from their quadratic extrapolation instead of the secant
+tangent. For p > 2, once four points past the seed are accepted, the
+corrector starts from their cubic extrapolation instead of the secant
 point, which leaves most steps one Newton iteration (Allgower & Georg,
 Numerical Continuation Methods, 1990, ch. 6). The corrector is a damped
 semismooth Newton method on the bordered system (residual + arclength
@@ -21,7 +21,8 @@ iterates; where it fails it raises SolverError, and trace_branch halves the
 step. The first pass starts from (-r, -c), and both of its solves,
 J^{-1} u and J^{-1}(-r), come with the factorization (see _tridiag and
 Jacobian.factor). Residuals and Jacobians are taken on the nodal value
-arrays, from one gradient per evaluation.
+arrays, from one gradient per iterate, which also gives the accepted
+point's H^1_0 norm.
 
 The Lyapunov-Schmidt split u = alpha*e_k + v with v orthogonal to e_k, the
 spectral cones around +-e_k, and the fixed-point defect built from
@@ -39,14 +40,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SolverConfig
-from .grid import Field, Grid, h10_norm, inner_l2, l2_norm, laplacian_solve_values
+from .grid import (Field, Grid, gradient_values, h10_values, inner_l2, l2_norm,
+                   laplacian_solve_values)
 from .halfeig import gamma_window, split_eigenvalues
 from .monotone import (MAX_HALVINGS, STALLED, SolverError, newton, solve_monotone,
                        solve_monotone_ball)
-from .quasilinear import (Jacobian, ProblemParams, jacobian_values, original_h10_norm,
-                          residual_original_values, residual_transformed_values)
-# perfbench/tracer.py patches these by name here; the trace calls the *_values
-# functions above
+from .quasilinear import Jacobian, ProblemParams, _jacobian, _residual
+# perfbench/tracer.py patches these by name here; the trace calls the kernels
+# _residual and _jacobian above
 from .quasilinear import (jacobian_original, jacobian_transformed,  # noqa: F401
                           residual_original, residual_transformed)
 from .spectrum import closed_form_eigenvalue, eigenpair
@@ -238,25 +239,17 @@ def ls_residual(alpha: float, lam: float, v: Field, params: ProblemParams,
     return scalar, Field(grid, dv)
 
 
+@dataclass(frozen=True)
 class _TraceProblem:
-    """Residual and generalized Jacobian of the traced equation at given lambda."""
+    """The traced equation at any lambda; for 1 < p < 2 in the rescaled variable."""
 
-    def __init__(self, grid: Grid, p: float, gamma: float):
-        self.grid = grid
-        self.p = p
-        self.gamma = gamma
-        self.transformed = p < 2.0
+    grid: Grid
+    p: float
+    gamma: float
 
-    def _params(self, lam: float) -> ProblemParams:
-        return ProblemParams(p=self.p, gamma=self.gamma, lam=lam)
-
-    def residual(self, u_vals: np.ndarray, lam: float) -> np.ndarray:
-        if self.transformed:
-            return residual_transformed_values(u_vals, self.grid.h, self._params(lam))
-        return residual_original_values(u_vals, self.grid.h, self._params(lam))
-
-    def jacobian(self, u_vals: np.ndarray, lam: float) -> Jacobian:
-        return jacobian_values(u_vals, self.grid, self._params(lam), self.transformed)
+    @property
+    def transformed(self) -> bool:
+        return self.p < 2.0
 
 
 def _bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,
@@ -292,39 +285,45 @@ def _bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,
 
 def _corrector(prob: _TraceProblem, u0: np.ndarray, lam0: float,
                row_u: np.ndarray, row_lam: float, c0: float
-               ) -> tuple[np.ndarray, float, int, float, float]:
+               ) -> tuple[np.ndarray, float, int, float, np.ndarray, float]:
     """Bordered Newton for F(u, lam) = 0 with <row_u, u>_2 + row_lam*lam = c0.
 
     Damped on the norm of (F, constraint defect) over the stacked (u, lam);
     converged when both parts are at most _CORRECTOR_TOL max(1, |lam| ||u||_2).
-    Returns (u, lam, steps, ||F||, that tolerance)."""
+    Each iterate's element gradients are taken once: they give its residual
+    and, if a step leaves it, its Jacobian. Returns (u, lam, steps, that
+    tolerance, the element gradients of u, ||u||_2)."""
     h = prob.grid.h
     n = u0.size
 
     def trial(x: np.ndarray) -> tuple[float, tuple]:
         u, lam = x[:n], float(x[n])
-        r = prob.residual(u, lam)
+        g = gradient_values(u, h)
+        params = ProblemParams(p=prob.p, gamma=prob.gamma, lam=lam)
+        coeff = float(h10_values(g, h)) ** (4.0 - prob.p) if prob.transformed else 1.0
+        r = _residual(u, g, h, params, coeff)
         c = h * float(np.dot(row_u, u)) + row_lam * lam - c0
         rr = h * float(np.dot(r, r))
-        tol_eff = _CORRECTOR_TOL * max(1.0, abs(lam) * math.sqrt(h * float(np.dot(u, u))))
-        return math.sqrt(rr + c * c), (r, c, math.sqrt(rr), tol_eff)
+        l2 = math.sqrt(h * float(np.dot(u, u)))
+        tol_eff = _CORRECTOR_TOL * max(1.0, abs(lam) * l2)
+        return math.sqrt(rr + c * c), (r, c, math.sqrt(rr), tol_eff, g, params, l2)
 
     def directions(x: np.ndarray, m0: float, data: tuple) -> list[tuple[np.ndarray, float]]:
-        du, dlam = _bordered_solve(prob.jacobian(x[:n], float(x[n])), x[:n], row_u,
-                                   row_lam, data[0], data[1])
+        jac = _jacobian(x[:n], data[4], prob.grid, data[5], prob.transformed)
+        du, dlam = _bordered_solve(jac, x[:n], row_u, row_lam, data[0], data[1])
         if not (np.all(np.isfinite(du)) and math.isfinite(dlam)):
             raise SolverError("non-finite Newton step")
         return [(np.append(du, dlam), -m0)]
 
     x = np.append(u0, lam0)
-    x, _, (_, _, rnorm, tol_eff), it, stop = newton(
+    x, _, (_, _, _, tol_eff, g, _, l2), it, stop = newton(
         x, *trial(x), trial, directions,
         lambda d: d[2] <= d[3] and abs(d[1]) <= d[3], _CORRECTOR_MAX_ITER)
     if stop is STALLED:
         raise SolverError("corrector line search stalled")
     if stop is not None:
         raise SolverError(f"no corrector convergence in {_CORRECTOR_MAX_ITER} iterations")
-    return x[:n], float(x[n]), it, rnorm, tol_eff
+    return x[:n], float(x[n]), it, tol_eff, g, l2
 
 
 def _corrector_start(prob: _TraceProblem, history: collections.deque, s_next: float,
@@ -332,23 +331,27 @@ def _corrector_start(prob: _TraceProblem, history: collections.deque, s_next: fl
                      ) -> tuple[np.ndarray, float]:
     """Where the corrector starts the step to arclength s_next.
 
-    For p > 2 with three accepted points (s, u, lam) in history, the
-    quadratic Lagrange extrapolation through them; otherwise the secant
-    point (pred_u, pred_lam). The transformed trace (1 < p < 2) keeps the
-    secant start: where its corrector stalls depends on round-off, and with
-    the quadratic start both p = 1.5, k = 2, gamma = 0.5 traces at n = 399
-    end in CorrectorFailure at the lambda ~ 25.1 stall, which = 1 after 145
-    points and which = 2 after 118 (166 points and MaxSteps at 200 from
-    the secant start). ROADMAP item 10, which replaces that corrector, is
-    where this exception goes.
+    For p > 2 with four accepted points (s, u, lam) in history, the cubic
+    Lagrange extrapolation through them; otherwise the secant point
+    (pred_u, pred_lam). A fifth point saves Newton steps but can lead the
+    corrector to another point of its plane: on the p = 4, k = 2 trace at
+    n = 199 it moved s by 0.11 against the secant start, where four points
+    stay within 2e-10. The transformed trace (1 < p < 2) keeps the secant
+    start: where its corrector stalls depends on round-off, and with the
+    quadratic start both p = 1.5, k = 2, gamma = 0.5 traces at n = 399 end
+    in CorrectorFailure at the lambda ~ 25.1 stall, which = 1 after 145
+    points and which = 2 after 118 (166 points and MaxSteps at 200 from the
+    secant start). ROADMAP item 10, which replaces that corrector, is where
+    this exception goes.
     """
-    if prob.transformed or len(history) < 3:
+    if prob.transformed or len(history) < 4:
         return pred_u, pred_lam
-    (s0, u0, l0), (s1, u1, l1), (s2, u2, l2) = history
-    w0 = (s_next - s1) * (s_next - s2) / ((s0 - s1) * (s0 - s2))
-    w1 = (s_next - s0) * (s_next - s2) / ((s1 - s0) * (s1 - s2))
-    w2 = (s_next - s0) * (s_next - s1) / ((s2 - s0) * (s2 - s1))
-    return w0 * u0 + w1 * u1 + w2 * u2, w0 * l0 + w1 * l1 + w2 * l2
+    u_next, lam_next = 0.0, 0.0
+    for i, (si, ui, li) in enumerate(history):
+        w = math.prod((s_next - sj) / (si - sj)
+                      for j, (sj, _, _) in enumerate(history) if j != i)
+        u_next, lam_next = u_next + w * ui, lam_next + w * li
+    return u_next, lam_next
 
 
 def _trivial_candidates(grid: Grid, gamma: float) -> list[float]:
@@ -378,9 +381,10 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
     rescaled variable, and each point additionally reports the
     back-transformed original norm. Each step is constrained to the plane
     through the secant point u + ds*t normal to the secant tangent t; for
-    p > 2 the corrector starts from the quadratic extrapolation through the
-    last three points past the seed (see _corrector_start), for 1 < p < 2
-    from the secant point. The trace stops when the L2 norm exceeds
+    p > 2 the corrector starts from the cubic extrapolation through the
+    last four points past the seed (see _corrector_start), for 1 < p < 2
+    from the secant point. A point's norms come from the gradient and u.u
+    of the corrector's last iterate. The trace stops when the L2 norm exceeds
     _NORM_CAP (MeetsInfinity), collapses below _ZERO_CAP next to a different
     half-eigenvalue (MeetsTrivial), the step budget runs out (MaxSteps), or
     the corrector fails after MAX_HALVINGS step halvings (CorrectorFailure).
@@ -398,31 +402,31 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
 
     a0 = config.alpha0 * inner_l2(ek.vector, vdir)
     try:
-        u, lam, iters, _, tol_eff = _corrector(
+        u, lam, iters, tol_eff, g, l2 = _corrector(
             prob, config.alpha0 * vdir.values, lam_star,
             ek.vector.values, 0.0, a0)
     except SolverError as exc:
         raise SolverError(f"seed correction failed for {seed}: {exc}") from exc
 
-    def make_point(s: float, u_vals: np.ndarray, lam_val: float,
-                   tol_val: float, iters: int) -> BranchPoint:
+    def make_point(s: float, u_vals: np.ndarray, lam_val: float, tol_val: float,
+                   iters: int, g: np.ndarray, l2: float) -> BranchPoint:
         field = Field(grid, u_vals)
-        h12 = h10_norm(field)
+        h12 = float(h10_values(g, grid.h))
         h12_orig = None
         if prob.transformed and h12 > 0.0:
-            h12_orig = original_h10_norm(field, seed.p)
+            # original_h10_norm of field
+            h12_orig = h12 ** (-1.0 / (1.0 - 0.5 * seed.p))
         alpha = inner_l2(ek.vector, field)
-        l2 = l2_norm(field)
         # cone_test's comparison, on this point's own projection and norm
         return BranchPoint(
             s=s, lam=lam_val, u=field, alpha=alpha, l2=l2, h12=h12,
             in_cone=side * alpha > pair.eta * l2,
             corrector_tol=tol_val, iterations=iters, h12_original=h12_orig)
 
-    points = [make_point(0.0, u, lam, tol_eff, iters)]
-    # the last three accepted points after the seed, as (s, u, lam); the
+    points = [make_point(0.0, u, lam, tol_eff, iters, g, l2)]
+    # the last four accepted points after the seed, as (s, u, lam); the
     # seed's step froze lambda, so it would bend the extrapolation
-    history = collections.deque(maxlen=3)
+    history = collections.deque(maxlen=4)
     t_u = vdir.values.copy()
     t_lam = 0.0
     ds = _DS0
@@ -438,7 +442,8 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
             c0 = grid.h * float(np.dot(t_u, pred_u)) + t_lam * pred_lam
             u0, lam0 = _corrector_start(prob, history, s + ds, pred_u, pred_lam)
             try:
-                u_new, lam_new, iters, _, tol_eff = _corrector(prob, u0, lam0, t_u, t_lam, c0)
+                u_new, lam_new, iters, tol_eff, g, l2 = _corrector(
+                    prob, u0, lam0, t_u, t_lam, c0)
                 break
             except SolverError as exc:
                 failure = str(exc)
@@ -457,7 +462,7 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
         t_lam = (lam_new - lam) / step_len
         u, lam = u_new, lam_new
         history.append((s, u, lam))
-        points.append(make_point(s, u, lam, tol_eff, iters))
+        points.append(make_point(s, u, lam, tol_eff, iters, g, l2))
         if iters <= 3:
             ds = min(ds * 1.4, _DS_MAX)
         elif iters >= 11:

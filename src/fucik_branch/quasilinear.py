@@ -158,13 +158,6 @@ def residual_original_values(values: np.ndarray, h: float,
     return _residual(values, gradient_values(values, h), h, params, 1.0)
 
 
-def residual_transformed_values(values: np.ndarray, h: float,
-                                params: ProblemParams) -> np.ndarray:
-    """residual_transformed of one field's nodal values, from one gradient."""
-    g = gradient_values(values, h)
-    return _residual(values, g, h, params, float(h10_values(g, h)) ** (4.0 - params.p))
-
-
 def _residual(values: np.ndarray, g: np.ndarray, h: float, params: ProblemParams,
               coeff: float) -> np.ndarray:
     """-div(coeff*|g|^{p-2}g + g) - gamma*u^- - lam*u, g the element gradients
@@ -263,7 +256,9 @@ def transform_coefficient(v: Field, p: float) -> float:
 def residual_transformed(v: Field, params: ProblemParams) -> Field:
     """Dual vector of -||v||^{4-p} Delta_p v - Delta v - gamma*v^- - lam*v (1 < p < 2)."""
     _require_singular_range(params.p)
-    return Field(v.grid, residual_transformed_values(v.values, v.grid.h, params))
+    g = element_gradients(v)
+    coeff = float(h10_values(g, v.grid.h)) ** (4.0 - params.p)
+    return Field(v.grid, _residual(v.values, g, v.grid.h, params, coeff))
 
 
 def jacobian_transformed(v: Field, params: ProblemParams) -> Jacobian:

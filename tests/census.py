@@ -8,25 +8,26 @@ Traces p in {1.2, 1.5, 1.8, 2.5, 3, 4} x k in {2, 3, 4} x gamma in
 on a grid of n interior nodes with 200 steps each. Writes one CSV row
 per trace: termination and detail, point count, final (lambda, ||u||_2),
 arclength, the Newton steps of the trace's corrector calls summed over its
-points, seconds, and for even k the mirror defect against the other side.
-Prints per-(p < 2, p > 2) tallies of the terminations, the Newton steps per
-point and the even-k mirror pairs that end differently. With --against, a
-CSV of an earlier run at the same n, it also prints the rows whose
-termination, failure detail, point count or final (lambda, ||u||_2,
-arclength) changed, the
-largest relative change of those three among the changed rows that keep
-their termination and point count, and the diff of the tallies, and exits
-with status 1 when any row changed (0 otherwise), so that it serves as a
-pass/fail check. An earlier CSV without the Newton-step column is read as
-well; the tally diff then leaves the Newton steps out. Needs only numpy; it
-imports the package from the src/ next to this directory. Pytest does not
-collect it.
+points, the corrector calls that failed (each halves the step and its work
+is lost), seconds, and for even k the mirror defect against the other side.
+Prints per-(p < 2, p > 2) tallies of the terminations, the Newton steps and
+failed corrector calls per point and the even-k mirror pairs that end
+differently. With --against, a CSV of an earlier run at the same n, it also
+prints the rows whose termination, failure detail, point count or final
+(lambda, ||u||_2, arclength) changed, the largest relative change of those
+three among the changed rows that keep their termination and point count,
+and the diff of the tallies, and exits with status 1 when any row changed
+(0 otherwise), so that it serves as a pass/fail check. An earlier CSV
+without the Newton-step or failed-call column is read as well; the tally
+diff then leaves that figure out. Needs only numpy; it imports the package
+from the src/ next to this directory. Pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import csv
 import difflib
 import math
@@ -38,6 +39,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from fucik_branch import continuation  # noqa: E402
 from fucik_branch.config import SolverConfig  # noqa: E402
 from fucik_branch.continuation import BranchSeed, trace_branch  # noqa: E402
 from fucik_branch.grid import Grid  # noqa: E402
@@ -49,19 +51,20 @@ KS = (2, 3, 4)
 GAMMA_FRACTIONS = (0.0, 0.25, 0.5, 0.9)
 STEPS = 200
 FIELDS = ("p", "k", "gamma_frac", "which", "termination", "detail", "points",
-          "lam", "l2", "arclength", "newton_steps", "seconds", "mirror_defect")
+          "lam", "l2", "arclength", "newton_steps", "failed_calls", "seconds",
+          "mirror_defect")
 PRINTED = ("p", "k", "gamma_frac", "which", "termination", "points", "lam", "l2",
-           "arclength", "newton_steps", "seconds")
+           "arclength", "newton_steps", "failed_calls", "seconds")
 KEY = ("p", "k", "gamma_frac", "which")
-# what --against compares; seconds always differ, and mirror_defect follows
-# from the points
+# what --against compares; seconds always differ, mirror_defect follows from
+# the points, and the work figures (Newton steps, failed calls) are tallied
 COMPARED = ("termination", "detail", "points", "lam", "l2", "arclength")
 # the final values whose relative change is reported for rows that keep their
 # termination and point count
 DRIFTED = ("lam", "l2", "arclength")
 TYPES = {"p": float, "k": int, "gamma_frac": float, "which": int, "points": int,
          "lam": float, "l2": float, "arclength": float, "newton_steps": int,
-         "seconds": float}
+         "failed_calls": int, "seconds": float}
 
 
 def mirror_defect(first, second) -> float:
@@ -75,26 +78,48 @@ def mirror_defect(first, second) -> float:
     return worst
 
 
+@contextlib.contextmanager
+def failed_corrector_calls():
+    """Count, in the yielded list's one entry, the continuation._corrector
+    calls that raise while the block runs."""
+    failed = [0]
+    corrector = continuation._corrector
+
+    def counted(*args):
+        try:
+            return corrector(*args)
+        except SolverError:
+            failed[0] += 1
+            raise
+
+    continuation._corrector = counted
+    try:
+        yield failed
+    finally:
+        continuation._corrector = corrector
+
+
 def trace_row(grid: Grid, config: SolverConfig, p: float, k: int,
               frac: float, which: int) -> tuple[dict, object]:
     gamma = frac * gamma_window(grid, k).gamma_max
     row = {"p": p, "k": k, "gamma_frac": frac, "which": which, "mirror_defect": ""}
     start = time.perf_counter()
-    try:
-        branch = trace_branch(BranchSeed(k=k, which=which, gamma=gamma, p=p),
-                              grid, config)
-    except SolverError as exc:
-        row.update(termination="SeedFailure", detail=str(exc), points=0,
-                   lam=math.nan, l2=math.nan, arclength=math.nan, newton_steps=0,
-                   seconds=time.perf_counter() - start)
-        return row, None
+    with failed_corrector_calls() as failed:
+        try:
+            branch = trace_branch(BranchSeed(k=k, which=which, gamma=gamma, p=p),
+                                  grid, config)
+        except SolverError as exc:
+            row.update(termination="SeedFailure", detail=str(exc), points=0,
+                       lam=math.nan, l2=math.nan, arclength=math.nan, newton_steps=0,
+                       failed_calls=failed[0], seconds=time.perf_counter() - start)
+            return row, None
     last = branch.points[-1]
     row.update(termination=branch.termination.kind,
                detail=getattr(branch.termination, "detail", ""),
                points=len(branch.points), lam=last.lam, l2=last.l2,
                arclength=last.s,
                newton_steps=sum(pt.iterations for pt in branch.points),
-               seconds=time.perf_counter() - start)
+               failed_calls=failed[0], seconds=time.perf_counter() - start)
     return row, branch
 
 
@@ -103,10 +128,11 @@ def ends_differently(a: dict, b: dict) -> bool:
         != (b["termination"], b["points"], f"{b['lam']:.4f}", f"{b['l2']:.4f}")
 
 
-def tally(rows: list[dict], steps: bool = True) -> list[str]:
+def tally(rows: list[dict], steps: bool = True, failed: bool = True) -> list[str]:
     """Per-(p < 2, p > 2) lines: terminations and, with steps, Newton steps
-    per point; the p of the terminations other than MaxSteps; and the even-k
-    mirror pairs that end differently."""
+    per point and, with failed, failed corrector calls per point; the p of
+    the terminations other than MaxSteps; and the even-k mirror pairs that
+    end differently."""
     sides = collections.defaultdict(list)
     for r in rows:
         if r["k"] % 2 == 0:
@@ -117,9 +143,14 @@ def tally(rows: list[dict], steps: bool = True) -> list[str]:
         kinds = collections.Counter(r["termination"] for r in sel)
         line = f"{cls}: {len(sel)} traces: " \
             + ", ".join(f"{kind} {cnt}" for kind, cnt in sorted(kinds.items()))
+        points = sum(r["points"] for r in sel)
         if steps:
-            taken, points = sum(r["newton_steps"] for r in sel), sum(r["points"] for r in sel)
+            taken = sum(r["newton_steps"] for r in sel)
             line += f"; {taken / points:.3f} Newton steps per point ({taken}/{points})"
+        if failed:
+            lost = sum(r["failed_calls"] for r in sel)
+            line += f"; {lost / points:.3f} failed corrector calls per point " \
+                f"({lost}/{points})"
         lines.append(line)
         others = collections.Counter((r["p"], r["termination"]) for r in sel
                                      if r["termination"] != "MaxSteps")
@@ -212,8 +243,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{kept} changed rows keep their termination and point count; "
                   "largest relative change: "
                   + ", ".join(f"{f} {drift[f]:.2g}" for f in DRIFTED))
-        steps = all("newton_steps" in r for r in before)
-        diff = list(difflib.unified_diff(tally(before, steps), tally(rows, steps),
+        kept_figures = [all(f in r for r in before) for f in ("newton_steps", "failed_calls")]
+        diff = list(difflib.unified_diff(tally(before, *kept_figures),
+                                         tally(rows, *kept_figures),
                                          str(args.against),
                                          str(args.out), lineterm="", n=0))
         print("\n".join(diff) if diff else "tallies unchanged")

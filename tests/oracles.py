@@ -382,25 +382,24 @@ def _with_h10_norm(values: np.ndarray, norm: np.ndarray, h: float) -> np.ndarray
     return out
 
 
-class ReferenceTraceProblem:
-    """continuation._TraceProblem through the Field functions: a Field built
-    around every residual and Jacobian argument."""
+def reference_trace_residual(grid: Grid):
+    """continuation._residual through the Field functions, for one grid: a
+    Field built around the values, and the gradient and coefficient passed
+    in ignored (the transformed residual takes its own norm coefficient)."""
+    def residual(values: np.ndarray, g: np.ndarray, h: float, params: ProblemParams,
+                 coeff: float) -> np.ndarray:
+        fn = residual_transformed if params.p < 2.0 else residual_original
+        return fn(Field(grid, values), params).values
 
-    def __init__(self, grid: Grid, p: float, gamma: float):
-        self.grid = grid
-        self.p = p
-        self.gamma = gamma
-        self.transformed = p < 2.0
+    return residual
 
-    def residual(self, u_vals: np.ndarray, lam: float) -> np.ndarray:
-        params = ProblemParams(p=self.p, gamma=self.gamma, lam=lam)
-        fn = residual_transformed if self.transformed else residual_original
-        return fn(Field(self.grid, u_vals), params).values
 
-    def jacobian(self, u_vals: np.ndarray, lam: float) -> Jacobian:
-        params = ProblemParams(p=self.p, gamma=self.gamma, lam=lam)
-        fn = jacobian_transformed if self.transformed else jacobian_original
-        return fn(Field(self.grid, u_vals), params)
+def reference_trace_jacobian(values: np.ndarray, g: np.ndarray, grid: Grid,
+                             params: ProblemParams, transformed: bool) -> Jacobian:
+    """continuation._jacobian through the Field functions, the gradient passed
+    in ignored."""
+    fn = jacobian_transformed if transformed else jacobian_original
+    return fn(Field(grid, values), params)
 
 
 def reference_bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,

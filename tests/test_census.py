@@ -1,17 +1,23 @@
 """tests/census.py --against: the exit status says whether any row changed,
 the drift of rows that keep their ending, and older CSVs without the
-Newton-step column."""
+Newton-step or failed-call column; the failed corrector calls a trace row
+counts."""
 
 import csv
 
 import census
+from fucik_branch import continuation
+from fucik_branch.config import SolverConfig
+from fucik_branch.grid import Grid
+from fucik_branch.monotone import SolverError
 
 
 def _row(grid, config, p, k, frac, which):
     # a stand-in for a trace: the census's row, without tracing
     return {"p": p, "k": k, "gamma_frac": frac, "which": which, "mirror_defect": "",
             "termination": "MaxSteps", "detail": "", "points": 200, "lam": 1.0 + p,
-            "l2": 0.5, "arclength": 2.0, "newton_steps": 250 + k, "seconds": 0.0}, None
+            "l2": 0.5, "arclength": 2.0, "newton_steps": 250 + k, "failed_calls": k,
+            "seconds": 0.0}, None
 
 
 def _write(path, rows, fields):
@@ -59,9 +65,10 @@ def test_against_reports_round_off_drift(tmp_path, monkeypatch, capsys):
     assert "3 of 126 rows changed" in out
     assert "2 changed rows keep their termination and point count; largest " \
         "relative change: lam 2e-11, l2 0, arclength 0.2" in out
-    # both CSVs carry Newton steps, so the tally diff compares them too
+    # both CSVs carry Newton steps and failed calls, so the tally diff
+    # compares them too
     assert "\n-p<2: 63 traces: MaxSteps 63; 1.265 Newton steps per point " \
-        "(15939/12599)\n" in out
+        "(15939/12599); 0.015 failed corrector calls per point (189/12599)\n" in out
 
 
 def test_against_reads_a_csv_without_newton_steps(tmp_path, monkeypatch, capsys):
@@ -97,3 +104,52 @@ def test_against_compares_failure_details(tmp_path, monkeypatch, capsys):
     assert "1 of 126 rows changed" in out
     assert "1.2 2 0.9 1: detail 'corrector line search stalled' -> ''" in out
     assert "tallies unchanged" in out
+
+
+def test_against_reads_a_csv_without_failed_calls(tmp_path, monkeypatch, capsys):
+    # the failed calls are tallied, not compared: an older CSV without them
+    # and a row that only changes them both leave every row unchanged
+    monkeypatch.setattr(census, "trace_row", _row)
+    first = tmp_path / "first.csv"
+    census.main(["--n", "9", "--out", str(first)])
+    out = capsys.readouterr().out
+    assert "p>2: 63 traces: MaxSteps 63; 1.265 Newton steps per point " \
+        "(15939/12600); 0.015 failed corrector calls per point (189/12600)" in out
+    with first.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    older = _write(tmp_path / "older.csv",
+                   [{f: v for f, v in row.items() if f != "failed_calls"} for row in rows],
+                   [f for f in census.FIELDS if f != "failed_calls"])
+    assert census.main(["--n", "9", "--out", str(tmp_path / "new.csv"),
+                        "--against", str(older)]) == 0
+    out = capsys.readouterr().out
+    assert "0 of 126 rows changed" in out
+    assert "tallies unchanged" in out
+    rows[5]["failed_calls"] = "40"
+    edited = _write(tmp_path / "edited.csv", rows, census.FIELDS)
+    assert census.main(["--n", "9", "--out", str(tmp_path / "new.csv"),
+                        "--against", str(edited)]) == 0
+    out = capsys.readouterr().out
+    assert "0 of 126 rows changed" in out
+    assert "\n-p<2: 63 traces: MaxSteps 63; 1.265 Newton steps per point " \
+        "(15939/12600); 0.018 failed corrector calls per point (227/12600)\n" in out
+
+
+def test_trace_row_counts_the_corrector_calls_that_raise(monkeypatch):
+    # every third corrector call after the seed's fails, so the trace halves
+    # its step that often and still ends in MaxSteps
+    corrector, calls = continuation._corrector, [0]
+
+    def failing(*args):
+        calls[0] += 1
+        if calls[0] > 1 and calls[0] % 3 == 0:
+            raise SolverError("corrector line search stalled")
+        return corrector(*args)
+
+    monkeypatch.setattr(continuation, "_corrector", failing)
+    row, branch = census.trace_row(Grid(n_interior=49), SolverConfig(max_steps=20),
+                                   3.0, 2, 0.5, 1)
+    assert row["termination"] == "MaxSteps" and row["points"] == 20
+    assert row["failed_calls"] == calls[0] // 3 > 0
+    assert calls[0] == row["points"] + row["failed_calls"]
+    assert continuation._corrector is failing

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from fucik_branch import _tridiag, continuation, monotone, quasilinear
+from fucik_branch import grid as grid_module
 from fucik_branch.config import SolverConfig
 from fucik_branch.continuation import (BranchSeed, ConeParams, Termination,
                                        _bordered_solve, _corrector,
@@ -22,12 +23,14 @@ from fucik_branch.grid import (Field, Grid, dual_norm, h10_norm, inner_l2,
 from fucik_branch.halfeig import gamma_window, split_eigenvalues
 from fucik_branch.monotone import SolverError
 from fucik_branch.quasilinear import (Jacobian, ProblemParams,
-                                      from_infinity_variable,
-                                      residual_original, residual_transformed)
+                                      from_infinity_variable, jacobian_values,
+                                      residual_original, residual_original_values,
+                                      residual_transformed)
 from fucik_branch.spectrum import closed_form_eigenvalue, eigenpair
 
 from conftest import count_trials, counting, random_field
-from oracles import ReferenceTraceProblem, reference_bordered_solve
+from oracles import (reference_bordered_solve, reference_trace_jacobian,
+                     reference_trace_residual)
 
 
 def weighted_l2(field: Field) -> float:
@@ -377,7 +380,8 @@ def test_trace_keeps_the_bits_of_one_solve_per_right_hand_side(grid, monkeypatch
     config = SolverConfig(max_steps=60)
     seeds = [BranchSeed(k=2, which=which, gamma=0.5, p=p) for which in (1, 2)]
     got = [trace_branch(seed, grid, config) for seed in seeds]
-    monkeypatch.setattr(continuation, "_TraceProblem", ReferenceTraceProblem)
+    monkeypatch.setattr(continuation, "_residual", reference_trace_residual(grid))
+    monkeypatch.setattr(continuation, "_jacobian", reference_trace_jacobian)
     monkeypatch.setattr(continuation, "_bordered_solve", reference_bordered_solve)
     for seed, branch in zip(seeds, got):
         ref = trace_branch(seed, grid, config)
@@ -514,7 +518,7 @@ def test_bordered_solve_matches_dense(n, p, gamma, lam, amp, seed):
     coef = rng.standard_normal(5) / np.arange(1, 6)
     u = sum(c * eigenpair(grid, j + 1).vector.values for j, c in enumerate(coef))
     u *= amp / weighted_l2(Field(grid, u))
-    jac = _TraceProblem(grid, p, gamma).jacobian(u, lam)
+    jac = jacobian_values(u, grid, ProblemParams(p=p, gamma=gamma, lam=lam), p < 2.0)
     assert (jac.rank_one is not None) == (p < 2.0)
     row_u = u + rng.uniform(0.0, 1.0) * rng.standard_normal(n)
     r = 1e-3 * rng.standard_normal(n)
@@ -560,9 +564,9 @@ def test_bordered_solve_refines_only_when_needed(branch_p3_w1, monkeypatch):
     ds = math.sqrt(grid.h * float(np.dot(du, du)) + dlam * dlam)
     t_u, t_lam = du / ds, dlam / ds
     pred_u, pred_lam = a.u.values + 1.4 * ds * t_u, a.lam + 1.4 * ds * t_lam
-    prob = _TraceProblem(grid, 3.0, 0.5)
-    _bordered_solve(prob.jacobian(pred_u, pred_lam), pred_u, t_u, t_lam,
-                    prob.residual(pred_u, pred_lam), 0.0)
+    params = ProblemParams(p=3.0, gamma=0.5, lam=pred_lam)
+    _bordered_solve(jacobian_values(pred_u, grid, params), pred_u, t_u, t_lam,
+                    residual_original_values(pred_u, grid.h, params), 0.0)
     assert counts == {"factors": 1, "sweeps": 0}
     # the singular J of test_bordered_solve_at_a_discrete_eigenvalue: bordering
     # alone loses digits, so the refinement pass runs
@@ -629,19 +633,48 @@ def test_corrector_evaluates_each_trial_once(grid, monkeypatch, p):
     # the seed correction of a trace: one residual at the start, one per
     # line-search trial, none repeated
     counts = {"residuals": 0, "trials": 0}
-    name = "residual_transformed_values" if p < 2.0 else "residual_original_values"
-    monkeypatch.setattr(continuation, name, counting(
-        counts, "residuals", getattr(continuation, name)))
+    monkeypatch.setattr(continuation, "_residual", counting(
+        counts, "residuals", continuation._residual))
     count_trials(monkeypatch, monotone, counts)
     pair = split_eigenvalues(grid, 2, 0.5)
     ek = eigenpair(grid, 2).vector
     alpha0 = 0.1
-    _, _, iters, _, _ = _corrector(
+    _, _, iters, _, _, _ = _corrector(
         _TraceProblem(grid, p, 0.5), alpha0 * pair.v1.values, pair.lambda1,
         ek.values, 0.0, alpha0 * inner_l2(ek, pair.v1))
     assert iters >= 2
     assert counts["trials"] >= iters
     assert counts["residuals"] == 1 + counts["trials"]
+
+
+@pytest.mark.parametrize("p", [3.0, 1.5])
+def test_trace_takes_one_gradient_per_corrector_iterate(grid, monkeypatch, p):
+    # each corrector call, failed ones included, takes one gradient at its
+    # start and one per line-search trial (which gives the trial's residual
+    # and, once accepted, its Jacobian and the point's norms); nothing else
+    # in the trace takes one
+    counts = {"gradients": 0, "trials": 0}
+    for module in (continuation, quasilinear, grid_module):
+        monkeypatch.setattr(module, "gradient_values", counting(
+            counts, "gradients", module.gradient_values))
+    count_trials(monkeypatch, monotone, counts)
+    calls = []
+
+    def recording(*args):
+        before = dict(counts)
+        try:
+            return _corrector(*args)
+        finally:
+            calls.append((counts["gradients"] - before["gradients"],
+                          counts["trials"] - before["trials"]))
+
+    monkeypatch.setattr(continuation, "_corrector", recording)
+    branch = trace_branch(BranchSeed(k=2, which=1, gamma=0.5, p=p), grid,
+                          SolverConfig(max_steps=60))
+    assert len(branch.points) == 60
+    assert len(calls) >= len(branch.points)
+    assert all(taken == 1 + trials for taken, trials in calls)
+    assert counts["gradients"] == sum(taken for taken, _ in calls)
 
 
 def test_corrector_tests_every_iterate_it_steps_to(grid, monkeypatch):
@@ -700,6 +733,17 @@ def test_p3_traces_take_at_most_five_newton_steps_per_four_points(grid):
     assert sum(pt.iterations for pt in points) <= 1.25 * len(points)
 
 
+def test_p3_traces_take_at_most_27_newton_steps_per_25_points(grid):
+    # the cubic start through four points; the quadratic start through three
+    # took 912 steps for these 800 points
+    config = SolverConfig(max_steps=200)
+    branches = [trace_branch(BranchSeed(k=k, which=which, gamma=0.5, p=3.0), grid,
+                             config) for k in (2, 3) for which in (1, 2)]
+    points = [pt for branch in branches for pt in branch.points]
+    assert len(points) == 800
+    assert sum(pt.iterations for pt in points) <= 1.08 * len(points)
+
+
 def secant_start(prob, history, s_next, pred_u, pred_lam):
     return pred_u, pred_lam
 
@@ -708,8 +752,8 @@ def secant_start(prob, history, s_next, pred_u, pred_lam):
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
 def test_quadratic_start_moves_p_above_2_points_within_tolerance(grid, monkeypatch,
                                                                   p, k):
-    # the start does not change the equations the corrector solves, so the
-    # points move only within the corrector tolerance
+    # the cubic start does not change the equations the corrector solves, so
+    # the points move only within the corrector tolerance
     seed = BranchSeed(k=k, which=1, gamma=0.5 * gamma_window(grid, k).gamma_max, p=p)
     config = SolverConfig(max_steps=200)
     got = trace_branch(seed, grid, config)
