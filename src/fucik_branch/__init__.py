@@ -26,10 +26,9 @@ from .monotone import (SolveReport, SolverError, VectorInequalityReport,
                        monotonicity_sweep, solve_monotone, solve_monotone_ball)
 from .quasilinear import (Jacobian, ProblemParams, TransformedField, energy,
                           from_infinity_variable, jacobian_original,
-                          jacobian_transformed, original_h10_norm,
-                          residual_original, residual_transformed,
-                          residual_weak, to_infinity_variable,
-                          transform_coefficient)
+                          jacobian_transformed, residual_original,
+                          residual_transformed, residual_weak,
+                          to_infinity_variable, transform_coefficient)
 from .spectrum import (EigenPair, closed_form_eigenvalue,
                        continuum_eigenvalue, eigenpair)
 
@@ -49,7 +48,7 @@ __all__ = [
     "from_infinity_variable", "fucik_curve_points", "gamma_window", "h10_norm",
     "half_eigen_residual", "inner_l2", "jacobian_original",
     "jacobian_transformed", "l2_norm", "localization_check", "ls_residual",
-    "monotonicity_sweep", "newton_at_lambda", "norms", "original_h10_norm",
+    "monotonicity_sweep", "newton_at_lambda", "norms",
     "read_field_csv", "recompose", "residual_original", "residual_transformed",
     "residual_weak", "scaling_slope", "shoot_split_lambda", "solve_monotone",
     "solve_monotone_ball", "split_eigenvalues", "to_infinity_variable",

@@ -3,13 +3,13 @@
 Subcommands: spectrum (discrete Laplacian eigenvalues), halfeig (split
 eigenvalue pair for one k and gamma), fucik (curve sweep), branch
 (pseudo-arclength traces plus gnuplot script), verify (sampled inequality
-checks). Options only parse: the library object that takes a value checks
-it, and its ValueError is a usage error; only --seed >= 0 and spectrum's
---count in 1..--grid-n are checked here. Each subcommand computes its
-results, then creates --output-dir and writes them there with a
-run_meta.json recording the resolved parameters and the package version.
-Exit codes: 0 success, 1 solver failure or failed verification, 2 usage
-error, which leaves no output directory.
+checks). A subcommand accepts only the options it reads. Options only parse:
+the library object that takes a value checks it, and its ValueError is a
+usage error; only --seed >= 0 and spectrum's --count in 1..--grid-n are
+checked here. Each subcommand computes its results, then creates --output-dir
+and writes them there with a run_meta.json recording the resolved parameters
+and the package version. Exit codes: 0 success, 1 solver failure or failed
+verification, 2 usage error, which leaves no output directory.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ def cmd_halfeig(args: argparse.Namespace, grid: Grid) -> int:
     return 0
 
 
-def cmd_fucik(args: argparse.Namespace, grid: Grid) -> int:
-    curves = fucik_curve_points(grid.length, args.lambda_max, args.samples)
+def cmd_fucik(args: argparse.Namespace) -> int:
+    curves = fucik_curve_points(args.length, args.lambda_max, args.samples)
     rows = list(zip(curves.lambda_plus.tolist(), curves.lambda_minus.tolist(),
                     curves.n_plus.tolist(), curves.n_minus.tolist()))
     path = _write_table(_output_dir(args) / "fucik", args.format,
@@ -287,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output-dir", default="out",
                         help="directory for results (default: out)")
-    common.add_argument("--seed", type=_seed, default=42,
-                        help="PRNG seed for sampled checks (default: 42)")
-    common.add_argument("--grid-n", type=int, default=199,
-                        help="number of interior nodes (default: 199)")
     common.add_argument("--length", type=float, default=math.pi,
                         help="interval length (default: pi)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="table format for spectrum/fucik (default: csv)")
+    gridded = argparse.ArgumentParser(add_help=False, parents=[common])
+    gridded.add_argument("--grid-n", type=int, default=199,
+                         help="number of interior nodes (default: 199)")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="table format (default: csv)")
 
     parser = argparse.ArgumentParser(
         prog="fucik-branch",
@@ -302,19 +302,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "branches of the (p,2)-Laplacian on an interval.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", parents=[common],
+    sp = sub.add_parser("spectrum", parents=[gridded, table],
                         help="discrete Dirichlet Laplacian eigenvalues")
     sp.add_argument("--count", type=int, default=10,
                     help="number of eigenvalues (default: 10)")
     sp.set_defaults(func=cmd_spectrum)
 
-    he = sub.add_parser("halfeig", parents=[common],
+    he = sub.add_parser("halfeig", parents=[gridded],
                         help="split eigenvalue pair for one k and gamma")
     he.add_argument("--k", type=int, required=True)
     he.add_argument("--gamma", type=float, required=True)
     he.set_defaults(func=cmd_halfeig)
 
-    fu = sub.add_parser("fucik", parents=[common],
+    fu = sub.add_parser("fucik", parents=[common, table],
                         help="sample the first Fucik curves from their closed form")
     fu.add_argument("--lambda-max", type=float, default=30.0,
                     help="largest lambda_plus swept (default: 30)")
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="lambda_plus grid size (default: 200)")
     fu.set_defaults(func=cmd_fucik)
 
-    br = sub.add_parser("branch", parents=[common],
+    br = sub.add_parser("branch", parents=[gridded],
                         help="trace bifurcation branches")
     br.add_argument("--p", type=float, required=True)
     br.add_argument("--k", type=_int_list, required=True,
@@ -335,8 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="maximum accepted points per branch (default: 200)")
     br.set_defaults(func=cmd_branch)
 
-    ve = sub.add_parser("verify", parents=[common],
+    ve = sub.add_parser("verify", parents=[gridded],
                         help="sampled vector-inequality and monotonicity checks")
+    ve.add_argument("--seed", type=_seed, default=42,
+                    help="PRNG seed of the sampled checks (default: 42)")
     ve.add_argument("--p", type=float, default=3.0,
                     help="exponent p > 2 (default: 3)")
     ve.add_argument("--gamma", type=float, default=0.5)
@@ -368,6 +370,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        if "grid_n" not in args:  # fucik needs only the length
+            return args.func(args)
         return args.func(args, Grid(n_interior=args.grid_n, length=args.length))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

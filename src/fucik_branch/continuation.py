@@ -71,6 +71,8 @@ _REFINE_TOL = 1e-12
 _ZERO_CAP = 1e-5
 _TRIVIAL_MATCH_TOL = 1e-2
 _SLOPE_POINTS = 25  # points near the seed that scaling_slope fits
+# the monotone solve inside ls_residual
+_LS_SOLVER = SolverConfig(tol_abs=1e-12, tol_rel=1e-14)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,8 +208,7 @@ def _project_out(ek_vals: np.ndarray, vals: np.ndarray, h: float) -> np.ndarray:
 
 
 def ls_residual(alpha: float, lam: float, v: Field, params: ProblemParams,
-                k: int, config: SolverConfig | None = None
-                ) -> tuple[float, Field]:
+                k: int) -> tuple[float, Field]:
     """Defects of the reduced fixed-point system at (alpha, lam, v).
 
     With u = alpha*e_k + v and T(u) = M^{-1}(lam*u) - (-Delta)^{-1}(lam*u),
@@ -218,17 +219,15 @@ def ls_residual(alpha: float, lam: float, v: Field, params: ProblemParams,
     at lam = 0. For 1 < p < 2 the same defects are formed for the transformed
     operator on its proven coercivity ball, which u must lie in.
     """
-    if config is None:
-        config = SolverConfig(tol_abs=1e-12, tol_rel=1e-14)
     grid = v.grid
     ek = eigenpair(grid, k)
     u = recompose(alpha, v, k)
     rhs = Field(grid, lam * u.values)
     op = replace(params, lam=0.0)
     if params.p > 2.0:
-        rep = solve_monotone(rhs, op, config, u0=u)
+        rep = solve_monotone(rhs, op, _LS_SOLVER, u0=u)
     else:
-        rep = solve_monotone_ball(rhs, op, config, u0=u)
+        rep = solve_monotone_ball(rhs, op, _LS_SOLVER, u0=u)
     t_vals = rep.solution.values - laplacian_solve_values(grid, rhs.values)
     h = grid.h
     scalar = alpha - alpha * lam / ek.value \
@@ -414,7 +413,7 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
         h12 = float(h10_values(g, grid.h))
         h12_orig = None
         if prob.transformed and h12 > 0.0:
-            # original_h10_norm of field
+            # the back-transformed ||u||_{1,2} of the field v represents
             h12_orig = h12 ** (-1.0 / (1.0 - 0.5 * seed.p))
         alpha = inner_l2(ek.vector, field)
         # cone_test's comparison, on this point's own projection and norm

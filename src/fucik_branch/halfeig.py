@@ -121,6 +121,10 @@ class FucikCurves:
 def _check_length(length: float) -> None:
     if not (math.isfinite(length) and length > 0.0):
         raise ValueError(f"interval length must be positive and finite, got {length}")
+    # the callers square pi/length, and a float ** that overflows raises
+    # OverflowError; below the largest double, ** has an ulp to spare
+    if not (math.pi / length) * (math.pi / length) < np.finfo(float).max:
+        raise ValueError(f"interval length {length} is too small: (pi/length)^2 overflows")
 
 
 def _bisect(f, lo: float, hi: float, *, f_lo: float = math.nan,

@@ -48,8 +48,7 @@ from .config import SolverConfig
 from .grid import (Field, Grid, _check_same_grid, dot_values, dual_norm_values,
                    gradient_values, h10_values, laplacian_solve_values, require_finite,
                    w1p_values)
-from .quasilinear import (Jacobian, ProblemParams, _energy, _jacobian, _residual,
-                          residual_original_values)
+from .quasilinear import Jacobian, ProblemParams, _energy, _jacobian, _residual
 from .grid import dual_norm  # noqa: F401 -- perfbench/tracer.py patches it by name here
 # perfbench/tracer.py patches these by name here; the solves call the cores above
 from .quasilinear import (energy, jacobian_original, jacobian_transformed,  # noqa: F401
@@ -325,7 +324,7 @@ def monotonicity_sweep(params: ProblemParams, n_pairs: int = 10000,
             normal(n, out=row)
         fields *= np.array(scale)[:, None]
         require_finite(fields)
-        res = residual_original_values(fields, h, params)
+        res = _residual(fields, gradient_values(fields, h), h, params, 1.0)
         require_finite(res)
         du, dr = fields[0::2] - fields[1::2], res[0::2] - res[1::2]
         require_finite(du)

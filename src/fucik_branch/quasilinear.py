@@ -25,8 +25,8 @@ import numpy as np
 from ._tridiag import (Solver, _is_m_matrix, _thomas_factor, symmetric_tridiag_apply,
                        tridiag_factor)
 from ._tridiag import thomas_solve  # noqa: F401 -- perfbench/tracer.py patches it by name here
-from .grid import (Field, Grid, dual_norm, element_gradients, gradient_values,
-                   h10_norm, h10_values, laplacian_values)
+from .grid import (Field, Grid, dual_norm, element_gradients, h10_norm, h10_values,
+                   laplacian_values)
 
 logger = logging.getLogger("fucik_branch.quasilinear")
 
@@ -146,22 +146,16 @@ def _p_flux(g: np.ndarray, p: float, eps: float = 0.0) -> np.ndarray:
 
 
 def _p_flux_derivative(g: np.ndarray, p: float, eps: float) -> np.ndarray:
-    # exact derivative of _p_flux; eps > 0 whenever p < 2 (see jacobian_values)
+    # exact derivative of _p_flux; eps > 0 whenever p < 2 (see _jacobian)
     if eps == 0.0:
         return (p - 1.0) * np.abs(g) ** (p - 2.0)
     return (g * g + eps * eps) ** (0.5 * (p - 4.0)) * ((p - 1.0) * g * g + eps * eps)
 
 
-def residual_original_values(values: np.ndarray, h: float,
-                             params: ProblemParams) -> np.ndarray:
-    """residual_original along the last axis (one field or a block)."""
-    return _residual(values, gradient_values(values, h), h, params, 1.0)
-
-
 def _residual(values: np.ndarray, g: np.ndarray, h: float, params: ProblemParams,
               coeff: float) -> np.ndarray:
     """-div(coeff*|g|^{p-2}g + g) - gamma*u^- - lam*u, g the element gradients
-    of values."""
+    of values, along the last axis (one field or a block)."""
     flux = coeff * _p_flux(g, params.p) + g
     # np.diff's subtraction, without its overhead
     return -(flux[..., 1:] - flux[..., :-1]) / h \
@@ -171,7 +165,7 @@ def _residual(values: np.ndarray, g: np.ndarray, h: float, params: ProblemParams
 
 def residual_original(u: Field, params: ProblemParams) -> Field:
     """Dual vector of -Delta_p u - Delta u - gamma*u^- - lam*u."""
-    return Field(u.grid, residual_original_values(u.values, u.grid.h, params))
+    return Field(u.grid, _residual(u.values, element_gradients(u), u.grid.h, params, 1.0))
 
 
 def residual_weak(u: Field, lambda_plus: float, lambda_minus: float,
@@ -214,22 +208,16 @@ def _weighted_stiffness(grid: Grid, weights: np.ndarray) -> tuple[np.ndarray, np
     return diag, off
 
 
-def jacobian_values(values: np.ndarray, grid: Grid, params: ProblemParams,
-                    transformed: bool = False) -> Jacobian:
+def _jacobian(values: np.ndarray, g: np.ndarray, grid: Grid, params: ProblemParams,
+              transformed: bool) -> Jacobian:
     """Generalized Jacobian of residual_original at the nodal values, or if
     transformed of residual_transformed: the norm coefficient and the rank-one
-    term of its derivative. The element gradients are computed once.
+    term of its derivative; g the element gradients of values.
 
     Gradient stiffness with elementwise weights coeff * d/dg[flux](g) + 1,
     plus the diagonal gamma*1[u_i<0] - lam: the slope of -gamma*max(-t,0) on
     t < 0 is +gamma, with zero nodes assigned to the positive part.
     """
-    return _jacobian(values, gradient_values(values, grid.h), grid, params, transformed)
-
-
-def _jacobian(values: np.ndarray, g: np.ndarray, grid: Grid, params: ProblemParams,
-              transformed: bool) -> Jacobian:
-    """jacobian_values, g the element gradients of values."""
     p, h = params.p, grid.h
     eps = 0.0 if p > 2.0 else _EPS_REG_SCALE * (float(np.mean(np.abs(g))) + 1.0)
     nrm = float(h10_values(g, h)) if transformed else 0.0
@@ -245,8 +233,8 @@ def _jacobian(values: np.ndarray, g: np.ndarray, grid: Grid, params: ProblemPara
 
 
 def jacobian_original(u: Field, params: ProblemParams) -> Jacobian:
-    """Generalized Jacobian of residual_original at u (see jacobian_values)."""
-    return jacobian_values(u.values, u.grid, params)
+    """Generalized Jacobian of residual_original at u (see _jacobian)."""
+    return _jacobian(u.values, element_gradients(u), u.grid, params, False)
 
 
 def transform_coefficient(v: Field, p: float) -> float:
@@ -269,7 +257,7 @@ def jacobian_transformed(v: Field, params: ProblemParams) -> Jacobian:
     (4-p) ||v||_{1,2}^{2-p} * (Delta_p v dual) <Laplacian v dual, .>_2.
     """
     _require_singular_range(params.p)
-    return jacobian_values(v.values, v.grid, params, transformed=True)
+    return _jacobian(v.values, element_gradients(v), v.grid, params, True)
 
 
 def _require_singular_range(p: float) -> None:
@@ -296,11 +284,3 @@ def from_infinity_variable(v: Field, p: float) -> Field:
     scale = nrm ** (-(2.0 - 0.5 * p) / (1.0 - 0.5 * p))
     return Field(v.grid, v.values * scale)
 
-
-def original_h10_norm(v: Field, p: float) -> float:
-    """Back-transformed ||u||_{1,2} of the field represented by v."""
-    _require_singular_range(p)
-    nrm = h10_norm(v)
-    if nrm == 0.0:
-        raise ValueError("zero field has no back-transformed norm")
-    return nrm ** (-1.0 / (1.0 - 0.5 * p))

@@ -4,11 +4,14 @@ Branch traces are session-scoped because they are the most expensive objects
 in the suite and several files assert different properties of the same curve.
 """
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import fucik_branch
 from fucik_branch.config import SolverConfig
 from fucik_branch.continuation import BranchSeed, trace_branch
 from fucik_branch.grid import FLOAT_FORMAT, Field, Grid, inner_l2, norms
@@ -35,6 +38,17 @@ def counting(counts: dict, key: str, fn):
         counts[key] += 1
         return fn(*args, **kwargs)
     return counted
+
+
+def count_calls_by_name(monkeypatch, name: str, counts: dict, key: str) -> None:
+    """Count in counts[key] the calls of name through every fucik_branch
+    module that binds it, found by scanning the package, so that no module
+    that imports it escapes the count."""
+    modules = [fucik_branch] + [importlib.import_module(f"fucik_branch.{info.name}")
+                                for info in pkgutil.iter_modules(fucik_branch.__path__)]
+    for module in modules:
+        if name in vars(module):
+            monkeypatch.setattr(module, name, counting(counts, key, vars(module)[name]))
 
 
 def count_trials(monkeypatch, module, counts: dict) -> None:

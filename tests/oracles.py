@@ -33,9 +33,9 @@ from fucik_branch.halfeig import FucikPoint, _check_length
 from fucik_branch.monotone import (SolveReport, SolverError, VectorInequalityReport,
                                    _block_rows, _blocks, _certified_bounds,
                                    _monotonicity_ratios, default_ball_radius)
-from fucik_branch.quasilinear import (Jacobian, ProblemParams, energy, jacobian_original,
-                                      jacobian_transformed, residual_original,
-                                      residual_original_values, residual_transformed)
+from fucik_branch.quasilinear import (Jacobian, ProblemParams, _residual, energy,
+                                      jacobian_original, jacobian_transformed,
+                                      residual_original, residual_transformed)
 from fucik_branch.spectrum import EigenPair, _check_index, closed_form_eigenvalue
 
 
@@ -230,8 +230,8 @@ def reference_monotonicity_sweep(params: ProblemParams, n_pairs: int = 10000,
         pair *= scale[..., None]
         require_finite(pair)
         u, w = pair[:, 0], pair[:, 1]
-        ru = residual_original_values(u, h, params)
-        rw = residual_original_values(w, h, params)
+        ru = _residual(u, gradient_values(u, h), h, params, 1.0)
+        rw = _residual(w, gradient_values(w, h), h, params, 1.0)
         du, dr = u - w, ru - rw
         for x in (ru, rw, du, dr):
             require_finite(x)

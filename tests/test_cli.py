@@ -186,13 +186,36 @@ def test_branch_output_does_not_depend_on_blas_threads(tmp_path):
     assert tables[0] == tables[1]
 
 
-def test_branch_tables_stay_csv_under_json_format(tmp_path):
-    rc = run(["branch", "--p", "3", "--k", "2", "--which", "1",
-              "--gamma", "0.5", "--steps", "8", "--format", "json",
-              "--output-dir", str(tmp_path)])
-    assert rc == 0
-    assert (tmp_path / "branch_k2_w1.csv").exists()
-    assert not (tmp_path / "branch_k2_w1.json").exists()
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--count", "2", "--grid-n", "9"],
+    ["halfeig", "--k", "2", "--gamma", "0.5", "--grid-n", "9"],
+    ["fucik", "--samples", "5"],
+    ["branch", "--p", "3", "--k", "2", "--which", "1", "--gamma", "0.5",
+     "--steps", "3", "--grid-n", "19"],
+    ["verify", "--samples", "10000", "--pairs", "10", "--grid-n", "9"],
+], ids=lambda argv: argv[0])
+def test_every_option_is_read_where_it_is_accepted(tmp_path, monkeypatch, argv):
+    # an option the run of its subcommand never reads changes nothing but
+    # run_meta.json; --output-dir is read in writing that file
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        """Records the names of the attributes read from it, once parsed."""
+
+        def __getattribute__(self, name):
+            if not name.startswith("__"):
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    parser = cli.build_parser()
+    parse = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda args: Recorder(**vars(parse(args))))
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    assert run([*argv, "--output-dir", str(tmp_path)]) == 0
+    subparser = next(action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction)).choices[argv[0]]
+    dests = {action.dest for action in subparser._actions if action.dest != "help"}
+    assert dests - reads == set()
 
 
 def test_transformed_branch_table_has_extra_column(tmp_path):
@@ -300,9 +323,10 @@ def test_verify_gates_on_the_monotonicity_floor(tmp_path, monkeypatch, capsys,
 
 
 def _case(argv: list[str], message: str, case_id: str):
-    """A usage-error case whose message changed when its check moved from an
-    argparse option type into the library object that takes the value. It
-    keeps the id the old argparse message gave it, so the case keeps its name."""
+    """A usage-error case whose message changed when its check moved, from an
+    argparse option type into the library object that takes the value or
+    from Grid into the function that takes the length. It keeps the id the
+    old message gave it, so the case keeps its name."""
     return pytest.param(argv, message, id=case_id)
 
 
@@ -475,6 +499,9 @@ def test_log_env_values(tmp_path, monkeypatch, capsys):
     (["--length", "nan"], "length must be positive and finite"),
 ])
 def test_bad_grid_exits_2_before_any_output(tmp_path, capsys, command, bad, message):
+    if command == "fucik" and bad[0] == "--grid-n":
+        # fucik needs only the length, builds no Grid and takes no --grid-n
+        message = "unrecognized arguments: --grid-n 2"
     outdir = tmp_path / "out"
     assert run([command, *bad, "--output-dir", str(outdir)]) == 2
     assert message in capsys.readouterr().err
@@ -542,12 +569,22 @@ _BRANCH = ["branch", "--p", "3", "--k", "2", "--gamma", "0.5"]
      "length 1e-300 is too small for 199 interior nodes: 4/h^2 overflows"),
     (["halfeig", "--k", "2", "--gamma", "0.1", "--length", "1e-200"],
      "length 1e-200 is too small for 199 interior nodes: 4/h^2 overflows"),
-    (["fucik", "--length", "1e-300"],
-     "length 1e-300 is too small for 199 interior nodes: 4/h^2 overflows"),
+    # fucik builds no Grid; the sweep itself refuses a length whose
+    # (pi/length)^2 overflows
+    _case(["fucik", "--length", "1e-300"],
+          "interval length 1e-300 is too small: (pi/length)^2 overflows",
+          "argv28-length 1e-300 is too small for 199 interior nodes: 4/h^2 overflows"),
     # 1/h^2 is finite here, but the top eigenvalues, near 4/h^2, overflow
     (["spectrum", "--length", "1.5e-152"],
      "length 1.5e-152 is too small for 199 interior nodes: 4/h^2 overflows"),
     (["verify", "--seed", "-1"], "--seed: must be an integer >= 0"),
+    # options a subcommand would not read: branch tables are always CSV (the
+    # gnuplot script reads them), halfeig samples nothing, fucik needs no grid
+    (["branch", "--p", "3", "--k", "2", "--format", "json"],
+     "unrecognized arguments: --format json"),
+    (["halfeig", "--k", "2", "--gamma", "0.5", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
+    (["fucik", "--grid-n", "9"], "unrecognized arguments: --grid-n 9"),
 ])
 def test_bad_option_values_exit_2_before_any_output(tmp_path, capsys, argv, message):
     outdir = tmp_path / "out"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from fucik_branch import _tridiag, continuation, monotone, quasilinear
-from fucik_branch import grid as grid_module
 from fucik_branch.config import SolverConfig
 from fucik_branch.continuation import (BranchSeed, ConeParams, Termination,
                                        _bordered_solve, _corrector,
@@ -18,17 +17,16 @@ from fucik_branch.continuation import (BranchSeed, ConeParams, Termination,
                                        decompose, ls_residual,
                                        localization_check, newton_at_lambda,
                                        recompose, scaling_slope, trace_branch)
-from fucik_branch.grid import (Field, Grid, dual_norm, h10_norm, inner_l2,
-                               l2_norm, norms)
+from fucik_branch.grid import (Field, Grid, dual_norm, gradient_values, h10_norm,
+                               inner_l2, l2_norm, norms)
 from fucik_branch.halfeig import gamma_window, split_eigenvalues
 from fucik_branch.monotone import SolverError
-from fucik_branch.quasilinear import (Jacobian, ProblemParams,
-                                      from_infinity_variable, jacobian_values,
-                                      residual_original, residual_original_values,
+from fucik_branch.quasilinear import (Jacobian, ProblemParams, _jacobian, _residual,
+                                      from_infinity_variable, residual_original,
                                       residual_transformed)
 from fucik_branch.spectrum import closed_form_eigenvalue, eigenpair
 
-from conftest import count_trials, counting, random_field
+from conftest import count_calls_by_name, count_trials, counting, random_field
 from oracles import (reference_bordered_solve, reference_trace_jacobian,
                      reference_trace_residual)
 
@@ -518,7 +516,8 @@ def test_bordered_solve_matches_dense(n, p, gamma, lam, amp, seed):
     coef = rng.standard_normal(5) / np.arange(1, 6)
     u = sum(c * eigenpair(grid, j + 1).vector.values for j, c in enumerate(coef))
     u *= amp / weighted_l2(Field(grid, u))
-    jac = jacobian_values(u, grid, ProblemParams(p=p, gamma=gamma, lam=lam), p < 2.0)
+    jac = _jacobian(u, gradient_values(u, grid.h), grid,
+                    ProblemParams(p=p, gamma=gamma, lam=lam), p < 2.0)
     assert (jac.rank_one is not None) == (p < 2.0)
     row_u = u + rng.uniform(0.0, 1.0) * rng.standard_normal(n)
     r = 1e-3 * rng.standard_normal(n)
@@ -565,8 +564,9 @@ def test_bordered_solve_refines_only_when_needed(branch_p3_w1, monkeypatch):
     t_u, t_lam = du / ds, dlam / ds
     pred_u, pred_lam = a.u.values + 1.4 * ds * t_u, a.lam + 1.4 * ds * t_lam
     params = ProblemParams(p=3.0, gamma=0.5, lam=pred_lam)
-    _bordered_solve(jacobian_values(pred_u, grid, params), pred_u, t_u, t_lam,
-                    residual_original_values(pred_u, grid.h, params), 0.0)
+    g = gradient_values(pred_u, grid.h)
+    _bordered_solve(_jacobian(pred_u, g, grid, params, False), pred_u, t_u, t_lam,
+                    _residual(pred_u, g, grid.h, params, 1.0), 0.0)
     assert counts == {"factors": 1, "sweeps": 0}
     # the singular J of test_bordered_solve_at_a_discrete_eigenvalue: bordering
     # alone loses digits, so the refinement pass runs
@@ -654,9 +654,7 @@ def test_trace_takes_one_gradient_per_corrector_iterate(grid, monkeypatch, p):
     # and, once accepted, its Jacobian and the point's norms); nothing else
     # in the trace takes one
     counts = {"gradients": 0, "trials": 0}
-    for module in (continuation, quasilinear, grid_module):
-        monkeypatch.setattr(module, "gradient_values", counting(
-            counts, "gradients", module.gradient_values))
+    count_calls_by_name(monkeypatch, "gradient_values", counts, "gradients")
     count_trials(monkeypatch, monotone, counts)
     calls = []
 

@@ -25,8 +25,7 @@ from fucik_branch.grid import (
     w1p_values,
     write_field_csv,
 )
-from fucik_branch.quasilinear import (ProblemParams, residual_original,
-                                      residual_original_values)
+from fucik_branch.quasilinear import ProblemParams, _residual, residual_original
 from fucik_branch.spectrum import closed_form_eigenvalue, eigenpair
 
 from conftest import random_field
@@ -264,7 +263,7 @@ def test_block_helpers_match_single_fields(grid, rng):
     h = grid.h
     g = gradient_values(block, h)
     params = ProblemParams(p=3.0, gamma=0.5, lam=0.7)
-    res = residual_original_values(block, h, params)
+    res = _residual(block, g, h, params, 1.0)
     dots = h * dot_values(block, res)
     for i, row in enumerate(block):
         u = Field(grid, row)

@@ -95,3 +95,12 @@ def test_all_is_exactly_what_init_imports():
     assert set(fucik_branch.__all__) == imported
     for name in fucik_branch.__all__:
         assert getattr(fucik_branch, name) is not None
+
+
+def test_every_exported_name_is_used():
+    # a public name that no package module and no test looks up is dead
+    # surface; __init__ itself, which imports every one, does not count
+    sources = [p.read_text() for p in MODULES]
+    sources += [p.read_text() for p in (ROOT / "tests").glob("*.py")]
+    used = set().union(*map(referenced_names, sources))
+    assert set(fucik_branch.__all__) - used == set()

@@ -6,8 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fucik_branch import grid as grid_module
-from fucik_branch import monotone, quasilinear
+from fucik_branch import monotone
 from fucik_branch.config import SolverConfig
 from fucik_branch.grid import (Field, Grid, dual_norm, h10_norm, inner_l2,
                                laplacian_solve_values, norms)
@@ -25,7 +24,8 @@ from fucik_branch.quasilinear import (Jacobian, ProblemParams, energy,
                                       residual_original, residual_transformed)
 from fucik_branch.spectrum import closed_form_eigenvalue
 
-from conftest import count_trials, counting, random_field, reference_sweep
+from conftest import (count_calls_by_name, count_trials, counting, random_field,
+                      reference_sweep)
 from oracles import (reference_blocked_ball_samples, reference_check_vector_inequalities,
                      reference_monotonicity_sweep, reference_solve_monotone,
                      reference_solve_monotone_ball)
@@ -800,9 +800,7 @@ def count_solve_work(monkeypatch) -> dict:
     """Count gradients in every namespace the solves reach, the p > 2
     energies, the dual norms and the line-search trials."""
     counts = {"gradients": 0, "energies": 0, "dual_norms": 0, "trials": 0}
-    for module in (monotone, quasilinear, grid_module):
-        monkeypatch.setattr(module, "gradient_values", counting(
-            counts, "gradients", module.gradient_values))
+    count_calls_by_name(monkeypatch, "gradient_values", counts, "gradients")
     monkeypatch.setattr(monotone, "_energy", counting(counts, "energies", monotone._energy))
     monkeypatch.setattr(monotone, "dual_norm_values", counting(
         counts, "dual_norms", monotone.dual_norm_values))
