@@ -229,8 +229,8 @@ def _cyclic_factor(off: np.ndarray, diag: np.ndarray) -> Solver:
         raise ValueError(_NEAR_ZERO_PIVOT)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        r = np.zeros(total)
-        r[:n] = rhs
+        # the levels only read r, so an unpadded right-hand side needs no copy
+        r = rhs if total == n else np.concatenate((rhs, np.zeros(total - n)))
         evens = []
         for alpha, beta, _, _, _ in steps:
             r_even = r[0::2]

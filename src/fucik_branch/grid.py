@@ -78,13 +78,12 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if vals.shape != (self.grid.n_interior,):
             raise ValueError(
                 f"value array of shape {vals.shape} does not match grid with "
                 f"{self.grid.n_interior} interior nodes")
         require_finite(vals)
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -131,7 +130,7 @@ def _check_same_grid(u: Field, w: Field) -> None:
 
 def require_finite(values: np.ndarray) -> None:
     """Reject nodal values that a Field would reject."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("field values must be finite")
 
 

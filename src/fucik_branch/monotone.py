@@ -138,7 +138,7 @@ def damped_step(x, m0: float, directions: Iterable[tuple[object, float]],
             continue
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
-            x_try = x + t * d
+            x_try = x + d if t == 1.0 else x + t * d  # 1.0 * d is d
             merit, res = trial(x_try)
             if merit <= m0 + ARMIJO * t * slope + slack:
                 return x_try, res

@@ -86,7 +86,7 @@ class Jacobian:
         y = symmetric_tridiag_apply(self.diag, self.off, x)
         if self.rank_one is not None:
             a, b = self.rank_one
-            y = y + a * (self.grid.h * float(np.dot(b, x)))
+            y = y + a * (self.grid.h * float(b.dot(x)))
         return y
 
     def factor(self, *rhs: np.ndarray) -> tuple[Solver, list[np.ndarray]]:
@@ -110,12 +110,12 @@ class Jacobian:
         h = self.grid.h
         factor = tridiag_factor if _is_m_matrix(self.off, self.diag) else _thomas_factor
         tri, (t2, *ts) = factor(self.off, self.diag, (a, *rhs))
-        denom = 1.0 + h * float(np.dot(b, t2))
+        denom = 1.0 + h * float(b.dot(t2))
         if denom == 0.0:
             raise ValueError("singular rank-one update")
 
         def update(t1: np.ndarray) -> np.ndarray:
-            return t1 - t2 * (h * float(np.dot(b, t1)) / denom)
+            return t1 - t2 * (h * float(b.dot(t1)) / denom)
 
         def solve(x: np.ndarray) -> np.ndarray:
             return update(tri(x))
@@ -138,29 +138,32 @@ class Jacobian:
         return m
 
 
-def _p_flux(g: np.ndarray, p: float, eps: float = 0.0) -> np.ndarray:
-    # sign(g)|g|^(p-1) at eps = 0 avoids 0^(negative) for 1 < p < 2
-    if eps == 0.0:
+def _p_flux(g: np.ndarray, p: float, s: np.ndarray | None = None) -> np.ndarray:
+    # sign(g)|g|^(p-1) avoids 0^(negative) for 1 < p < 2; s^((p-2)/2) g given s
+    if s is None:
         return np.sign(g) * np.abs(g) ** (p - 1.0)
-    return (g * g + eps * eps) ** (0.5 * (p - 2.0)) * g
+    return s ** (0.5 * (p - 2.0)) * g
 
 
-def _p_flux_derivative(g: np.ndarray, p: float, eps: float) -> np.ndarray:
-    # exact derivative of _p_flux; eps > 0 whenever p < 2 (see _jacobian)
-    if eps == 0.0:
+def _p_flux_derivative(g: np.ndarray, p: float, eps: float,
+                       s: np.ndarray | None) -> np.ndarray:
+    # exact derivative of _p_flux; eps > 0 and s = g*g + eps*eps whenever p < 2
+    if s is None:
         return (p - 1.0) * np.abs(g) ** (p - 2.0)
-    return (g * g + eps * eps) ** (0.5 * (p - 4.0)) * ((p - 1.0) * g * g + eps * eps)
+    return s ** (0.5 * (p - 4.0)) * ((p - 1.0) * g * g + eps * eps)
 
 
 def _residual(values: np.ndarray, g: np.ndarray, h: float, params: ProblemParams,
               coeff: float) -> np.ndarray:
     """-div(coeff*|g|^{p-2}g + g) - gamma*u^- - lam*u, g the element gradients
     of values, along the last axis (one field or a block)."""
-    flux = coeff * _p_flux(g, params.p) + g
-    # np.diff's subtraction, without its overhead
-    return -(flux[..., 1:] - flux[..., :-1]) / h \
-        - params.gamma * np.maximum(-values, 0.0) \
-        - params.lam * values
+    flux = _p_flux(g, params.p)
+    if coeff != 1.0:
+        flux *= coeff
+    flux += g
+    # -np.diff(flux) / h, the minus folded into the subtraction
+    return (flux[..., :-1] - flux[..., 1:]) / h \
+        - params.gamma * np.maximum(-values, 0.0) - params.lam * values
 
 
 def residual_original(u: Field, params: ProblemParams) -> Field:
@@ -204,8 +207,8 @@ def _energy(values: np.ndarray, g: np.ndarray, h: float, params: ProblemParams) 
 def _weighted_stiffness(grid: Grid, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h2 = grid.h * grid.h
     diag = (weights[:-1] + weights[1:]) / h2
-    off = -weights[1:-1] / h2
-    return diag, off
+    # w / -h2 has the bits of (-w) / h2
+    return diag, weights[1:-1] / -h2
 
 
 def _jacobian(values: np.ndarray, g: np.ndarray, grid: Grid, params: ProblemParams,
@@ -219,15 +222,18 @@ def _jacobian(values: np.ndarray, g: np.ndarray, grid: Grid, params: ProblemPara
     t < 0 is +gamma, with zero nodes assigned to the positive part.
     """
     p, h = params.p, grid.h
-    eps = 0.0 if p > 2.0 else _EPS_REG_SCALE * (float(np.mean(np.abs(g))) + 1.0)
-    nrm = float(h10_values(g, h)) if transformed else 0.0
-    coeff = nrm ** (4.0 - p) if transformed else 1.0
-    w = coeff * _p_flux_derivative(g, p, eps) + 1.0
-    diag, off = _weighted_stiffness(grid, w)
+    eps = 0.0 if p > 2.0 else _EPS_REG_SCALE * (float(np.abs(g).mean()) + 1.0)
+    s = None if p > 2.0 else g * g + eps * eps
+    nrm = math.sqrt(h * float(g.dot(g))) if transformed else 0.0
+    w = _p_flux_derivative(g, p, eps, s)
+    if transformed:
+        w *= nrm ** (4.0 - p)
+    diag, off = _weighted_stiffness(grid, w + 1.0)
     diag = diag + params.gamma * (values < 0.0) - params.lam
     if nrm == 0.0:
         return Jacobian(grid, diag, off)
-    a = -np.diff(_p_flux(g, p, eps)) / h
+    flux = _p_flux(g, p, s)
+    a = (flux[:-1] - flux[1:]) / h
     b = (4.0 - p) * nrm ** (2.0 - p) * laplacian_values(values, h)
     return Jacobian(grid, diag, off, rank_one=(a, b))
 

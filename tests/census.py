@@ -12,15 +12,18 @@ points, the corrector calls that failed (each halves the step and its work
 is lost), seconds, and for even k the mirror defect against the other side.
 Prints per-(p < 2, p > 2) tallies of the terminations, the Newton steps and
 failed corrector calls per point and the even-k mirror pairs that end
-differently. With --against, a CSV of an earlier run at the same n, it also
-prints the rows whose termination, failure detail, point count or final
-(lambda, ||u||_2, arclength) changed, the largest relative change of those
-three among the changed rows that keep their termination and point count,
-and the diff of the tallies, and exits with status 1 when any row changed
-(0 otherwise), so that it serves as a pass/fail check. An earlier CSV
-without the Newton-step or failed-call column is read as well; the tally
-diff then leaves that figure out. Needs only numpy; it imports the package
-from the src/ next to this directory. Pytest does not collect it.
+differently, then, on a line of its own, the milliseconds per accepted point
+of each class from the seconds column. With --against, a CSV of an earlier
+run at the same n, that line gives the earlier run's figures beside them,
+and the census also prints the rows whose termination, failure detail, point
+count or final (lambda, ||u||_2, arclength) changed, the largest relative
+change of those three among the changed rows that keep their termination and
+point count, and the diff of the tallies, and exits with status 1 when any
+row changed (0 otherwise), so that it serves as a pass/fail check; timings
+never change the exit status. An earlier CSV without the Newton-step or
+failed-call column is read as well; the tally diff then leaves that figure
+out. Needs only numpy; it imports the package from the src/ next to this
+directory. Pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -62,6 +65,8 @@ COMPARED = ("termination", "detail", "points", "lam", "l2", "arclength")
 # the final values whose relative change is reported for rows that keep their
 # termination and point count
 DRIFTED = ("lam", "l2", "arclength")
+# the two classes the tallies and timings are split into
+CLASSES = (("p<2", lambda p: p < 2.0), ("p>2", lambda p: p > 2.0))
 TYPES = {"p": float, "k": int, "gamma_frac": float, "which": int, "points": int,
          "lam": float, "l2": float, "arclength": float, "newton_steps": int,
          "failed_calls": int, "seconds": float}
@@ -138,7 +143,7 @@ def tally(rows: list[dict], steps: bool = True, failed: bool = True) -> list[str
         if r["k"] % 2 == 0:
             sides[r["p"], r["k"], r["gamma_frac"]].append(r)
     lines = []
-    for cls, pick in (("p<2", lambda p: p < 2.0), ("p>2", lambda p: p > 2.0)):
+    for cls, pick in CLASSES:
         sel = [r for r in rows if pick(r["p"])]
         kinds = collections.Counter(r["termination"] for r in sel)
         line = f"{cls}: {len(sel)} traces: " \
@@ -160,6 +165,22 @@ def tally(rows: list[dict], steps: bool = True, failed: bool = True) -> list[str
         lines.append(f"    even-k mirror pairs that end differently: "
                      f"{sum(ends_differently(*pair) for pair in pairs)}/{len(pairs)}")
     return lines
+
+
+def point_times(rows: list[dict], before: list[dict] | None = None) -> str:
+    """Milliseconds per accepted point of each class, the traces' seconds
+    summed over their points, each with before's figure beside it if given."""
+    def ms(sel: list[dict]) -> str:
+        points = sum(r["points"] for r in sel)
+        return f"{1e3 * sum(r['seconds'] for r in sel) / points:.3f}" if points else "-"
+
+    parts = []
+    for cls, pick in CLASSES:
+        part = f"{cls} {ms([r for r in rows if pick(r['p'])])}"
+        if before is not None:
+            part += f" (against {ms([r for r in before if pick(r['p'])])})"
+        parts.append(part)
+    return "ms per accepted point: " + ", ".join(parts)
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -230,6 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\ncensus at n = {args.n}, {STEPS} steps, {len(rows)} traces, "
           f"{sum(r['seconds'] for r in rows):.1f} s")
     print("\n".join(tally(rows)))
+    print(point_times(rows, before))
     if before is not None:
         changed = changed_rows(before, rows)
         print(f"\nagainst {args.against}: {len(changed)} of {len(rows)} rows changed")

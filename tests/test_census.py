@@ -1,7 +1,7 @@
 """tests/census.py --against: the exit status says whether any row changed,
 the drift of rows that keep their ending, and older CSVs without the
 Newton-step or failed-call column; the failed corrector calls a trace row
-counts."""
+counts; the per-point timing line, which leaves the exit status alone."""
 
 import csv
 
@@ -153,3 +153,38 @@ def test_trace_row_counts_the_corrector_calls_that_raise(monkeypatch):
     assert row["failed_calls"] == calls[0] // 3 > 0
     assert calls[0] == row["points"] + row["failed_calls"]
     assert continuation._corrector is failing
+
+
+def test_point_times_line_stands_beside_the_tally_and_keeps_the_exit_status(
+        tmp_path, monkeypatch, capsys):
+    # each stand-in trace takes 0.2 s for its 200 points: 1 ms per point
+    def timed(*args):
+        row, branch = _row(*args)
+        row["seconds"] = 0.2
+        return row, branch
+
+    monkeypatch.setattr(census, "trace_row", timed)
+    first = tmp_path / "first.csv"
+    assert census.main(["--n", "9", "--out", str(first)]) == 0
+    assert "\nms per accepted point: p<2 1.000, p>2 1.000\n" in capsys.readouterr().out
+    # an earlier run twice as slow on p > 2: the line shows it, and nothing
+    # else tells the runs apart
+    with first.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        if float(row["p"]) > 2.0:
+            row["seconds"] = "0.4"
+    slower = _write(tmp_path / "slower.csv", rows, census.FIELDS)
+    assert census.main(["--n", "9", "--out", str(tmp_path / "new.csv"),
+                        "--against", str(slower)]) == 0
+    out = capsys.readouterr().out
+    assert "\nms per accepted point: p<2 1.000 (against 1.000), " \
+        "p>2 1.000 (against 2.000)\n" in out
+    assert "0 of 126 rows changed" in out
+    assert "tallies unchanged" in out
+    # a changed row still exits 1 whatever the timings
+    rows[5]["lam"] = "9.0"
+    edited = _write(tmp_path / "edited.csv", rows, census.FIELDS)
+    assert census.main(["--n", "9", "--out", str(tmp_path / "new.csv"),
+                        "--against", str(edited)]) == 1
+    assert "(against 2.000)" in capsys.readouterr().out

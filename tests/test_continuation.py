@@ -163,6 +163,18 @@ def test_point_in_cone_equals_cone_test(request, fixture):
         assert pt.in_cone == cone_test(pt.u, branch.seed.k, cone, side)
 
 
+@pytest.mark.parametrize("fixture", ["branch_p3_w1", "branch_p15"])
+def test_point_norms_and_projection_equal_the_field_functions(request, fixture):
+    # a point takes l2, h12 and alpha from the corrector's arrays; they keep
+    # the bits of the Field-level functions
+    branch = request.getfixturevalue(fixture)
+    ek = eigenpair(branch.points[0].u.grid, branch.seed.k).vector
+    for pt in branch.points:
+        assert pt.l2 == l2_norm(pt.u)
+        assert pt.h12 == h10_norm(pt.u)
+        assert pt.alpha == inner_l2(ek, pt.u)
+
+
 def test_cone_test_rejects_bad_input(grid):
     cone = ConeParams(eta=0.5)
     with pytest.raises(ValueError):
@@ -228,6 +240,19 @@ def test_scaling_slope_needs_points(branch_p3_w1):
                               lambda_seed=branch_p3_w1.lambda_seed,
                               eta=branch_p3_w1.eta)
     assert math.isnan(scaling_slope(stub))
+
+
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
+def test_scaling_slope_matches_the_bifurcation_exponent(p, k, which):
+    # |lambda - lambda_seed| ~ |alpha|^e near the seed, with e = 2 in the
+    # rescaled variable for p < 2 and e = p - 2 for p > 2; the slope reads
+    # only the first 25 points
+    branch = trace_branch(BranchSeed(k=k, which=which, gamma=0.5, p=p),
+                          Grid(n_interior=199), SolverConfig(max_steps=25))
+    exponent = 2.0 if p < 2.0 else p - 2.0
+    assert scaling_slope(branch) == approx(exponent, rel=0.03)
 
 
 def test_localization_radius_positive(branch_p3_w1, branch_p3_w2):
