@@ -10,11 +10,17 @@ checked here. Each subcommand computes its results, then creates --output-dir
 and writes them there with a run_meta.json recording the resolved parameters
 and the package version. Exit codes: 0 success, 1 solver failure or failed
 verification, 2 usage error, which leaves no output directory.
+
+The parser is built once per process, on the first run(), and reused by
+every later run. It holds the cmd_* functions as its defaults, so patching a
+cmd_* function after that first run changes nothing; patch its callees
+(trace_branch, split_eigenvalues, ...), which each cmd_* looks up when called.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -282,8 +288,14 @@ def _seed(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser; its option types only parse (see the module docstring)."""
+    """The parser, built on the first call and shared by every later one.
+
+    Its option types only parse (see the module docstring). parse_args makes
+    a fresh Namespace each call, and the defaults are scalars and the cmd_*
+    functions, so the shared parser carries nothing from one run to the next.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output-dir", default="out",
                         help="directory for results (default: out)")

@@ -10,13 +10,16 @@ from dataclasses import dataclass
 class SolverConfig:
     """Tolerances of the monotone solves, and the continuation's seed and budget.
 
-    The monotone solves (solve_monotone, solve_monotone_ball, and
-    newton_at_lambda through solve_monotone) stop when the dual-norm residual
-    falls below tol_abs or below tol_rel times the dual norm of the data. A
-    trace starts at seed amplitude alpha0 and takes at most max_steps points.
-    The other limits are module constants: the step limits that the solves
-    pass to monotone.newton, monotone._MAX_ITER and
-    continuation._CORRECTOR_MAX_ITER, and continuation._CORRECTOR_TOL and _NORM_CAP.
+    Each path reads only its own two fields. The monotone solves
+    (solve_monotone, solve_monotone_ball, and newton_at_lambda through
+    solve_monotone) read only tol_abs and tol_rel: they stop when the
+    dual-norm residual falls below tol_abs or below tol_rel times the dual
+    norm of the data. trace_branch reads only alpha0 and max_steps: a trace
+    starts at seed amplitude alpha0 and takes at most max_steps points, and
+    its corrector stops at continuation._CORRECTOR_TOL, not at tol_abs or
+    tol_rel. The other limits are module constants: the step limits that
+    the solves pass to monotone.newton, monotone._MAX_ITER and
+    continuation._CORRECTOR_MAX_ITER, and continuation._NORM_CAP.
     """
 
     tol_abs: float = 1e-9

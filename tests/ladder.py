@@ -4,7 +4,9 @@ h = L/(n + 1), so n = 199, 399 and 799 halve h exactly. matched_lambdas
 gives lambda of each trace at the same L2 norms of the traced variable, and
 observed_orders turns three rungs into log2 |lam_h - lam_h/2| / |lam_h/2 -
 lam_h/4|, which is 2 for the second-order scheme (Roache, Verification and
-Validation in Computational Science and Engineering, 1998). No package code
+Validation in Computational Science and Engineering, 1998), and richardson
+turns two rungs into lam_h + (lam_h - lam_2h)/3, which cancels the h^2 term
+of the error (Richardson, Phil. Trans. R. Soc. A 210, 1911). No package code
 uses these, so they live under tests/.
 """
 
@@ -63,3 +65,9 @@ def observed_orders(lams: np.ndarray) -> np.ndarray:
     the rows of three rungs whose h halves from one to the next."""
     coarse, mid, fine = lams
     return np.log2(np.abs(coarse - mid) / np.abs(mid - fine))
+
+
+def richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """lam_h + (lam_h - lam_2h)/3 per matched norm, from the rows of two rungs
+    whose h halves from coarse (2h) to fine (h)."""
+    return fine + (fine - coarse) / 3.0

@@ -1,9 +1,11 @@
 """End-to-end runs of every subcommand through the argument parser."""
 
 import argparse
+import importlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -683,3 +685,81 @@ def test_repeated_k_is_a_usage_error(tmp_path):
     assert run(["branch", "--p", "3", "--k", "2,2", "--gamma", "0.5",
                 "--output-dir", str(outdir)]) == 2
     assert not outdir.exists()
+
+
+def _fresh_cli(monkeypatch):
+    """fucik_branch.cli imported anew, its parser not yet built; the module
+    every other test uses is put back when the test ends."""
+    monkeypatch.delitem(sys.modules, "fucik_branch.cli")
+    monkeypatch.setattr(fucik_branch, "cli", cli)
+    return importlib.import_module("fucik_branch.cli")
+
+
+def test_the_parser_is_built_on_the_first_run_alone(tmp_path, monkeypatch):
+    built = {"parsers": 0}
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting(
+        built, "parsers", argparse.ArgumentParser.__init__))
+    fresh = _fresh_cli(monkeypatch)
+    assert built["parsers"] == 0
+    assert fresh.run(["fucik", "--samples", "5", "--output-dir", str(tmp_path / "first")]) == 0
+    first = built["parsers"]
+    assert first > 0
+    for argv in (["spectrum", "--count", "2", "--grid-n", "9"],
+                 ["halfeig", "--k", "2", "--gamma", "0.5", "--grid-n", "9"],
+                 ["verify", "--samples", "10000", "--pairs", "10", "--grid-n", "9"],
+                 ["fucik", "--samples", "5"]):
+        assert fresh.run([*argv, "--output-dir", str(tmp_path / argv[0])]) == 0
+    assert fresh.build_parser() is fresh.build_parser()
+    assert built["parsers"] == first
+
+
+def _outputs(outdir: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in outdir.iterdir()}
+
+
+_SMALL_VERIFY = ["--samples", "10000", "--pairs", "10", "--grid-n", "9"]
+
+
+@pytest.mark.parametrize("first, second, defaults", [
+    (["fucik", "--format", "json", "--length", "2", "--samples", "5"],
+     ["fucik", "--samples", "5"], {"format": "csv", "length": math.pi}),
+    (["verify", "--seed", "5", "--p", "2.5", *_SMALL_VERIFY],
+     ["verify", *_SMALL_VERIFY], {"seed": 42, "p": 3.0}),
+], ids=["fucik", "verify"])
+def test_a_run_leaves_nothing_in_the_parser(tmp_path, monkeypatch, first, second, defaults):
+    # the second command writes the same files after the first as it does
+    # as the first run of a fresh parser, its defaults included
+    fresh = _fresh_cli(monkeypatch)
+    outdir = tmp_path / "second"
+    assert fresh.run([*second, "--output-dir", str(outdir)]) == 0
+    alone = _outputs(outdir)
+    shutil.rmtree(outdir)
+    assert fresh.run([*first, "--output-dir", str(tmp_path / "first")]) == 0
+    assert fresh.run([*second, "--output-dir", str(outdir)]) == 0
+    assert _outputs(outdir) == alone
+    params = json.loads(alone["run_meta.json"])["parameters"]
+    assert {key: params[key] for key in defaults} == defaults
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fucik", "--grid-n", "9"], "unrecognized arguments: --grid-n 9"),
+    (["verify", "--seed", "-1"], "argument --seed: must be an integer >= 0, got -1"),
+], ids=["fucik", "verify"])
+def test_usage_errors_on_a_warm_parser(tmp_path, capsys, argv, message):
+    assert run(["fucik", "--samples", "5", "--output-dir", str(tmp_path / "warm")]) == 0
+    capsys.readouterr()
+    outdir = tmp_path / "out"
+    assert run([*argv, "--output-dir", str(outdir)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not outdir.exists()
+
+
+def test_help_on_a_warm_parser(tmp_path, capsys):
+    assert run(["fucik", "--samples", "5", "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert run(["fucik", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert "--lambda-max" in captured.out
+    assert captured.err == ""

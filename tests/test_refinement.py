@@ -10,7 +10,7 @@ from fucik_branch.config import SolverConfig
 from fucik_branch.continuation import BranchSeed, trace_branch
 from fucik_branch.grid import Grid
 
-from ladder import matched_lambdas, observed_orders
+from ladder import matched_lambdas, observed_orders, richardson
 
 MESHES = (199, 399, 799, 1599, 3199)   # h halves from one mesh to the next
 L2_LEVELS = (0.3, 1.0)
@@ -63,12 +63,34 @@ def test_matched_lambdas_refuse_a_norm_that_does_not_increase(l2):
         matched_lambdas([good, _fake_branch(l2, np.zeros(len(l2)))])
 
 
-@pytest.mark.parametrize("p", [3.0, 1.5])
-def test_branch_lambda_converges_at_second_order_at_matched_norms(p):
-    # 200-step traces at n = 199, 399 and 799; the p = 1.5 trace at n = 399
-    # ends in CorrectorFailure after 166 points, which shortens the common range
-    branches = [trace_branch(BranchSeed(k=2, which=1, gamma=0.5, p=p), Grid(n_interior=n))
-                for n in (199, 399, 799)]
-    orders = observed_orders(matched_lambdas(branches)[1])
+@pytest.fixture(scope="module", params=[3.0, 1.5])
+def ladder_lambdas(request) -> np.ndarray:
+    """Lambda at the matched norms of the 200-step traces at n = 199, 399 and
+    799 (k = 2, gamma = 0.5, which = 1), one row per mesh. The p = 1.5 trace
+    at n = 399 ends in CorrectorFailure after 166 points, which shortens the
+    common range."""
+    branches = [trace_branch(BranchSeed(k=2, which=1, gamma=0.5, p=request.param),
+                             Grid(n_interior=n)) for n in (199, 399, 799)]
+    return matched_lambdas(branches)[1]
+
+
+def test_branch_lambda_converges_at_second_order_at_matched_norms(ladder_lambdas):
+    orders = observed_orders(ladder_lambdas)
     assert orders.shape == (12,)
     assert np.all((1.8 <= orders) & (orders <= 2.2)), orders
+
+
+def test_richardson_removes_an_h_squared_error():
+    h = np.array([0.4, 0.2, 0.1])
+    lams = 7.0 + 3.0 * h[:, None] ** 2 * np.array([1.0, -2.0])
+    assert richardson(lams[0], lams[1]) == pytest.approx([7.0, 7.0], rel=1e-14)
+    assert richardson(lams[1], lams[2]) == pytest.approx([7.0, 7.0], rel=1e-14)
+
+
+def test_richardson_values_agree_across_the_ladder(ladder_lambdas):
+    # the extrapolations from (199, 399) and (399, 799) differ by far less
+    # than the finest step's own change; measured up to 3.6 % of it for
+    # p = 3 and 1.7 % for p = 1.5
+    coarse, mid, fine = ladder_lambdas
+    gap = np.abs(richardson(mid, fine) - richardson(coarse, mid))
+    assert np.all(gap <= 0.1 * np.abs(fine - mid)), gap / np.abs(fine - mid)
