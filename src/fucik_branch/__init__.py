@@ -8,16 +8,15 @@ operator and its solvers, and continuation for branch tracing.
 """
 
 from .config import SolverConfig
-from .continuation import (Branch, BranchPoint, BranchSeed, ConeParams,
-                           CorrectorFailure, LSDecomposition,
-                           LocalizationReport, MaxSteps, MeetsInfinity,
-                           MeetsTrivial, cone_test, decompose,
-                           localization_check, ls_residual, newton_at_lambda,
-                           recompose, scaling_slope, trace_branch)
+from .continuation import (Branch, BranchPoint, BranchSeed, LSDecomposition,
+                           LocalizationReport, Termination, cone_test,
+                           decompose, localization_check, ls_residual,
+                           newton_at_lambda, recompose, scaling_slope,
+                           trace_branch)
 from .grid import (Field, Grid, NormReport, apply_laplacian, dual_norm,
                    h10_norm, inner_l2, l2_norm, norms, read_field_csv,
                    write_field_csv)
-from .halfeig import (FucikCurves, FucikPoint, GammaWindow, SplitEigenPair,
+from .halfeig import (FucikCurves, FucikPoint, SplitEigenPair,
                       fucik_curve_points, gamma_window, half_eigen_residual,
                       shoot_split_lambda, split_eigenvalues)
 from .monotone import (SolveReport, SolverError, VectorInequalityReport,
@@ -35,12 +34,11 @@ from .spectrum import (EigenPair, closed_form_eigenvalue,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch", "BranchPoint", "BranchSeed", "ConeParams", "CorrectorFailure",
-    "EigenPair", "Field", "FucikCurves", "FucikPoint", "GammaWindow", "Grid",
-    "Jacobian",
-    "LSDecomposition", "LocalizationReport", "MaxSteps", "MeetsInfinity",
-    "MeetsTrivial", "NormReport", "ProblemParams", "SolveReport",
-    "SolverConfig", "SolverError", "SplitEigenPair", "TransformedField",
+    "Branch", "BranchPoint", "BranchSeed", "EigenPair", "Field",
+    "FucikCurves", "FucikPoint", "Grid", "Jacobian", "LSDecomposition",
+    "LocalizationReport", "NormReport", "ProblemParams", "SolveReport",
+    "SolverConfig", "SolverError", "SplitEigenPair", "Termination",
+    "TransformedField",
     "VectorInequalityReport", "apply_laplacian", "ball_coercivity_bound",
     "ball_coercivity_samples", "check_vector_inequalities",
     "closed_form_eigenvalue", "cone_test", "continuum_eigenvalue", "decompose",

@@ -127,7 +127,7 @@ def cmd_halfeig(args: argparse.Namespace, grid: Grid) -> int:
                "lambda2": pair.lambda2, "eta": pair.eta}
     # split_eigenvalues admits no k above n_interior - 1
     if args.k >= 2:
-        payload["gamma_max"] = gamma_window(grid, args.k).gamma_max
+        payload["gamma_max"] = gamma_window(grid, args.k)
     outdir = _output_dir(args)
     _write_json(outdir / "halfeig.json", payload)
     write_field_csv(pair.v1, outdir / "halfeig_v1.csv")
@@ -164,13 +164,12 @@ def _branch_rows(branch: Branch) -> tuple[list[str], list[list]]:
 
 def _branch_summary(branch: Branch, csv_name: str) -> dict:
     loc = localization_check(branch)
-    term: dict = {"kind": branch.termination.kind}
-    mu = getattr(branch.termination, "mu", None)
-    if mu is not None:
-        term["mu"] = mu
-    detail = getattr(branch.termination, "detail", "")
-    if detail:
-        term["detail"] = detail
+    end = branch.termination
+    term: dict = {"kind": end.kind}
+    if end.mu is not None:
+        term["mu"] = end.mu
+    if end.detail:
+        term["detail"] = end.detail
     return {
         "seed": {"k": branch.seed.k, "which": branch.seed.which,
                  "gamma": branch.seed.gamma, "p": branch.seed.p},

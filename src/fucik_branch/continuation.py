@@ -22,7 +22,9 @@ step. The first pass starts from (-r, -c), and both of its solves,
 J^{-1} u and J^{-1}(-r), come with the factorization (see _tridiag and
 Jacobian.factor). Residuals and Jacobians are taken on the nodal value
 arrays, from one gradient per iterate, which also gives the accepted
-point's H^1_0 norm.
+point's H^1_0 norm. Each trace ends in one Termination(kind, mu=None,
+detail=""): kind MeetsInfinity, MeetsTrivial (with the half-eigenvalue mu
+the branch returns to), MaxSteps or CorrectorFailure (with its detail).
 
 A p = 3 point (k = 2, gamma = 0.5) costs about 200 us at n = 199 and 230 us
 at n = 399, 45 % and 50 % of it in the tridiagonal factor-and-solve; the rest
@@ -32,9 +34,9 @@ A 200-point trace takes about 40, 46, 60 and 130 ms at n = 199, 399, 799 and
 Python 3.11, numpy 2.4.
 
 The Lyapunov-Schmidt split u = alpha*e_k + v with v orthogonal to e_k, the
-spectral cones around +-e_k, and the fixed-point defect built from
-T_lambda(u) = M^{-1}(lambda u) - (-Delta)^{-1}(lambda u) live here as well,
-as instrumentation for the traced branches.
+spectral cones around +-e_k (cone_test(u, k, eta, side)), and the fixed-point
+defect built from T_lambda(u) = M^{-1}(lambda u) - (-Delta)^{-1}(lambda u)
+live here as well, as instrumentation for the traced branches.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .grid import (Field, Grid, gradient_values, inner_l2, l2_norm,
 from .halfeig import gamma_window, split_eigenvalues
 from .monotone import (MAX_HALVINGS, STALLED, SolverError, newton, solve_monotone,
                        solve_monotone_ball)
-from .quasilinear import Jacobian, ProblemParams, _jacobian, _residual
+from .quasilinear import Jacobian, ProblemParams, _check_p_gamma, _jacobian, _residual
 # perfbench/tracer.py patches these by name here; the trace calls the kernels
 # _residual and _jacobian above
 from .quasilinear import (jacobian_original, jacobian_transformed,  # noqa: F401
@@ -90,17 +92,6 @@ class LSDecomposition:
     v: Field
 
 
-@dataclass(frozen=True)
-class ConeParams:
-    """Spectral cone around +-e_k: |(e_k,u)_2| > eta*||u||_2."""
-
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not self.eta > 0.0:
-            raise ValueError("the cone parameter eta must be positive")
-
-
 @dataclass(frozen=True, eq=False)
 class BranchPoint:
     """One accepted continuation point; norms refer to the traced variable.
@@ -123,29 +114,25 @@ class BranchPoint:
     h12_original: float | None = None
 
 
-@dataclass(frozen=True)
-class MeetsInfinity:
-    kind: str = "MeetsInfinity"
+_TERMINATION_KINDS = ("MeetsInfinity", "MeetsTrivial", "MaxSteps", "CorrectorFailure")
 
 
 @dataclass(frozen=True)
-class MeetsTrivial:
-    mu: float
-    kind: str = "MeetsTrivial"
+class Termination:
+    """How a trace ended: kind is one of _TERMINATION_KINDS; mu, given exactly
+    for MeetsTrivial, is the half-eigenvalue the branch returns to; detail
+    says why a CorrectorFailure trace stopped."""
 
-
-@dataclass(frozen=True)
-class MaxSteps:
-    kind: str = "MaxSteps"
-
-
-@dataclass(frozen=True)
-class CorrectorFailure:
+    kind: str
+    mu: float | None = None
     detail: str = ""
-    kind: str = "CorrectorFailure"
 
-
-Termination = MeetsInfinity | MeetsTrivial | MaxSteps | CorrectorFailure
+    def __post_init__(self) -> None:
+        if self.kind not in _TERMINATION_KINDS:
+            raise ValueError(f"termination kind must be one of {_TERMINATION_KINDS}, "
+                             f"got {self.kind!r}")
+        if (self.mu is None) == (self.kind == "MeetsTrivial"):
+            raise ValueError("a termination carries mu exactly when it is MeetsTrivial")
 
 
 @dataclass(frozen=True)
@@ -162,10 +149,7 @@ class BranchSeed:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         if self.which not in (1, 2):
             raise ValueError(f"which must be 1 or 2, got {self.which}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
-        if not (math.isfinite(self.p) and self.p > 1.0 and self.p != 2.0):
-            raise ValueError(f"p must lie in (1,2) or (2,inf), got {self.p}")
+        _check_p_gamma(self.p, self.gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,15 +183,18 @@ def recompose(alpha: float, v: Field, k: int) -> Field:
     return Field(v.grid, alpha * ek.values + v.values)
 
 
-def cone_test(u: Field, k: int, cone: ConeParams, side: int) -> bool:
-    """Membership of u in the open cone around +e_k (side +1) or -e_k (side -1)."""
+def cone_test(u: Field, k: int, eta: float, side: int) -> bool:
+    """Membership of u in the open cone |(e_k,u)_2| > eta*||u||_2, eta > 0,
+    around +e_k (side +1) or -e_k (side -1)."""
+    if not eta > 0.0:
+        raise ValueError("the cone parameter eta must be positive")
     if side not in (1, -1):
         raise ValueError("side must be +1 or -1")
     nrm = l2_norm(u)
     if nrm == 0.0:
         raise ValueError("cone test is undefined for the zero field")
     proj = inner_l2(eigenpair(u.grid, k).vector, u)
-    return proj > cone.eta * nrm if side == 1 else proj < -cone.eta * nrm
+    return proj > eta * nrm if side == 1 else proj < -eta * nrm
 
 
 def _project_out(ek_vals: np.ndarray, vals: np.ndarray, h: float) -> np.ndarray:
@@ -245,19 +232,6 @@ def ls_residual(alpha: float, lam: float, v: Field, params: ProblemParams,
     return scalar, Field(grid, dv)
 
 
-@dataclass(frozen=True)
-class _TraceProblem:
-    """The traced equation at any lambda; for 1 < p < 2 in the rescaled variable."""
-
-    grid: Grid
-    p: float
-    gamma: float
-
-    @property
-    def transformed(self) -> bool:
-        return self.p < 2.0
-
-
 def _bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,
                     row_lam: float, r: np.ndarray, c: float
                     ) -> tuple[np.ndarray, float]:
@@ -289,17 +263,18 @@ def _bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,
     return du + (x + d * y), dlam + d
 
 
-def _corrector(prob: _TraceProblem, u0: np.ndarray, lam0: float,
+def _corrector(grid: Grid, p: float, gamma: float, u0: np.ndarray, lam0: float,
                row_u: np.ndarray, row_lam: float, c0: float
                ) -> tuple[np.ndarray, float, int, float, np.ndarray, float]:
     """Bordered Newton for F(u, lam) = 0 with <row_u, u>_2 + row_lam*lam = c0.
 
-    Damped on the norm of (F, constraint defect) over the stacked (u, lam);
+    F is the traced equation on grid with exponent p and weight gamma, for
+    1 < p < 2 in the rescaled variable. Damped on the norm of (F, constraint defect) over the stacked (u, lam);
     converged when both parts are at most _CORRECTOR_TOL max(1, |lam| ||u||_2).
     Each iterate's element gradients are taken once: they give its residual
     and, if a step leaves it, its Jacobian. Returns (u, lam, steps, that
     tolerance, the element gradients of u, ||u||_2)."""
-    grid, p, gamma, transformed = prob.grid, prob.p, prob.gamma, prob.transformed
+    transformed = p < 2.0
     h = grid.h
     n = u0.size
     step = np.empty(n + 1)  # (du, dlam); damped_step reads it only within its step
@@ -335,7 +310,7 @@ def _corrector(prob: _TraceProblem, u0: np.ndarray, lam0: float,
     return x[:n], x.item(n), it, tol_eff, g, l2
 
 
-def _corrector_start(prob: _TraceProblem, history: collections.deque, s_next: float,
+def _corrector_start(p: float, history: collections.deque, s_next: float,
                      pred_u: np.ndarray, pred_lam: float
                      ) -> tuple[np.ndarray, float]:
     """Where the corrector starts the step to arclength s_next.
@@ -353,7 +328,7 @@ def _corrector_start(prob: _TraceProblem, history: collections.deque, s_next: fl
     secant start). ROADMAP item 10, which replaces that corrector, is where
     this exception goes.
     """
-    if prob.transformed or len(history) < 4:
+    if p < 2.0 or len(history) < 4:
         return pred_u, pred_lam
     u_next, lam_next = 0.0, 0.0
     for i, (si, ui, li) in enumerate(history):
@@ -377,7 +352,7 @@ def _trivial_candidates(grid: Grid, gamma: float) -> list[float]:
     if gamma > 0.0:
         out.append(lam1 + gamma)
     for j in range(2, min(12, grid.n_interior - 1)):
-        if gamma > 0.0 and gamma >= gamma_window(grid, j).gamma_max:
+        if gamma > 0.0 and gamma >= gamma_window(grid, j):
             continue
         pair = split_eigenvalues(grid, j, gamma)
         out.extend([pair.lambda1, pair.lambda2])
@@ -410,12 +385,11 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
     side = 1 if seed.which == 1 else -1
     ek = eigenpair(grid, seed.k)
     ek_vals, h = ek.vector.values, grid.h
-    prob = _TraceProblem(grid, seed.p, seed.gamma)
 
     a0 = config.alpha0 * inner_l2(ek.vector, vdir)
     try:
         u, lam, iters, tol_eff, g, l2 = _corrector(
-            prob, config.alpha0 * vdir.values, lam_star,
+            grid, seed.p, seed.gamma, config.alpha0 * vdir.values, lam_star,
             ek.vector.values, 0.0, a0)
     except SolverError as exc:
         raise SolverError(f"seed correction failed for {seed}: {exc}") from exc
@@ -425,7 +399,7 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
         # h10_norm and inner_l2 of the point's field, on its arrays
         h12 = math.sqrt(h * float(g.dot(g)))
         h12_orig = None
-        if prob.transformed and h12 > 0.0:
+        if seed.p < 2.0 and h12 > 0.0:
             # the back-transformed ||u||_{1,2} of the field v represents
             h12_orig = h12 ** (-1.0 / (1.0 - 0.5 * seed.p))
         alpha = h * float(ek_vals.dot(u_vals))
@@ -452,21 +426,22 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
             pred_u = u + ds * t_u
             pred_lam = lam + ds * t_lam
             c0 = h * float(t_u.dot(pred_u)) + t_lam * pred_lam
-            u0, lam0 = _corrector_start(prob, history, s + ds, pred_u, pred_lam)
+            u0, lam0 = _corrector_start(seed.p, history, s + ds, pred_u, pred_lam)
             try:
                 u_new, lam_new, iters, tol_eff, g, l2 = _corrector(
-                    prob, u0, lam0, t_u, t_lam, c0)
+                    grid, seed.p, seed.gamma, u0, lam0, t_u, t_lam, c0)
                 break
             except SolverError as exc:
                 failure = str(exc)
                 ds *= 0.5
         else:
-            termination = CorrectorFailure(detail=failure)
+            termination = Termination("CorrectorFailure", detail=failure)
             break
         du = u_new - u
         step_len = math.sqrt(h * float(du.dot(du)) + (lam_new - lam) ** 2)
         if step_len <= 1e-14:
-            termination = CorrectorFailure(detail="corrector stopped advancing")
+            termination = Termination("CorrectorFailure",
+                                      detail="corrector stopped advancing")
             break
         s += step_len
         t_u = du / step_len
@@ -480,7 +455,7 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
             ds = max(ds * 0.6, 1e-12)
         l2u = points[-1].l2
         if l2u > _NORM_CAP:
-            termination = MeetsInfinity()
+            termination = Termination("MeetsInfinity")
         elif l2u < _ZERO_CAP:
             if candidates is None:
                 candidates = _trivial_candidates(grid, seed.gamma)
@@ -488,10 +463,10 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
                 if abs(mu - lam_star) <= _TRIVIAL_MATCH_TOL:
                     continue
                 if abs(lam - mu) <= _TRIVIAL_MATCH_TOL:
-                    termination = MeetsTrivial(mu=mu)
+                    termination = Termination("MeetsTrivial", mu=mu)
                     break
     if termination is None:
-        termination = MaxSteps()
+        termination = Termination("MaxSteps")
     logger.info("branch %s: %d points, termination %s", seed, len(points),
                 termination.kind)
     return Branch(seed=seed, points=tuple(points), termination=termination,

@@ -46,14 +46,6 @@ _RESIDUAL_TOL = 1e-8
 _DRIFT_CONST = 0.25  # |lambda_h - lambda| <= _DRIFT_CONST * h^2 * lambda^2 (P1: 1/12)
 
 
-@dataclass(frozen=True)
-class GammaWindow:
-    """Admissible range 0 <= gamma < gamma_max for splitting the k-th eigenvalue."""
-
-    k: int
-    gamma_max: float
-
-
 @dataclass(frozen=True, eq=False)
 class SplitEigenPair:
     """Both half-eigenvalues split off lambda_k, with eigenfunctions and cone margin.
@@ -162,8 +154,9 @@ def _bisect(f, lo: float, hi: float, *, f_lo: float = math.nan,
     return mid
 
 
-def gamma_window(grid: Grid, k: int) -> GammaWindow:
-    """Largest gamma below which both split values stay inside (lambda_k, lambda_{k+1})."""
+def gamma_window(grid: Grid, k: int) -> float:
+    """The float gamma_max: the k-th eigenvalue splits for 0 <= gamma < gamma_max,
+    and there both split values stay inside (lambda_k, lambda_{k+1})."""
     if not (isinstance(k, int) and k >= 2):
         raise ValueError(f"splitting needs k >= 2, got {k}")
     if k + 1 > grid.n_interior:
@@ -171,7 +164,7 @@ def gamma_window(grid: Grid, k: int) -> GammaWindow:
     lam_prev = closed_form_eigenvalue(grid, k - 1)
     lam_k = closed_form_eigenvalue(grid, k)
     lam_next = closed_form_eigenvalue(grid, k + 1)
-    return GammaWindow(k=k, gamma_max=min(lam_k - lam_prev, lam_next - lam_k))
+    return min(lam_k - lam_prev, lam_next - lam_k)
 
 
 def _shoot(lambda_plus: float, lambda_minus: float,
@@ -308,7 +301,7 @@ def _discrete_half_eigen(grid: Grid, gamma: float, which: int, lam_lo: float,
 def check_split(grid: Grid, k: int, gamma: float) -> None:
     """Raise ValueError unless split_eigenvalues(grid, k, gamma) is defined:
     k = 1 with gamma = 0, or 2 <= k <= n_interior - 1 with
-    0 <= gamma < gamma_window(grid, k).gamma_max. Closed forms only."""
+    0 <= gamma < gamma_window(grid, k). Closed forms only."""
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     if not (isinstance(k, int) and k >= 1):
@@ -319,7 +312,7 @@ def check_split(grid: Grid, k: int, gamma: float) -> None:
         if gamma != 0.0:
             raise ValueError("k = 1 admits only gamma = 0")
         return
-    gamma_max = gamma_window(grid, k).gamma_max
+    gamma_max = gamma_window(grid, k)
     if gamma >= gamma_max:
         raise ValueError(f"gamma={gamma} outside [0, {gamma_max:.6g}) for k={k}")
 

@@ -34,6 +34,14 @@ logger = logging.getLogger("fucik_branch.quasilinear")
 _EPS_REG_SCALE = 1e-8
 
 
+def _check_p_gamma(p: float, gamma: float) -> None:
+    """Raise ValueError unless p lies in (1,2) or (2,inf) and gamma >= 0 is finite."""
+    if not (math.isfinite(p) and p > 1.0 and p != 2.0):
+        raise ValueError(f"p must lie in (1,2) or (2,inf), got {p}")
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """Exponent, negative-part weight and spectral parameter.
@@ -48,10 +56,7 @@ class ProblemParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and self.p > 1.0 and self.p != 2.0):
-            raise ValueError(f"p must lie in (1,2) or (2,inf), got {self.p}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
+        _check_p_gamma(self.p, self.gamma)
         if not math.isfinite(self.lam):
             raise ValueError(f"lam must be finite, got {self.lam}")
         if self.lam - self.gamma <= 0.0:

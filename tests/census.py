@@ -106,7 +106,7 @@ def failed_corrector_calls():
 
 def trace_row(grid: Grid, config: SolverConfig, p: float, k: int,
               frac: float, which: int) -> tuple[dict, object]:
-    gamma = frac * gamma_window(grid, k).gamma_max
+    gamma = frac * gamma_window(grid, k)
     row = {"p": p, "k": k, "gamma_frac": frac, "which": which, "mirror_defect": ""}
     start = time.perf_counter()
     with failed_corrector_calls() as failed:
@@ -120,7 +120,7 @@ def trace_row(grid: Grid, config: SolverConfig, p: float, k: int,
             return row, None
     last = branch.points[-1]
     row.update(termination=branch.termination.kind,
-               detail=getattr(branch.termination, "detail", ""),
+               detail=branch.termination.detail,
                points=len(branch.points), lam=last.lam, l2=last.l2,
                arclength=last.s,
                newton_steps=sum(pt.iterations for pt in branch.points),

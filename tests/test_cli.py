@@ -17,7 +17,8 @@ from pytest import approx
 import fucik_branch
 from fucik_branch import __version__, cli, halfeig
 from fucik_branch.cli import run
-from fucik_branch.grid import Grid, inner_l2, l2_norm, read_field_csv
+from fucik_branch.continuation import Branch, BranchPoint, BranchSeed, Termination
+from fucik_branch.grid import Field, Grid, inner_l2, l2_norm, read_field_csv
 from fucik_branch.halfeig import split_eigenvalues
 from fucik_branch.monotone import SolverError, check_vector_inequalities
 from fucik_branch.quasilinear import ProblemParams
@@ -209,7 +210,8 @@ def test_every_option_is_read_where_it_is_accepted(tmp_path, monkeypatch, argv):
                 reads.add(name)
             return super().__getattribute__(name)
 
-    parser = cli.build_parser()
+    # a parser of its own: the patch must not outlive the test on the cached one
+    parser = cli.build_parser.__wrapped__()
     parse = parser.parse_args
     monkeypatch.setattr(parser, "parse_args", lambda args: Recorder(**vars(parse(args))))
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
@@ -229,6 +231,24 @@ def test_transformed_branch_table_has_extra_column(tmp_path):
     origs = [float(row[-1]) for row in rows]
     assert all(x > 0.0 for x in origs)
     assert origs[-1] < origs[0]
+
+
+@pytest.mark.parametrize("termination, expected", [
+    (Termination("MeetsInfinity"), {"kind": "MeetsInfinity"}),
+    (Termination("MeetsTrivial", mu=12.5), {"kind": "MeetsTrivial", "mu": 12.5}),
+    (Termination("MaxSteps"), {"kind": "MaxSteps"}),
+    (Termination("CorrectorFailure", detail="corrector line search stalled"),
+     {"kind": "CorrectorFailure", "detail": "corrector line search stalled"}),
+    (Termination("CorrectorFailure"), {"kind": "CorrectorFailure"}),
+])
+def test_summary_termination_has_mu_and_detail_only_when_set(termination, expected):
+    grid = Grid(n_interior=9)
+    point = BranchPoint(s=0.0, lam=10.0, u=Field.zeros(grid), alpha=0.1, l2=0.1,
+                        h12=0.1, in_cone=True, corrector_tol=1e-10, iterations=1)
+    branch = Branch(seed=BranchSeed(k=2, which=1, gamma=0.5, p=3.0), points=(point,),
+                    termination=termination, lambda_seed=10.0, eta=0.5)
+    summary = json.loads(json.dumps(cli._branch_summary(branch, "branch_k2_w1.csv")))
+    assert summary["termination"] == expected
 
 
 def test_meets_infinity_reported_as_null_rho(tmp_path):

@@ -10,10 +10,9 @@ from pytest import approx
 
 from fucik_branch import _tridiag, continuation, monotone, quasilinear
 from fucik_branch.config import SolverConfig
-from fucik_branch.continuation import (BranchSeed, ConeParams, Termination,
+from fucik_branch.continuation import (BranchSeed, Termination,
                                        _bordered_solve, _corrector,
-                                       _TraceProblem, _trivial_candidates,
-                                       cone_test,
+                                       _trivial_candidates, cone_test,
                                        decompose, ls_residual,
                                        localization_check, newton_at_lambda,
                                        recompose, scaling_slope, trace_branch)
@@ -144,23 +143,22 @@ def test_early_points_in_negative_cone(branch_p3_w2, grid):
 
 
 def test_cone_sides_are_disjoint(branch_p3_w1, branch_p3_w2):
-    cone = ConeParams(eta=branch_p3_w1.eta)
+    eta = branch_p3_w1.eta
     for pt in branch_p3_w1.points:
         if pt.in_cone:
-            assert not cone_test(pt.u, 2, cone, -1)
+            assert not cone_test(pt.u, 2, eta, -1)
     for pt in branch_p3_w2.points:
         if pt.in_cone:
-            assert not cone_test(pt.u, 2, cone, 1)
+            assert not cone_test(pt.u, 2, eta, 1)
 
 
 @pytest.mark.parametrize("fixture", ["branch_p3_w2", "branch_p15"])
 def test_point_in_cone_equals_cone_test(request, fixture):
     branch = request.getfixturevalue(fixture)
     side = 1 if branch.seed.which == 1 else -1
-    cone = ConeParams(eta=branch.eta)
     assert any(pt.in_cone for pt in branch.points)
     for pt in branch.points:
-        assert pt.in_cone == cone_test(pt.u, branch.seed.k, cone, side)
+        assert pt.in_cone == cone_test(pt.u, branch.seed.k, branch.eta, side)
 
 
 @pytest.mark.parametrize("fixture", ["branch_p3_w1", "branch_p15"])
@@ -176,13 +174,14 @@ def test_point_norms_and_projection_equal_the_field_functions(request, fixture):
 
 
 def test_cone_test_rejects_bad_input(grid):
-    cone = ConeParams(eta=0.5)
+    ek = eigenpair(grid, 2).vector
     with pytest.raises(ValueError):
-        cone_test(Field.zeros(grid), 2, cone, 1)
+        cone_test(Field.zeros(grid), 2, 0.5, 1)
     with pytest.raises(ValueError):
-        cone_test(eigenpair(grid, 2).vector, 2, cone, 3)
-    with pytest.raises(ValueError):
-        ConeParams(eta=0.0)
+        cone_test(ek, 2, 0.5, 3)
+    for eta in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            cone_test(ek, 2, eta, 1)
 
 
 def test_seed_limit_extrapolation(branch_p3_w1):
@@ -365,6 +364,17 @@ def test_seed_field_must_be_finite_and_in_range(field, good, bad):
             BranchSeed(**{**base, field: value})
 
 
+@pytest.mark.parametrize("p, gamma", [
+    (p, gamma) for p in (2.0, 1.0, math.nan, 3.0)
+    for gamma in (-1.0, math.nan, math.inf, 0.5) if (p, gamma) != (3.0, 0.5)])
+def test_seed_and_params_reject_p_and_gamma_alike(p, gamma):
+    with pytest.raises(ValueError) as seed_error:
+        BranchSeed(k=2, which=1, gamma=gamma, p=p)
+    with pytest.raises(ValueError) as params_error:
+        ProblemParams(p=p, gamma=gamma, lam=1.0)
+    assert str(seed_error.value) == str(params_error.value)
+
+
 def assert_mirror_images(first, second):
     """Point by point, second is first reflected by i -> n + 1 - i (x -> L - x)."""
     assert first.termination == second.termination
@@ -388,7 +398,7 @@ def test_even_k_sides_are_mirror_images(grid, p):
 @pytest.mark.parametrize("which", [1, 2])
 def test_odd_k_trace_is_its_own_mirror(grid, which):
     # k = 3 has humps +, -, + (or -, +, -), which reflection maps onto themselves
-    gamma = 0.5 * gamma_window(grid, 3).gamma_max
+    gamma = 0.5 * gamma_window(grid, 3)
     branch = trace_branch(BranchSeed(k=3, which=which, gamma=gamma, p=3.0), grid,
                           SolverConfig(max_steps=60))
     assert len(branch.points) == 60
@@ -493,10 +503,15 @@ def test_newton_at_lambda_rejects_p_below_2(grid, monkeypatch):
 def test_census_subset_ends_classified(p):
     # one census trace per p: k = 3, gamma = 0.5 gamma_max, which = 1, n = 199
     grid = Grid(n_interior=199)
-    gamma = 0.5 * gamma_window(grid, 3).gamma_max
+    gamma = 0.5 * gamma_window(grid, 3)
     branch = trace_branch(BranchSeed(k=3, which=1, gamma=gamma, p=p), grid,
                           SolverConfig(max_steps=60))
     assert isinstance(branch.termination, Termination)
+    with pytest.raises(ValueError, match="termination kind"):
+        Termination("Bogus")
+    for kind, mu in (("MeetsTrivial", None), ("MaxSteps", 1.0)):
+        with pytest.raises(ValueError, match="mu exactly when"):
+            Termination(kind, mu=mu)
     s_end = branch.points[-1].s
     assert math.isfinite(s_end) and s_end > 0.0
 
@@ -665,7 +680,7 @@ def test_corrector_evaluates_each_trial_once(grid, monkeypatch, p):
     ek = eigenpair(grid, 2).vector
     alpha0 = 0.1
     _, _, iters, _, _, _ = _corrector(
-        _TraceProblem(grid, p, 0.5), alpha0 * pair.v1.values, pair.lambda1,
+        grid, p, 0.5, alpha0 * pair.v1.values, pair.lambda1,
         ek.values, 0.0, alpha0 * inner_l2(ek, pair.v1))
     assert iters >= 2
     assert counts["trials"] >= iters
@@ -721,7 +736,7 @@ def test_corrector_tests_every_iterate_it_steps_to(grid, monkeypatch):
     pair = split_eigenvalues(grid, 2, 0.5)
     ek = eigenpair(grid, 2).vector
     with pytest.raises(SolverError, match="no corrector convergence in 13 iterations"):
-        _corrector(_TraceProblem(grid, 3.0, 0.5), 0.1 * pair.v1.values, pair.lambda1,
+        _corrector(grid, 3.0, 0.5, 0.1 * pair.v1.values, pair.lambda1,
                    ek.values, 0.0, 0.1 * inner_l2(ek, pair.v1))
     assert counts == {"steps": 13, "tests": 14}
 
@@ -767,7 +782,7 @@ def test_p3_traces_take_at_most_27_newton_steps_per_25_points(grid):
     assert sum(pt.iterations for pt in points) <= 1.08 * len(points)
 
 
-def secant_start(prob, history, s_next, pred_u, pred_lam):
+def secant_start(p, history, s_next, pred_u, pred_lam):
     return pred_u, pred_lam
 
 
@@ -777,7 +792,7 @@ def test_quadratic_start_moves_p_above_2_points_within_tolerance(grid, monkeypat
                                                                   p, k):
     # the cubic start does not change the equations the corrector solves, so
     # the points move only within the corrector tolerance
-    seed = BranchSeed(k=k, which=1, gamma=0.5 * gamma_window(grid, k).gamma_max, p=p)
+    seed = BranchSeed(k=k, which=1, gamma=0.5 * gamma_window(grid, k), p=p)
     config = SolverConfig(max_steps=200)
     got = trace_branch(seed, grid, config)
     monkeypatch.setattr(continuation, "_corrector_start", secant_start)

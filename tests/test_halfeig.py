@@ -42,24 +42,22 @@ def two_hump_lambda1(gamma: float) -> float:
 
 
 def test_gamma_window_k2(grid):
-    win = gamma_window(grid, 2)
-    assert win.k == 2
-    assert abs(win.gamma_max - 3.0) <= 5e-3
+    assert abs(gamma_window(grid, 2) - 3.0) <= 5e-3
 
 
 def test_gamma_window_k3(grid):
-    assert abs(gamma_window(grid, 3).gamma_max - 5.0) <= 2e-2
+    assert abs(gamma_window(grid, 3) - 5.0) <= 2e-2
 
 
 def test_gamma_window_refines_toward_continuum():
-    coarse = abs(gamma_window(Grid(n_interior=99), 2).gamma_max - 3.0)
-    fine = abs(gamma_window(Grid(n_interior=199), 2).gamma_max - 3.0)
+    coarse = abs(gamma_window(Grid(n_interior=99), 2) - 3.0)
+    fine = abs(gamma_window(Grid(n_interior=199), 2) - 3.0)
     assert fine < coarse
 
 
 def test_gamma_window_positive(grid):
     for k in range(2, 12):
-        assert gamma_window(grid, k).gamma_max > 0.0
+        assert gamma_window(grid, k) > 0.0
 
 
 def test_gamma_window_needs_k_at_least_2(grid):
@@ -192,7 +190,7 @@ def test_residual_rejects_zero_field(grid):
 
 
 def test_split_lambda_continuous_in_gamma(grid):
-    gmax = gamma_window(grid, 2).gamma_max
+    gmax = gamma_window(grid, 2)
 
     def max_jump(n: int) -> float:
         gammas = np.linspace(0.0, 0.9 * gmax, n)
@@ -346,7 +344,7 @@ def test_split_drift_within_p1_bound_over_grids_and_modes():
     for n in (99, 199, 799):
         grid = Grid(n_interior=n)
         for k in range(2, 12):
-            gmax = gamma_window(grid, k).gamma_max
+            gmax = gamma_window(grid, k)
             for gamma in (1e-5, 0.5 * gmax):
                 pair = split_eigenvalues(grid, k, gamma)
                 for which, lam, vec in ((1, pair.lambda1, pair.v1),
@@ -419,7 +417,7 @@ def test_shoot_split_lambda_principal_mode(frac, length):
 def test_discrete_half_eigenpair_residual(n, k, frac):
     grid = Grid(n_interior=n)
     k = min(k, n - 1)
-    gamma = frac * gamma_window(grid, k).gamma_max
+    gamma = frac * gamma_window(grid, k)
     pair = split_eigenvalues(grid, k, gamma)
     assert half_eigen_residual(pair.v1, pair.lambda1, gamma) <= 1e-8
     assert half_eigen_residual(pair.v2, pair.lambda2, gamma) <= 1e-8
@@ -437,7 +435,7 @@ def test_split_eigenvalues_bit_equal_to_list_shot_bisection(n):
         lam_lo = closed_form_eigenvalue(grid, k)
         lam_hi = closed_form_eigenvalue(grid, k + 1)
         for frac in (0.01, 0.25, 0.9):
-            gamma = frac * gamma_window(grid, k).gamma_max
+            gamma = frac * gamma_window(grid, k)
             pair = split_eigenvalues(grid, k, gamma)
             lam1, vec1 = reference_half_eigen(grid, gamma, 1, lam_lo, lam_hi)
             lam2, vec2 = reference_half_eigen(grid, gamma, 2, lam_lo, lam_hi)
@@ -456,7 +454,7 @@ def test_end_value_shot_equals_last_node_of_full_shot(n):
     for k in (2, 5):
         lam_lo = closed_form_eigenvalue(grid, k)
         lam_hi = closed_form_eigenvalue(grid, k + 1)
-        gamma = 0.25 * gamma_window(grid, k).gamma_max
+        gamma = 0.25 * gamma_window(grid, k)
         for which in (1, 2):
             u1 = grid.h if which == 1 else -grid.h
             root, vec = halfeig._discrete_half_eigen(grid, gamma, which,
@@ -556,7 +554,7 @@ def test_split_eigenvalues_shot_budget_on_benchmark_cases(monkeypatch, n, k, gam
     # 41-55, and shooting each multiplier pair once takes 10-14
     grid = Grid(n_interior=n)
     if gamma is None:
-        gamma = gamma_window(grid, k).gamma_max / 4.0
+        gamma = gamma_window(grid, k) / 4.0
     assert _shots_per_pair(monkeypatch, grid, k, gamma) <= 16
 
 
@@ -567,7 +565,7 @@ def test_split_eigenvalues_takes_no_more_shots_than_bisection(monkeypatch, n):
         lam_lo = closed_form_eigenvalue(grid, k)
         lam_hi = closed_form_eigenvalue(grid, k + 1)
         for frac in (0.01, 0.25, 0.9):
-            gamma = frac * gamma_window(grid, k).gamma_max
+            gamma = frac * gamma_window(grid, k)
             bisection = 0
             for u1 in (grid.h, -grid.h):
                 # one shot orients the window, then bisection over all of it
@@ -608,7 +606,7 @@ def test_end_value_reads_lambda_only_through_the_multipliers(n, k, frac, which,
     # the invariant that lets _discrete_half_eigen shoot each multiplier pair once
     grid = Grid(n_interior=n)
     k = min(k, n - 1)
-    gamma = frac * gamma_window(grid, k).gamma_max
+    gamma = frac * gamma_window(grid, k)
     lam_shoot = shoot_split_lambda(k, gamma, grid.length, which)
     drift = halfeig._DRIFT_CONST * grid.h ** 2 * lam_shoot ** 2
     lam_lo = max(closed_form_eigenvalue(grid, k), lam_shoot - drift)
