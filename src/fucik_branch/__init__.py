@@ -7,7 +7,6 @@ and half-linear eigenproblems, quasilinear and monotone for the nonlinear
 operator and its solvers, and continuation for branch tracing.
 """
 
-from .config import SolverConfig
 from .continuation import (Branch, BranchPoint, BranchSeed, LSDecomposition,
                            LocalizationReport, Termination, cone_test,
                            decompose, localization_check, ls_residual,
@@ -37,8 +36,7 @@ __all__ = [
     "Branch", "BranchPoint", "BranchSeed", "EigenPair", "Field",
     "FucikCurves", "FucikPoint", "Grid", "Jacobian", "LSDecomposition",
     "LocalizationReport", "NormReport", "ProblemParams", "SolveReport",
-    "SolverConfig", "SolverError", "SplitEigenPair", "Termination",
-    "TransformedField",
+    "SolverError", "SplitEigenPair", "Termination", "TransformedField",
     "VectorInequalityReport", "apply_laplacian", "ball_coercivity_bound",
     "ball_coercivity_samples", "check_vector_inequalities",
     "closed_form_eigenvalue", "cone_test", "continuum_eigenvalue", "decompose",

@@ -33,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import SolverConfig
 from .continuation import (Branch, BranchSeed, localization_check,
                            scaling_slope, trace_branch)
 from .grid import FLOAT_FORMAT, Grid, write_field_csv
@@ -202,13 +201,12 @@ def _gnuplot_script(entries: list[tuple[str, BranchSeed]]) -> str:
 
 def cmd_branch(args: argparse.Namespace, grid: Grid) -> int:
     whichs = (1, 2) if args.which == "both" else (int(args.which),)
-    seeds = [BranchSeed(k=k, which=w, gamma=args.gamma, p=args.p)
+    seeds = [BranchSeed(k=k, which=w, gamma=args.gamma, p=args.p, alpha0=args.alpha0)
              for k in args.k for w in whichs]
-    solver = SolverConfig(alpha0=args.alpha0, max_steps=args.steps)
     # every k is checked before the first trace runs
     for k in args.k:
         check_split(grid, k, args.gamma)
-    branches = [trace_branch(seed, grid, solver) for seed in seeds]
+    branches = [trace_branch(seed, grid, args.steps) for seed in seeds]
 
     outdir = _output_dir(args)
     summaries = []

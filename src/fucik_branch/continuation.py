@@ -44,11 +44,10 @@ from __future__ import annotations
 import collections
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SolverConfig
 from .grid import (Field, Grid, gradient_values, inner_l2, l2_norm,
                    laplacian_solve_values)
 from .halfeig import gamma_window, split_eigenvalues
@@ -80,8 +79,9 @@ _REFINE_TOL = 1e-12
 _ZERO_CAP = 1e-5
 _TRIVIAL_MATCH_TOL = 1e-2
 _SLOPE_POINTS = 25  # points near the seed that scaling_slope fits
-# the monotone solve inside ls_residual
-_LS_SOLVER = SolverConfig(tol_abs=1e-12, tol_rel=1e-14)
+# tolerances of the monotone solve inside ls_residual
+_LS_TOL_ABS = 1e-12
+_LS_TOL_REL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,19 +137,27 @@ class Termination:
 
 @dataclass(frozen=True)
 class BranchSeed:
-    """Which bifurcation point to leave from and with which exponent."""
+    """Which bifurcation point to leave from, with which exponent, and the
+    amplitude alpha0 of the seed point along the half-eigenfunction."""
 
     k: int
     which: int
     gamma: float
     p: float
+    alpha0: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise ValueError(f"k must be a positive integer, got {self.k}")
-        if self.which not in (1, 2):
-            raise ValueError(f"which must be 1 or 2, got {self.which}")
+        if not (_is_int(self.k) and self.k >= 1):
+            raise ValueError(f"k must be a positive integer, got {self.k!r}")
+        if not (_is_int(self.which) and self.which in (1, 2)):
+            raise ValueError(f"which must be 1 or 2, got {self.which!r}")
         _check_p_gamma(self.p, self.gamma)
+        if not (math.isfinite(self.alpha0) and self.alpha0 > 0.0):
+            raise ValueError(f"alpha0 must be finite and positive, got {self.alpha0}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,11 +225,9 @@ def ls_residual(alpha: float, lam: float, v: Field, params: ProblemParams,
     ek = eigenpair(grid, k)
     u = recompose(alpha, v, k)
     rhs = Field(grid, lam * u.values)
-    op = replace(params, lam=0.0)
-    if params.p > 2.0:
-        rep = solve_monotone(rhs, op, _LS_SOLVER, u0=u)
-    else:
-        rep = solve_monotone_ball(rhs, op, _LS_SOLVER, u0=u)
+    op = ProblemParams(p=params.p, gamma=params.gamma, lam=0.0)
+    solve = solve_monotone if params.p > 2.0 else solve_monotone_ball
+    rep = solve(rhs, op, u0=u, tol_abs=_LS_TOL_ABS, tol_rel=_LS_TOL_REL)
     t_vals = rep.solution.values - laplacian_solve_values(grid, rhs.values)
     h = grid.h
     scalar = alpha - alpha * lam / ek.value \
@@ -360,7 +366,7 @@ def _trivial_candidates(grid: Grid, gamma: float) -> list[float]:
 
 
 def trace_branch(seed: BranchSeed, grid: Grid | None = None,
-                 config: SolverConfig | None = None) -> Branch:
+                 max_steps: int = 200) -> Branch:
     """Trace the solution branch leaving (lambda_k^which, 0).
 
     For p > 2 the traced variable is u itself; for 1 < p < 2 it is the
@@ -374,11 +380,14 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
     _NORM_CAP (MeetsInfinity), collapses below _ZERO_CAP next to a different
     half-eigenvalue (MeetsTrivial), the step budget runs out (MaxSteps), or
     the corrector fails after MAX_HALVINGS step halvings (CorrectorFailure).
+    The seed point has amplitude seed.alpha0 along the half-eigenfunction,
+    and a trace takes at most max_steps points, the seed included; its
+    corrector stops at _CORRECTOR_TOL.
     """
+    if not (_is_int(max_steps) and max_steps >= 1):
+        raise ValueError(f"max_steps must be an integer >= 1, got {max_steps!r}")
     if grid is None:
         grid = Grid()
-    if config is None:
-        config = SolverConfig()
     pair = split_eigenvalues(grid, seed.k, seed.gamma)
     lam_star = pair.lambda1 if seed.which == 1 else pair.lambda2
     vdir = pair.v1 if seed.which == 1 else pair.v2
@@ -386,10 +395,10 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
     ek = eigenpair(grid, seed.k)
     ek_vals, h = ek.vector.values, grid.h
 
-    a0 = config.alpha0 * inner_l2(ek.vector, vdir)
+    a0 = seed.alpha0 * inner_l2(ek.vector, vdir)
     try:
         u, lam, iters, tol_eff, g, l2 = _corrector(
-            grid, seed.p, seed.gamma, config.alpha0 * vdir.values, lam_star,
+            grid, seed.p, seed.gamma, seed.alpha0 * vdir.values, lam_star,
             ek.vector.values, 0.0, a0)
     except SolverError as exc:
         raise SolverError(f"seed correction failed for {seed}: {exc}") from exc
@@ -420,7 +429,7 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
     termination: Termination | None = None
     candidates: list[float] | None = None
 
-    while len(points) < config.max_steps and termination is None:
+    while len(points) < max_steps and termination is None:
         # the corrector gets MAX_HALVINGS + 1 tries, ds halved after each failure
         for _ in range(MAX_HALVINGS + 1):
             pred_u = u + ds * t_u
@@ -509,12 +518,11 @@ def scaling_slope(branch: Branch) -> float:
     return float(slope)
 
 
-def newton_at_lambda(u0: Field, params: ProblemParams,
-                     config: SolverConfig | None = None) -> Field:
+def newton_at_lambda(u0: Field, params: ProblemParams) -> Field:
     """The solution of the original equation at params.lam reached from u0,
     for p > 2: solve_monotone with f = 0.
 
     For lam below the first discrete eigenvalue the energy is convex and
     u = 0 its only critical point, so this probes the trivial-only region.
     """
-    return solve_monotone(Field.zeros(u0.grid), params, config, u0=u0).solution
+    return solve_monotone(Field.zeros(u0.grid), params, u0).solution

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SolverConfig
 from .grid import (Field, Grid, _check_same_grid, dot_values, dual_norm_values,
                    gradient_values, h10_values, laplacian_solve_values, require_finite,
                    w1p_values)
@@ -57,8 +56,10 @@ from .quasilinear import (energy, jacobian_original, jacobian_transformed,  # no
 # Armijo slope fraction and halvings per direction of damped_step
 ARMIJO = 1e-4
 MAX_HALVINGS = 8
-# Newton steps a monotone solve takes at most
+# Newton steps a monotone solve takes at most, and its default tolerances
 _MAX_ITER = 80
+TOL_ABS = 1e-9
+TOL_REL = 1e-12
 # the stops of newton short of convergence, other than a refused step
 STALLED = "stalled"
 OUT_OF_STEPS = "out of steps"
@@ -180,19 +181,23 @@ def newton(x, merit: float, data, trial: Callable, directions: Callable,
         x, merit, data = x_new, merit_new, data_new
 
 
-def _solve(f: Field, params: ProblemParams, config: SolverConfig | None, u: np.ndarray,
-           merit: float, data: tuple, trial: Callable, accept: Callable, radius: float,
-           stalled: str, slack: float = 0.0) -> SolveReport:
+def _solve(f: Field, params: ProblemParams, tol_abs: float, tol_rel: float,
+           u: np.ndarray, merit: float, data: tuple, trial: Callable, accept: Callable,
+           radius: float, stalled: str, slack: float = 0.0) -> SolveReport:
     """newton from u for the energy (p > 2) or the ball solve: the SolveReport
     of the last iterate tested, or SolverError with it. An iterate's data are
     its residual, gradient, residual norm (tested against the tolerance) and
     the coercivity sampled so far; the slope of a direction d is (r, d)_2 on
-    the energy and -merit on the ball's residual norm."""
-    if config is None:
-        config = SolverConfig()
+    the energy and -merit on the ball's residual norm. The solve stops when
+    the dual-norm residual falls below tol_abs or below tol_rel times the
+    dual norm of f; both must be finite and positive. Its other limits are
+    module constants: _MAX_ITER Newton steps, MAX_HALVINGS per direction."""
+    for name, value in (("tol_abs", tol_abs), ("tol_rel", tol_rel)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     grid, h = f.grid, f.grid.h
     transformed = params.p < 2.0
-    tol = max(config.tol_abs, config.tol_rel * dual_norm_values(grid, f.values))
+    tol = max(tol_abs, tol_rel * dual_norm_values(grid, f.values))
 
     def directions(u: np.ndarray, merit: float, data: tuple) -> Iterator[tuple]:
         r = data[0]
@@ -216,9 +221,8 @@ def _solve(f: Field, params: ProblemParams, config: SolverConfig | None, u: np.n
     raise SolverError(message, report)
 
 
-def solve_monotone(f: Field, params: ProblemParams,
-                   config: SolverConfig | None = None,
-                   u0: Field | None = None) -> SolveReport:
+def solve_monotone(f: Field, params: ProblemParams, u0: Field | None = None,
+                   tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> SolveReport:
     """Solve -Delta_p u - Delta u - gamma*u^- - lam*u = f for p > 2.
 
     Semismooth Newton with an Armijo line search on the energy E(u) - <f, u>,
@@ -256,8 +260,8 @@ def solve_monotone(f: Field, params: ProblemParams,
     r = residual(u, g)
     # near convergence the true decrease drops below the float resolution of
     # the energy; the slack keeps full Newton steps acceptable on that plateau
-    return _solve(f, params, config, u, m0, (r, g, dual_norm_values(grid, r), math.inf),
-                  trial, accept, math.inf,
+    return _solve(f, params, tol_abs, tol_rel, u, m0,
+                  (r, g, dual_norm_values(grid, r), math.inf), trial, accept, math.inf,
                   "line search stalled in monotone solve "
                   "(residual {rnorm:.3e}, tol {tol:.3e})",
                   slack=32.0 * np.finfo(float).eps)
@@ -432,10 +436,9 @@ def default_ball_radius(params: ProblemParams, grid: Grid | None = None) -> floa
     return (2.0 * (4.0 - params.p) * length ** (1.0 - 0.5 * params.p)) ** -0.5
 
 
-def solve_monotone_ball(f: Field, params: ProblemParams,
-                        config: SolverConfig | None = None,
-                        radius: float | None = None,
-                        u0: Field | None = None) -> SolveReport:
+def solve_monotone_ball(f: Field, params: ProblemParams, radius: float | None = None,
+                        u0: Field | None = None, tol_abs: float = TOL_ABS,
+                        tol_rel: float = TOL_REL) -> SolveReport:
     """Solve the transformed-operator equation A v = f inside a coercivity ball.
 
     Newton on the exact residual with the self-regularizing Jacobian
@@ -487,8 +490,8 @@ def solve_monotone_ball(f: Field, params: ProblemParams,
     rnorm, (r, g, _, nrm) = trial(v)
     if nrm > radius:
         raise ValueError("initial guess lies outside the coercivity ball")
-    return _solve(f, params, config, v, rnorm, (r, g, rnorm, math.inf), trial, accept,
-                  radius, "line search stalled in ball-restricted solve")
+    return _solve(f, params, tol_abs, tol_rel, v, rnorm, (r, g, rnorm, math.inf), trial,
+                  accept, radius, "line search stalled in ball-restricted solve")
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:

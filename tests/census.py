@@ -43,7 +43,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from fucik_branch import continuation  # noqa: E402
-from fucik_branch.config import SolverConfig  # noqa: E402
 from fucik_branch.continuation import BranchSeed, trace_branch  # noqa: E402
 from fucik_branch.grid import Grid  # noqa: E402
 from fucik_branch.halfeig import gamma_window  # noqa: E402
@@ -104,7 +103,7 @@ def failed_corrector_calls():
         continuation._corrector = corrector
 
 
-def trace_row(grid: Grid, config: SolverConfig, p: float, k: int,
+def trace_row(grid: Grid, max_steps: int, p: float, k: int,
               frac: float, which: int) -> tuple[dict, object]:
     gamma = frac * gamma_window(grid, k)
     row = {"p": p, "k": k, "gamma_frac": frac, "which": which, "mirror_defect": ""}
@@ -112,7 +111,7 @@ def trace_row(grid: Grid, config: SolverConfig, p: float, k: int,
     with failed_corrector_calls() as failed:
         try:
             branch = trace_branch(BranchSeed(k=k, which=which, gamma=gamma, p=p),
-                                  grid, config)
+                                  grid, max_steps)
         except SolverError as exc:
             row.update(termination="SeedFailure", detail=str(exc), points=0,
                        lam=math.nan, l2=math.nan, arclength=math.nan, newton_steps=0,
@@ -224,14 +223,13 @@ def main(argv: list[str] | None = None) -> int:
                     help="CSV of an earlier run at the same n to compare with")
     args = ap.parse_args(argv)
     grid = Grid(n_interior=args.n)
-    config = SolverConfig(max_steps=STEPS)
     before = read_rows(args.against) if args.against else None
 
     rows = []
     for p in PS:
         for k in KS:
             for frac in GAMMA_FRACTIONS:
-                sides = [trace_row(grid, config, p, k, frac, which)
+                sides = [trace_row(grid, STEPS, p, k, frac, which)
                          for which in ((1, 2) if frac > 0.0 else (1,))]
                 if len(sides) == 2 and k % 2 == 0:
                     (first, b1), (second, b2) = sides

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import fucik_branch
-from fucik_branch.config import SolverConfig
 from fucik_branch.continuation import BranchSeed, trace_branch
 from fucik_branch.grid import FLOAT_FORMAT, Field, Grid, inner_l2, norms
 from fucik_branch.quasilinear import ProblemParams, residual_original
@@ -140,8 +139,3 @@ def branch_p3_w2():
 @pytest.fixture(scope="session")
 def branch_p15():
     return trace_branch(BranchSeed(k=2, which=1, gamma=0.5, p=1.5))
-
-
-@pytest.fixture(scope="session")
-def quiet_config() -> SolverConfig:
-    return SolverConfig()

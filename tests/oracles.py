@@ -25,14 +25,14 @@ import numpy as np
 
 from fucik_branch import continuation, monotone
 from fucik_branch._tridiag import symmetric_tridiag_apply, thomas_solve
-from fucik_branch.config import SolverConfig
 from fucik_branch.grid import (Field, Grid, dual_norm, element_gradients, gradient_values,
                                h10_norm, h10_values, inner_l2, laplacian_solve_values,
                                require_finite)
 from fucik_branch.halfeig import FucikPoint, _check_length
-from fucik_branch.monotone import (SolveReport, SolverError, VectorInequalityReport,
-                                   _block_rows, _blocks, _certified_bounds,
-                                   _monotonicity_ratios, default_ball_radius)
+from fucik_branch.monotone import (TOL_ABS, TOL_REL, SolveReport, SolverError,
+                                   VectorInequalityReport, _block_rows, _blocks,
+                                   _certified_bounds, _monotonicity_ratios,
+                                   default_ball_radius)
 from fucik_branch.quasilinear import (Jacobian, ProblemParams, _residual, energy,
                                       jacobian_original, jacobian_transformed,
                                       residual_original, residual_transformed)
@@ -457,17 +457,15 @@ def reference_newton_then_picard(jac: Jacobian, r: Field) -> Iterator[Field]:
     yield Field(r.grid, -laplacian_solve_values(r.grid, r.values))
 
 
-def reference_solve_monotone(f: Field, params: ProblemParams,
-                             config: SolverConfig | None = None,
-                             u0: Field | None = None) -> SolveReport:
+def reference_solve_monotone(f: Field, params: ProblemParams, u0: Field | None = None,
+                             tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL
+                             ) -> SolveReport:
     """monotone.solve_monotone as a Field loop, which takes the gradient of an
     iterate once for its merit, once for its Jacobian and once for its
     residual. monotone._MAX_ITER and monotone.damped_step are looked up at
     each call, so a test that patches them patches this loop too."""
     if params.p <= 2.0:
         raise ValueError(f"solve_monotone needs p > 2, got p={params.p}; use the ball solve")
-    if config is None:
-        config = SolverConfig()
     grid = f.grid
     max_iter = monotone._MAX_ITER
 
@@ -479,7 +477,7 @@ def reference_solve_monotone(f: Field, params: ProblemParams,
 
     u = u0 if u0 is not None else Field(grid, laplacian_solve_values(grid, f.values))
     r = residual(u)
-    tol = max(config.tol_abs, config.tol_rel * dual_norm(f))
+    tol = max(tol_abs, tol_rel * dual_norm(f))
     coercivity = math.inf
     for it in range(max_iter + 1):
         rnorm = dual_norm(r)
@@ -508,16 +506,14 @@ def reference_solve_monotone(f: Field, params: ProblemParams,
 
 
 def reference_solve_monotone_ball(f: Field, params: ProblemParams,
-                                  config: SolverConfig | None = None,
-                                  radius: float | None = None,
-                                  u0: Field | None = None) -> SolveReport:
+                                  radius: float | None = None, u0: Field | None = None,
+                                  tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL
+                                  ) -> SolveReport:
     """monotone.solve_monotone_ball as a Field loop, which takes the gradient
     of an iterate for its ball test, its Jacobian and its residual apart;
     monotone._MAX_ITER and monotone.damped_step are looked up at each call."""
     if not (1.0 < params.p < 2.0):
         raise ValueError("solve_monotone_ball requires 1 < p < 2")
-    if config is None:
-        config = SolverConfig()
     grid = f.grid
     max_iter = monotone._MAX_ITER
     if radius is None:
@@ -536,7 +532,7 @@ def reference_solve_monotone_ball(f: Field, params: ProblemParams,
         return merit, (rw, merit)
 
     r = residual(v)
-    tol = max(config.tol_abs, config.tol_rel * dual_norm(f))
+    tol = max(tol_abs, tol_rel * dual_norm(f))
     rnorm = dual_norm(r)
     coercivity = math.inf
     for it in range(max_iter + 1):

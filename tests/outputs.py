@@ -11,8 +11,9 @@ status, stdout and stderr (the log included). SHA256SUMS in --out lists the
 sha256 of every file. With --against, the directory of an earlier run, it
 prints the files whose hashes differ or that only one run has, with the
 largest relative change of the numbers in each changed CSV or JSON file
-that keeps its count of numbers, and exits with status 1 when any file
-changed (0 otherwise). Needs only numpy; it imports the package from the
+that keeps its count of numbers, and for any other changed file the number
+of lines that differ and the first of them on each side; it exits with
+status 1 when any file changed (0 otherwise). Needs only numpy; it imports the package from the
 src/ next to this directory. Pytest does not collect it.
 """
 
@@ -129,6 +130,21 @@ def largest_change(old: list[float], new: list[float]) -> float:
     return worst
 
 
+def line_change(old: Path, new: Path) -> str:
+    """How two text files differ line by line: the count of line numbers at
+    which they differ, and the first such line of each side."""
+    a = old.read_text(errors="replace").splitlines()
+    b = new.read_text(errors="replace").splitlines()
+    differ = [i for i in range(max(len(a), len(b)))
+              if i >= len(a) or i >= len(b) or a[i] != b[i]]
+    if not differ:  # the bytes differ only in line endings
+        return "changed"
+    i = differ[0]
+    first = [repr(lines[i]) if i < len(lines) else "(no line)" for lines in (a, b)]
+    return (f"{len(differ)} of {max(len(a), len(b))} lines differ, "
+            f"first at line {i + 1}: {first[0]} -> {first[1]}")
+
+
 def compare(before: Path, after: Path) -> list[str]:
     """One line per file that differs between the runs in before and after."""
     old, new = read_manifest(before), read_manifest(after)
@@ -141,7 +157,7 @@ def compare(before: Path, after: Path) -> list[str]:
         elif old[path] != new[path]:
             a, b = numbers(before / path), numbers(after / path)
             if a is None:
-                lines.append(f"{path}: changed")
+                lines.append(f"{path}: {line_change(before / path, after / path)}")
             elif len(a) != len(b):
                 lines.append(f"{path}: {len(a)} -> {len(b)} numbers")
             else:

@@ -7,12 +7,11 @@ import csv
 
 import census
 from fucik_branch import continuation
-from fucik_branch.config import SolverConfig
 from fucik_branch.grid import Grid
 from fucik_branch.monotone import SolverError
 
 
-def _row(grid, config, p, k, frac, which):
+def _row(grid, max_steps, p, k, frac, which):
     # a stand-in for a trace: the census's row, without tracing
     return {"p": p, "k": k, "gamma_frac": frac, "which": which, "mirror_defect": "",
             "termination": "MaxSteps", "detail": "", "points": 200, "lam": 1.0 + p,
@@ -147,7 +146,7 @@ def test_trace_row_counts_the_corrector_calls_that_raise(monkeypatch):
         return corrector(*args)
 
     monkeypatch.setattr(continuation, "_corrector", failing)
-    row, branch = census.trace_row(Grid(n_interior=49), SolverConfig(max_steps=20),
+    row, branch = census.trace_row(Grid(n_interior=49), 20,
                                    3.0, 2, 0.5, 1)
     assert row["termination"] == "MaxSteps" and row["points"] == 20
     assert row["failed_calls"] == calls[0] // 3 > 0

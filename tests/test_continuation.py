@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from fucik_branch import _tridiag, continuation, monotone, quasilinear
-from fucik_branch.config import SolverConfig
 from fucik_branch.continuation import (BranchSeed, Termination,
                                        _bordered_solve, _corrector,
                                        _trivial_candidates, cone_test,
@@ -87,7 +86,7 @@ def test_ls_defect_tracks_corrector_tolerance(monkeypatch):
     maxima = []
     for tol in (1e-5, 1e-6):
         monkeypatch.setattr(continuation, "_CORRECTOR_TOL", tol)
-        branch = trace_branch(seed, config=SolverConfig(max_steps=4))
+        branch = trace_branch(seed, max_steps=4)
         defects = [ls_defect(pt, 1, 3.0, 0.0) for pt in branch.points]
         tols = [pt.corrector_tol for pt in branch.points]
         assert max(d / t for d, t in zip(defects, tols)) <= 10.0
@@ -189,7 +188,7 @@ def test_seed_limit_extrapolation(branch_p3_w1):
     head = branch_p3_w1.points[:5]
     fit = np.polyfit([pt.l2 for pt in head], [pt.lam for pt in head], 1)
     assert abs(fit[1] - branch_p3_w1.lambda_seed) <= 1e-2
-    assert branch_p3_w1.points[0].l2 <= 2.0 * SolverConfig().alpha0
+    assert branch_p3_w1.points[0].l2 <= 2.0 * branch_p3_w1.seed.alpha0
 
 
 def test_smaller_alpha0_tightens_seed(grid):
@@ -199,11 +198,11 @@ def test_smaller_alpha0_tightens_seed(grid):
     pair = split_eigenvalues(grid, 2, 0.5)
     e2 = eigenpair(grid, 2).vector
     c = inner_l2(e2, pair.v1)
-    seed = BranchSeed(k=2, which=1, gamma=0.5, p=3.0)
     lam_devs = []
     drifts = []
     for a0 in (1e-2, 1e-3, 1e-4):
-        branch = trace_branch(seed, config=SolverConfig(alpha0=a0, max_steps=1))
+        seed = BranchSeed(k=2, which=1, gamma=0.5, p=3.0, alpha0=a0)
+        branch = trace_branch(seed, max_steps=1)
         pt = branch.points[0]
         split = decompose(pt.u, 2)
         lam_devs.append(abs(pt.lam - pair.lambda1))
@@ -217,10 +216,10 @@ def test_smaller_alpha0_tightens_seed(grid):
 def test_complement_vanishes_relative_to_alpha_gamma_zero():
     # at gamma = 0 the branch direction is e_k itself, so the orthogonal
     # complement of the seed point is genuinely o(alpha)
-    seed = BranchSeed(k=2, which=1, gamma=0.0, p=3.0)
     ratios = []
     for a0 in (1e-2, 1e-3, 1e-4):
-        branch = trace_branch(seed, config=SolverConfig(alpha0=a0, max_steps=1))
+        seed = BranchSeed(k=2, which=1, gamma=0.0, p=3.0, alpha0=a0)
+        branch = trace_branch(seed, max_steps=1)
         split = decompose(branch.points[0].u, 2)
         ratios.append(l2_norm(split.v) / abs(split.alpha))
     assert ratios[1] <= 0.2 * ratios[0]
@@ -249,7 +248,7 @@ def test_scaling_slope_matches_the_bifurcation_exponent(p, k, which):
     # rescaled variable for p < 2 and e = p - 2 for p > 2; the slope reads
     # only the first 25 points
     branch = trace_branch(BranchSeed(k=k, which=which, gamma=0.5, p=p),
-                          Grid(n_interior=199), SolverConfig(max_steps=25))
+                          Grid(n_interior=199), 25)
     exponent = 2.0 if p < 2.0 else p - 2.0
     assert scaling_slope(branch) == approx(exponent, rel=0.03)
 
@@ -265,7 +264,7 @@ def test_localization_radius_positive(branch_p3_w1, branch_p3_w2):
 def test_rayleigh_identity_gamma_zero():
     # pairing the equation with u: lam*||u||_2^2 = ||u||_{1,p}^p + ||u||_{1,2}^2
     seed = BranchSeed(k=1, which=1, gamma=0.0, p=3.0)
-    branch = trace_branch(seed, config=SolverConfig(max_steps=40))
+    branch = trace_branch(seed, max_steps=40)
     lam1 = branch.lambda_seed
     for pt in branch.points:
         lhs = pt.lam * pt.l2 ** 2
@@ -282,7 +281,7 @@ def test_rayleigh_identity_gamma_zero():
 def test_norm_cap_termination(monkeypatch):
     seed = BranchSeed(k=1, which=1, gamma=0.0, p=3.0)
     monkeypatch.setattr(continuation, "_NORM_CAP", 1.0)
-    branch = trace_branch(seed, config=SolverConfig(max_steps=400))
+    branch = trace_branch(seed, max_steps=400)
     assert branch.termination.kind == "MeetsInfinity"
     assert branch.points[-1].l2 > 1.0
     assert all(pt.l2 <= 1.0 for pt in branch.points[:-1])
@@ -350,11 +349,18 @@ def test_seed_validation():
         BranchSeed(k=2, which=1, gamma=0.0, p=2.0)
     with pytest.raises(ValueError):
         BranchSeed(k=2, which=1, gamma=0.0, p=0.5)
+    # a bool or a float equal to 1 is not an index: it would name the
+    # output file branch_kTrue_wTrue.csv
+    for k, which, field in ((True, 1, "k"), (2.0, 1, "k"), (2, True, "which"),
+                            (2, False, "which"), (2, 1.0, "which"), (2, 2.0, "which")):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            BranchSeed(k=k, which=which, gamma=0.0, p=3.0)
 
 
 @pytest.mark.parametrize("field, good, bad", [
     ("gamma", 0.0, [math.nan, math.inf, -math.inf, -0.1]),
     ("p", 1.5, [math.nan, math.inf, 2.0, 1.0, 0.5]),
+    ("alpha0", 0.5, [math.nan, math.inf, -math.inf, 0.0, -1e-3]),
 ])
 def test_seed_field_must_be_finite_and_in_range(field, good, bad):
     base = {"k": 2, "which": 1, "gamma": 0.5, "p": 3.0}
@@ -362,6 +368,19 @@ def test_seed_field_must_be_finite_and_in_range(field, good, bad):
     for value in bad:
         with pytest.raises(ValueError, match=field):
             BranchSeed(**{**base, field: value})
+
+
+def test_max_steps_must_be_an_int_at_least_1(monkeypatch):
+    seed = BranchSeed(k=2, which=1, gamma=0.5, p=3.0)
+    assert len(trace_branch(seed, max_steps=1).points) == 1
+
+    def no_work(*args):
+        raise AssertionError("trace_branch worked before checking max_steps")
+
+    monkeypatch.setattr(continuation, "split_eigenvalues", no_work)
+    for bad in (0, -3, 2.5, 3.0, True, math.nan, "4"):
+        with pytest.raises(ValueError, match="max_steps must be an integer >= 1"):
+            trace_branch(seed, max_steps=bad)
 
 
 @pytest.mark.parametrize("p, gamma", [
@@ -388,9 +407,9 @@ def assert_mirror_images(first, second):
 @pytest.mark.parametrize("p", [3.0, 1.5])
 def test_even_k_sides_are_mirror_images(grid, p):
     # k = 2 has one hump of each sign, so reflection swaps the two sides
-    config = SolverConfig(max_steps=60)
+    steps = 60
     first, second = (trace_branch(BranchSeed(k=2, which=which, gamma=0.5, p=p),
-                                  grid, config) for which in (1, 2))
+                                  grid, steps) for which in (1, 2))
     assert len(first.points) == 60
     assert_mirror_images(first, second)
 
@@ -399,8 +418,7 @@ def test_even_k_sides_are_mirror_images(grid, p):
 def test_odd_k_trace_is_its_own_mirror(grid, which):
     # k = 3 has humps +, -, + (or -, +, -), which reflection maps onto themselves
     gamma = 0.5 * gamma_window(grid, 3)
-    branch = trace_branch(BranchSeed(k=3, which=which, gamma=gamma, p=3.0), grid,
-                          SolverConfig(max_steps=60))
+    branch = trace_branch(BranchSeed(k=3, which=which, gamma=gamma, p=3.0), grid, 60)
     assert len(branch.points) == 60
     assert_mirror_images(branch, branch)
 
@@ -410,14 +428,14 @@ def test_trace_keeps_the_bits_of_one_solve_per_right_hand_side(grid, monkeypatch
     # every lambda and u equal to the corrector arithmetic of
     # oracles.reference_bordered_solve: Field-built residuals and Jacobians,
     # one thomas_solve per right-hand side, a first pass from du = 0
-    config = SolverConfig(max_steps=60)
+    steps = 60
     seeds = [BranchSeed(k=2, which=which, gamma=0.5, p=p) for which in (1, 2)]
-    got = [trace_branch(seed, grid, config) for seed in seeds]
+    got = [trace_branch(seed, grid, steps) for seed in seeds]
     monkeypatch.setattr(continuation, "_residual", reference_trace_residual(grid))
     monkeypatch.setattr(continuation, "_jacobian", reference_trace_jacobian)
     monkeypatch.setattr(continuation, "_bordered_solve", reference_bordered_solve)
     for seed, branch in zip(seeds, got):
-        ref = trace_branch(seed, grid, config)
+        ref = trace_branch(seed, grid, steps)
         assert branch.termination == ref.termination
         assert len(branch.points) == len(ref.points) == 60
         for a, b in zip(branch.points, ref.points):
@@ -429,13 +447,13 @@ def test_cyclic_trace_matches_the_thomas_loop(monkeypatch):
     # at n = 399 the p = 3 trace's Jacobians factor by cyclic reduction; the
     # same traces on the Thomas loop end the same way, equal up to round-off
     grid = Grid(n_interior=399)
-    config = SolverConfig(max_steps=60)
+    steps = 60
     seeds = [BranchSeed(k=k, which=which, gamma=0.5, p=3.0)
              for k in (2, 3) for which in (1, 2)]
-    got = [trace_branch(seed, grid, config) for seed in seeds]
+    got = [trace_branch(seed, grid, steps) for seed in seeds]
     monkeypatch.setattr(quasilinear, "tridiag_factor", _tridiag._thomas_factor)
     for seed, branch in zip(seeds, got):
-        ref = trace_branch(seed, grid, config)
+        ref = trace_branch(seed, grid, steps)
         assert branch.termination == ref.termination
         assert len(branch.points) == len(ref.points) == 60
         for a, b in zip(branch.points, ref.points):
@@ -450,7 +468,7 @@ def test_high_mode_trace_reduces_only_while_its_pivots_are_safe(n):
     # with negative pivots: the factorization hands that level's system to
     # the Thomas loop instead of failing the seed
     branch = trace_branch(BranchSeed(k=150, which=1, gamma=0.0, p=3.0),
-                          Grid(n_interior=n), SolverConfig(max_steps=20))
+                          Grid(n_interior=n), 20)
     assert branch.termination.kind == "MaxSteps"
     assert len(branch.points) == 20
 
@@ -468,9 +486,8 @@ def test_newton_at_lambda_reports_failure(grid, rng, monkeypatch):
     params = ProblemParams(p=3.0, gamma=0.0, lam=1.0)
     u0 = random_field(grid, rng)
     monkeypatch.setattr(monotone, "_MAX_ITER", 2)
-    config = SolverConfig(tol_abs=1e-300)
     with pytest.raises(SolverError):
-        newton_at_lambda(u0, params, config=config)
+        newton_at_lambda(u0, params)
 
 
 def test_newton_at_lambda_accepts_its_last_step(grid, rng, monkeypatch):
@@ -504,8 +521,7 @@ def test_census_subset_ends_classified(p):
     # one census trace per p: k = 3, gamma = 0.5 gamma_max, which = 1, n = 199
     grid = Grid(n_interior=199)
     gamma = 0.5 * gamma_window(grid, 3)
-    branch = trace_branch(BranchSeed(k=3, which=1, gamma=gamma, p=p), grid,
-                          SolverConfig(max_steps=60))
+    branch = trace_branch(BranchSeed(k=3, which=1, gamma=gamma, p=p), grid, 60)
     assert isinstance(branch.termination, Termination)
     with pytest.raises(ValueError, match="termination kind"):
         Termination("Bogus")
@@ -626,13 +642,13 @@ def test_conditional_refinement_keeps_p3_traces(monkeypatch):
     # against the always-refining arithmetic (a negative tolerance never
     # passes): same terminations and points, lambda and u within 1e-12
     grid = Grid(n_interior=199)
-    config = SolverConfig(max_steps=60)
+    steps = 60
     seeds = [BranchSeed(k=k, which=which, gamma=0.5, p=3.0)
              for k in (2, 3) for which in (1, 2)]
-    conditional = [trace_branch(seed, grid, config) for seed in seeds]
+    conditional = [trace_branch(seed, grid, steps) for seed in seeds]
     monkeypatch.setattr(continuation, "_REFINE_TOL", -1.0)
     for seed, got in zip(seeds, conditional):
-        ref = trace_branch(seed, grid, config)
+        ref = trace_branch(seed, grid, steps)
         assert got.termination == ref.termination
         assert len(got.points) == len(ref.points) == 60
         for a, b in zip(got.points, ref.points):
@@ -663,7 +679,7 @@ def test_trace_makes_no_dense_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", dense_solve)
     for p in (3.0, 1.5):
         branch = trace_branch(BranchSeed(k=2, which=1, gamma=0.5, p=p),
-                              Grid(n_interior=99), SolverConfig(max_steps=12))
+                              Grid(n_interior=99), 12)
         assert branch.termination.kind == "MaxSteps"
         assert len(branch.points) == 12
 
@@ -707,8 +723,7 @@ def test_trace_takes_one_gradient_per_corrector_iterate(grid, monkeypatch, p):
                           counts["trials"] - before["trials"]))
 
     monkeypatch.setattr(continuation, "_corrector", recording)
-    branch = trace_branch(BranchSeed(k=2, which=1, gamma=0.5, p=p), grid,
-                          SolverConfig(max_steps=60))
+    branch = trace_branch(BranchSeed(k=2, which=1, gamma=0.5, p=p), grid, 60)
     assert len(branch.points) == 60
     assert len(calls) >= len(branch.points)
     assert all(taken == 1 + trials for taken, trials in calls)
@@ -755,7 +770,7 @@ def test_points_record_the_corrector_iterations(grid, monkeypatch):
     for p in (3.0, 1.5):
         taken.clear()
         branch = trace_branch(BranchSeed(k=2, which=1, gamma=0.5, p=p), grid,
-                              SolverConfig(max_steps=30))
+                              30)
         assert [pt.iterations for pt in branch.points] == taken
         assert min(taken) >= 1
 
@@ -763,9 +778,8 @@ def test_points_record_the_corrector_iterations(grid, monkeypatch):
 def test_p3_traces_take_at_most_five_newton_steps_per_four_points(grid):
     # the quadratic start leaves most p > 2 points one Newton step; the
     # secant start took 1223 steps for these 800 points
-    config = SolverConfig(max_steps=200)
-    branches = [trace_branch(BranchSeed(k=k, which=which, gamma=0.5, p=3.0), grid,
-                             config) for k in (2, 3) for which in (1, 2)]
+    branches = [trace_branch(BranchSeed(k=k, which=which, gamma=0.5, p=3.0), grid)
+                for k in (2, 3) for which in (1, 2)]
     points = [pt for branch in branches for pt in branch.points]
     assert len(points) == 800
     assert sum(pt.iterations for pt in points) <= 1.25 * len(points)
@@ -774,9 +788,8 @@ def test_p3_traces_take_at_most_five_newton_steps_per_four_points(grid):
 def test_p3_traces_take_at_most_27_newton_steps_per_25_points(grid):
     # the cubic start through four points; the quadratic start through three
     # took 912 steps for these 800 points
-    config = SolverConfig(max_steps=200)
-    branches = [trace_branch(BranchSeed(k=k, which=which, gamma=0.5, p=3.0), grid,
-                             config) for k in (2, 3) for which in (1, 2)]
+    branches = [trace_branch(BranchSeed(k=k, which=which, gamma=0.5, p=3.0), grid)
+                for k in (2, 3) for which in (1, 2)]
     points = [pt for branch in branches for pt in branch.points]
     assert len(points) == 800
     assert sum(pt.iterations for pt in points) <= 1.08 * len(points)
@@ -793,10 +806,9 @@ def test_quadratic_start_moves_p_above_2_points_within_tolerance(grid, monkeypat
     # the cubic start does not change the equations the corrector solves, so
     # the points move only within the corrector tolerance
     seed = BranchSeed(k=k, which=1, gamma=0.5 * gamma_window(grid, k), p=p)
-    config = SolverConfig(max_steps=200)
-    got = trace_branch(seed, grid, config)
+    got = trace_branch(seed, grid)
     monkeypatch.setattr(continuation, "_corrector_start", secant_start)
-    ref = trace_branch(seed, grid, config)
+    ref = trace_branch(seed, grid)
     assert got.termination == ref.termination
     assert len(got.points) == len(ref.points)
     for a, b in zip(got.points, ref.points):
@@ -808,10 +820,9 @@ def test_quadratic_start_moves_p_above_2_points_within_tolerance(grid, monkeypat
 @pytest.mark.parametrize("which", [1, 2])
 def test_transformed_trace_keeps_the_secant_start(grid, monkeypatch, which):
     seed = BranchSeed(k=2, which=which, gamma=0.5, p=1.5)
-    config = SolverConfig(max_steps=200)
-    got = trace_branch(seed, grid, config)
+    got = trace_branch(seed, grid)
     monkeypatch.setattr(continuation, "_corrector_start", secant_start)
-    ref = trace_branch(seed, grid, config)
+    ref = trace_branch(seed, grid)
     assert got.termination == ref.termination
     assert len(got.points) == len(ref.points)
     for a, b in zip(got.points, ref.points):

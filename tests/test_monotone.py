@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fucik_branch import monotone
-from fucik_branch.config import SolverConfig
 from fucik_branch.grid import (Field, Grid, dual_norm, h10_norm, inner_l2,
                                laplacian_solve_values, norms)
 from fucik_branch.monotone import (
@@ -515,17 +514,27 @@ def test_ball_coercivity_rejects_bad_input(grid):
 def test_out_of_iterations_reports_the_steps_taken(grid, rng, monkeypatch):
     # an unreachable tolerance: both solves take every one of _MAX_ITER steps
     monkeypatch.setattr(monotone, "_MAX_ITER", 3)
-    config = SolverConfig(tol_abs=1e-300, tol_rel=1e-300)
+    tols = {"tol_abs": 1e-300, "tol_rel": 1e-300}
     f = Field.from_function(grid, lambda x: math.sin(2.0 * x))
     with pytest.raises(SolverError, match="no convergence in 3 iterations") as exc:
-        solve_monotone(f, P3, config)
+        solve_monotone(f, P3, **tols)
     assert exc.value.report.iterations == 3
     r = default_ball_radius(P15, grid=grid)
     v_star = random_field(grid, rng)
     f = residual_transformed((0.5 * r / h10_norm(v_star)) * v_star, P15)
     with pytest.raises(SolverError, match="no convergence in 3 iterations") as exc:
-        solve_monotone_ball(f, P15, config, radius=r)
+        solve_monotone_ball(f, P15, radius=r, **tols)
     assert exc.value.report.iterations == 3
+
+
+@pytest.mark.parametrize("name", ["tol_abs", "tol_rel"])
+def test_tolerance_must_be_finite_and_positive(grid, name):
+    f = Field.from_function(grid, lambda x: math.sin(2.0 * x))
+    assert solve_monotone(f, P3, **{name: 0.5}).iterations >= 0
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1e-3):
+        for solve, params in ((solve_monotone, P3), (solve_monotone_ball, P15)):
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                solve(Field.zeros(grid), params, **{name: bad})
 
 
 def test_ball_solve_falls_back_to_picard(grid, rng, monkeypatch):
@@ -765,12 +774,12 @@ def test_error_paths_bit_identical_to_field_loop(grid, rng, monkeypatch):
     # out of iterations
     with monkeypatch.context() as m:
         m.setattr(monotone, "_MAX_ITER", 3)
-        config = SolverConfig(tol_abs=1e-300, tol_rel=1e-300)
+        tols = {"tol_abs": 1e-300, "tol_rel": 1e-300}
         for solve, reference, f, params, kw in cases:
-            new = error_bits(solve, f, params, config, **kw)
+            new = error_bits(solve, f, params, **kw, **tols)
             assert new[0].startswith("no convergence in 3 iterations")
             assert new[1][1] == 3
-            assert new == error_bits(reference, f, params, config, **kw)
+            assert new == error_bits(reference, f, params, **kw, **tols)
     # a line search that stalls on the second step
     step = monotone.damped_step
     for solve, reference, f, params, kw in cases:

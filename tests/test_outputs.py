@@ -1,5 +1,6 @@
 """tests/outputs.py on a two-run matrix: a repeated run matches, a changed
-output is listed with its largest relative change, and --out must be new."""
+output is listed with its largest relative change or, for a text file, its
+first differing line, and --out must be new."""
 
 import json
 
@@ -43,7 +44,8 @@ def test_changed_outputs_are_listed(tmp_path, monkeypatch, capsys):
     assert outputs.main(["--out", str(tmp_path / "b"), "--against", str(tmp_path / "a")]) == 1
     lines = capsys.readouterr().out.splitlines()
     changed = lines[lines.index(f"against {tmp_path / 'a'}: 7 changed") + 1:]
-    assert changed[0] == "halfeig/console.txt: changed"
+    assert changed[0].startswith(
+        "halfeig/console.txt: 1 of 4 lines differ, first at line 3: 'lambda1=")
     assert changed[1] == "halfeig/halfeig.json: largest relative change 0.5"
     assert [line.split(":")[0] for line in changed[2:4]] == [
         "halfeig/halfeig_v1.csv", "halfeig/halfeig_v2.csv"]
@@ -61,6 +63,21 @@ def test_files_only_one_run_has_are_listed(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "3 changed\n" in out
     assert f"spectrum/spectrum.csv: only in {tmp_path / 'a'}\n" in out
+
+
+def test_text_change_gives_the_count_and_first_differing_lines(tmp_path):
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text("exit 0\nINFO seed(k=2)\nsame\n")
+    new.write_text("exit 0\nINFO seed(k=2, a=1)\nsame\nextra\n")
+    assert outputs.line_change(old, new) == (
+        "2 of 4 lines differ, first at line 2: 'INFO seed(k=2)' -> 'INFO seed(k=2, a=1)'")
+    assert outputs.line_change(new, old).endswith("'INFO seed(k=2, a=1)' -> 'INFO seed(k=2)'")
+    new.write_text("exit 0\nINFO seed(k=2)\nsame\nextra\n")
+    assert outputs.line_change(old, new) == (
+        "1 of 4 lines differ, first at line 4: (no line) -> 'extra'")
+    # line endings alone: the bytes differ, the lines do not
+    new.write_bytes(old.read_bytes().replace(b"\n", b"\r\n"))
+    assert outputs.line_change(old, new) == "changed"
 
 
 def test_largest_change_of_equal_special_values_is_zero():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fucik_branch import _tridiag, quasilinear
-from fucik_branch.config import SolverConfig
 from fucik_branch.continuation import newton_at_lambda
 from fucik_branch.grid import (
     Field,

@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fucik_branch.config import SolverConfig
 from fucik_branch.continuation import BranchSeed, trace_branch
 from fucik_branch.grid import Grid
 
@@ -22,7 +21,7 @@ def refined_quantities() -> np.ndarray:
     rows = []
     for n in MESHES:
         branch = trace_branch(BranchSeed(k=2, which=1, gamma=0.5, p=3.0),
-                              Grid(n_interior=n), SolverConfig(max_steps=60))
+                              Grid(n_interior=n), 60)
         l2 = np.array([pt.l2 for pt in branch.points])
         lam = np.array([pt.lam for pt in branch.points])
         assert np.all(np.diff(l2) > 0.0)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from fucik_branch import _tridiag
 from fucik_branch._tridiag import CORE, thomas_solve, tridiag_factor
-from fucik_branch.config import SolverConfig
 from fucik_branch.continuation import BranchSeed, trace_branch
 from fucik_branch.grid import Grid, h10_norm
 from fucik_branch.monotone import solve_monotone, solve_monotone_ball
@@ -306,7 +305,7 @@ def test_which_callers_take_cyclic_reduction(monkeypatch):
     for p, cyclic in ((3.0, True), (1.5, False)):
         counts["cyclic"] = 0
         branch = trace_branch(BranchSeed(k=2, which=1, gamma=0.5, p=p),
-                              grid, SolverConfig(max_steps=8))
+                              grid, 8)
         assert len(branch.points) == 8
         assert (counts["cyclic"] > 0) is cyclic
 
