@@ -44,12 +44,11 @@ from __future__ import annotations
 import collections
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Field, Grid, gradient_values, inner_l2, l2_norm,
-                   laplacian_solve_values)
+from .grid import (Field, Grid, _is_int, _Record, _set, _Value, gradient_values, inner_l2,
+                   l2_norm, laplacian_solve_values)
 from .halfeig import gamma_window, split_eigenvalues
 from .monotone import (MAX_HALVINGS, STALLED, SolverError, newton, solve_monotone,
                        solve_monotone_ball)
@@ -84,16 +83,15 @@ _LS_TOL_ABS = 1e-12
 _LS_TOL_REL = 1e-14
 
 
-@dataclass(frozen=True, eq=False)
-class LSDecomposition:
+class LSDecomposition(_Record):
     """Split u = alpha*e_k + v with (e_k, v)_2 = 0."""
 
-    alpha: float
-    v: Field
+    def __init__(self, alpha: float, v: Field):
+        _set(self, "alpha", alpha)
+        _set(self, "v", v)
 
 
-@dataclass(frozen=True, eq=False)
-class BranchPoint:
+class BranchPoint(_Record):
     """One accepted continuation point; norms refer to the traced variable.
 
     For a transformed trace (1 < p < 2) h12_original carries the
@@ -102,81 +100,76 @@ class BranchPoint:
     iterations the Newton steps it took to meet it.
     """
 
-    s: float
-    lam: float
-    u: Field
-    alpha: float
-    l2: float
-    h12: float
-    in_cone: bool
-    corrector_tol: float
-    iterations: int
-    h12_original: float | None = None
+    def __init__(self, s: float, lam: float, u: Field, alpha: float, l2: float, h12: float,
+                 in_cone: bool, corrector_tol: float, iterations: int,
+                 h12_original: float | None = None):
+        _set(self, "s", s)
+        _set(self, "lam", lam)
+        _set(self, "u", u)
+        _set(self, "alpha", alpha)
+        _set(self, "l2", l2)
+        _set(self, "h12", h12)
+        _set(self, "in_cone", in_cone)
+        _set(self, "corrector_tol", corrector_tol)
+        _set(self, "iterations", iterations)
+        _set(self, "h12_original", h12_original)
 
 
 _TERMINATION_KINDS = ("MeetsInfinity", "MeetsTrivial", "MaxSteps", "CorrectorFailure")
 
 
-@dataclass(frozen=True)
-class Termination:
+class Termination(_Value):
     """How a trace ended: kind is one of _TERMINATION_KINDS; mu, given exactly
     for MeetsTrivial, is the half-eigenvalue the branch returns to; detail
     says why a CorrectorFailure trace stopped."""
 
-    kind: str
-    mu: float | None = None
-    detail: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind not in _TERMINATION_KINDS:
-            raise ValueError(f"termination kind must be one of {_TERMINATION_KINDS}, "
-                             f"got {self.kind!r}")
-        if (self.mu is None) == (self.kind == "MeetsTrivial"):
+    def __init__(self, kind: str, mu: float | None = None, detail: str = ""):
+        if kind not in _TERMINATION_KINDS:
+            raise ValueError(f"termination kind must be one of {_TERMINATION_KINDS}, got {kind!r}")
+        if (mu is None) == (kind == "MeetsTrivial"):
             raise ValueError("a termination carries mu exactly when it is MeetsTrivial")
+        _set(self, "kind", kind)
+        _set(self, "mu", mu)
+        _set(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class BranchSeed:
+class BranchSeed(_Value):
     """Which bifurcation point to leave from, with which exponent, and the
     amplitude alpha0 of the seed point along the half-eigenfunction."""
 
-    k: int
-    which: int
-    gamma: float
-    p: float
-    alpha0: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if not (_is_int(self.k) and self.k >= 1):
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        if not (_is_int(self.which) and self.which in (1, 2)):
-            raise ValueError(f"which must be 1 or 2, got {self.which!r}")
-        _check_p_gamma(self.p, self.gamma)
-        if not (math.isfinite(self.alpha0) and self.alpha0 > 0.0):
-            raise ValueError(f"alpha0 must be finite and positive, got {self.alpha0}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    def __init__(self, k: int, which: int, gamma: float, p: float, alpha0: float = 1e-3):
+        if not (_is_int(k) and k >= 1):
+            raise ValueError(f"k must be a positive integer, got {k!r}")
+        if not (_is_int(which) and which in (1, 2)):
+            raise ValueError(f"which must be 1 or 2, got {which!r}")
+        _check_p_gamma(p, gamma)
+        if not (math.isfinite(alpha0) and alpha0 > 0.0):
+            raise ValueError(f"alpha0 must be finite and positive, got {alpha0}")
+        _set(self, "k", k)
+        _set(self, "which", which)
+        _set(self, "gamma", gamma)
+        _set(self, "p", p)
+        _set(self, "alpha0", alpha0)
 
 
-@dataclass(frozen=True, eq=False)
-class Branch:
-    seed: BranchSeed
-    points: tuple[BranchPoint, ...]
-    termination: Termination
-    lambda_seed: float
-    eta: float
+class Branch(_Record):
+    def __init__(self, seed: BranchSeed, points: tuple[BranchPoint, ...],
+                 termination: Termination, lambda_seed: float, eta: float):
+        _set(self, "seed", seed)
+        _set(self, "points", points)
+        _set(self, "termination", termination)
+        _set(self, "lambda_seed", lambda_seed)
+        _set(self, "eta", eta)
 
 
-@dataclass(frozen=True)
-class LocalizationReport:
+class LocalizationReport(_Value):
     """Largest radius around the seed inside which every point sits in its cone
     with the correct alpha sign; rho0 = inf when no point violates."""
 
-    rho0: float
-    checked: int
-    violations: int
+    def __init__(self, rho0: float, checked: int, violations: int):
+        _set(self, "rho0", rho0)
+        _set(self, "checked", checked)
+        _set(self, "violations", violations)
 
 
 def decompose(u: Field, k: int) -> LSDecomposition:

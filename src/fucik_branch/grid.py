@@ -16,8 +16,8 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -27,27 +27,70 @@ from ._tridiag import thomas_solve  # noqa: F401 -- perfbench/tracer.py patches 
 # 17 significant digits round-trips IEEE doubles exactly.
 FLOAT_FORMAT = "%.17g"
 
+_set = object.__setattr__  # how a record's __init__ sets each of its fields
 
-@dataclass(frozen=True)
-class Grid:
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+class _Record:
+    """Immutable record: __init__ sets its fields in order with _set. Compares by identity."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Value(_Record):
+    """Record that compares and hashes by _key, its fields' tuple, kept on first hash."""
+    __slots__ = ("_key",)
+
+    def __init_subclass__(cls):  # the fields are the parameters __init__ annotates, in order
+        cls._fields_of = attrgetter(*cls.__init__.__annotations__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        try:
+            return self._key == other._key
+        except AttributeError:  # not hashed yet; equal tuples hash alike
+            return hash(self) == hash(other) and self._key == other._key
+
+    def __hash__(self) -> int:
+        try:
+            return hash(self._key)
+        except AttributeError:
+            _set(self, "_key", self._fields_of(self))
+            return hash(self._key)
+
+    def __getstate__(self) -> dict:  # copy and pickle the fields only, not _key
+        return vars(self)
+
+
+class Grid(_Value):
     """Uniform grid on (0, length) with n_interior free nodes.
 
     The mesh width is h = length / (n_interior + 1); node i sits at x = i*h
     for i = 1 .. n_interior.
     """
 
-    length: float = math.pi
-    n_interior: int = 199
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.n_interior, int) and self.n_interior >= 3):
-            raise ValueError(f"n_interior must be an integer >= 3, got {self.n_interior}")
-        if not (math.isfinite(self.length) and self.length > 0.0):
-            raise ValueError(f"length must be positive and finite, got {self.length}")
+    def __init__(self, length: float = math.pi, n_interior: int = 199):
+        if not (_is_int(n_interior) and n_interior >= 3):
+            raise ValueError(f"n_interior must be an integer >= 3, got {n_interior}")
+        if not (math.isfinite(length) and length > 0.0):
+            raise ValueError(f"length must be positive and finite, got {length}")
+        _set(self, "length", length)
+        _set(self, "n_interior", n_interior)
         # every discrete Dirichlet eigenvalue lies below 4/h^2
         h2 = self.h * self.h
         if not (h2 > 0.0 and math.isfinite(4.0 / h2)):
-            raise ValueError(f"length {self.length} is too small for {self.n_interior} "
+            raise ValueError(f"length {length} is too small for {n_interior} "
                              f"interior nodes: 4/h^2 overflows")
 
     @property
@@ -70,22 +113,18 @@ class Grid:
         return x
 
 
-@dataclass(frozen=True, eq=False)
-class Field:
+class Field(_Record):
     """Interior nodal values of a piecewise-linear function vanishing at 0 and length."""
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.grid.n_interior,):
-            raise ValueError(
-                f"value array of shape {vals.shape} does not match grid with "
-                f"{self.grid.n_interior} interior nodes")
+    def __init__(self, grid: Grid, values: np.ndarray):
+        vals = np.array(values, dtype=float)
+        if vals.shape != (grid.n_interior,):
+            raise ValueError(f"value array of shape {vals.shape} does not match grid with "
+                             f"{grid.n_interior} interior nodes")
         require_finite(vals)
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        _set(self, "grid", grid)
+        _set(self, "values", vals)
 
     @classmethod
     def zeros(cls, grid: Grid) -> "Field":
@@ -112,11 +151,11 @@ class Field:
         return Field(self.grid, -self.values)
 
 
-@dataclass(frozen=True)
-class NormReport:
-    l2: float
-    h10: float
-    w1p: float
+class NormReport(_Value):
+    def __init__(self, l2: float, h10: float, w1p: float):
+        _set(self, "l2", l2)
+        _set(self, "h10", h10)
+        _set(self, "w1p", w1p)
 
 
 def _check_same_grid(u: Field, w: Field) -> None:

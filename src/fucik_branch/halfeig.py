@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._tridiag import thomas_solve  # noqa: F401 -- perfbench/tracer.py patches it by name here
-from .grid import Field, Grid, apply_laplacian, dual_norm
+from .grid import Field, Grid, _is_int, _Record, _set, _Value, apply_laplacian, dual_norm
 from .monotone import SolverError
 from .spectrum import closed_form_eigenvalue, eigenpair
 
@@ -46,41 +45,39 @@ _RESIDUAL_TOL = 1e-8
 _DRIFT_CONST = 0.25  # |lambda_h - lambda| <= _DRIFT_CONST * h^2 * lambda^2 (P1: 1/12)
 
 
-@dataclass(frozen=True, eq=False)
-class SplitEigenPair:
+class SplitEigenPair(_Record):
     """Both half-eigenvalues split off lambda_k, with eigenfunctions and cone margin.
 
     v1 and v2 are L2-normalized; (e_k, v1) > 0 and (e_k, v2) < 0 by
     construction, and eta = min(|(e_k, v1)|, |(e_k, v2)|) / 2.
     """
 
-    k: int
-    gamma: float
-    lambda1: float
-    lambda2: float
-    v1: Field
-    v2: Field
-    eta: float
+    def __init__(self, k: int, gamma: float, lambda1: float, lambda2: float, v1: Field,
+                 v2: Field, eta: float):
+        _set(self, "k", k)
+        _set(self, "gamma", gamma)
+        _set(self, "lambda1", lambda1)
+        _set(self, "lambda2", lambda2)
+        _set(self, "v1", v1)
+        _set(self, "v2", v2)
+        _set(self, "eta", eta)
 
 
-@dataclass(frozen=True)
-class FucikPoint:
+class FucikPoint(_Value):
     """Sampled point of the Fucik spectrum with its hump counts."""
 
-    lambda_plus: float
-    lambda_minus: float
-    n_plus: int
-    n_minus: int
-
-    def __post_init__(self) -> None:
-        if not (self.lambda_plus > 0.0 and self.lambda_minus > 0.0):
+    def __init__(self, lambda_plus: float, lambda_minus: float, n_plus: int, n_minus: int):
+        if not (lambda_plus > 0.0 and lambda_minus > 0.0):
             raise ValueError("Fucik point requires positive lambda_plus and lambda_minus")
-        if abs(self.n_plus - self.n_minus) > 1:
+        if abs(n_plus - n_minus) > 1:
             raise ValueError("alternating humps can differ in count by at most 1")
+        _set(self, "lambda_plus", lambda_plus)
+        _set(self, "lambda_minus", lambda_minus)
+        _set(self, "n_plus", n_plus)
+        _set(self, "n_minus", n_minus)
 
 
-@dataclass(frozen=True, eq=False)
-class FucikCurves:
+class FucikCurves(_Record):
     """Rows of a Fucik sweep as four aligned columns.
 
     The constructor applies FucikPoint's two rules to every row at once,
@@ -88,19 +85,19 @@ class FucikCurves:
     FucikPoint per row, with Python floats and ints.
     """
 
-    lambda_plus: np.ndarray
-    lambda_minus: np.ndarray
-    n_plus: np.ndarray
-    n_minus: np.ndarray
-
-    def __post_init__(self) -> None:
-        columns = (self.lambda_plus, self.lambda_minus, self.n_plus, self.n_minus)
-        if not all(c.ndim == 1 and c.shape == self.lambda_plus.shape for c in columns):
+    def __init__(self, lambda_plus: np.ndarray, lambda_minus: np.ndarray, n_plus: np.ndarray,
+                 n_minus: np.ndarray):
+        columns = (lambda_plus, lambda_minus, n_plus, n_minus)
+        if not all(c.ndim == 1 and c.shape == lambda_plus.shape for c in columns):
             raise ValueError("Fucik columns must be 1-D and of equal length")
-        if not ((self.lambda_plus > 0.0).all() and (self.lambda_minus > 0.0).all()):
+        if not ((lambda_plus > 0.0).all() and (lambda_minus > 0.0).all()):
             raise ValueError("Fucik point requires positive lambda_plus and lambda_minus")
-        if (abs(self.n_plus - self.n_minus) > 1).any():
+        if (abs(n_plus - n_minus) > 1).any():
             raise ValueError("alternating humps can differ in count by at most 1")
+        _set(self, "lambda_plus", lambda_plus)
+        _set(self, "lambda_minus", lambda_minus)
+        _set(self, "n_plus", n_plus)
+        _set(self, "n_minus", n_minus)
 
     def __len__(self) -> int:
         return self.lambda_plus.size
@@ -157,7 +154,7 @@ def _bisect(f, lo: float, hi: float, *, f_lo: float = math.nan,
 def gamma_window(grid: Grid, k: int) -> float:
     """The float gamma_max: the k-th eigenvalue splits for 0 <= gamma < gamma_max,
     and there both split values stay inside (lambda_k, lambda_{k+1})."""
-    if not (isinstance(k, int) and k >= 2):
+    if not (_is_int(k) and k >= 2):
         raise ValueError(f"splitting needs k >= 2, got {k}")
     if k + 1 > grid.n_interior:
         raise ValueError(f"k={k} needs at least {k + 1} interior nodes")
@@ -211,9 +208,9 @@ def shoot_split_lambda(k: int, gamma: float, length: float, which: int) -> float
     n_plus*pi/sqrt(lambda) + n_minus*pi/sqrt(lambda - gamma) = L, whose left
     side decreases strictly in lambda, on [lambda_k, lambda_{k+1}].
     """
-    if which not in (1, 2):
+    if not (_is_int(which) and which in (1, 2)):
         raise ValueError("which must be 1 or 2")
-    if not (isinstance(k, int) and k >= 1):
+    if not (_is_int(k) and k >= 1):
         raise ValueError(f"k must be an integer >= 1, got {k}")
     if not gamma >= 0.0:
         raise ValueError("gamma must be nonnegative")
@@ -304,7 +301,7 @@ def check_split(grid: Grid, k: int, gamma: float) -> None:
     0 <= gamma < gamma_window(grid, k). Closed forms only."""
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    if not (isinstance(k, int) and k >= 1):
+    if not (_is_int(k) and k >= 1):
         raise ValueError(f"k must be a positive integer, got {k}")
     if k == 1:
         # The window construction needs a spectral gap on both sides; for the

@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Field, Grid, _check_same_grid, dot_values, dual_norm_values,
-                   gradient_values, h10_values, laplacian_solve_values, require_finite,
-                   w1p_values)
+from .grid import (Field, Grid, _check_same_grid, _Record, _set, _Value, dot_values,
+                   dual_norm_values, gradient_values, h10_values, laplacian_solve_values,
+                   require_finite, w1p_values)
 from .quasilinear import Jacobian, ProblemParams, _energy, _jacobian, _residual
 from .grid import dual_norm  # noqa: F401 -- perfbench/tracer.py patches it by name here
 # perfbench/tracer.py patches these by name here; the solves call the cores above
@@ -77,8 +76,7 @@ class SolverError(RuntimeError):
         self.report = report
 
 
-@dataclass(frozen=True, eq=False)
-class SolveReport:
+class SolveReport(_Record):
     """Converged (or best) iterate with convergence and coercivity diagnostics.
 
     coercivity_estimate is the smallest monotonicity ratio sampled along the
@@ -87,23 +85,26 @@ class SolveReport:
     ball_radius_used is inf for the unconstrained solve.
     """
 
-    solution: Field
-    iterations: int
-    final_residual: float
-    coercivity_estimate: float
-    ball_radius_used: float
+    def __init__(self, solution: Field, iterations: int, final_residual: float,
+                 coercivity_estimate: float, ball_radius_used: float):
+        _set(self, "solution", solution)
+        _set(self, "iterations", iterations)
+        _set(self, "final_residual", final_residual)
+        _set(self, "coercivity_estimate", coercivity_estimate)
+        _set(self, "ball_radius_used", ball_radius_used)
 
 
-@dataclass(frozen=True)
-class VectorInequalityReport:
+class VectorInequalityReport(_Value):
     """Empirical constants for the p > 2 flux-difference inequalities."""
 
-    p: float
-    n_samples: int
-    c1_emp: float
-    c2_emp: float
-    c1_floor: float
-    violations: int
+    def __init__(self, p: float, n_samples: int, c1_emp: float, c2_emp: float,
+                 c1_floor: float, violations: int):
+        _set(self, "p", p)
+        _set(self, "n_samples", n_samples)
+        _set(self, "c1_emp", c1_emp)
+        _set(self, "c2_emp", c2_emp)
+        _set(self, "c1_floor", c1_floor)
+        _set(self, "violations", violations)
 
 
 def newton_then_picard(jac: Jacobian, r: np.ndarray, grid: Grid) -> Iterator[np.ndarray]:

@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._tridiag import (Solver, _is_m_matrix, _thomas_factor, symmetric_tridiag_apply,
                        tridiag_factor)
 from ._tridiag import thomas_solve  # noqa: F401 -- perfbench/tracer.py patches it by name here
-from .grid import (Field, Grid, dual_norm, element_gradients, h10_norm, h10_values,
-                   laplacian_values)
+from .grid import (Field, Grid, _Record, _set, _Value, dual_norm, element_gradients, h10_norm,
+                   h10_values, laplacian_values)
 
 logger = logging.getLogger("fucik_branch.quasilinear")
 
@@ -42,8 +41,7 @@ def _check_p_gamma(p: float, gamma: float) -> None:
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
 
 
-@dataclass(frozen=True)
-class ProblemParams:
+class ProblemParams(_Value):
     """Exponent, negative-part weight and spectral parameter.
 
     p = 2 is excluded: that case is the linear half-eigenvalue problem handled
@@ -51,25 +49,23 @@ class ProblemParams:
     coefficient has crossed sign) and only logged.
     """
 
-    p: float
-    gamma: float
-    lam: float
-
-    def __post_init__(self) -> None:
-        _check_p_gamma(self.p, self.gamma)
-        if not math.isfinite(self.lam):
-            raise ValueError(f"lam must be finite, got {self.lam}")
-        if self.lam - self.gamma <= 0.0:
-            logger.debug("lambda_minus = lam - gamma = %.6g is nonpositive",
-                         self.lam - self.gamma)
+    def __init__(self, p: float, gamma: float, lam: float):
+        _check_p_gamma(p, gamma)
+        if not math.isfinite(lam):
+            raise ValueError(f"lam must be finite, got {lam}")
+        if lam - gamma <= 0.0:
+            logger.debug("lambda_minus = lam - gamma = %.6g is nonpositive", lam - gamma)
+        _set(self, "p", p)
+        _set(self, "gamma", gamma)
+        _set(self, "lam", lam)
 
 
-@dataclass(frozen=True, eq=False)
-class TransformedField:
+class TransformedField(_Record):
     """Rescaled field with its current p-term coefficient ||v||_{1,2}^(4-p)."""
 
-    v: Field
-    coeff: float
+    def __init__(self, v: Field, coeff: float):
+        _set(self, "v", v)
+        _set(self, "coeff", coeff)
 
 
 class Jacobian:

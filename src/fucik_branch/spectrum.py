@@ -9,22 +9,21 @@ cross-check it by inverse iteration and a Rayleigh-quotient search
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ._tridiag import thomas_solve  # noqa: F401 -- perfbench/tracer.py patches it by name here
-from .grid import Field, Grid
+from .grid import Field, Grid, _is_int, _Record, _set
 
 
-@dataclass(frozen=True, eq=False)
-class EigenPair:
+class EigenPair(_Record):
     """Eigenvalue and L2-normalized eigenvector; first nonzero nodal value positive."""
 
-    k: int
-    value: float
-    vector: Field
+    def __init__(self, k: int, value: float, vector: Field):
+        _set(self, "k", k)
+        _set(self, "value", value)
+        _set(self, "vector", vector)
 
 
 def closed_form_eigenvalue(grid: Grid, k: int) -> float:
@@ -38,7 +37,7 @@ def continuum_eigenvalue(grid: Grid, k: int) -> float:
 
 
 def _check_index(grid: Grid, k: int) -> None:
-    if not (isinstance(k, int) and 1 <= k <= grid.n_interior):
+    if not (_is_int(k) and 1 <= k <= grid.n_interior):
         raise ValueError(
             f"k must be an integer in [1, {grid.n_interior}], got {k}")
 

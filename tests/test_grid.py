@@ -58,6 +58,9 @@ def test_grid_validation():
         Grid(length=0.0)
     with pytest.raises(ValueError):
         Grid(length=-1.0)
+    for bad in (True, 3.0, 199.0):
+        with pytest.raises(ValueError, match="^n_interior must be an integer >= 3"):
+            Grid(n_interior=bad)
 
 
 @pytest.mark.parametrize("length, n", [(1e-300, 199), (1e-200, 199), (1e-153, 3199)])

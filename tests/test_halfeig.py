@@ -169,6 +169,20 @@ def test_split_rejects_bad_gamma(grid):
     split_eigenvalues(grid, 1, 0.0)
 
 
+# isinstance(True, int) holds, but a bool names no mode: k=True once gave the
+# k = 1 value and which=True or which=1.0 the which = 1 branch
+@pytest.mark.parametrize("call, message", [
+    (lambda k: gamma_window(Grid(), k), "splitting needs k >= 2"),
+    (lambda k: shoot_split_lambda(k, 0.0, math.pi, 1), "k must be an integer >= 1"),
+    (lambda k: split_eigenvalues(Grid(), k, 0.0), "k must be a positive integer"),
+    (lambda which: shoot_split_lambda(1, 0.0, math.pi, which), "which must be 1 or 2"),
+], ids=["gamma_window", "shoot_split_lambda", "split_eigenvalues", "which"])
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.0])
+def test_mode_indices_reject_bools_and_floats(call, message, bad):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(bad)
+
+
 def test_residual_scaling_one_sided(grid):
     pair = split_eigenvalues(grid, 2, 1.0)
     base = half_eigen_residual(pair.v1, 5.0, 1.0)

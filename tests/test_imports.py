@@ -5,9 +5,16 @@ package's __all__ lists exactly the names its __init__ imports.
 The only exceptions to the first two are the names perfbench/tracer.py
 patches (its TARGETS), which a module may import, or define, for the tracer
 alone. Helpers only the tests need live under tests/.
+
+Importing the package generates no code: no module calls exec, eval or
+compile, and the CLI's import does not pull in dataclasses, whose class
+builder exec-compiles five methods per class.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +111,27 @@ def test_every_exported_name_is_used():
     sources += [p.read_text() for p in (ROOT / "tests").glob("*.py")]
     used = set().union(*map(referenced_names, sources))
     assert set(fucik_branch.__all__) - used == set()
+
+
+def code_generating_calls(source: str) -> set[str]:
+    return {node.func.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("exec", "eval", "compile")}
+
+
+def test_code_generating_calls_are_found():
+    assert code_generating_calls("exec('x = 1')\ny = eval('2')\nre.compile('a')\n") == {
+        "exec", "eval"}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "fucik_branch").glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_module_generates_no_code(path):
+    assert code_generating_calls(path.read_text()) == set()
+
+
+def test_cli_import_leaves_dataclasses_out():
+    probe = "import sys, fucik_branch.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout == "False\n"

@@ -192,7 +192,7 @@ def test_vector_inequalities_bit_equal_to_reference(n_samples, p):
         report = check_vector_inequalities(p, n_samples, np.random.default_rng(seed))
         ref = reference_check_vector_inequalities(p, n_samples,
                                                   np.random.default_rng(seed))
-        # the dataclass compares every field with ==
+        # a VectorInequalityReport compares equal when every field does
         assert report == ref
 
 

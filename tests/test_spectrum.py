@@ -74,6 +74,14 @@ def test_index_out_of_range(grid):
     eigenpair(grid, grid.n_interior)
 
 
+@pytest.mark.parametrize("call", [eigenpair, closed_form_eigenvalue])
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.0])
+def test_index_rejects_bools_and_floats(grid, call, bad):
+    # isinstance(True, int) holds, and eigenpair(grid, True) once gave the k = 1 pair
+    with pytest.raises(ValueError, match=r"^k must be an integer in \[1, 199\]"):
+        call(grid, bad)
+
+
 def test_rayleigh_lambda1_brackets(grid):
     lam1 = closed_form_eigenvalue(grid, 1)
     found = rayleigh_lambda1(grid, trials=3)
