@@ -8,7 +8,8 @@ trapezoid rule, under which an L2 function is its own dual vector.
 
 The discrete Poisson solve (laplacian_solve_values, and with it dual_norm) is
 closed-form and O(n): the LU factors of tridiag(-1, 2, -1) are known, so
-both sweeps are cumulative sums. Its solver is cached per Grid.
+both sweeps are cumulative sums. Its solver is cached per Grid, and so is
+the formatted node column of the field CSV.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -125,6 +125,9 @@ class Field(_Record):
         vals.setflags(write=False)
         _set(self, "grid", grid)
         _set(self, "values", vals)
+
+    def __reduce__(self):  # copies and pickles go through __init__, so come back frozen
+        return type(self), (self.grid, self.values)
 
     @classmethod
     def zeros(cls, grid: Grid) -> "Field":
@@ -281,14 +284,19 @@ def write_field_csv(u: Field, path) -> None:
     """Write x,value rows for all nodes, from x = 0 to exactly x = length;
     boundary rows carry value 0.
 
-    All rows are formatted by one % on the FLOAT_FORMAT row format repeated
-    and joined with newlines, which gives the bytes of formatting row by row.
+    The x column depends only on the grid, so it is formatted once per Grid
+    and cached, like the Poisson solver. One % formats the value column into
+    that cached text, which gives the bytes of formatting row by row.
     """
-    values = [0.0, *u.values.tolist(), 0.0]
-    cells = tuple(chain.from_iterable(zip(u.grid.full_nodes.tolist(), values)))
-    body = "\n".join([f"{FLOAT_FORMAT},{FLOAT_FORMAT}"] * len(values)) % cells
+    body = _row_format(u.grid) % (0.0, *u.values.tolist(), 0.0)
     with open(path, "w", newline="") as fh:
-        fh.write("x,value\n" + body + "\n")
+        fh.write("x,value\n" + body)
+
+
+@functools.lru_cache(maxsize=16)
+def _row_format(grid: Grid) -> str:
+    # each row's x as FLOAT_FORMAT text (which has no %), then FLOAT_FORMAT for its value
+    return "".join([f"{FLOAT_FORMAT % x},{FLOAT_FORMAT}\n" for x in grid.full_nodes.tolist()])
 
 
 def read_field_csv(path) -> Field:

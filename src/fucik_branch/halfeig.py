@@ -250,11 +250,12 @@ def _end_value(grid: Grid, gamma: float, u1: float, lam: float) -> float:
 def _shot_values(grid: Grid, gamma: float, u1: float, lam: float) -> np.ndarray:
     """Interior values u_1 .. u_n of the same shot."""
     c_pos, c_neg = _multipliers(grid, gamma, lam)
-    u = [0.0, u1]
+    prev, cur = 0.0, u1
+    u = [cur]
     for _ in range(grid.n_interior - 1):
-        cur = u[-1]
-        u.append((c_neg if cur < 0.0 else c_pos) * cur - u[-2])
-    return np.array(u[1:])
+        prev, cur = cur, (c_neg if cur < 0.0 else c_pos) * cur - prev
+        u.append(cur)
+    return np.array(u)
 
 
 def _discrete_half_eigen(grid: Grid, gamma: float, which: int, lam_lo: float,

@@ -49,6 +49,9 @@ MATRIX = (
     [("spectrum", ["spectrum"])]
     + [(f"halfeig-n{n}", ["halfeig", "--k", "2", "--gamma", "0.5", "--grid-n", str(n)])
        for n in (199, 799, 3199)]
+    # a length other than pi: a second node column, which ends at exactly x = 2.5
+    + [("halfeig-L2.5-n399", ["halfeig", "--k", "2", "--gamma", "0.5", "--length", "2.5",
+                              "--grid-n", "399"])]
     + [(f"fucik-{fmt}", ["fucik", "--format", fmt]) for fmt in ("csv", "json")]
     + [(f"branch-p{p}-n{n}", ["branch", "--p", p, "--k", "2,3", "--gamma", "0.5",
                               "--grid-n", str(n)])

@@ -317,6 +317,15 @@ def test_field_csv_round_trip(tmp_path, rng):
         assert len(lines) == n + 3
 
 
+def row_by_row_csv(u: Field) -> bytes:
+    # the reference bytes: every row formatted on its own
+    grid = u.grid
+    xs = [0.0, *(i * grid.h for i in range(1, grid.n_interior + 1)), grid.length]
+    values = [0.0, *(float(v) for v in u.values), 0.0]
+    return ("x,value\n" + "".join(
+        f"{FLOAT_FORMAT % x},{FLOAT_FORMAT % v}\n" for x, v in zip(xs, values))).encode()
+
+
 @pytest.mark.parametrize("n", [3, 199, 799])
 def test_field_csv_matches_row_by_row_formatting(tmp_path, rng, n):
     grid = Grid(n_interior=n)
@@ -325,11 +334,39 @@ def test_field_csv_matches_row_by_row_formatting(tmp_path, rng, n):
     u = Field(grid, values)
     path = tmp_path / "field.csv"
     write_field_csv(u, path)
-    xs = [0.0, *(i * grid.h for i in range(1, n + 1)), grid.length]
-    values = [0.0, *(float(v) for v in u.values), 0.0]
-    expected = "x,value\n" + "".join(
-        f"{FLOAT_FORMAT % x},{FLOAT_FORMAT % v}\n" for x, v in zip(xs, values))
-    assert path.read_bytes() == expected.encode()
+    assert path.read_bytes() == row_by_row_csv(u)
+
+
+@pytest.mark.parametrize("n", [3, 9, 199, 799])
+@pytest.mark.parametrize("length", [math.pi, 1.0, 2.5, 7.3])
+def test_field_csv_bytes_on_any_grid(tmp_path, rng, length, n):
+    grid = Grid(length, n)
+    # both zeros, a subnormal and both ends of the double range, then noise
+    special = [0.0, -0.0, 5e-324, 1e300, -1e300]
+    values = np.concatenate([special, rng.standard_normal(n)])
+    path = tmp_path / "field.csv"
+    for start in range(0, len(special), n):  # at n = 3 the specials take two fields
+        u = Field(grid, values[start:start + n])
+        write_field_csv(u, path)
+        assert path.read_bytes() == row_by_row_csv(u)
+        write_field_csv(u, path)  # the second write, from the cached column, is the same
+        assert path.read_bytes() == row_by_row_csv(u)
+
+
+def test_field_csv_node_column_follows_the_grid(tmp_path):
+    # same n, different lengths: each grid writes its own x column
+    a, b = Grid(math.pi, 9), Grid(2.5, 9)
+    files = []
+    for grid in (a, b, a):
+        path = tmp_path / f"field{len(files)}.csv"
+        u = Field(grid, np.linspace(1.0, 2.0, 9))
+        write_field_csv(u, path)
+        assert path.read_bytes() == row_by_row_csv(u)
+        files.append(path.read_bytes())
+    x_columns = [[row.split(b",")[0] for row in f.splitlines()[1:]] for f in files]
+    assert x_columns[0] != x_columns[1] and files[0] == files[2]
+    assert x_columns[1][-1] == b"2.5"
+    assert grid_module._row_format.cache_info().maxsize == 16  # bounded, like the solver's
 
 
 def test_field_csv_rejects_nonzero_boundary(tmp_path):

@@ -167,3 +167,14 @@ def test_copies_and_pickles_keep_the_fields(cls):
         assert (clone == record) == (cls in VALUES)
         if cls in VALUES:
             assert hash(clone) == hash(record)
+
+
+@pytest.mark.parametrize("n", [3, 199])
+def test_copies_and_pickles_of_a_field_stay_frozen(n):
+    u = Field(Grid(math.pi, n), np.linspace(-1.0, 1.0, n))
+    for clone in (copy.copy(u), copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+        assert type(clone) is Field and clone.grid == u.grid
+        assert clone.values.tobytes() == u.values.tobytes()
+        assert clone.values.flags.writeable is False
+        with pytest.raises(ValueError):
+            clone.values[0] = 2.0
