@@ -189,7 +189,7 @@ def cone_test(u: Field, k: int, eta: float, side: int) -> bool:
     around +e_k (side +1) or -e_k (side -1)."""
     if not eta > 0.0:
         raise ValueError("the cone parameter eta must be positive")
-    if side not in (1, -1):
+    if not (_is_int(side) and side in (1, -1)):
         raise ValueError("side must be +1 or -1")
     nrm = l2_norm(u)
     if nrm == 0.0:

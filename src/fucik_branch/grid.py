@@ -154,13 +154,6 @@ class Field(_Record):
         return Field(self.grid, -self.values)
 
 
-class NormReport(_Value):
-    def __init__(self, l2: float, h10: float, w1p: float):
-        _set(self, "l2", l2)
-        _set(self, "h10", h10)
-        _set(self, "w1p", w1p)
-
-
 def _check_same_grid(u: Field, w: Field) -> None:
     if u.grid != w.grid:
         raise ValueError("fields live on different grids")
@@ -250,23 +243,19 @@ def inner_l2(u: Field, w: Field) -> float:
     return u.grid.h * float(dot_values(u.values, w.values))
 
 
-def norms(u: Field, p: float) -> NormReport:
-    """L2, H^1_0 seminorm, and W^{1,p} seminorm of the P1 interpolant."""
-    if not p > 1.0:
-        raise ValueError(f"p must exceed 1, got {p}")
-    h = u.grid.h
-    g = element_gradients(u)
-    l2 = math.sqrt(h * float(np.dot(u.values, u.values)))
-    return NormReport(l2=l2, h10=float(h10_values(g, h)),
-                      w1p=float(w1p_values(g, h, p)))
-
-
 def l2_norm(u: Field) -> float:
     return math.sqrt(u.grid.h * float(np.dot(u.values, u.values)))
 
 
 def h10_norm(u: Field) -> float:
     return float(h10_values(element_gradients(u), u.grid.h))
+
+
+def w1p_norm(u: Field, p: float) -> float:
+    """W^{1,p} seminorm of the P1 interpolant, for a finite p > 1."""
+    if not (math.isfinite(p) and p > 1.0):
+        raise ValueError(f"p must be finite and exceed 1, got {p}")
+    return float(w1p_values(element_gradients(u), u.grid.h, p))
 
 
 def dual_norm(r: Field) -> float:

@@ -32,12 +32,11 @@ of the search without the cache.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
 from ._tridiag import thomas_solve  # noqa: F401 -- perfbench/tracer.py patches it by name here
-from .grid import Field, Grid, _is_int, _Record, _set, _Value, apply_laplacian, dual_norm
+from .grid import Field, Grid, _is_int, _Record, _set, apply_laplacian, dual_norm
 from .monotone import SolverError
 from .spectrum import closed_form_eigenvalue, eigenpair
 
@@ -63,26 +62,12 @@ class SplitEigenPair(_Record):
         _set(self, "eta", eta)
 
 
-class FucikPoint(_Value):
-    """Sampled point of the Fucik spectrum with its hump counts."""
-
-    def __init__(self, lambda_plus: float, lambda_minus: float, n_plus: int, n_minus: int):
-        if not (lambda_plus > 0.0 and lambda_minus > 0.0):
-            raise ValueError("Fucik point requires positive lambda_plus and lambda_minus")
-        if abs(n_plus - n_minus) > 1:
-            raise ValueError("alternating humps can differ in count by at most 1")
-        _set(self, "lambda_plus", lambda_plus)
-        _set(self, "lambda_minus", lambda_minus)
-        _set(self, "n_plus", n_plus)
-        _set(self, "n_minus", n_minus)
-
-
 class FucikCurves(_Record):
     """Rows of a Fucik sweep as four aligned columns.
 
-    The constructor applies FucikPoint's two rules to every row at once,
-    with the same messages. len() counts rows, and iterating yields one
-    FucikPoint per row, with Python floats and ints.
+    Row i is the Fucik point (lambda_plus[i], lambda_minus[i]) on the curve of
+    n_plus[i] positive and n_minus[i] negative humps. The constructor checks
+    every row (both lambdas positive, hump counts within 1); len() counts rows.
     """
 
     def __init__(self, lambda_plus: np.ndarray, lambda_minus: np.ndarray, n_plus: np.ndarray,
@@ -101,10 +86,6 @@ class FucikCurves(_Record):
 
     def __len__(self) -> int:
         return self.lambda_plus.size
-
-    def __iter__(self) -> Iterator[FucikPoint]:
-        columns = (self.lambda_plus, self.lambda_minus, self.n_plus, self.n_minus)
-        return (FucikPoint(*row) for row in zip(*(c.tolist() for c in columns)))
 
 
 def _check_length(length: float) -> None:

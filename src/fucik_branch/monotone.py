@@ -362,8 +362,9 @@ def ball_coercivity_samples(params: ProblemParams, r: float, n_pairs: int,
     and evaluated one at a time, each as a one-row block.
     """
     _check_ball_exponent(params)
-    if r <= 0.0:
-        raise ValueError("ball radius must be positive")
+    _check_ball_radius(r)
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
     if grid is None:
         grid = Grid()
     h, n = grid.h, grid.n_interior
@@ -397,6 +398,11 @@ def ball_coercivity_samples(params: ProblemParams, r: float, n_pairs: int,
 def _check_ball_exponent(params: ProblemParams) -> None:
     if not (1.0 < params.p < 2.0):
         raise ValueError("ball coercivity applies to 1 < p < 2")
+
+
+def _check_ball_radius(r: float) -> None:
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError("ball radius must be finite and positive")
 
 
 def _certified_bounds(a: np.ndarray, b: np.ndarray, h: float,
@@ -456,6 +462,7 @@ def solve_monotone_ball(f: Field, params: ProblemParams, radius: float | None = 
     grid, h, fv = f.grid, f.grid.h, f.values
     if radius is None:
         radius = default_ball_radius(params, grid=grid)
+    _check_ball_radius(radius)
     if u0 is not None:
         _check_same_grid(u0, f)
     v = np.zeros(grid.n_interior) if u0 is None else u0.values

@@ -28,7 +28,7 @@ from fucik_branch._tridiag import symmetric_tridiag_apply, thomas_solve
 from fucik_branch.grid import (Field, Grid, dual_norm, element_gradients, gradient_values,
                                h10_norm, h10_values, inner_l2, laplacian_solve_values,
                                require_finite)
-from fucik_branch.halfeig import FucikPoint, _check_length
+from fucik_branch.halfeig import _check_length
 from fucik_branch.monotone import (TOL_ABS, TOL_REL, SolveReport, SolverError,
                                    VectorInequalityReport, _block_rows, _blocks,
                                    _certified_bounds, _monotonicity_ratios,
@@ -170,12 +170,13 @@ def reference_bisect(f, lo: float, hi: float) -> float:
 
 
 def reference_fucik_curve_points(length: float, lambda_max: float,
-                                 n_samples: int) -> list[FucikPoint]:
+                                 n_samples: int) -> tuple[list, list, list, list]:
     """The Fucik sweep one sample and one hump count pair at a time.
 
-    Same rows, labels and order as halfeig.fucik_curve_points: equal
-    lambda_minus within a sample keep the first pair (setdefault), and each
-    sample is sorted by lambda_minus.
+    Same rows, labels and order as halfeig.fucik_curve_points, as the lists
+    lambda_plus, lambda_minus, n_plus and n_minus: equal lambda_minus within
+    a sample keep the first pair (setdefault), and each sample is sorted by
+    lambda_minus.
     """
     _check_length(length)
     if n_samples < 2:
@@ -184,7 +185,7 @@ def reference_fucik_curve_points(length: float, lambda_max: float,
     if not (math.isfinite(lambda_max) and lambda_max > lam1):
         raise ValueError("lambda_max must be finite and exceed the principal eigenvalue")
     lam_lo = lam1 * (1.0 + 1e-9)
-    points: list[FucikPoint] = []
+    columns: tuple[list, list, list, list] = ([], [], [], [])
     for lp in np.linspace(lam_lo, lambda_max, n_samples):
         lp = float(lp)
         rows: dict[float, tuple[int, int]] = {}
@@ -195,8 +196,10 @@ def reference_fucik_curve_points(length: float, lambda_max: float,
                 if n_minus >= 1 and lam_lo <= lm <= lambda_max:
                     rows.setdefault(lm, (n_plus, n_minus))
             n_plus += 1
-        points.extend(FucikPoint(lp, lm, *rows[lm]) for lm in sorted(rows))
-    return points
+        for lm in sorted(rows):
+            for column, cell in zip(columns, (lp, lm, *rows[lm])):
+                column.append(cell)
+    return columns
 
 
 def reference_monotonicity_sweep(params: ProblemParams, n_pairs: int = 10000,

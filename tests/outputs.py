@@ -46,13 +46,16 @@ MANIFEST = "SHA256SUMS"
 # (run name, CLI arguments without --output-dir); each run writes to the
 # subdirectory of its name
 MATRIX = (
-    [("spectrum", ["spectrum"])]
+    [("spectrum", ["spectrum"]), ("spectrum-json", ["spectrum", "--format", "json"])]
     + [(f"halfeig-n{n}", ["halfeig", "--k", "2", "--gamma", "0.5", "--grid-n", str(n)])
        for n in (199, 799, 3199)]
     # a length other than pi: a second node column, which ends at exactly x = 2.5
     + [("halfeig-L2.5-n399", ["halfeig", "--k", "2", "--gamma", "0.5", "--length", "2.5",
                               "--grid-n", "399"])]
+    # k = 1: the payload has no gamma_max
+    + [("halfeig-k1", ["halfeig", "--k", "1", "--gamma", "0"])]
     + [(f"fucik-{fmt}", ["fucik", "--format", fmt]) for fmt in ("csv", "json")]
+    + [("fucik-L2.5", ["fucik", "--length", "2.5", "--lambda-max", "12", "--samples", "37"])]
     + [(f"branch-p{p}-n{n}", ["branch", "--p", p, "--k", "2,3", "--gamma", "0.5",
                               "--grid-n", str(n)])
        for p in ("3", "1.5") for n in (199, 399, 799)]

@@ -647,9 +647,8 @@ def _fucik_reference_bytes(argv: list[str]) -> tuple[bytes, bytes]:
     """CSV and JSON bytes of the fucik table, built cell by cell from the loop sweep."""
     args = cli.build_parser().parse_args(["fucik", *argv])
     header = ["lambda_plus", "lambda_minus", "n_plus", "n_minus"]
-    rows = [[pt.lambda_plus, pt.lambda_minus, pt.n_plus, pt.n_minus]
-            for pt in reference_fucik_curve_points(args.length, args.lambda_max,
-                                                   args.samples)]
+    rows = [list(row) for row in zip(*reference_fucik_curve_points(
+        args.length, args.lambda_max, args.samples))]
     payload = [dict(zip(header, row)) for row in rows]
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     return reference_table_csv(header, rows).encode(), text.encode()

@@ -16,7 +16,7 @@ from fucik_branch.continuation import (BranchSeed, Termination,
                                        localization_check, newton_at_lambda,
                                        recompose, scaling_slope, trace_branch)
 from fucik_branch.grid import (Field, Grid, dual_norm, gradient_values, h10_norm,
-                               inner_l2, l2_norm, norms)
+                               inner_l2, l2_norm, w1p_norm)
 from fucik_branch.halfeig import gamma_window, split_eigenvalues
 from fucik_branch.monotone import SolverError
 from fucik_branch.quasilinear import (Jacobian, ProblemParams, _jacobian, _residual,
@@ -176,8 +176,9 @@ def test_cone_test_rejects_bad_input(grid):
     ek = eigenpair(grid, 2).vector
     with pytest.raises(ValueError):
         cone_test(Field.zeros(grid), 2, 0.5, 1)
-    with pytest.raises(ValueError):
-        cone_test(ek, 2, 0.5, 3)
+    for side in (3, 0, True, 1.0):
+        with pytest.raises(ValueError, match="side must be"):
+            cone_test(ek, 2, 0.5, side)
     for eta in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="eta must be positive"):
             cone_test(ek, 2, eta, 1)
@@ -268,8 +269,7 @@ def test_rayleigh_identity_gamma_zero():
     lam1 = branch.lambda_seed
     for pt in branch.points:
         lhs = pt.lam * pt.l2 ** 2
-        rep = norms(pt.u, 3.0)
-        rhs = rep.w1p ** 3 + rep.h10 ** 2
+        rhs = w1p_norm(pt.u, 3.0) ** 3 + h10_norm(pt.u) ** 2
         assert abs(lhs - rhs) <= 10.0 * pt.corrector_tol * pt.l2 + 1e-14
         assert pt.lam >= lam1 - 1e-10
     lams = [pt.lam for pt in branch.points[:15]]

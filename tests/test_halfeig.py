@@ -11,7 +11,6 @@ from fucik_branch import halfeig
 from fucik_branch.grid import Grid, inner_l2, l2_norm
 from fucik_branch.halfeig import (
     FucikCurves,
-    FucikPoint,
     fucik_curve_points,
     gamma_window,
     half_eigen_residual,
@@ -234,22 +233,27 @@ def scanned_fucik_root_count(lam_plus: float, lo: float, hi: float,
     return len(hits)
 
 
+def columns(curves: FucikCurves) -> list[list]:
+    """The four columns of curves as lists of Python floats and ints."""
+    return [c.tolist() for c in (curves.lambda_plus, curves.lambda_minus, curves.n_plus,
+                                 curves.n_minus)]
+
+
 def test_fucik_curve_points_properties():
     points = fucik_curve_points(math.pi, 30.0, 40)
     assert len(points) > 50
     saw_two_hump = False
-    for pt in points:
-        assert abs(pt.n_plus - pt.n_minus) <= 1
-        end_fwd = halfeig._shoot(pt.lambda_plus, pt.lambda_minus, math.pi)[0]
-        end_rev = halfeig._shoot(pt.lambda_minus, pt.lambda_plus, math.pi)[0]
+    for lam_plus, lam_minus, n_plus, n_minus in zip(*columns(points)):
+        assert abs(n_plus - n_minus) <= 1
+        end_fwd = halfeig._shoot(lam_plus, lam_minus, math.pi)[0]
+        end_rev = halfeig._shoot(lam_minus, lam_plus, math.pi)[0]
         assert min(abs(end_fwd), abs(end_rev)) <= 1e-9
         # each row satisfies the relation of its own hump counts
-        gap = fucik_relation_gap(pt.lambda_plus, pt.lambda_minus, pt.n_plus,
-                                 pt.n_minus, math.pi)
+        gap = fucik_relation_gap(lam_plus, lam_minus, n_plus, n_minus, math.pi)
         assert abs(gap) <= 1e-9 * math.pi
-        if (pt.n_plus, pt.n_minus) == (1, 1):
+        if (n_plus, n_minus) == (1, 1):
             saw_two_hump = True
-            curve = 1.0 / math.sqrt(pt.lambda_plus) + 1.0 / math.sqrt(pt.lambda_minus)
+            curve = 1.0 / math.sqrt(lam_plus) + 1.0 / math.sqrt(lam_minus)
             assert curve == pytest.approx(1.0, abs=1e-9)
     assert saw_two_hump
 
@@ -261,10 +265,8 @@ def test_fucik_curve_points_properties():
                    for lp in np.linspace(lo, 60.0, 2))
     assert expected == 9
     assert len(coarse) == expected
-    for pt in coarse:
-        gap = fucik_relation_gap(pt.lambda_plus, pt.lambda_minus, pt.n_plus,
-                                 pt.n_minus, math.pi)
-        assert abs(gap) <= 1e-9 * math.pi
+    for row in zip(*columns(coarse)):
+        assert abs(fucik_relation_gap(*row, math.pi)) <= 1e-9 * math.pi
 
 
 def _sweep_or_error(sweep, *args):
@@ -289,12 +291,8 @@ def test_fucik_curve_points_bit_equal_to_the_loop(length, swept_cases):
                 assert got == expected
                 continue
             swept += 1
-            assert isinstance(got, FucikCurves) and len(got) == len(expected)
-            assert got.lambda_plus.tolist() == [pt.lambda_plus for pt in expected]
-            assert got.lambda_minus.tolist() == [pt.lambda_minus for pt in expected]
-            assert got.n_plus.tolist() == [pt.n_plus for pt in expected]
-            assert got.n_minus.tolist() == [pt.n_minus for pt in expected]
-            assert list(got) == expected
+            assert isinstance(got, FucikCurves) and len(got) == len(expected[0])
+            assert columns(got) == list(expected)
     assert swept == swept_cases
 
 
@@ -312,10 +310,10 @@ def test_fucik_curve_points_keeps_the_first_pair_of_a_tie(lambda_max):
     # give the same lambda_minus = lambda_plus in floating point too; the
     # loop's setdefault keeps (a, a+1)
     a = (math.isqrt(int(lambda_max)) - 1) // 2
-    got = list(fucik_curve_points(math.pi, lambda_max, 2))
-    assert got == reference_fucik_curve_points(math.pi, lambda_max, 2)
-    ties = [(pt.n_plus, pt.n_minus) for pt in got
-            if pt.lambda_plus == pt.lambda_minus == lambda_max]
+    got = columns(fucik_curve_points(math.pi, lambda_max, 2))
+    assert got == list(reference_fucik_curve_points(math.pi, lambda_max, 2))
+    ties = [(n_plus, n_minus) for lam_plus, lam_minus, n_plus, n_minus in zip(*got)
+            if lam_plus == lam_minus == lambda_max]
     assert ties == [(a, a + 1)]
 
 
@@ -337,8 +335,7 @@ def test_fucik_curves_apply_the_point_rules():
 
     good = curves([2.0, 3.0], [4.0, 5.0], [1, 2], [2, 2])
     assert len(good) == 2
-    assert list(good) == [FucikPoint(2.0, 4.0, 1, 2), FucikPoint(3.0, 5.0, 2, 2)]
-    assert all(type(pt.lambda_plus) is float and type(pt.n_plus) is int for pt in good)
+    assert columns(good) == [[2.0, 3.0], [4.0, 5.0], [1, 2], [2, 2]]
     assert len(curves([], [], [], [])) == 0
     for lam_plus, lam_minus in (([2.0, 0.0], [4.0, 5.0]), ([2.0, 3.0], [-1.0, 5.0]),
                                 ([2.0, math.nan], [4.0, 5.0])):
@@ -375,9 +372,10 @@ def test_non_finite_inputs_are_rejected():
         fucik_curve_points(math.pi, math.nan, 3)
     with pytest.raises(ValueError):
         fucik_curve_points(math.nan, 30.0, 3)
-    for bad in ((math.nan, 1.0), (1.0, math.nan)):
+    for lam_plus, lam_minus in ((math.nan, 1.0), (1.0, math.nan)):
         with pytest.raises(ValueError):
-            FucikPoint(*bad, 1, 1)
+            FucikCurves(np.array([lam_plus]), np.array([lam_minus]), np.array([1]),
+                        np.array([1]))
     with pytest.raises(ValueError):
         halfeig._shoot(math.inf, 1.0, math.pi)
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 
 from fucik_branch import monotone
 from fucik_branch.grid import (Field, Grid, dual_norm, h10_norm, inner_l2,
-                               laplacian_solve_values, norms)
+                               laplacian_solve_values, w1p_norm)
 from fucik_branch.monotone import (
     SolverError,
     ball_coercivity_bound,
@@ -379,7 +379,7 @@ def reference_ball_samples(params: ProblemParams, r: float, n_pairs: int,
         if denom == 0.0:
             return math.inf
         cross = abs(h10_norm(a) ** (4.0 - p) - h10_norm(b) ** (4.0 - p)) \
-            * norms(b, p).w1p ** (p - 1.0) * norms(d, p).w1p
+            * w1p_norm(b, p) ** (p - 1.0) * w1p_norm(d, p)
         return 1.0 - cross / denom
 
     bounds = []
@@ -501,14 +501,34 @@ def test_default_ball_radius_is_the_closed_form():
 
 
 def test_ball_coercivity_samples_of_no_pairs(grid):
-    assert ball_coercivity_samples(P15, 0.5, 0, np.random.default_rng(0), grid).shape == (0,)
+    # no pairs leave the bound without a minimum; both refuse them by name
+    for n_pairs in (0, -1):
+        with pytest.raises(ValueError, match=f"^n_pairs must be at least 1, got {n_pairs}$"):
+            ball_coercivity_samples(P15, 0.5, n_pairs, np.random.default_rng(0), grid)
+        with pytest.raises(ValueError, match=f"^n_pairs must be at least 1, got {n_pairs}$"):
+            ball_coercivity_bound(P15, 0.3, n_pairs=n_pairs, grid=grid)
 
 
 def test_ball_coercivity_rejects_bad_input(grid):
     with pytest.raises(ValueError):
         ball_coercivity_bound(P3, 0.5, grid=grid)
-    with pytest.raises(ValueError):
-        ball_coercivity_bound(P15, -1.0, grid=grid)
+    for r in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^ball radius must be finite and positive$"):
+            ball_coercivity_bound(P15, r, grid=grid)
+        with pytest.raises(ValueError, match="^ball radius must be finite and positive$"):
+            ball_coercivity_samples(P15, r, 4, np.random.default_rng(0), grid)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_ball_solve_rejects_a_radius_that_is_not_finite_and_positive(grid, radius,
+                                                                     monkeypatch):
+    # refused before any work: no gradient is taken
+    def no_work(*args):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(monotone, "gradient_values", no_work)
+    with pytest.raises(ValueError, match="^ball radius must be finite and positive$"):
+        solve_monotone_ball(Field.zeros(grid), P15, radius=radius)
 
 
 def test_out_of_iterations_reports_the_steps_taken(grid, rng, monkeypatch):

@@ -1,4 +1,4 @@
-"""The contract of the package's 17 immutable record types.
+"""The contract of the package's 15 immutable record types.
 
 Every record takes its fields by position or keyword, in one order, rejects
 a missing or unknown keyword, refuses assignment and deletion, and shows its
@@ -16,9 +16,9 @@ import pytest
 
 import fucik_branch
 from fucik_branch import (Branch, BranchPoint, BranchSeed, EigenPair, Field, FucikCurves,
-                          FucikPoint, Grid, Jacobian, LocalizationReport, LSDecomposition,
-                          NormReport, ProblemParams, SolveReport, SolverError, SplitEigenPair,
-                          Termination, TransformedField, VectorInequalityReport)
+                          Grid, Jacobian, LocalizationReport, LSDecomposition, ProblemParams,
+                          SolveReport, SolverError, SplitEigenPair, Termination,
+                          TransformedField, VectorInequalityReport)
 
 GRID = Grid(math.pi, 9)
 U = Field(GRID, np.linspace(-1.0, 1.0, 9))
@@ -37,11 +37,6 @@ VALUES = {
                  [{"k": 3}, {"which": 2}, {"gamma": 0.25}, {"p": 1.5}, {"alpha0": 2e-3}]),
     Termination: ({"kind": "MeetsTrivial", "mu": 1.0, "detail": ""},
                   [{"mu": 2.0}, {"detail": "why"}]),
-    FucikPoint: ({"lambda_plus": 1.0, "lambda_minus": 2.0, "n_plus": 1, "n_minus": 1},
-                 [{"lambda_plus": 1.5}, {"lambda_minus": 2.5}, {"n_plus": 2},
-                  {"n_minus": 2}]),
-    NormReport: ({"l2": 1.0, "h10": 2.0, "w1p": 3.0},
-                 [{"l2": 1.5}, {"h10": 2.5}, {"w1p": 3.5}]),
     LocalizationReport: ({"rho0": math.inf, "checked": 3, "violations": 0},
                          [{"rho0": 0.5}, {"checked": 4}, {"violations": 1}]),
     VectorInequalityReport: ({"p": 3.0, "n_samples": 10, "c1_emp": 0.5, "c2_emp": 1.5,
@@ -77,7 +72,7 @@ def test_every_record_type_is_covered():
     classes = {obj for obj in map(fucik_branch.__dict__.get, fucik_branch.__all__)
                if isinstance(obj, type)}
     assert classes - {Jacobian, SolverError} == set(ALL)
-    assert len(ALL) == 17
+    assert len(ALL) == 15
 
 
 @pytest.mark.parametrize("cls", ALL, ids=lambda c: c.__name__)
