@@ -123,10 +123,8 @@ def cmd_spectrum(args: argparse.Namespace, grid: Grid) -> int:
 def cmd_halfeig(args: argparse.Namespace, grid: Grid) -> int:
     pair = split_eigenvalues(grid, args.k, args.gamma)
     payload = {"k": pair.k, "gamma": pair.gamma, "lambda1": pair.lambda1,
-               "lambda2": pair.lambda2, "eta": pair.eta}
-    # split_eigenvalues admits no k above n_interior - 1
-    if args.k >= 2:
-        payload["gamma_max"] = gamma_window(grid, args.k)
+               "lambda2": pair.lambda2, "eta": pair.eta,
+               "gamma_max": gamma_window(grid, args.k)}
     outdir = _output_dir(args)
     _write_json(outdir / "halfeig.json", payload)
     write_field_csv(pair.v1, outdir / "halfeig_v1.csv")
@@ -162,7 +160,7 @@ def _branch_rows(branch: Branch) -> tuple[list[str], list[list]]:
 
 
 def _branch_summary(branch: Branch, csv_name: str) -> dict:
-    loc = localization_check(branch)
+    rho0, violations = localization_check(branch)
     end = branch.termination
     term: dict = {"kind": end.kind}
     if end.mu is not None:
@@ -177,8 +175,8 @@ def _branch_summary(branch: Branch, csv_name: str) -> dict:
         "lambda_seed": branch.lambda_seed,
         "eta": branch.eta,
         "termination": term,
-        "empirical_rho0": _finite_or_none(loc.rho0),
-        "cone_violations": loc.violations,
+        "empirical_rho0": _finite_or_none(rho0),
+        "cone_violations": violations,
         "slope_fit": _finite_or_none(scaling_slope(branch)),
     }
 

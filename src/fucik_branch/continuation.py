@@ -33,10 +33,10 @@ A 200-point trace takes about 40, 46, 60 and 130 ms at n = 199, 399, 799 and
 3199 (p = 1.5: 118 ms at 199); one BLAS thread, CPU time, 2-vCPU Xeon VM,
 Python 3.11, numpy 2.4.
 
-The Lyapunov-Schmidt split u = alpha*e_k + v with v orthogonal to e_k, the
-spectral cones around +-e_k (cone_test(u, k, eta, side)), and the fixed-point
-defect built from T_lambda(u) = M^{-1}(lambda u) - (-Delta)^{-1}(lambda u)
-live here as well, as instrumentation for the traced branches.
+The Lyapunov-Schmidt split u = alpha*e_k + v with v orthogonal to e_k and the
+fixed-point defect built from T_lambda(u) = M^{-1}(lambda u) - (-Delta)^{-1}(lambda u)
+live here as well, as instrumentation for the traced branches; each point
+records its membership of the spectral cone around +-e_k as in_cone.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import math
 import numpy as np
 
 from .grid import (Field, Grid, _is_int, _Record, _set, _Value, gradient_values, inner_l2,
-                   l2_norm, laplacian_solve_values)
+                   laplacian_solve_values)
 from .halfeig import gamma_window, split_eigenvalues
 from .monotone import (MAX_HALVINGS, STALLED, SolverError, newton, solve_monotone,
                        solve_monotone_ball)
@@ -162,16 +162,6 @@ class Branch(_Record):
         _set(self, "eta", eta)
 
 
-class LocalizationReport(_Value):
-    """Largest radius around the seed inside which every point sits in its cone
-    with the correct alpha sign; rho0 = inf when no point violates."""
-
-    def __init__(self, rho0: float, checked: int, violations: int):
-        _set(self, "rho0", rho0)
-        _set(self, "checked", checked)
-        _set(self, "violations", violations)
-
-
 def decompose(u: Field, k: int) -> LSDecomposition:
     """Project u onto the k-th eigenvector and its L2 complement."""
     ek = eigenpair(u.grid, k).vector
@@ -182,20 +172,6 @@ def decompose(u: Field, k: int) -> LSDecomposition:
 def recompose(alpha: float, v: Field, k: int) -> Field:
     ek = eigenpair(v.grid, k).vector
     return Field(v.grid, alpha * ek.values + v.values)
-
-
-def cone_test(u: Field, k: int, eta: float, side: int) -> bool:
-    """Membership of u in the open cone |(e_k,u)_2| > eta*||u||_2, eta > 0,
-    around +e_k (side +1) or -e_k (side -1)."""
-    if not eta > 0.0:
-        raise ValueError("the cone parameter eta must be positive")
-    if not (_is_int(side) and side in (1, -1)):
-        raise ValueError("side must be +1 or -1")
-    nrm = l2_norm(u)
-    if nrm == 0.0:
-        raise ValueError("cone test is undefined for the zero field")
-    proj = inner_l2(eigenpair(u.grid, k).vector, u)
-    return proj > eta * nrm if side == 1 else proj < -eta * nrm
 
 
 def _project_out(ek_vals: np.ndarray, vals: np.ndarray, h: float) -> np.ndarray:
@@ -405,7 +381,7 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
             # the back-transformed ||u||_{1,2} of the field v represents
             h12_orig = h12 ** (-1.0 / (1.0 - 0.5 * seed.p))
         alpha = h * float(ek_vals.dot(u_vals))
-        # cone_test's comparison, on this point's own projection and norm
+        # the open cone side*(e_k, u)_2 > eta*||u||_2 around side*e_k
         return BranchPoint(
             s=s, lam=lam_val, u=Field(grid, u_vals), alpha=alpha, l2=l2, h12=h12,
             in_cone=side * alpha > pair.eta * l2,
@@ -475,24 +451,17 @@ def trace_branch(seed: BranchSeed, grid: Grid | None = None,
                   lambda_seed=lam_star, eta=pair.eta)
 
 
-def localization_check(branch: Branch) -> LocalizationReport:
-    """Empirical localization radius around the branch seed.
-
-    A point violates if it leaves its side's cone or its alpha sign flips;
-    rho0 is the distance of the nearest violating point to
-    (lambda_k^which, 0) in the (lambda, ||u||_2) metric.
-    """
-    side = 1 if branch.seed.which == 1 else -1
-    rho0 = math.inf
-    violations = 0
+def localization_check(branch: Branch) -> tuple[float, int]:
+    """Empirical localization around the seed, (rho0, violations): the distance
+    to (lambda_k^which, 0), in the (lambda, ||u||_2) metric, of the nearest point
+    outside its side's cone (inf if there is none), and the count of those
+    points. not in_cone is the test; a flipped alpha sign implies it (eta > 0)."""
+    rho0, violations = math.inf, 0
     for pt in branch.points:
-        alpha_ok = pt.alpha > 0.0 if side == 1 else pt.alpha < 0.0
-        if pt.in_cone and alpha_ok:
-            continue
-        violations += 1
-        rho0 = min(rho0, math.hypot(pt.lam - branch.lambda_seed, pt.l2))
-    return LocalizationReport(rho0=rho0, checked=len(branch.points),
-                              violations=violations)
+        if not pt.in_cone:
+            violations += 1
+            rho0 = min(rho0, math.hypot(pt.lam - branch.lambda_seed, pt.l2))
+    return rho0, violations
 
 
 def scaling_slope(branch: Branch) -> float:

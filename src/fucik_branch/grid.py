@@ -133,10 +133,6 @@ class Field(_Record):
     def zeros(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.n_interior))
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        return cls(grid, np.asarray([fn(x) for x in grid.nodes], dtype=float))
-
     def __add__(self, other: "Field") -> "Field":
         _check_same_grid(self, other)
         return Field(self.grid, self.values + other.values)

@@ -134,15 +134,15 @@ def _bisect(f, lo: float, hi: float, *, f_lo: float = math.nan,
 
 def gamma_window(grid: Grid, k: int) -> float:
     """The float gamma_max: the k-th eigenvalue splits for 0 <= gamma < gamma_max,
-    and there both split values stay inside (lambda_k, lambda_{k+1})."""
-    if not (_is_int(k) and k >= 2):
-        raise ValueError(f"splitting needs k >= 2, got {k}")
+    and there both split values stay in [lambda_k, lambda_{k+1}). For k = 1
+    only the gap above counts: the pair is lambda_1 and lambda_1 + gamma."""
+    if not (_is_int(k) and k >= 1):
+        raise ValueError(f"k must be a positive integer, got {k}")
     if k + 1 > grid.n_interior:
         raise ValueError(f"k={k} needs at least {k + 1} interior nodes")
-    lam_prev = closed_form_eigenvalue(grid, k - 1)
     lam_k = closed_form_eigenvalue(grid, k)
-    lam_next = closed_form_eigenvalue(grid, k + 1)
-    return min(lam_k - lam_prev, lam_next - lam_k)
+    gap = closed_form_eigenvalue(grid, k + 1) - lam_k
+    return gap if k == 1 else min(lam_k - closed_form_eigenvalue(grid, k - 1), gap)
 
 
 def _shoot(lambda_plus: float, lambda_minus: float,
@@ -279,18 +279,10 @@ def _discrete_half_eigen(grid: Grid, gamma: float, which: int, lam_lo: float,
 
 def check_split(grid: Grid, k: int, gamma: float) -> None:
     """Raise ValueError unless split_eigenvalues(grid, k, gamma) is defined:
-    k = 1 with gamma = 0, or 2 <= k <= n_interior - 1 with
-    0 <= gamma < gamma_window(grid, k). Closed forms only."""
+    1 <= k <= n_interior - 1 and 0 <= gamma < gamma_window(grid, k). Closed
+    forms only."""
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    if not (_is_int(k) and k >= 1):
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if k == 1:
-        # The window construction needs a spectral gap on both sides; for the
-        # principal eigenvalue only the unsplit case is defined.
-        if gamma != 0.0:
-            raise ValueError("k = 1 admits only gamma = 0")
-        return
     gamma_max = gamma_window(grid, k)
     if gamma >= gamma_max:
         raise ValueError(f"gamma={gamma} outside [0, {gamma_max:.6g}) for k={k}")
@@ -299,8 +291,10 @@ def check_split(grid: Grid, k: int, gamma: float) -> None:
 def split_eigenvalues(grid: Grid, k: int, gamma: float) -> SplitEigenPair:
     """Both half-eigenvalues of the discretized problem split off lambda_k.
 
-    gamma = 0 degenerates to the linear eigenpair on both branches. For
-    gamma > 0 each branch is searched in the drift bracket: the continuum
+    gamma = 0 degenerates to the linear eigenpair on both branches. For k = 1
+    both pairs are exact: e_1 > 0 never feels the gamma term and -e_1 < 0
+    feels all of it, so they are (lambda_1, e_1) and (lambda_1 + gamma, -e_1).
+    Otherwise each branch is searched in the drift bracket: the continuum
     value plus or minus 0.25*h^2*lambda^2 (four times the leading P1 error
     constant 1/12), clipped to the window [lambda_k, lambda_{k+1}]. No sign
     change of the end value in that bracket, a residual above 1e-8 or a lost
@@ -308,9 +302,10 @@ def split_eigenvalues(grid: Grid, k: int, gamma: float) -> SplitEigenPair:
     """
     check_split(grid, k, gamma)
     ek = eigenpair(grid, k)
-    if gamma == 0.0:
-        return SplitEigenPair(k=k, gamma=0.0, lambda1=ek.value, lambda2=ek.value,
-                              v1=ek.vector, v2=-ek.vector, eta=0.5)
+    if gamma == 0.0 or k == 1:
+        # gamma + 0.0 stores -0.0 as 0.0
+        return SplitEigenPair(k=k, gamma=gamma + 0.0, lambda1=ek.value,
+                              lambda2=ek.value + gamma, v1=ek.vector, v2=-ek.vector, eta=0.5)
 
     lam_lo = closed_form_eigenvalue(grid, k)
     lam_hi = closed_form_eigenvalue(grid, k + 1)

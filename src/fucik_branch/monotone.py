@@ -424,7 +424,10 @@ def ball_coercivity_bound(params: ProblemParams, r: float, n_pairs: int = 64,
     """Smallest certified monotonicity lower bound on the ball of radius r."""
     if rng is None:
         rng = np.random.default_rng(7)
-    return float(np.min(ball_coercivity_samples(params, r, n_pairs, rng, grid)))
+    bounds = ball_coercivity_samples(params, r, n_pairs, rng, grid)
+    if bounds.size == 0:
+        raise ValueError("no pair sampled: every step draw of the nearby pairs was zero")
+    return float(np.min(bounds))
 
 
 def default_ball_radius(params: ProblemParams, grid: Grid | None = None) -> float:

@@ -31,6 +31,11 @@ def random_field(grid: Grid, rng: np.random.Generator, scale: float = 1.0) -> Fi
     return Field(grid, scale * rng.standard_normal(grid.n_interior))
 
 
+def field_of(grid: Grid, fn) -> Field:
+    """The Field of fn's values at the interior nodes."""
+    return Field(grid, [fn(x) for x in grid.nodes.tolist()])
+
+
 def counting(counts: dict, key: str, fn):
     """fn, counting its calls in counts[key]."""
     def counted(*args, **kwargs):

@@ -13,7 +13,10 @@ references for monotone's samplers, the trace corrector's arithmetic
 before its one-pass bordered solve, the bit-for-bit reference for the trace,
 and the two monotone solves as Field loops (a Field per iterate, residual
 and direction, each gradient taken where it is used), the bit-for-bit
-references for the array solves.
+references for the array solves, the spectral-cone test from the Field
+functions, the reference for BranchPoint.in_cone, and the discrete equation
+as an explicit march in the element flux, the exact reference for the
+lambda of a trace point.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ import numpy as np
 from fucik_branch import continuation, monotone
 from fucik_branch._tridiag import symmetric_tridiag_apply, thomas_solve
 from fucik_branch.grid import (Field, Grid, dual_norm, element_gradients, gradient_values,
-                               h10_norm, h10_values, inner_l2, laplacian_solve_values,
+                               h10_norm, h10_values, inner_l2, l2_norm, laplacian_solve_values,
                                require_finite)
-from fucik_branch.halfeig import _check_length
+from fucik_branch.halfeig import _bisect, _check_length
 from fucik_branch.monotone import (TOL_ABS, TOL_REL, SolveReport, SolverError,
                                    VectorInequalityReport, _block_rows, _blocks,
                                    _certified_bounds, _monotonicity_ratios,
@@ -36,7 +39,7 @@ from fucik_branch.monotone import (TOL_ABS, TOL_REL, SolveReport, SolverError,
 from fucik_branch.quasilinear import (Jacobian, ProblemParams, _residual, energy,
                                       jacobian_original, jacobian_transformed,
                                       residual_original, residual_transformed)
-from fucik_branch.spectrum import EigenPair, _check_index, closed_form_eigenvalue
+from fucik_branch.spectrum import EigenPair, _check_index, closed_form_eigenvalue, eigenpair
 
 
 def eigenpair_iterative(grid: Grid, k: int, tol: float = 1e-12,
@@ -445,6 +448,64 @@ def reference_bordered_solve(jac: Jacobian, u: np.ndarray, row_u: np.ndarray,
         d = (res_c - h * float(np.dot(row_u, x))) / schur
         du, dlam = du + (x + d * y), dlam + d
     return du, dlam
+
+
+def cone_test(u: Field, k: int, eta: float, side: int) -> bool:
+    """Membership of u in the open cone side*(e_k, u)_2 > eta*||u||_2 around
+    side*e_k (side +1 or -1, eta > 0)."""
+    return side * inner_l2(eigenpair(u.grid, k).vector, u) > eta * l2_norm(u)
+
+
+def flux_inverse(sigma: float, p: float) -> float:
+    """The g with |g|^{p-2} g + g = sigma, by scalar Newton on |g| from
+    min(|sigma|, |sigma|^{1/(p-1)}), which bounds it from above; stops once
+    a step moves it by at most 1e-15 of itself."""
+    if sigma == 0.0:
+        return 0.0
+    t = abs(sigma)
+    x = min(t, t ** (1.0 / (p - 1.0)))
+    for _ in range(100):
+        step = (x ** (p - 1.0) + x - t) / ((p - 1.0) * x ** (p - 2.0) + 1.0)
+        x -= step
+        if abs(step) <= 1e-15 * x:
+            break
+    return math.copysign(x, sigma)
+
+
+def march(grid: Grid, p: float, gamma: float, lam: float, sigma0: float) -> list[float]:
+    """The discrete equation -Delta_p u - Delta u - gamma*u^- = lam*u as an
+    explicit march in the element flux sigma = a(g), a(g) = |g|^{p-2} g + g:
+    from u_0 = 0 and sigma_0, u_{i+1} = u_i + h*a^{-1}(sigma_i) and
+    sigma_{i+1} = sigma_i - h*(lam*u_{i+1} + gamma*u_{i+1}^-). Rows 1..n of
+    the residual vanish for every lam; returns the nodes u_0 .. u_{n+1}."""
+    h = grid.h
+    u, sigma = [0.0], sigma0
+    for _ in range(grid.n_interior + 1):
+        u.append(u[-1] + h * flux_inverse(sigma, p))
+        sigma -= h * (lam * u[-1] + gamma * max(-u[-1], 0.0))
+    return u
+
+
+def shoot_branch_lambda(grid: Grid, p: float, gamma: float, lam: float,
+                        sigma0: float) -> float:
+    """The lambda within 1 % of lam > 0 at which the march from sigma0 ends at
+    u_{n+1} = 0, to adjacent doubles by halfeig._bisect.
+
+    Refuses a bracket that reaches lambda*h^2 >= 4: there the multiplier
+    2 - lambda*h^2 of the linear (p = 2) march falls to -2, and its solutions
+    alternate in sign from node to node."""
+    lo, hi = 0.99 * lam, 1.01 * lam
+    if not (0.0 < lo and hi * grid.h ** 2 < 4.0):
+        raise ValueError(f"the bracket around lam={lam} leaves 0 < lambda*h^2 < 4")
+
+    def end(x: float) -> float:
+        return march(grid, p, gamma, x, sigma0)[-1]
+
+    f_lo, f_hi = end(lo), end(hi)
+    side = math.copysign(1.0, f_lo)
+    if side * f_hi > 0.0:
+        raise ValueError(f"the end value keeps its sign within 1 % of lam={lam}")
+    return _bisect(lambda x: side * end(x), lo, hi, f_lo=side * f_lo, f_hi=side * f_hi)
 
 
 def reference_newton_then_picard(jac: Jacobian, r: Field) -> Iterator[Field]:

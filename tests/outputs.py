@@ -52,13 +52,18 @@ MATRIX = (
     # a length other than pi: a second node column, which ends at exactly x = 2.5
     + [("halfeig-L2.5-n399", ["halfeig", "--k", "2", "--gamma", "0.5", "--length", "2.5",
                               "--grid-n", "399"])]
-    # k = 1: the payload has no gamma_max
-    + [("halfeig-k1", ["halfeig", "--k", "1", "--gamma", "0"])]
+    # k = 1: the closed-form pair, unsplit and split
+    + [("halfeig-k1", ["halfeig", "--k", "1", "--gamma", "0"]),
+       ("halfeig-k1-gamma0.5", ["halfeig", "--k", "1", "--gamma", "0.5"])]
     + [(f"fucik-{fmt}", ["fucik", "--format", fmt]) for fmt in ("csv", "json")]
     + [("fucik-L2.5", ["fucik", "--length", "2.5", "--lambda-max", "12", "--samples", "37"])]
     + [(f"branch-p{p}-n{n}", ["branch", "--p", p, "--k", "2,3", "--gamma", "0.5",
                               "--grid-n", str(n)])
        for p in ("3", "1.5") for n in (199, 399, 799)]
+    + [("branch-p3-k1", ["branch", "--p", "3", "--k", "1", "--gamma", "0.5"])]
+    # one side, with a seed amplitude and a step budget other than the defaults
+    + [("branch-p1.5-k2-w1", ["branch", "--p", "1.5", "--k", "2", "--which", "1",
+                              "--gamma", "0.5", "--steps", "60", "--alpha0", "5e-4"])]
     + [(f"verify-p{p}-seed{seed}", ["verify", "--p", p, "--seed", str(seed)])
        for p in ("2.5", "3", "4") for seed in (1, 5, 42)]
 )

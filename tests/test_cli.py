@@ -112,6 +112,22 @@ def test_halfeig_gamma_zero(tmp_path):
     assert inner_l2(e2, v2) == approx(-1.0, abs=1e-10)
 
 
+def test_k1_with_gamma_halfeig_and_branch(tmp_path):
+    # the k = 1 pair is (lambda_1, e_1) and (lambda_1 + gamma, -e_1)
+    assert run(["halfeig", "--k", "1", "--gamma", "0.5",
+                "--output-dir", str(tmp_path / "halfeig")]) == 0
+    payload = json.loads((tmp_path / "halfeig" / "halfeig.json").read_text())
+    lam1 = eigenpair(Grid(), 1).value
+    assert (payload["lambda1"], payload["lambda2"]) == (lam1, lam1 + 0.5)
+    assert payload["gamma_max"] == closed_form_eigenvalue(Grid(), 2) - lam1
+    assert run(["branch", "--p", "1.5", "--k", "1", "--gamma", "0.5", "--steps", "10",
+                "--output-dir", str(tmp_path / "branch")]) == 0
+    summaries = json.loads((tmp_path / "branch" / "branches.json").read_text())
+    assert [s["seed"]["which"] for s in summaries] == [1, 2]
+    assert [s["lambda_seed"] for s in summaries] == [lam1, lam1 + 0.5]
+    assert [s["cone_violations"] for s in summaries] == [0, 0]
+
+
 def test_fucik_table_satisfies_shooting(tmp_path):
     rc = run(["fucik", "--lambda-max", "12", "--samples", "40",
               "--output-dir", str(tmp_path)])
@@ -403,7 +419,7 @@ def test_usage_errors_exit_2(tmp_path):
     assert run(["branch", "--output-dir", out]) == 2
     assert run(["spectrum", "--grid-n", "2", "--output-dir", out]) == 2
     assert run(["spectrum", "--count", "0", "--output-dir", out]) == 2
-    assert run(["halfeig", "--k", "1", "--gamma", "0.5",
+    assert run(["halfeig", "--k", "1", "--gamma", "5",
                 "--output-dir", out]) == 2
     assert run(["fucik", "--lambda-max", "0.5", "--output-dir", out]) == 2
     assert run(["spectrum", "--format", "xml", "--output-dir", out]) == 2
@@ -577,14 +593,15 @@ _BRANCH = ["branch", "--p", "3", "--k", "2", "--gamma", "0.5"]
           "lambda_max must be finite and exceed the principal eigenvalue",
           "argv16---lambda-max must exceed the principal eigenvalue (pi/length)^2 = "
           "9.8696, got 3.0"),
-    (["halfeig", "--k", "1", "--gamma", "0.5"], "k = 1 admits only gamma = 0"),
+    (["halfeig", "--k", "1", "--gamma", "5"], "gamma=5.0 outside [0, 2.99969) for k=1"),
     (["halfeig", "--k", "2", "--gamma", "5"], "gamma=5.0 outside [0, 2.99969) for k=2"),
     (["halfeig", "--k", "0", "--gamma", "0.5"], "k must be a positive integer, got 0"),
     (["halfeig", "--k", "250", "--gamma", "0.5"], "k=250 needs at least 251 interior nodes"),
     (["halfeig", "--k", "199", "--gamma", "0"], "k=199 needs at least 200 interior nodes"),
     (["branch", "--p", "3", "--k", "250"], "k=250 needs at least 251 interior nodes"),
     (["branch", "--p", "3", "--k", "2,250"], "k=250 needs at least 251 interior nodes"),
-    (["branch", "--p", "1.5", "--k", "1", "--gamma", "0.5"], "k = 1 admits only gamma = 0"),
+    (["branch", "--p", "1.5", "--k", "1", "--gamma", "3"],
+     "gamma=3.0 outside [0, 2.99969) for k=1"),
     (["branch", "--p", "3", "--k", "3", "--gamma", "50"], "gamma=50.0 outside"),
     # a length whose 4/h^2 overflows
     (["spectrum", "--length", "1e-300"],

@@ -11,8 +11,7 @@ from pytest import approx
 from fucik_branch import _tridiag, continuation, monotone, quasilinear
 from fucik_branch.continuation import (BranchSeed, Termination,
                                        _bordered_solve, _corrector,
-                                       _trivial_candidates, cone_test,
-                                       decompose, ls_residual,
+                                       _trivial_candidates, decompose, ls_residual,
                                        localization_check, newton_at_lambda,
                                        recompose, scaling_slope, trace_branch)
 from fucik_branch.grid import (Field, Grid, dual_norm, gradient_values, h10_norm,
@@ -25,8 +24,8 @@ from fucik_branch.quasilinear import (Jacobian, ProblemParams, _jacobian, _resid
 from fucik_branch.spectrum import closed_form_eigenvalue, eigenpair
 
 from conftest import count_calls_by_name, count_trials, counting, random_field
-from oracles import (reference_bordered_solve, reference_trace_jacobian,
-                     reference_trace_residual)
+from oracles import (cone_test, reference_bordered_solve, reference_trace_jacobian,
+                     reference_trace_residual, shoot_branch_lambda)
 
 
 def weighted_l2(field: Field) -> float:
@@ -172,16 +171,19 @@ def test_point_norms_and_projection_equal_the_field_functions(request, fixture):
         assert pt.alpha == inner_l2(ek, pt.u)
 
 
-def test_cone_test_rejects_bad_input(grid):
-    ek = eigenpair(grid, 2).vector
-    with pytest.raises(ValueError):
-        cone_test(Field.zeros(grid), 2, 0.5, 1)
-    for side in (3, 0, True, 1.0):
-        with pytest.raises(ValueError, match="side must be"):
-            cone_test(ek, 2, 0.5, side)
-    for eta in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="eta must be positive"):
-            cone_test(ek, 2, eta, 1)
+@pytest.mark.parametrize("fixture", ["branch_p3_w1", "branch_p3_w2", "branch_p15"])
+def test_trace_points_lie_on_the_discrete_march(request, fixture, grid):
+    # shooting the discrete equation from a point's first element flux finds
+    # the point's lambda again; a p < 2 point is marched in the original
+    # variable, which solves the same equation at the same lambda
+    branch = request.getfixturevalue(fixture)
+    p, gamma = branch.seed.p, branch.seed.gamma
+    for pt in branch.points[::20]:
+        u = pt.u if p > 2.0 else from_infinity_variable(pt.u, p)
+        g0 = u.values[0] / grid.h
+        sigma0 = math.copysign(abs(g0) ** (p - 1.0), g0) + g0
+        assert shoot_branch_lambda(grid, p, gamma, pt.lam, sigma0) \
+            == approx(pt.lam, rel=1e-10, abs=0.0)
 
 
 def test_seed_limit_extrapolation(branch_p3_w1):
@@ -256,10 +258,23 @@ def test_scaling_slope_matches_the_bifurcation_exponent(p, k, which):
 
 def test_localization_radius_positive(branch_p3_w1, branch_p3_w2):
     for branch in (branch_p3_w1, branch_p3_w2):
-        report = localization_check(branch)
-        assert report.checked == len(branch.points)
-        assert report.violations == 0
-        assert report.rho0 == math.inf
+        assert localization_check(branch) == (math.inf, 0)
+
+
+def test_localization_check_counts_the_points_outside_the_cone(branch_p3_w1):
+    # rho0 is the (lambda, ||u||_2) distance to the seed of the nearest point
+    # outside its cone
+    branch = branch_p3_w1
+    far, near = branch.points[40], branch.points[30]
+    points = list(branch.points)
+    for i in (30, 40):
+        pt = points[i]
+        points[i] = type(pt)(pt.s, pt.lam, pt.u, pt.alpha, pt.l2, pt.h12, False,
+                             pt.corrector_tol, pt.iterations)
+    stub = type(branch)(branch.seed, tuple(points), branch.termination,
+                        branch.lambda_seed, branch.eta)
+    assert near.l2 < far.l2
+    assert localization_check(stub) == (math.hypot(near.lam - branch.lambda_seed, near.l2), 2)
 
 
 def test_rayleigh_identity_gamma_zero():
@@ -276,6 +291,23 @@ def test_rayleigh_identity_gamma_zero():
     l2s = [pt.l2 for pt in branch.points[:15]]
     assert all(b >= a - 1e-12 for a, b in zip(lams, lams[1:]))
     assert all(b > a for a, b in zip(l2s, l2s[1:]))
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.0])
+@pytest.mark.parametrize("p", [3.0, 1.5])
+def test_k1_negative_trace_is_the_positive_one_negated_and_shifted(p, gamma, grid):
+    # u < 0 feels the whole gamma term, so -u solves the equation without it
+    # at lambda - gamma
+    pos = trace_branch(BranchSeed(k=1, which=1, gamma=gamma, p=p), grid)
+    neg = trace_branch(BranchSeed(k=1, which=2, gamma=gamma, p=p), grid)
+    assert neg.lambda_seed == pos.lambda_seed + gamma
+    assert len(neg.points) == len(pos.points) == 200
+    assert neg.termination == pos.termination
+    for a, b in zip(pos.points, neg.points):
+        assert abs(b.lam - gamma - a.lam) <= 1e-9 * a.lam
+        assert float(np.max(np.abs(b.u.values + a.u.values))) \
+            <= 1e-9 * float(np.max(np.abs(a.u.values)))
+        assert a.in_cone and b.in_cone
 
 
 def test_norm_cap_termination(monkeypatch):

@@ -28,7 +28,7 @@ from fucik_branch.grid import (
 from fucik_branch.quasilinear import ProblemParams, _residual, residual_original
 from fucik_branch.spectrum import closed_form_eigenvalue, eigenpair
 
-from conftest import random_field
+from conftest import field_of, random_field
 from oracles import apply_p_laplacian, pos_neg_parts
 
 
@@ -219,7 +219,7 @@ def test_inner_l2_grid_mismatch():
 
 def test_normalized_sine_has_unit_l2(grid):
     ll = grid.length
-    u = Field.from_function(grid, lambda x: math.sqrt(2.0 / ll) * math.sin(math.pi * x / ll))
+    u = field_of(grid, lambda x: math.sqrt(2.0 / ll) * math.sin(math.pi * x / ll))
     assert abs(l2_norm(u) - 1.0) <= grid.h**2
 
 

@@ -59,9 +59,13 @@ def test_gamma_window_positive(grid):
         assert gamma_window(grid, k) > 0.0
 
 
-def test_gamma_window_needs_k_at_least_2(grid):
-    with pytest.raises(ValueError):
-        gamma_window(grid, 1)
+def test_gamma_window_k1_is_the_gap_above(grid):
+    # -e_1 < 0 feels all of gamma, so the k = 1 pair is lambda_1 and
+    # lambda_1 + gamma, and only lambda_2 bounds it
+    gap = closed_form_eigenvalue(grid, 2) - closed_form_eigenvalue(grid, 1)
+    assert gamma_window(grid, 1) == gap
+    with pytest.raises(ValueError, match="^k must be a positive integer, got 0$"):
+        gamma_window(grid, 0)
 
 
 def test_fucik_shoot_diagonal():
@@ -163,15 +167,31 @@ def test_split_rejects_bad_gamma(grid):
         split_eigenvalues(grid, 2, -0.1)
     with pytest.raises(ValueError):
         split_eigenvalues(grid, 2, 3.5)
-    with pytest.raises(ValueError):
-        split_eigenvalues(grid, 1, 0.5)
-    split_eigenvalues(grid, 1, 0.0)
+    for gamma in (gamma_window(grid, 1), 3.5):
+        with pytest.raises(ValueError, match=r"^gamma=.* outside \[0, .*\) for k=1$"):
+            split_eigenvalues(grid, 1, gamma)
+
+
+@pytest.mark.parametrize("n", [9, 199])
+@pytest.mark.parametrize("gamma", [0.0, -0.0, 0.5, 2.0])
+def test_k1_split_is_exact(n, gamma):
+    # e_1 > 0 never feels the gamma term and -e_1 < 0 feels all of it
+    grid = Grid(n_interior=n)
+    e1 = eigenpair(grid, 1)
+    pair = split_eigenvalues(grid, 1, gamma)
+    assert math.copysign(1.0, pair.gamma) == 1.0 and pair.gamma == gamma
+    assert (pair.lambda1, pair.lambda2) == (e1.value, e1.value + gamma)
+    assert np.array_equal(pair.v1.values, e1.vector.values)
+    assert np.array_equal(pair.v2.values, -e1.vector.values)
+    assert pair.eta == 0.5
+    assert half_eigen_residual(pair.v1, pair.lambda1, gamma) <= 1e-12
+    assert half_eigen_residual(pair.v2, pair.lambda2, gamma) <= 1e-12
 
 
 # isinstance(True, int) holds, but a bool names no mode: k=True once gave the
 # k = 1 value and which=True or which=1.0 the which = 1 branch
 @pytest.mark.parametrize("call, message", [
-    (lambda k: gamma_window(Grid(), k), "splitting needs k >= 2"),
+    (lambda k: gamma_window(Grid(), k), "k must be a positive integer"),
     (lambda k: shoot_split_lambda(k, 0.0, math.pi, 1), "k must be an integer >= 1"),
     (lambda k: split_eigenvalues(Grid(), k, 0.0), "k must be a positive integer"),
     (lambda which: shoot_split_lambda(1, 0.0, math.pi, which), "which must be 1 or 2"),

@@ -23,7 +23,7 @@ from fucik_branch.quasilinear import (Jacobian, ProblemParams, energy,
                                       residual_original, residual_transformed)
 from fucik_branch.spectrum import closed_form_eigenvalue
 
-from conftest import (count_calls_by_name, count_trials, counting, random_field,
+from conftest import (count_calls_by_name, count_trials, counting, field_of, random_field,
                       reference_sweep)
 from oracles import (reference_blocked_ball_samples, reference_check_vector_inequalities,
                      reference_monotonicity_sweep, reference_solve_monotone,
@@ -100,14 +100,14 @@ def test_solve_monotone_manufactured(grid, rng):
 def test_solve_monotone_solves_at_the_lambda_of_its_params(grid):
     # below lambda_1 the energy with -lam/2 ||u||^2 stays convex
     params = ProblemParams(p=3.0, gamma=0.5, lam=0.5 * closed_form_eigenvalue(grid, 1))
-    u_star = Field.from_function(grid, lambda x: math.sin(x) + math.sin(2.0 * x))
+    u_star = field_of(grid, lambda x: math.sin(x) + math.sin(2.0 * x))
     report = solve_monotone(residual_original(u_star, params), params)
     assert h10_norm(report.solution - u_star) <= 1e-7
     assert report.coercivity_estimate > 0.0
 
 
 def test_solve_monotone_unique_from_random_starts(grid, rng):
-    f = Field.from_function(grid, lambda x: math.sin(2.0 * x))
+    f = field_of(grid, lambda x: math.sin(2.0 * x))
     solutions = []
     for _ in range(5):
         u0 = random_field(grid, rng, scale=2.0)
@@ -119,7 +119,7 @@ def test_solve_monotone_unique_from_random_starts(grid, rng):
 
 
 def test_solve_monotone_matches_gradient_descent(grid):
-    f = Field.from_function(grid, lambda x: math.sin(2.0 * x))
+    f = field_of(grid, lambda x: math.sin(2.0 * x))
     newton = solve_monotone(f, P3).solution
     descent = gradient_descent_minimizer(f, P3)
     assert h10_norm(newton - descent) <= 1e-5
@@ -132,7 +132,7 @@ def test_solve_monotone_rejects_small_p(grid):
 
 def test_inverse_is_nonexpansive(grid, rng):
     # coercivity of the -Delta part gives ||M^-1 f - M^-1 g||_{1,2} <= ||f-g|| dual
-    f = Field.from_function(grid, lambda x: math.sin(2.0 * x))
+    f = field_of(grid, lambda x: math.sin(2.0 * x))
     base = solve_monotone(f, P3)
     for _ in range(100):
         df = random_field(grid, rng, scale=1e-2)
@@ -509,6 +509,13 @@ def test_ball_coercivity_samples_of_no_pairs(grid):
             ball_coercivity_bound(P15, 0.3, n_pairs=n_pairs, grid=grid)
 
 
+def test_ball_coercivity_bound_of_an_empty_sample(grid):
+    # one nearby pair whose step draw is zero is dropped, which leaves no bound
+    assert ball_coercivity_samples(P15, 0.3, 1, ZeroedDraws(3, {1}), grid).size == 0
+    with pytest.raises(ValueError, match="^no pair sampled"):
+        ball_coercivity_bound(P15, 0.3, n_pairs=1, rng=ZeroedDraws(3, {1}), grid=grid)
+
+
 def test_ball_coercivity_rejects_bad_input(grid):
     with pytest.raises(ValueError):
         ball_coercivity_bound(P3, 0.5, grid=grid)
@@ -535,7 +542,7 @@ def test_out_of_iterations_reports_the_steps_taken(grid, rng, monkeypatch):
     # an unreachable tolerance: both solves take every one of _MAX_ITER steps
     monkeypatch.setattr(monotone, "_MAX_ITER", 3)
     tols = {"tol_abs": 1e-300, "tol_rel": 1e-300}
-    f = Field.from_function(grid, lambda x: math.sin(2.0 * x))
+    f = field_of(grid, lambda x: math.sin(2.0 * x))
     with pytest.raises(SolverError, match="no convergence in 3 iterations") as exc:
         solve_monotone(f, P3, **tols)
     assert exc.value.report.iterations == 3
@@ -549,7 +556,7 @@ def test_out_of_iterations_reports_the_steps_taken(grid, rng, monkeypatch):
 
 @pytest.mark.parametrize("name", ["tol_abs", "tol_rel"])
 def test_tolerance_must_be_finite_and_positive(grid, name):
-    f = Field.from_function(grid, lambda x: math.sin(2.0 * x))
+    f = field_of(grid, lambda x: math.sin(2.0 * x))
     assert solve_monotone(f, P3, **{name: 0.5}).iterations >= 0
     for bad in (math.nan, math.inf, -math.inf, 0.0, -1e-3):
         for solve, params in ((solve_monotone, P3), (solve_monotone_ball, P15)):
@@ -611,7 +618,7 @@ def test_stalled_line_search_is_reported_as_a_stall(grid, monkeypatch):
         return step(*args, **kwargs) if calls["steps"] == 1 else None
 
     monkeypatch.setattr(monotone, "damped_step", stalling_step)
-    f = Field.from_function(grid, lambda x: math.sin(2.0 * x))
+    f = field_of(grid, lambda x: math.sin(2.0 * x))
     with pytest.raises(SolverError, match="line search stalled") as exc:
         solve_monotone(f, P3)
     assert exc.value.report.iterations == 1
@@ -696,8 +703,8 @@ def test_newton_refused_step_leaves_the_pre_step_iterate():
                          ids=["same-n-other-length", "other-n"])
 def test_solves_reject_u0_on_another_grid(grid, other):
     # u0 must live on f's grid: an equal node count is not enough
-    f = Field.from_function(grid, lambda x: math.sin(2.0 * x))
-    u0 = Field.from_function(other, lambda x: 0.01 * math.sin(x))
+    f = field_of(grid, lambda x: math.sin(2.0 * x))
+    u0 = field_of(other, lambda x: 0.01 * math.sin(x))
     with pytest.raises(ValueError, match="fields live on different grids"):
         solve_monotone(f, P3, u0=u0)
     with pytest.raises(ValueError, match="fields live on different grids"):
@@ -786,7 +793,7 @@ def test_picard_fallback_bit_identical_to_field_loop(grid, monkeypatch):
 
 def test_error_paths_bit_identical_to_field_loop(grid, rng, monkeypatch):
     r = default_ball_radius(P15, grid=grid)
-    f3 = Field.from_function(grid, lambda x: math.sin(2.0 * x))
+    f3 = field_of(grid, lambda x: math.sin(2.0 * x))
     f15 = residual_transformed(smooth_field(grid, rng, 0.5 * r), P15)
     cases = [(solve_monotone, reference_solve_monotone, f3, P3, {}),
              (solve_monotone_ball, reference_solve_monotone_ball, f15, P15,

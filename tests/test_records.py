@@ -1,4 +1,4 @@
-"""The contract of the package's 15 immutable record types.
+"""The contract of the package's 14 immutable record types.
 
 Every record takes its fields by position or keyword, in one order, rejects
 a missing or unknown keyword, refuses assignment and deletion, and shows its
@@ -16,7 +16,7 @@ import pytest
 
 import fucik_branch
 from fucik_branch import (Branch, BranchPoint, BranchSeed, EigenPair, Field, FucikCurves,
-                          Grid, Jacobian, LocalizationReport, LSDecomposition, ProblemParams,
+                          Grid, Jacobian, LSDecomposition, ProblemParams,
                           SolveReport, SolverError, SplitEigenPair, Termination,
                           TransformedField, VectorInequalityReport)
 
@@ -37,8 +37,6 @@ VALUES = {
                  [{"k": 3}, {"which": 2}, {"gamma": 0.25}, {"p": 1.5}, {"alpha0": 2e-3}]),
     Termination: ({"kind": "MeetsTrivial", "mu": 1.0, "detail": ""},
                   [{"mu": 2.0}, {"detail": "why"}]),
-    LocalizationReport: ({"rho0": math.inf, "checked": 3, "violations": 0},
-                         [{"rho0": 0.5}, {"checked": 4}, {"violations": 1}]),
     VectorInequalityReport: ({"p": 3.0, "n_samples": 10, "c1_emp": 0.5, "c2_emp": 1.5,
                               "c1_floor": 0.25, "violations": 0},
                              [{"p": 4.0}, {"n_samples": 11}, {"c1_emp": 0.6},
@@ -72,7 +70,7 @@ def test_every_record_type_is_covered():
     classes = {obj for obj in map(fucik_branch.__dict__.get, fucik_branch.__all__)
                if isinstance(obj, type)}
     assert classes - {Jacobian, SolverError} == set(ALL)
-    assert len(ALL) == 15
+    assert len(ALL) == 14
 
 
 @pytest.mark.parametrize("cls", ALL, ids=lambda c: c.__name__)
@@ -137,10 +135,11 @@ def test_equal_grids_are_one_cache_key():
 
 def test_value_equality_takes_the_identity_shortcut_per_field():
     nan = float("nan")
-    a = LocalizationReport(rho0=nan, checked=1, violations=0)
+    fields = {"p": 3.0, "n_samples": 10, "c2_emp": 1.5, "c1_floor": 0.25, "violations": 0}
+    a = VectorInequalityReport(c1_emp=nan, **fields)
     assert a == a
-    assert a == LocalizationReport(rho0=nan, checked=1, violations=0)
-    assert a != LocalizationReport(rho0=float("nan"), checked=1, violations=0)
+    assert a == VectorInequalityReport(c1_emp=nan, **fields)
+    assert a != VectorInequalityReport(c1_emp=float("nan"), **fields)
 
 
 @pytest.mark.parametrize("cls", IDENTITIES, ids=lambda c: c.__name__)
